@@ -19,7 +19,6 @@ from .analysis import (
     compare_rankings,
     global_index,
     normalize_scores,
-    partial_productivity,
     rank,
     sensitivity_drop_input,
     tertile_summary,
@@ -146,7 +145,6 @@ __all__ = [
     "match_author",
     "normalize_scores",
     "normalize_text",
-    "partial_productivity",
     "rank",
     "read_table",
     "render_json",

@@ -213,15 +213,6 @@ def tertile_summary(
     )
 
 
-def partial_productivity(pu: float, total_staff: float) -> float:
-    """Single-output / single-input ratio: publications per staff member."""
-    if total_staff <= 0:
-        raise StructuralError(
-            f"total staff must be positive, got {total_staff}"
-        )
-    return pu / total_staff
-
-
 def compare_rankings(
     rank_a: Mapping[str, int], rank_b: Mapping[str, int]
 ) -> RankingComparison:

@@ -18,7 +18,6 @@ from .disambiguation import MATCHED, Assignment
 from .errors import (
     AreaNotAnalyzableError,
     CorruptRecordError,
-    MissingDataError,
     StructuralError,
     UnknownIdError,
 )
@@ -101,13 +100,7 @@ class MatchedCorpus:
         assignments: Iterable[Assignment],
         staff: StaffRegistry,
     ):
-        self._staff = staff
-        pubs: dict[str, Publication] = {}
-        for p in publications:
-            if p.pub_id in pubs:
-                raise StructuralError(f"duplicate publication id {p.pub_id!r}")
-            pubs[p.pub_id] = p
-        self._pubs = pubs
+        pubs = {p.pub_id: p for p in publications}
 
         matched_per_pub: dict[str, dict[tuple[str, str], int]] = {}
         for a in assignments:
@@ -146,28 +139,11 @@ class MatchedCorpus:
                 )
         self._contribs = contribs
 
-    @property
-    def staff(self) -> StaffRegistry:
-        return self._staff
-
-    def publication(self, pub_id: str) -> Publication:
-        try:
-            return self._pubs[pub_id]
-        except KeyError:
-            raise UnknownIdError(f"unknown publication id {pub_id!r}") from None
-
-    def _check_cell(self, area_id: str, university_id: str) -> None:
-        if area_id not in self._staff.area_ids():
-            raise UnknownIdError(f"unknown area id {area_id!r}")
-        if university_id not in self._staff.university_ids():
-            raise UnknownIdError(f"unknown university id {university_id!r}")
-
     def cell_rows(
         self, area_id: str, university_id: str, years: Iterable[int]
     ) -> tuple[tuple[str, str, int, int, int], ...]:
         """Qualifying rows (pub_id, journal_id, year, b, c) for a cell,
         sorted by publication id."""
-        self._check_cell(area_id, university_id)
         per_year = self._contribs.get((area_id, university_id), {})
         rows = []
         for year in sorted(set(years)):
@@ -253,22 +229,14 @@ def build_input_vector(
     """Mean staff headcounts and funding over the lagged window.
 
     For each output year y the snapshot is taken at 31 December of
-    y - lag.  A snapshot year outside the registry's covered span is a
-    configuration error and raises, rather than silently reading as an
-    empty university system.
+    y - lag.  Snapshot years outside the registry's covered span read as
+    zero headcounts here; ``run_pipeline`` rejects such a configuration
+    once per run, before any cell is built.
     """
     years = tuple(output_years)
     if not years:
         raise StructuralError("output_years must be non-empty")
     snapshot_years = [y - lag for y in years]
-    missing = [s for s in snapshot_years if not staff.covers(s)]
-    if missing:
-        span = staff.coverage()
-        covered = f"{span[0]}..{span[1]}" if span else "nothing"
-        raise MissingDataError(
-            f"staff registry covers {covered}; no snapshot for year(s) "
-            + ", ".join(str(s) for s in sorted(set(missing)))
-        )
     n = len(snapshot_years)
     fp = sum(
         staff.headcount(area_id, university_id, RANK_FULL, s)
@@ -298,9 +266,10 @@ def assemble_problem(
 ) -> tuple[DeaProblem, tuple[Exclusion, ...]]:
     """Build the area's frontier problem, applying the exclusion rules.
 
-    Universities whose mean staff total falls below ``min_staff`` are
-    dropped, as are universities with no output of any kind (they cannot
-    be placed on a radial output frontier).  Every drop is recorded.
+    Universities whose mean staff total falls below ``min_staff``, or is
+    zero whatever ``min_staff`` is, are dropped, as are universities with
+    no output of any kind (neither can be placed on a radial output
+    frontier).  Every drop is recorded.
     Fewer than two surviving universities means the area cannot be
     analyzed comparatively.
     """
@@ -321,13 +290,19 @@ def assemble_problem(
         vec_in = inputs[university_id]
         vec_out = outputs[university_id]
         if vec_in.staff_total < min_staff:
+            detail = (f"mean staff {vec_in.staff_total:g} below "
+                      f"threshold {min_staff:g}")
+        elif vec_in.staff_total == 0:
+            detail = "no staff in the snapshot years"
+        else:
+            detail = None
+        if detail is not None:
             exclusions.append(
                 Exclusion(
                     university_id,
                     area_id,
                     EXCLUDED_BELOW_STAFF_THRESHOLD,
-                    f"mean staff {vec_in.staff_total:g} below "
-                    f"threshold {min_staff:g}",
+                    detail,
                 )
             )
             continue

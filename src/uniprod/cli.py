@@ -153,7 +153,8 @@ def main(argv=None) -> int:
         corpus = ingest(config)
         overrides = None
         if config.manual_overrides_path is not None:
-            overrides = load_overrides(config.manual_overrides_path)
+            overrides = load_overrides(config.manual_overrides_path,
+                                       corpus)
         report = run_pipeline(corpus, config, overrides)
         written = write_report(report, args.out, config.report_format)
     except (UniprodError, OSError) as exc:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,8 +64,10 @@ class RunConfig:
         object.__setattr__(self, "years", years)
         if not isinstance(self.lag, int) or self.lag < 0:
             raise StructuralError(f"lag must be a non-negative integer, got {self.lag!r}")
-        if self.min_staff < 0:
-            raise StructuralError(f"min_staff must be >= 0, got {self.min_staff}")
+        if not (math.isfinite(self.min_staff) and self.min_staff >= 0):
+            raise StructuralError(
+                f"min_staff must be finite and >= 0, got {self.min_staff}"
+            )
         if not 0.0 <= self.efficiency_eps < 0.1:
             raise StructuralError(
                 f"efficiency_eps must be in [0, 0.1), got {self.efficiency_eps}"

@@ -70,49 +70,21 @@ class AffiliationDictionary:
     """Map from raw affiliation patterns to canonical university ids.
 
     Patterns are compared after text normalization, so case, diacritics
-    and punctuation never matter.  A normalized pattern may not point at
-    two different universities.
+    and punctuation never matter.  Ingest rejects blank patterns and
+    university ids and patterns that would point at two universities.
     """
 
     def __init__(self, rows: Iterable[tuple[str, str]]):
-        mapping: dict[str, str] = {}
-        for raw_pattern, university_id in rows:
-            key = normalize_text(raw_pattern)
-            if not key:
-                raise StructuralError(
-                    f"affiliation pattern {raw_pattern!r} is empty after "
-                    "normalization"
-                )
-            university_id = university_id.strip()
-            if not university_id:
-                raise StructuralError(
-                    f"affiliation pattern {raw_pattern!r} maps to a blank "
-                    "university id"
-                )
-            existing = mapping.get(key)
-            if existing is not None and existing != university_id:
-                raise StructuralError(
-                    f"affiliation pattern {raw_pattern!r} maps to both "
-                    f"{existing!r} and {university_id!r}"
-                )
-            mapping[key] = university_id
-        self._mapping = mapping
+        self._mapping = {
+            normalize_text(raw_pattern): university_id
+            for raw_pattern, university_id in rows
+        }
 
     def __len__(self) -> int:
         return len(self._mapping)
 
     def lookup(self, raw: str) -> str | None:
         return self._mapping.get(normalize_text(raw))
-
-    def university_ids(self) -> frozenset[str]:
-        return frozenset(self._mapping.values())
-
-
-def canonicalize_affiliation(
-    raw: str, dictionary: AffiliationDictionary
-) -> str | None:
-    """Resolve one raw affiliation string to a university id, or None."""
-    return dictionary.lookup(raw)
 
 
 @dataclass(frozen=True)
@@ -287,23 +259,14 @@ def disambiguate_corpus(
     Publications with no author list at all are reported as unresolvable
     and skipped.  A publication with any ambiguous token goes to manual
     review; one with no staff evidence at all is discarded; the rest are
-    resolved.  Overrides (from a re-ingested review file) replace rule
-    matching for the named positions and are validated strictly.
+    resolved.  Overrides (from a review file that ``load_overrides`` has
+    checked against the corpus) replace rule matching for the named
+    positions; each must still name a staff member of one of the
+    publication's universities, active in its year.
     """
     publications = tuple(publications)
     overrides = dict(overrides or {})
     index = _SurnameIndex(staff)
-
-    known_positions = {
-        (p.pub_id, pos)
-        for p in publications
-        for pos in range(1, len(p.authors) + 1)
-    }
-    for key in overrides:
-        if key not in known_positions:
-            raise StructuralError(
-                f"override targets unknown publication/position {key!r}"
-            )
 
     assignments: list[Assignment] = []
     manual_rows: list[ManualReviewRow] = []
@@ -317,8 +280,6 @@ def disambiguate_corpus(
     }
 
     for pub in publications:
-        if pub.pub_id in categories:
-            raise StructuralError(f"duplicate publication id {pub.pub_id!r}")
         if not pub.authors:
             categories[pub.pub_id] = CATEGORY_UNRESOLVABLE
             counts[CATEGORY_UNRESOLVABLE] += 1

@@ -1,16 +1,24 @@
-"""CSV ingestion with per-line diagnostics.
+"""CSV ingestion: the one place that validates outside input.
 
-All five input files are UTF-8 CSV with a header row.  Malformed rows
-are collected (not raised one at a time) so a single run reports every
-problem; referential gaps that the pipeline can survive become warnings
-instead.
+All five input files are UTF-8 CSV with a header row.  Every check on
+their contents happens here, once: blank ids and names, rank and
+document-type codes, integer years and active ranges, author initials,
+finite non-negative amounts, duplicate keys, bytes that are not UTF-8,
+and the references of a manual-override file.  Malformed rows are
+collected as ``file:line:`` diagnostics (not raised one at a time) so a
+single run reports every problem; referential gaps that the pipeline
+can survive become warnings instead.  The record types built here carry
+values and check nothing.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterable, Iterator
 
 from .config import RunConfig
 from .disambiguation import AffiliationDictionary, normalize_text
@@ -35,6 +43,9 @@ FUNDING_FIELDS = ("university_id", "area_id", "year", "prin_keur")
 AFFILIATION_FIELDS = ("raw_pattern", "university_id")
 OVERRIDE_FIELDS = ("pub_id", "author_position", "staff_id")
 
+#: Undecodable bytes read with ``errors="surrogateescape"``.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
 
 @dataclass(frozen=True)
 class Corpus:
@@ -48,39 +59,53 @@ class Corpus:
     warnings: tuple[str, ...]
 
 
+def _checked_lines(lines: Iterable[str], name: str,
+                   diagnostics: list[str]) -> Iterator[str]:
+    """Pass lines through, reporting each one that held bytes that are
+    not UTF-8."""
+    for number, line in enumerate(lines, start=1):
+        if not line.isascii() and _UNDECODABLE.search(line):
+            diagnostics.append(f"{name}:{number}: invalid UTF-8")
+        yield line
+
+
 def _read_rows(path: Path, fields: tuple[str, ...], diagnostics: list[str]):
     """Parse one CSV file into (line_number, row_dict) pairs.
 
-    Header mismatches and short/long rows are fatal diagnostics; the
-    file is then skipped entirely.
+    Header mismatches and unparseable CSV are fatal diagnostics; the
+    file is then skipped entirely.  Rows of the wrong width or with
+    undecodable bytes are reported and skipped.
     """
     name = path.name
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8",
+                      errors="surrogateescape")
     except OSError as exc:
         diagnostics.append(f"{name}: cannot open: {exc}")
         return []
     with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            diagnostics.append(f"{name}: empty file, expected header "
-                               f"{','.join(fields)}")
-            return []
-        except csv.Error as exc:
-            diagnostics.append(f"{name}: unreadable CSV: {exc}")
-            return []
-        if tuple(h.strip() for h in header) != fields:
-            diagnostics.append(
-                f"{name}:1: header must be {','.join(fields)}, "
-                f"got {','.join(header)}"
-            )
-            return []
+        reader = csv.reader(_checked_lines(handle, name, diagnostics))
+        reported = len(diagnostics)
         rows = []
         try:
+            header = next(reader, None)
+            if header is None:
+                diagnostics.append(f"{name}: empty file, expected header "
+                                   f"{','.join(fields)}")
+                return []
+            if len(diagnostics) > reported:  # undecodable header
+                return []
+            if tuple(h.strip() for h in header) != fields:
+                diagnostics.append(
+                    f"{name}:1: header must be {','.join(fields)}, "
+                    f"got {','.join(header)}"
+                )
+                return []
             for raw in reader:
                 line = reader.line_num
+                if len(diagnostics) > reported:  # undecodable row
+                    reported = len(diagnostics)
+                    continue
                 if not raw or all(not cell.strip() for cell in raw):
                     continue
                 if len(raw) != len(fields):
@@ -88,70 +113,103 @@ def _read_rows(path: Path, fields: tuple[str, ...], diagnostics: list[str]):
                         f"{name}:{line}: expected {len(fields)} fields, "
                         f"got {len(raw)}"
                     )
+                    reported = len(diagnostics)
                     continue
                 rows.append((line, dict(zip(fields, raw))))
         except csv.Error as exc:
-            diagnostics.append(f"{name}: unreadable CSV: {exc}")
+            diagnostics.append(f"{name}:{reader.line_num}: unreadable CSV: {exc}")
             return []
         return rows
 
 
-def _parse_int(value: str, what: str, name: str, line: int,
-               diagnostics: list[str]):
+def _text(row: dict, field: str) -> str:
+    value = row[field].strip()
+    if not value:
+        raise StructuralError(f"{field} is blank")
+    return value
+
+
+def _code(row: dict, field: str, allowed: tuple[str, ...]) -> str:
+    value = row[field].strip()
+    if value not in allowed:
+        raise StructuralError(
+            f"{field} must be one of {'/'.join(allowed)}, got {value!r}"
+        )
+    return value
+
+
+def _integer(row: dict, field: str) -> int:
     try:
-        return int(value.strip())
+        return int(row[field].strip())
     except ValueError:
-        diagnostics.append(f"{name}:{line}: {what} must be an integer, "
-                           f"got {value!r}")
-        return None
+        raise StructuralError(
+            f"{field} must be an integer, got {row[field]!r}"
+        ) from None
 
 
-def _parse_float(value: str, what: str, name: str, line: int,
-                 diagnostics: list[str]):
+def _amount(row: dict, field: str) -> float:
     try:
-        return float(value.strip())
+        value = float(row[field].strip())
     except ValueError:
-        diagnostics.append(f"{name}:{line}: {what} must be a number, "
-                           f"got {value!r}")
-        return None
+        raise StructuralError(
+            f"{field} must be a number, got {row[field]!r}"
+        ) from None
+    if not (math.isfinite(value) and value >= 0):
+        raise StructuralError(
+            f"{field} must be finite and >= 0, got {row[field].strip()!r}"
+        )
+    return value
 
 
-def _load_staff(path: Path, diagnostics: list[str]) -> StaffRegistry:
-    members = []
-    seen: dict[str, int] = {}
-    name = path.name
-    for line, row in _read_rows(path, STAFF_FIELDS, diagnostics):
-        staff_id = row["staff_id"].strip()
-        if staff_id in seen:
-            diagnostics.append(
-                f"{name}:{line}: duplicate staff id {staff_id!r} "
-                f"(first defined at line {seen[staff_id]})"
-            )
-            continue
-        year_from = _parse_int(row["year_from"], "year_from", name, line,
-                               diagnostics)
-        year_to = _parse_int(row["year_to"], "year_to", name, line,
-                             diagnostics)
-        if year_from is None or year_to is None:
-            continue
-        rank = row["rank"].strip()
-        if rank not in RANKS:
-            diagnostics.append(
-                f"{name}:{line}: rank must be one of {'/'.join(RANKS)}, "
-                f"got {rank!r}"
-            )
-            continue
+def _parsed(path: Path, fields: tuple[str, ...], parse: Callable,
+            diagnostics: list[str]):
+    """(line, record) for every row that ``parse`` accepts; each
+    StructuralError it raises becomes a ``file:line:`` diagnostic."""
+    for line, row in _read_rows(path, fields, diagnostics):
         try:
-            member = StaffMember(
-                staff_id, row["surname"], row["first_names"], rank,
-                row["university_id"], row["area_id"], year_from, year_to,
-            )
+            record = parse(row)
         except StructuralError as exc:
-            diagnostics.append(f"{name}:{line}: {exc}")
+            diagnostics.append(f"{path.name}:{line}: {exc}")
             continue
-        seen[staff_id] = line
-        members.append(member)
-    return StaffRegistry(members)
+        yield line, record
+
+
+def _unique(path: Path, parsed, key: Callable, describe: Callable,
+            diagnostics: list[str]) -> list:
+    """The parsed records whose key is new, in file order; a repeated key
+    is a diagnostic, ``describe(key)``, naming the line that defined it
+    first."""
+    first: dict = {}
+    kept = []
+    for line, record in parsed:
+        k = key(record)
+        if k in first:
+            diagnostics.append(
+                f"{path.name}:{line}: {describe(k)} "
+                f"(first defined at line {first[k]})"
+            )
+            continue
+        first[k] = line
+        kept.append(record)
+    return kept
+
+
+def _staff_member(row: dict) -> StaffMember:
+    member = StaffMember(
+        staff_id=_text(row, "staff_id"),
+        surname=_text(row, "surname"),
+        first_names=_text(row, "first_names"),
+        rank=_code(row, "rank", RANKS),
+        university_id=_text(row, "university_id"),
+        area_id=_text(row, "area_id"),
+        year_from=_integer(row, "year_from"),
+        year_to=_integer(row, "year_to"),
+    )
+    if member.year_from > member.year_to:
+        raise StructuralError(
+            f"empty active range {member.year_from}..{member.year_to}"
+        )
+    return member
 
 
 def parse_author_field(field: str) -> tuple[AuthorToken, ...]:
@@ -161,9 +219,6 @@ def parse_author_field(field: str) -> tuple[AuthorToken, ...]:
     initial letters, optionally dotted ("M.A." and "MA" both mean two
     initials).  An empty field means an author-less record.
     """
-    field = field.strip()
-    if not field:
-        return ()
     tokens = []
     for piece in field.split(";"):
         piece = piece.strip()
@@ -174,78 +229,66 @@ def parse_author_field(field: str) -> tuple[AuthorToken, ...]:
                 f"author entry {piece!r} lacks the SURNAME,INITIALS comma"
             )
         surname, _, initials_part = piece.partition(",")
-        initials = tuple(ch for ch in initials_part if ch.isalpha())
+        surname = surname.strip()
+        if not surname:
+            raise StructuralError(f"author entry {piece!r} has a blank surname")
+        initials = tuple(ch.upper() for ch in initials_part if ch.isalpha())
+        if not initials:
+            raise StructuralError(f"author entry {piece!r} carries no initials")
         tokens.append(AuthorToken(surname, initials))
     return tuple(tokens)
+
+
+def _publication(row: dict) -> Publication:
+    return Publication(
+        pub_id=_text(row, "pub_id"),
+        year=_integer(row, "year"),
+        doc_type=_code(row, "doc_type", DOC_TYPES),
+        journal_id=_text(row, "journal_id"),
+        authors=parse_author_field(row["authors"]),
+        raw_affiliations=tuple(
+            s.strip() for s in row["raw_affiliations"].split(";") if s.strip()
+        ),
+    )
+
+
+def _journal_weight(row: dict) -> tuple[str, int, float]:
+    return (_text(row, "journal_id"), _integer(row, "year"),
+            _amount(row, "impact_weight"))
+
+
+def _funding_amount(row: dict) -> tuple[str, str, int, float]:
+    return (_text(row, "university_id"), _text(row, "area_id"),
+            _integer(row, "year"), _amount(row, "prin_keur"))
+
+
+def _load_staff(path: Path, diagnostics: list[str]) -> StaffRegistry:
+    parsed = _parsed(path, STAFF_FIELDS, _staff_member, diagnostics)
+    return StaffRegistry(_unique(
+        path, parsed, lambda m: m.staff_id,
+        lambda k: f"duplicate staff id {k!r}",
+        diagnostics,
+    ))
 
 
 def _load_publications(
     path: Path, diagnostics: list[str]
 ) -> tuple[Publication, ...]:
-    pubs = []
-    seen: dict[str, int] = {}
-    name = path.name
-    for line, row in _read_rows(path, PUBLICATION_FIELDS, diagnostics):
-        pub_id = row["pub_id"].strip()
-        if pub_id in seen:
-            diagnostics.append(
-                f"{name}:{line}: duplicate publication id {pub_id!r} "
-                f"(first defined at line {seen[pub_id]})"
-            )
-            continue
-        year = _parse_int(row["year"], "year", name, line, diagnostics)
-        if year is None:
-            continue
-        doc_type = row["doc_type"].strip()
-        if doc_type not in DOC_TYPES:
-            diagnostics.append(
-                f"{name}:{line}: doc_type must be one of "
-                f"{'/'.join(DOC_TYPES)}, got {doc_type!r}"
-            )
-            continue
-        try:
-            authors = parse_author_field(row["authors"])
-            pub = Publication(
-                pub_id, year, doc_type, row["journal_id"], authors,
-                tuple(row["raw_affiliations"].split(";")),
-            )
-        except StructuralError as exc:
-            diagnostics.append(f"{name}:{line}: {exc}")
-            continue
-        seen[pub_id] = line
-        pubs.append(pub)
-    return tuple(pubs)
+    parsed = _parsed(path, PUBLICATION_FIELDS, _publication, diagnostics)
+    return tuple(_unique(
+        path, parsed, lambda p: p.pub_id,
+        lambda k: f"duplicate publication id {k!r}",
+        diagnostics,
+    ))
 
 
 def _load_journals(path: Path, diagnostics: list[str]) -> JournalTable:
-    rows = []
-    seen: dict[tuple[str, int], int] = {}
-    name = path.name
-    for line, row in _read_rows(path, JOURNAL_FIELDS, diagnostics):
-        journal_id = row["journal_id"].strip()
-        year = _parse_int(row["year"], "year", name, line, diagnostics)
-        weight = _parse_float(row["impact_weight"], "impact_weight", name,
-                              line, diagnostics)
-        if year is None or weight is None:
-            continue
-        key = (journal_id, year)
-        if key in seen:
-            diagnostics.append(
-                f"{name}:{line}: duplicate weight for journal "
-                f"{journal_id!r} year {year} (first at line {seen[key]})"
-            )
-            continue
-        if weight < 0:
-            diagnostics.append(
-                f"{name}:{line}: impact_weight must be >= 0, got {weight}"
-            )
-            continue
-        if not journal_id:
-            diagnostics.append(f"{name}:{line}: journal_id is blank")
-            continue
-        seen[key] = line
-        rows.append((journal_id, year, weight))
-    return JournalTable(rows)
+    parsed = _parsed(path, JOURNAL_FIELDS, _journal_weight, diagnostics)
+    return JournalTable(_unique(
+        path, parsed, lambda r: r[:2],
+        lambda k: f"duplicate weight for journal {k[0]!r} year {k[1]}",
+        diagnostics,
+    ))
 
 
 def _load_funding(
@@ -254,41 +297,21 @@ def _load_funding(
     diagnostics: list[str],
     warnings: list[str],
 ) -> FundingTable:
-    rows = []
-    seen: dict[tuple[str, str, int], int] = {}
-    name = path.name
-    for line, row in _read_rows(path, FUNDING_FIELDS, diagnostics):
-        university_id = row["university_id"].strip()
-        area_id = row["area_id"].strip()
-        year = _parse_int(row["year"], "year", name, line, diagnostics)
-        keur = _parse_float(row["prin_keur"], "prin_keur", name, line,
-                            diagnostics)
-        if year is None or keur is None:
-            continue
-        if keur < 0:
-            diagnostics.append(
-                f"{name}:{line}: prin_keur must be >= 0, got {keur}"
-            )
-            continue
-        if not university_id or not area_id:
-            diagnostics.append(f"{name}:{line}: blank university or area id")
-            continue
-        if university_id not in known_universities:
+    known = []
+    for line, row in _parsed(path, FUNDING_FIELDS, _funding_amount,
+                             diagnostics):
+        if row[0] not in known_universities:
             warnings.append(
-                f"{name}:{line}: unknown university {university_id!r}; "
+                f"{path.name}:{line}: unknown university {row[0]!r}; "
                 "row skipped"
             )
             continue
-        key = (university_id, area_id, year)
-        if key in seen:
-            diagnostics.append(
-                f"{name}:{line}: duplicate funding row for {key!r} "
-                f"(first at line {seen[key]})"
-            )
-            continue
-        seen[key] = line
-        rows.append((university_id, area_id, year, keur))
-    return FundingTable(rows)
+        known.append((line, row))
+    return FundingTable(_unique(
+        path, known, lambda r: r[:3],
+        lambda k: f"duplicate funding row for {k!r}",
+        diagnostics,
+    ))
 
 
 def _load_affiliations(
@@ -324,34 +347,41 @@ def _load_affiliations(
     return AffiliationDictionary(rows)
 
 
-def load_overrides(path: Path) -> dict[tuple[str, int], str | None]:
-    """Parse a manual-review decision file.
+def load_overrides(
+    path: Path, corpus: Corpus
+) -> dict[tuple[str, int], str | None]:
+    """Parse a manual-review decision file against the ingested corpus.
 
     Columns: pub_id, author_position (1-based), staff_id.  A blank
     staff_id records the decision that the author is not on staff.
+    Every publication, author position and staff id must exist in the
+    corpus.
     """
+    author_counts = {p.pub_id: p.author_count for p in corpus.publications}
+
+    def override(row: dict) -> tuple[tuple[str, int], str | None]:
+        pub_id = _text(row, "pub_id")
+        position = _integer(row, "author_position")
+        if pub_id not in author_counts:
+            raise StructuralError(f"unknown publication {pub_id!r}")
+        if not 1 <= position <= author_counts[pub_id]:
+            raise StructuralError(
+                f"publication {pub_id!r} has no author position {position} "
+                f"(it lists {author_counts[pub_id]} author(s))"
+            )
+        staff_id = row["staff_id"].strip() or None
+        if staff_id is not None and staff_id not in corpus.staff:
+            raise StructuralError(f"unknown staff id {staff_id!r}")
+        return (pub_id, position), staff_id
+
+    path = Path(path)
     diagnostics: list[str] = []
-    overrides: dict[tuple[str, int], str | None] = {}
-    name = Path(path).name
-    for line, row in _read_rows(Path(path), OVERRIDE_FIELDS, diagnostics):
-        position = _parse_int(row["author_position"], "author_position",
-                              name, line, diagnostics)
-        if position is None:
-            continue
-        pub_id = row["pub_id"].strip()
-        if not pub_id or position < 1:
-            diagnostics.append(
-                f"{name}:{line}: pub_id must be non-blank and position >= 1"
-            )
-            continue
-        key = (pub_id, position)
-        if key in overrides:
-            diagnostics.append(
-                f"{name}:{line}: duplicate override for {key!r}"
-            )
-            continue
-        staff_id = row["staff_id"].strip()
-        overrides[key] = staff_id or None
+    parsed = _parsed(path, OVERRIDE_FIELDS, override, diagnostics)
+    overrides = dict(_unique(
+        path, parsed, lambda r: r[0],
+        lambda k: f"duplicate override for {k!r}",
+        diagnostics,
+    ))
     if diagnostics:
         raise IngestError(
             f"{len(diagnostics)} problem(s) in the override file", diagnostics

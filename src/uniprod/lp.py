@@ -4,21 +4,17 @@ Solves
 
     max / min  c^T x
     s.t.       a_i^T x  (<=, =, >=)  b_i      for each constraint row i
-               lb <= x <= ub                  (lb defaults to 0, ub to +inf)
+               x >= 0
 
 The envelopment programs built on top of this are tiny (tens of variables,
 a handful of rows), so a dense tableau with Bland's anti-cycling rule is
 the right tool: deterministic pivot order, guaranteed termination, no
 external solver dependency.
-
-Bounds are handled by shifting variables to ``x' = x - lb >= 0`` and adding
-an explicit row per finite upper bound, which keeps the core tableau in
-standard form throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,17 +42,15 @@ class LinearProgram:
     """Immutable problem statement.
 
     ``constraints`` is a sequence of ``(row, relation, rhs)`` triples with
-    ``relation`` one of ``"<="``, ``"="``, ``">="``.  ``upper`` entries may
-    be ``None`` for unbounded-above variables.
+    ``relation`` one of ``"<="``, ``"="``, ``">="``.  Every variable is
+    non-negative.
     """
 
     sense: str
     objective: tuple[float, ...]
     constraints: tuple[tuple[tuple[float, ...], str, float], ...]
-    lower: tuple[float, ...] | None = None
-    upper: tuple[float | None, ...] | None = None
 
-    def __init__(self, sense, objective, constraints, lower=None, upper=None):
+    def __init__(self, sense, objective, constraints):
         if sense not in (MAXIMIZE, MINIMIZE):
             raise StructuralError(f"sense must be 'max' or 'min', got {sense!r}")
         obj = tuple(float(v) for v in objective)
@@ -78,23 +72,9 @@ class LinearProgram:
             if not all(np.isfinite(row)) or not np.isfinite(rhs):
                 raise StructuralError(f"constraint {k} contains non-finite values")
             rows.append((row, rel, rhs))
-        lo = tuple(float(v) for v in lower) if lower is not None else tuple([0.0] * n)
-        up = (
-            tuple(None if v is None else float(v) for v in upper)
-            if upper is not None
-            else tuple([None] * n)
-        )
-        if len(lo) != n or len(up) != n:
-            raise StructuralError("bounds must match the number of variables")
-        if not all(np.isfinite(lo)):
-            raise StructuralError("lower bounds must be finite")
-        if any(v is not None and not np.isfinite(v) for v in up):
-            raise StructuralError("upper bounds must be finite or None")
         object.__setattr__(self, "sense", sense)
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "constraints", tuple(rows))
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
 
     @property
     def n_variables(self) -> int:
@@ -121,40 +101,19 @@ def solve_lp(
     breaks ratio-test ties by lowest basis variable index.
     """
     n = lp.n_variables
-    lower = np.asarray(lp.lower, dtype=float)
-    upper = np.array(
-        [np.inf if v is None else v for v in lp.upper], dtype=float
-    )
-    if np.any(upper < lower):
-        return LpSolution(INFEASIBLE, None, None, 0)
-
-    # Shift to x' = x - lb >= 0; finite upper bounds become explicit rows.
-    rows = []
-    rels = []
-    rhs = []
-    for row, rel, b in lp.constraints:
-        arr = np.asarray(row, dtype=float)
-        rows.append(arr)
-        rels.append(rel)
-        rhs.append(b - float(arr @ lower))
-    for j in range(n):
-        if np.isfinite(upper[j]):
-            e = np.zeros(n)
-            e[j] = 1.0
-            rows.append(e)
-            rels.append(LE)
-            rhs.append(upper[j] - lower[j])
+    A = np.array([row for row, _, _ in lp.constraints], dtype=float)
+    rels = [rel for _, rel, _ in lp.constraints]
+    b = np.array([rhs for _, _, rhs in lp.constraints], dtype=float)
 
     c = np.asarray(lp.objective, dtype=float)
     cmax = c if lp.sense == MAXIMIZE else -c
 
-    status, xshift, iters = _two_phase(
-        np.array(rows).reshape(len(rows), n), rels, np.asarray(rhs, dtype=float),
-        cmax, pivot_tol, tol, max_iterations,
+    status, x, iters = _two_phase(
+        A.reshape(len(rels), n), rels, b, cmax, pivot_tol, tol, max_iterations,
     )
     if status != OPTIMAL:
         return LpSolution(status, None, None, iters)
-    x = lower + np.maximum(xshift, 0.0)
+    x = np.maximum(x, 0.0)
     return LpSolution(OPTIMAL, float(c @ x), x, iters)
 
 

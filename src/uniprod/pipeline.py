@@ -10,7 +10,7 @@ still raise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .analysis import (
@@ -34,6 +34,7 @@ from .errors import (
     AreaNotAnalyzableError,
     DegenerateDmuError,
     InvariantViolationError,
+    MissingDataError,
 )
 from .ingest import Corpus
 
@@ -97,14 +98,248 @@ def descriptive_stats(problem, config: RunConfig) -> list[dict]:
     return rows
 
 
+@dataclass
+class _AreaRows:
+    """One area's share of the report tables: its rows, or its failure.
+
+    ``pte`` and ``staff_weights`` (per university) feed the cross-area
+    step; both stay empty unless the variable-returns model ran.
+    """
+
+    exclusions: list[dict]
+    failure: dict | None = None
+    descriptive: list[dict] = field(default_factory=list)
+    efficiency: dict | None = None
+    score_rows: list[dict] = field(default_factory=list)
+    tertile: dict | None = None
+    partial: dict | None = None
+    sensitivity: list[dict] = field(default_factory=list)
+    pte: dict[str, float] = field(default_factory=dict)
+    staff_weights: dict[str, float] = field(default_factory=dict)
+
+
+def _exclusion_row(e) -> dict:
+    return {
+        "area_id": e.area_id,
+        "university_id": e.university_id,
+        "reason": e.reason,
+        "detail": e.detail,
+    }
+
+
+def _comparison_row(cmp) -> dict:
+    return {
+        "changed": cmp.changed,
+        "max_delta": cmp.max_delta,
+        "mean_delta": cmp.mean_delta,
+        "median_delta": cmp.median_delta,
+        "cv_delta": cmp.cv_delta,
+        "cv_defined": cmp.cv_defined,
+    }
+
+
+def _mean(values) -> float | None:
+    values = list(values)
+    return sum(values) / len(values) if values else None
+
+
+def _efficiency_row(area_id, n_units, te, pte, se, rts, eps) -> dict:
+    """Area summary; the columns of a model that did not run stay None."""
+    def efficient(scores_by_unit):
+        if not scores_by_unit:
+            return None
+        return sum(1 for v in scores_by_unit.values() if v >= 1.0 - eps)
+
+    row: dict = {
+        "area_id": area_id,
+        "n_universities": n_units,
+        "te_mean": _mean(te.values()),
+        "te_efficient": efficient(te),
+        "pte_mean": _mean(pte.values()),
+        "pte_efficient": efficient(pte),
+        "se_mean": _mean(se.values()),
+    }
+    for kind in ("constant", "increasing", "decreasing"):
+        row[f"rts_{kind}"] = (
+            sum(1 for v in rts.values() if v == kind) if rts else None
+        )
+    return row
+
+
+def _frontier_scores(problem, config: RunConfig):
+    """TE, PTE, SE and RTS class per unit for the configured regime;
+    the maps of models that were not run are empty."""
+    if config.regime == REGIME_ALL:
+        results = decompose(problem)
+        return (
+            {r.dmu_id: r.te for r in results},
+            {r.dmu_id: r.pte for r in results},
+            {r.dmu_id: r.se for r in results},
+            {r.dmu_id: r.rts for r in results},
+        )
+    te = scores(problem, CRS) if config.regime == REGIME_CRS else {}
+    pte = scores(problem, VRS) if config.regime == REGIME_VRS else {}
+    return te, pte, {}, {}
+
+
+def _analyze_area(area_id: str, corpus: Corpus, matched: MatchedCorpus,
+                  config: RunConfig, warnings: list[str]) -> _AreaRows:
+    """Build one area's variables, solve its frontier models and return
+    the area's table rows, or the reason it could not be analyzed."""
+    inputs = {}
+    outputs = {}
+    for university_id in corpus.staff.universities_in_area(area_id):
+        inputs[university_id] = build_input_vector(
+            corpus.staff, corpus.funding, area_id, university_id,
+            config.years, config.lag,
+        )
+        outputs[university_id] = compute_output_vector(
+            matched, corpus.journals, area_id, university_id,
+            config.years, warnings,
+        )
+    try:
+        problem, excluded = assemble_problem(
+            inputs, outputs, area_id,
+            min_staff=config.min_staff,
+            input_labels=config.input_labels,
+            output_labels=config.output_labels,
+        )
+    except AreaNotAnalyzableError as exc:
+        return _AreaRows(
+            [_exclusion_row(e) for e in exc.exclusions],
+            failure={"area_id": area_id, "reason": FAILURE_NOT_ANALYZABLE,
+                     "detail": str(exc)},
+        )
+    area = _AreaRows([_exclusion_row(e) for e in excluded])
+    try:
+        te, pte, se, rts = _frontier_scores(problem, config)
+    except (DegenerateDmuError, InvariantViolationError) as exc:
+        reason = (
+            FAILURE_DEGENERATE
+            if isinstance(exc, DegenerateDmuError)
+            else FAILURE_INVARIANT
+        )
+        area.failure = {"area_id": area_id, "reason": reason,
+                        "detail": str(exc)}
+        return area
+
+    eps = config.efficiency_eps
+    unit_ids = [d.dmu_id for d in problem.dmus]
+    area.descriptive = [
+        {"area_id": area_id, **row}
+        for row in descriptive_stats(problem, config)
+    ]
+    area.efficiency = _efficiency_row(area_id, len(unit_ids), te, pte, se,
+                                      rts, eps)
+    area_ranks = rank(pte if pte else te)
+    area.score_rows = [
+        {
+            "area_id": area_id,
+            "university_id": university_id,
+            "te": te.get(university_id),
+            "pte": pte.get(university_id),
+            "se": se.get(university_id),
+            "rts": rts.get(university_id),
+            "theta": None,  # filled after cross-area normalization
+            "area_rank": area_ranks[university_id],
+        }
+        for university_id in unit_ids
+    ]
+    if not pte:
+        return area
+
+    summary = tertile_summary(pte, eps=eps)
+    area.tertile = {
+        "area_id": area_id,
+        "efficient": summary.efficient_count,
+        "inefficient": summary.inefficient_count,
+        "t1_n": summary.tertile_sizes[0],
+        "t1_mean": summary.tertile_means[0],
+        "t2_n": summary.tertile_sizes[1],
+        "t2_mean": summary.tertile_means[1],
+        "t3_n": summary.tertile_sizes[2],
+        "t3_mean": summary.tertile_means[2],
+    }
+    area.pte = dict(pte)
+    area.staff_weights = {u: inputs[u].staff_total for u in unit_ids}
+    if config.compare_partial:
+        productivity = {
+            u: outputs[u].pu / inputs[u].staff_total for u in unit_ids
+        }
+        cmp = compare_rankings(rank(pte), rank(productivity))
+        area.partial = {"area_id": area_id, "n_universities": len(unit_ids),
+                        **_comparison_row(cmp)}
+    for label in config.drop_inputs:
+        cmp = sensitivity_drop_input(problem, label, eps=eps).comparison
+        area.sensitivity.append({
+            "area_id": area_id,
+            "dropped_input": label,
+            "n_universities": len(unit_ids),
+            **_comparison_row(cmp),
+            "no_longer_efficient": cmp.no_longer_efficient,
+        })
+    return area
+
+
+def _require_snapshot_years(staff, config: RunConfig) -> None:
+    """Every staff snapshot year of the output window must lie inside the
+    registry's covered span; otherwise the run is misconfigured."""
+    snapshot_years = [y - config.lag for y in config.years]
+    missing = [s for s in snapshot_years if not staff.covers(s)]
+    if missing:
+        span = staff.coverage()
+        covered = f"{span[0]}..{span[1]}" if span else "nothing"
+        raise MissingDataError(
+            f"staff registry covers {covered}; no snapshot for year(s) "
+            + ", ".join(str(s) for s in sorted(set(missing)))
+        )
+
+
+def _global_rows(analyzed: dict[str, _AreaRows],
+                 warnings: list[str]) -> list[dict]:
+    """The cross-area step: normalize each area's PTE against its mean,
+    fill every score row's theta, and rank universities by the
+    staff-weighted global index."""
+    pte_by_area = {a: area.pte for a, area in analyzed.items() if area.pte}
+    if not pte_by_area:
+        return []
+    thetas = normalize_scores(pte_by_area)
+    theta_lookup = {(ns.university_id, ns.area_id): ns.theta for ns in thetas}
+    for area_id, area in analyzed.items():
+        for row in area.score_rows:
+            row["theta"] = theta_lookup.get((row["university_id"], area_id))
+    staff_weights = {
+        (university_id, area_id): weight
+        for area_id, area in analyzed.items()
+        for university_id, weight in area.staff_weights.items()
+    }
+    indices, notices = global_index(thetas, staff_weights)
+    warnings.extend(notices)
+    general_rank = rank({gi.university_id: gi.theta_tot for gi in indices})
+    rows = [
+        {
+            "university_id": gi.university_id,
+            "theta_tot": gi.theta_tot,
+            "rank": general_rank[gi.university_id],
+            "areas_active": len(gi.detail),
+            "staff_weight_total": sum(w for (_, _, w) in gi.detail),
+        }
+        for gi in indices
+    ]
+    rows.sort(key=lambda r: (r["rank"], r["university_id"]))
+    return rows
+
+
 def run_pipeline(
     corpus: Corpus,
     config: RunConfig,
     overrides: Mapping[tuple[str, int], str | None] | None = None,
 ) -> AnalysisReport:
     """Execute the full study over one corpus and return the report."""
+    area_ids = corpus.staff.area_ids()
+    if area_ids:
+        _require_snapshot_years(corpus.staff, config)
     warnings: list[str] = list(corpus.warnings)
-
     disamb = disambiguate_corpus(
         corpus.publications, corpus.staff, corpus.affiliations, overrides
     )
@@ -112,245 +347,24 @@ def run_pipeline(
     matched = MatchedCorpus(corpus.publications, disamb.assignments,
                             corpus.staff)
 
-    descriptive_rows: list[dict] = []
-    efficiency_rows: list[dict] = []
-    tertile_rows: list[dict] = []
-    score_rows_per_area: dict[str, list[dict]] = {}
-    partial_rows: list[dict] = []
-    sensitivity_rows: list[dict] = []
-    exclusion_rows: list[dict] = []
-    area_failure_rows: list[dict] = []
-    areas_analyzed: list[str] = []
-
-    pte_by_area: dict[str, dict[str, float]] = {}
-    staff_weights: dict[tuple[str, str], float] = {}
-
-    want_crs = config.regime in (REGIME_ALL, REGIME_CRS)
-    want_vrs = config.regime in (REGIME_ALL, REGIME_VRS)
-    full = config.regime == REGIME_ALL
-
-    for area_id in corpus.staff.area_ids():
-        universities = corpus.staff.universities_in_area(area_id)
-        inputs = {}
-        outputs = {}
-        for university_id in universities:
-            inputs[university_id] = build_input_vector(
-                corpus.staff, corpus.funding, area_id, university_id,
-                config.years, config.lag,
-            )
-            outputs[university_id] = compute_output_vector(
-                matched, corpus.journals, area_id, university_id,
-                config.years, warnings,
-            )
-        try:
-            problem, excluded = assemble_problem(
-                inputs, outputs, area_id,
-                min_staff=config.min_staff,
-                input_labels=config.input_labels,
-                output_labels=config.output_labels,
-            )
-        except AreaNotAnalyzableError as exc:
-            for e in exc.exclusions:
-                exclusion_rows.append({
-                    "area_id": e.area_id,
-                    "university_id": e.university_id,
-                    "reason": e.reason,
-                    "detail": e.detail,
-                })
-            area_failure_rows.append({
-                "area_id": area_id,
-                "reason": FAILURE_NOT_ANALYZABLE,
-                "detail": str(exc),
-            })
-            continue
-        for e in excluded:
-            exclusion_rows.append({
-                "area_id": e.area_id,
-                "university_id": e.university_id,
-                "reason": e.reason,
-                "detail": e.detail,
-            })
-
-        try:
-            if full:
-                results = decompose(problem)
-                te = {r.dmu_id: r.te for r in results}
-                pte = {r.dmu_id: r.pte for r in results}
-                se = {r.dmu_id: r.se for r in results}
-                rts = {r.dmu_id: r.rts for r in results}
-            else:
-                te = scores(problem, CRS) if want_crs else {}
-                pte = scores(problem, VRS) if want_vrs else {}
-                se = {}
-                rts = {}
-        except (DegenerateDmuError, InvariantViolationError) as exc:
-            reason = (
-                FAILURE_DEGENERATE
-                if isinstance(exc, DegenerateDmuError)
-                else FAILURE_INVARIANT
-            )
-            area_failure_rows.append({
-                "area_id": area_id,
-                "reason": reason,
-                "detail": str(exc),
-            })
-            continue
-
-        areas_analyzed.append(area_id)
-        for row in descriptive_stats(problem, config):
-            descriptive_rows.append({"area_id": area_id, **row})
-
-        unit_ids = [d.dmu_id for d in problem.dmus]
-        eps = config.efficiency_eps
-        eff_row: dict = {"area_id": area_id, "n_universities": len(unit_ids)}
-        if want_crs:
-            eff_row["te_mean"] = sum(te.values()) / len(te)
-            eff_row["te_efficient"] = sum(
-                1 for v in te.values() if v >= 1.0 - eps
-            )
-        else:
-            eff_row["te_mean"] = None
-            eff_row["te_efficient"] = None
-        if want_vrs:
-            eff_row["pte_mean"] = sum(pte.values()) / len(pte)
-            eff_row["pte_efficient"] = sum(
-                1 for v in pte.values() if v >= 1.0 - eps
-            )
-        else:
-            eff_row["pte_mean"] = None
-            eff_row["pte_efficient"] = None
-        if full:
-            eff_row["se_mean"] = sum(se.values()) / len(se)
-            for kind in ("constant", "increasing", "decreasing"):
-                eff_row[f"rts_{kind}"] = sum(
-                    1 for v in rts.values() if v == kind
-                )
-        else:
-            eff_row["se_mean"] = None
-            eff_row["rts_constant"] = None
-            eff_row["rts_increasing"] = None
-            eff_row["rts_decreasing"] = None
-        efficiency_rows.append(eff_row)
-
-        ranking_basis = pte if want_vrs else te
-        area_ranks = rank(ranking_basis)
-        rows = []
-        for university_id in unit_ids:
-            rows.append({
-                "area_id": area_id,
-                "university_id": university_id,
-                "te": te.get(university_id),
-                "pte": pte.get(university_id),
-                "se": se.get(university_id),
-                "rts": rts.get(university_id),
-                "theta": None,  # filled after cross-area normalization
-                "area_rank": area_ranks[university_id],
-            })
-        score_rows_per_area[area_id] = rows
-
-        if want_vrs:
-            summary = tertile_summary(pte, eps=eps)
-            tertile_rows.append({
-                "area_id": area_id,
-                "efficient": summary.efficient_count,
-                "inefficient": summary.inefficient_count,
-                "t1_n": summary.tertile_sizes[0],
-                "t1_mean": summary.tertile_means[0],
-                "t2_n": summary.tertile_sizes[1],
-                "t2_mean": summary.tertile_means[1],
-                "t3_n": summary.tertile_sizes[2],
-                "t3_mean": summary.tertile_means[2],
-            })
-            pte_by_area[area_id] = dict(pte)
-            for university_id in unit_ids:
-                staff_weights[(university_id, area_id)] = (
-                    inputs[university_id].staff_total
-                )
-
-        if config.compare_partial and want_vrs:
-            productivity = {
-                u: outputs[u].pu / inputs[u].staff_total for u in unit_ids
-            }
-            cmp = compare_rankings(rank(pte), rank(productivity))
-            partial_rows.append({
-                "area_id": area_id,
-                "n_universities": len(unit_ids),
-                "changed": cmp.changed,
-                "max_delta": cmp.max_delta,
-                "mean_delta": cmp.mean_delta,
-                "median_delta": cmp.median_delta,
-                "cv_delta": cmp.cv_delta,
-                "cv_defined": cmp.cv_defined,
-            })
-
-        if want_vrs:
-            for label in config.drop_inputs:
-                result = sensitivity_drop_input(problem, label, eps=eps)
-                cmp = result.comparison
-                sensitivity_rows.append({
-                    "area_id": area_id,
-                    "dropped_input": label,
-                    "n_universities": len(unit_ids),
-                    "changed": cmp.changed,
-                    "max_delta": cmp.max_delta,
-                    "mean_delta": cmp.mean_delta,
-                    "median_delta": cmp.median_delta,
-                    "cv_delta": cmp.cv_delta,
-                    "cv_defined": cmp.cv_defined,
-                    "no_longer_efficient": cmp.no_longer_efficient,
-                })
-
-    # Cross-area aggregation on normalized scores.
-    global_rows: list[dict] = []
-    if pte_by_area:
-        thetas = normalize_scores(pte_by_area)
-        theta_lookup = {
-            (ns.university_id, ns.area_id): ns.theta for ns in thetas
-        }
-        for area_id, rows in score_rows_per_area.items():
-            for row in rows:
-                row["theta"] = theta_lookup.get(
-                    (row["university_id"], area_id)
-                )
-        indices, notices = global_index(thetas, staff_weights)
-        warnings.extend(notices)
-        general_rank = rank({gi.university_id: gi.theta_tot for gi in indices})
-        for gi in indices:
-            global_rows.append({
-                "university_id": gi.university_id,
-                "theta_tot": gi.theta_tot,
-                "rank": general_rank[gi.university_id],
-                "areas_active": len(gi.detail),
-                "staff_weight_total": sum(w for (_, _, w) in gi.detail),
-            })
-        global_rows.sort(key=lambda r: (r["rank"], r["university_id"]))
-
-    score_rows = [
-        row
-        for area_id in sorted(score_rows_per_area)
-        for row in score_rows_per_area[area_id]
-    ]
-
-    manual_review_rows = [
-        {
-            "pub_id": r.pub_id,
-            "author_position": r.position,
-            "token": r.token_text,
-            "candidates": ";".join(r.candidate_ids),
-        }
-        for r in disamb.manual_review
-    ]
+    areas = {
+        area_id: _analyze_area(area_id, corpus, matched, config, warnings)
+        for area_id in area_ids
+    }
+    analyzed = {a: area for a, area in areas.items() if area.failure is None}
+    global_rows = _global_rows(analyzed, warnings)
+    done = list(analyzed.values())
 
     return AnalysisReport(
         config=config.snapshot(),
-        areas_analyzed=tuple(areas_analyzed),
-        descriptive_rows=tuple(descriptive_rows),
-        efficiency_rows=tuple(efficiency_rows),
-        tertile_rows=tuple(tertile_rows),
-        score_rows=tuple(score_rows),
+        areas_analyzed=tuple(analyzed),
+        descriptive_rows=tuple(row for a in done for row in a.descriptive),
+        efficiency_rows=tuple(a.efficiency for a in done),
+        tertile_rows=tuple(a.tertile for a in done if a.tertile),
+        score_rows=tuple(row for a in done for row in a.score_rows),
         global_rows=tuple(global_rows),
-        partial_rows=tuple(partial_rows),
-        sensitivity_rows=tuple(sensitivity_rows),
+        partial_rows=tuple(a.partial for a in done if a.partial),
+        sensitivity_rows=tuple(row for a in done for row in a.sensitivity),
         disambiguation_row={
             "total": disamb.stats.total,
             "resolved": disamb.stats.resolved,
@@ -358,8 +372,20 @@ def run_pipeline(
             "discarded": disamb.stats.discarded,
             "unresolvable": disamb.stats.unresolvable,
         },
-        exclusion_rows=tuple(exclusion_rows),
-        area_failure_rows=tuple(area_failure_rows),
+        exclusion_rows=tuple(
+            row for a in areas.values() for row in a.exclusions
+        ),
+        area_failure_rows=tuple(
+            a.failure for a in areas.values() if a.failure
+        ),
         warning_rows=tuple(sorted(set(warnings))),
-        manual_review_rows=tuple(manual_review_rows),
+        manual_review_rows=tuple(
+            {
+                "pub_id": r.pub_id,
+                "author_position": r.position,
+                "token": r.token_text,
+                "candidates": ";".join(r.candidate_ids),
+            }
+            for r in disamb.manual_review
+        ),
     )

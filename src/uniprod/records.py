@@ -1,13 +1,14 @@
 """Core domain records: staff, publications, journals, funding.
 
-These are plain immutable carriers with validation at construction time.
-Text normalization and matching logic live elsewhere; the registry types
+These are plain immutable carriers.  They check nothing: ``ingest`` is
+the one place that validates outside input, so build them through it
+(or, in tests, from values that already satisfy its rules).  Text
+normalization and matching logic live elsewhere; the registry types
 here only provide exact-key indexing and headcount queries.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -26,33 +27,12 @@ DOC_TYPES = (DOC_ARTICLE, DOC_REVIEW, DOC_OTHER)
 COUNTED_DOC_TYPES = frozenset({DOC_ARTICLE, DOC_REVIEW})
 
 
-def _require_nonblank(value: str, what: str) -> str:
-    if not isinstance(value, str) or not value.strip():
-        raise StructuralError(f"{what} must be a non-blank string, got {value!r}")
-    return value.strip()
-
-
 @dataclass(frozen=True)
 class AuthorToken:
     """One author entry on a publication: surname plus ordered initials."""
 
     surname: str
     initials: tuple[str, ...]
-
-    def __init__(self, surname: str, initials: Iterable[str]):
-        surname = _require_nonblank(surname, "author surname")
-        parts = tuple(initials)
-        if not parts:
-            raise StructuralError(
-                f"author token {surname!r} carries no initials"
-            )
-        for p in parts:
-            if not isinstance(p, str) or len(p) != 1 or not p.isalpha():
-                raise StructuralError(
-                    f"author initial must be a single letter, got {p!r}"
-                )
-        object.__setattr__(self, "surname", surname)
-        object.__setattr__(self, "initials", tuple(p.upper() for p in parts))
 
     def __str__(self) -> str:
         return f"{self.surname},{'.'.join(self.initials)}."
@@ -71,42 +51,6 @@ class StaffMember:
     area_id: str
     year_from: int
     year_to: int
-
-    def __init__(
-        self,
-        staff_id: str,
-        surname: str,
-        first_names: str,
-        rank: str,
-        university_id: str,
-        area_id: str,
-        year_from: int,
-        year_to: int,
-    ):
-        object.__setattr__(self, "staff_id", _require_nonblank(staff_id, "staff_id"))
-        object.__setattr__(self, "surname", _require_nonblank(surname, "surname"))
-        object.__setattr__(
-            self, "first_names", _require_nonblank(first_names, "first_names")
-        )
-        if rank not in RANKS:
-            raise StructuralError(
-                f"rank must be one of {RANKS}, got {rank!r} for staff {staff_id!r}"
-            )
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(
-            self, "university_id", _require_nonblank(university_id, "university_id")
-        )
-        object.__setattr__(self, "area_id", _require_nonblank(area_id, "area_id"))
-        if not isinstance(year_from, int) or not isinstance(year_to, int):
-            raise StructuralError(
-                f"active-year bounds must be integers, got {year_from!r}..{year_to!r}"
-            )
-        if year_from > year_to:
-            raise StructuralError(
-                f"staff {staff_id!r} has empty active range {year_from}..{year_to}"
-            )
-        object.__setattr__(self, "year_from", year_from)
-        object.__setattr__(self, "year_to", year_to)
 
     @property
     def initials(self) -> tuple[str, ...]:
@@ -138,35 +82,6 @@ class Publication:
     authors: tuple[AuthorToken, ...]
     raw_affiliations: tuple[str, ...]
 
-    def __init__(
-        self,
-        pub_id: str,
-        year: int,
-        doc_type: str,
-        journal_id: str,
-        authors: Iterable[AuthorToken],
-        raw_affiliations: Iterable[str],
-    ):
-        object.__setattr__(self, "pub_id", _require_nonblank(pub_id, "pub_id"))
-        if not isinstance(year, int):
-            raise StructuralError(f"publication year must be an integer, got {year!r}")
-        object.__setattr__(self, "year", year)
-        if doc_type not in DOC_TYPES:
-            raise StructuralError(
-                f"doc_type must be one of {DOC_TYPES}, got {doc_type!r}"
-            )
-        object.__setattr__(self, "doc_type", doc_type)
-        object.__setattr__(
-            self, "journal_id", _require_nonblank(journal_id, "journal_id")
-        )
-        authors = tuple(authors)
-        for a in authors:
-            if not isinstance(a, AuthorToken):
-                raise StructuralError(f"authors must be AuthorToken, got {a!r}")
-        object.__setattr__(self, "authors", authors)
-        affs = tuple(s.strip() for s in raw_affiliations if s.strip())
-        object.__setattr__(self, "raw_affiliations", affs)
-
     @property
     def author_count(self) -> int:
         return len(self.authors)
@@ -179,26 +94,17 @@ class Publication:
 class StaffRegistry:
     """Immutable collection of staff rows with exact-key indexes.
 
-    Uniqueness of staff ids is enforced here; surname matching against
-    author tokens is out of scope (a matching layer builds its own
-    normalized indexes on top of this registry).
+    Staff ids are expected to be unique (ingest rejects duplicates);
+    surname matching against author tokens is out of scope (a matching
+    layer builds its own normalized indexes on top of this registry).
     """
 
     def __init__(self, members: Iterable[StaffMember]):
-        members = tuple(members)
-        seen: dict[str, StaffMember] = {}
-        for m in members:
-            if m.staff_id in seen:
-                raise StructuralError(f"duplicate staff id {m.staff_id!r}")
-            seen[m.staff_id] = m
-        self._members = members
-        self._by_id = seen
-        by_university: dict[str, list[StaffMember]] = {}
+        self._members = tuple(members)
+        self._by_id = {m.staff_id: m for m in self._members}
         by_cell: dict[tuple[str, str], list[StaffMember]] = {}
-        for m in members:
-            by_university.setdefault(m.university_id, []).append(m)
+        for m in self._members:
             by_cell.setdefault((m.area_id, m.university_id), []).append(m)
-        self._by_university = {k: tuple(v) for k, v in by_university.items()}
         self._by_cell = {k: tuple(v) for k, v in by_cell.items()}
 
     def __len__(self) -> int:
@@ -206,10 +112,6 @@ class StaffRegistry:
 
     def __iter__(self) -> Iterator[StaffMember]:
         return iter(self._members)
-
-    @property
-    def members(self) -> tuple[StaffMember, ...]:
-        return self._members
 
     def member(self, staff_id: str) -> StaffMember:
         try:
@@ -220,14 +122,11 @@ class StaffRegistry:
     def __contains__(self, staff_id: str) -> bool:
         return staff_id in self._by_id
 
-    def at_university(self, university_id: str) -> tuple[StaffMember, ...]:
-        return self._by_university.get(university_id, ())
-
     def in_cell(self, area_id: str, university_id: str) -> tuple[StaffMember, ...]:
         return self._by_cell.get((area_id, university_id), ())
 
     def university_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._by_university))
+        return tuple(sorted({u for (_, u) in self._by_cell}))
 
     def area_ids(self) -> tuple[str, ...]:
         return tuple(sorted({m.area_id for m in self._members}))
@@ -271,29 +170,8 @@ class JournalTable:
     """
 
     def __init__(self, rows: Iterable[tuple[str, int, float]]):
-        weights: dict[tuple[str, int], float] = {}
-        ids: set[str] = set()
-        for journal_id, year, weight in rows:
-            journal_id = _require_nonblank(journal_id, "journal_id")
-            if not isinstance(year, int):
-                raise StructuralError(
-                    f"journal year must be an integer, got {year!r}"
-                )
-            w = float(weight)
-            if not math.isfinite(w) or w < 0:
-                raise StructuralError(
-                    f"impact weight must be finite and >= 0, got {weight!r} "
-                    f"for journal {journal_id!r} year {year}"
-                )
-            key = (journal_id, year)
-            if key in weights:
-                raise StructuralError(
-                    f"duplicate weight row for journal {journal_id!r} year {year}"
-                )
-            weights[key] = w
-            ids.add(journal_id)
-        self._weights = weights
-        self._ids = frozenset(ids)
+        self._weights = {(j, year): weight for j, year, weight in rows}
+        self._ids = frozenset(j for (j, _) in self._weights)
 
     def __contains__(self, journal_id: str) -> bool:
         return journal_id in self._ids
@@ -313,34 +191,10 @@ class FundingTable:
     """
 
     def __init__(self, rows: Iterable[tuple[str, str, int, float]]):
-        amounts: dict[tuple[str, str, int], float] = {}
-        for university_id, area_id, year, keur in rows:
-            university_id = _require_nonblank(university_id, "university_id")
-            area_id = _require_nonblank(area_id, "area_id")
-            if not isinstance(year, int):
-                raise StructuralError(
-                    f"funding year must be an integer, got {year!r}"
-                )
-            v = float(keur)
-            if not math.isfinite(v) or v < 0:
-                raise StructuralError(
-                    f"funding amount must be finite and >= 0, got {keur!r} "
-                    f"for ({university_id!r}, {area_id!r}, {year})"
-                )
-            key = (university_id, area_id, year)
-            if key in amounts:
-                raise StructuralError(
-                    f"duplicate funding row for ({university_id!r}, "
-                    f"{area_id!r}, {year})"
-                )
-            amounts[key] = v
-        self._amounts = amounts
+        self._amounts = {(u, a, year): keur for u, a, year, keur in rows}
 
     def __len__(self) -> int:
         return len(self._amounts)
 
     def amount(self, university_id: str, area_id: str, year: int) -> float:
         return self._amounts.get((university_id, area_id, year), 0.0)
-
-    def years_present(self) -> frozenset[int]:
-        return frozenset(y for (_, _, y) in self._amounts)

@@ -7,7 +7,6 @@ from uniprod.analysis import (
     compare_rankings,
     global_index,
     normalize_scores,
-    partial_productivity,
     rank,
     sensitivity_drop_input,
     tertile_summary,
@@ -165,21 +164,6 @@ class TestTertileSummary:
     def test_epsilon_boundary_counts_as_efficient(self):
         summary = tertile_summary({"a": 1.0 - 1e-6, "b": 0.5}, eps=1e-6)
         assert summary.efficient_count == 1
-
-
-class TestPartialProductivity:
-    def test_ratio(self):
-        assert partial_productivity(20.0, 10.0) == 2.0
-
-    def test_zero_output(self):
-        assert partial_productivity(0.0, 7.0) == 0.0
-
-    def test_area_average_magnitudes(self):
-        assert partial_productivity(21.0, 60.0) == pytest.approx(0.35)
-
-    def test_zero_staff_rejected(self):
-        with pytest.raises(StructuralError):
-            partial_productivity(5.0, 0.0)
 
 
 class TestCompareRankings:

@@ -14,6 +14,7 @@ from uniprod.bibliometrics import (
     compute_pu,
     compute_ss,
 )
+from uniprod.config import RunConfig
 from uniprod.disambiguation import (
     AffiliationDictionary,
     Assignment,
@@ -24,8 +25,9 @@ from uniprod.errors import (
     AreaNotAnalyzableError,
     MissingDataError,
     StructuralError,
-    UnknownIdError,
 )
+from uniprod.ingest import Corpus
+from uniprod.pipeline import run_pipeline
 from uniprod.records import (
     AuthorToken,
     FundingTable,
@@ -94,13 +96,6 @@ class TestComputePu:
     def test_empty_cell(self):
         c = corpus_of([pub("P1")], [matched("P1", 1, "S1")])
         assert compute_pu(c, "A1", "U2", [2002]) == 0
-
-    def test_unknown_ids(self):
-        c = corpus_of([], [])
-        with pytest.raises(UnknownIdError):
-            compute_pu(c, "A9", "U1", [2002])
-        with pytest.raises(UnknownIdError):
-            compute_pu(c, "A1", "U9", [2002])
 
     def test_year_filter_and_doc_type(self):
         c = corpus_of(
@@ -271,10 +266,12 @@ class TestBuildInputVector:
         assert vec.pr == pytest.approx(100.0)
 
     def test_missing_snapshot_year(self):
-        reg = self.registry_with_growth()
+        # Coverage is a property of the run, checked once by run_pipeline
+        # before any cell is built.
+        corpus = Corpus(self.registry_with_growth(), (), JournalTable([]),
+                        FundingTable([]), AffiliationDictionary([]), ())
         with pytest.raises(MissingDataError) as exc:
-            build_input_vector(reg, FundingTable([]), "A1", "U1",
-                               (2001,), lag=10)
+            run_pipeline(corpus, RunConfig(years=(2001,), lag=10))
         assert "1991" in str(exc.value)
 
     def test_empty_years(self):
@@ -309,6 +306,16 @@ class TestAssembleProblem:
                                                min_staff=4.0)
         assert [d.dmu_id for d in problem.dmus] == ["U1", "U2"]
         assert exclusions == ()
+
+    def test_zero_staff_excluded_whatever_min_staff(self):
+        inputs, outputs = self.vectors([0.0, 10.0, 8.0])
+        problem, exclusions = assemble_problem(inputs, outputs, "A1",
+                                               min_staff=0.0)
+        assert [d.dmu_id for d in problem.dmus] == ["U2", "U3"]
+        assert [(e.university_id, e.reason, e.detail) for e in exclusions] == [
+            ("U1", EXCLUDED_BELOW_STAFF_THRESHOLD,
+             "no staff in the snapshot years"),
+        ]
 
     def test_all_below_threshold(self):
         inputs, outputs = self.vectors([1.0, 2.0, 3.0])

@@ -65,6 +65,15 @@ class TestExitCodes:
             main([str(data_dir), "--frobnicate"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_min_staff_is_fatal(self, data_dir, tmp_path, capsys,
+                                           value):
+        code = main([str(data_dir), "--min-staff", value,
+                     "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "min_staff must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_bad_drop_label_is_fatal(self, data_dir, tmp_path, capsys):
         code = main([str(data_dir), "--drop-input", "XX",
                      "--out", str(tmp_path / "r")])
@@ -139,6 +148,45 @@ class TestFlags:
                      "--out", str(tmp_path / "r")])
         assert code == 1
         assert "author_position" in capsys.readouterr().err
+
+
+    def test_unknown_override_staff_is_reported_with_line(
+            self, data_dir, tmp_path, capsys):
+        bad = tmp_path / "fixes.csv"
+        bad.write_text("pub_id,author_position,staff_id\nP029,1,S99999\n",
+                       encoding="utf-8")
+        code = main([str(data_dir), "--manual-overrides", str(bad),
+                     "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "fixes.csv:2: unknown staff id 'S99999'" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("regime", ["vrs", "all"])
+    def test_zero_staff_unit_is_excluded(self, data_dir, tmp_path, capsys,
+                                         regime):
+        # U4's only researcher joins in 2003, after the last snapshot year
+        # (2002), yet publishes in 2003: mean staff 0 with a positive output.
+        for name, row in (
+            ("staff.csv", "S900,Nuovo,Ada,FP,U4,A01,2003,2006"),
+            ("affiliations.csv", "Univ. of Delta,U4"),
+            ("publications.csv",
+             'P900,2003,article,J1,"NUOVO,A.","Univ. of Delta"'),
+        ):
+            path = data_dir / name
+            path.write_text(path.read_text() + row + "\n", encoding="utf-8")
+        out = tmp_path / "r"
+        code = main([str(data_dir), "--min-staff", "0", "--regime", regime,
+                     "--compare-partial", "--out", str(out)])
+        assert code in (0, 2)
+        assert {
+            "area_id": "A01",
+            "university_id": "U4",
+            "reason": "below_staff_threshold",
+            "detail": "no staff in the snapshot years",
+        } in read_table(out / "exclusions.csv")
+        scored = {r["university_id"] for r in read_table(out / "scores.csv")
+                  if r["area_id"] == "A01"}
+        assert scored == {"U1", "U2", "U3"}
 
 
 class TestParserHelp:

@@ -8,7 +8,6 @@ from uniprod.disambiguation import (
     UNMATCHED,
     AffiliationDictionary,
     MatchOutcome,
-    canonicalize_affiliation,
     disambiguate_corpus,
     match_author,
     normalize_text,
@@ -76,19 +75,11 @@ class TestAffiliationDictionary:
         assert DICT.lookup("UNIV TESTONE") == "U1"
 
     def test_messy_spelling_hits(self):
-        assert canonicalize_affiliation(
-            "Università degli Studi di 'Testone'", DICT
-        ) == "U1"
+        assert DICT.lookup("Università degli Studi di 'Testone'") == "U1"
 
     def test_miss_returns_none(self):
         assert DICT.lookup("MIT") is None
 
-    def test_conflicting_patterns_rejected(self):
-        with pytest.raises(StructuralError):
-            AffiliationDictionary([("UNIV X", "U1"), ("univ x.", "U2")])
-
-    def test_university_ids(self):
-        assert DICT.university_ids() == {"U1", "U2"}
 
 
 class TestMatchAuthor:
@@ -262,23 +253,19 @@ class TestDisambiguateCorpus:
         assert res.stats.discarded == 1
 
     def test_override_validation(self):
+        # Unknown publications, positions and staff ids are rejected by
+        # load_overrides; the university and activity rules stay here.
         pubs = [pub("P1", [("ROSSI", "M")], ("UNIV TESTONE",))]
-        with pytest.raises(StructuralError):
-            disambiguate_corpus(pubs, REGISTRY, DICT,
-                                overrides={("P9", 1): "S1"})
-        with pytest.raises(StructuralError):
-            disambiguate_corpus(pubs, REGISTRY, DICT,
-                                overrides={("P1", 2): "S1"})
         with pytest.raises(StructuralError):
             # S6 works at U2, which this publication does not name
             disambiguate_corpus(pubs, REGISTRY, DICT,
                                 overrides={("P1", 1): "S6"})
-
-    def test_duplicate_pub_id_rejected(self):
-        pubs = [pub("P1", [("NERI", "P")], ("UNIV TESTONE",)),
-                pub("P1", [("NERI", "P")], ("UNIV TESTONE",))]
-        with pytest.raises(StructuralError):
-            disambiguate_corpus(pubs, REGISTRY, DICT)
+        retired = StaffRegistry(
+            [staff("S1", "Rossi", "Mario", "U1", year_from=1995, year_to=2000)]
+        )
+        with pytest.raises(StructuralError, match="inactive in 2002"):
+            disambiguate_corpus(pubs, retired, DICT,
+                                overrides={("P1", 1): "S1"})
 
     def test_deterministic(self):
         pubs = [

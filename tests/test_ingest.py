@@ -36,6 +36,17 @@ class TestHappyPath:
         corpus = ingest(_config(demo_root))
         assert any("'J3'" in w for w in corpus.warnings)
 
+    def test_affiliations_are_split_and_blank_parts_dropped(self, demo_root):
+        path = demo_root / "publications.csv"
+        path.write_text(
+            path.read_text()
+            + 'PX,2002,article,J1,"KIM,A."," Univ. of Alpha ;; ALPHA UNIV"\n',
+            encoding="utf-8",
+        )
+        corpus = ingest(_config(demo_root))
+        [pub] = [p for p in corpus.publications if p.pub_id == "PX"]
+        assert pub.raw_affiliations == ("Univ. of Alpha", "ALPHA UNIV")
+
     def test_blank_rows_are_skipped(self, demo_root):
         path = demo_root / "journals.csv"
         path.write_text(path.read_text() + "\n,,\n\n", encoding="utf-8")
@@ -109,6 +120,43 @@ class TestDiagnostics:
         with pytest.raises(IngestError, match="SURNAME,INITIALS"):
             ingest(_config(demo_root))
 
+    def test_duplicate_publication_id_lists_both_lines(self, demo_root):
+        path = demo_root / "publications.csv"
+        text = path.read_text()
+        path.write_text(text + text.splitlines()[1] + "\n", encoding="utf-8")
+        with pytest.raises(IngestError) as exc:
+            ingest(_config(demo_root))
+        assert exc.value.diagnostics == [
+            "publications.csv:32: duplicate publication id 'P001' "
+            "(first defined at line 2)"
+        ]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_amounts(self, demo_root, value):
+        _write(demo_root, "journals.csv",
+               f"journal_id,year,impact_weight\nJ1,2001,{value}\n")
+        _write(demo_root, "funding.csv",
+               f"university_id,area_id,year,prin_keur\nU1,A01,2001,{value}\n")
+        with pytest.raises(IngestError) as exc:
+            ingest(_config(demo_root))
+        assert exc.value.diagnostics == [
+            f"journals.csv:2: impact_weight must be finite and >= 0, "
+            f"got {value!r}",
+            f"funding.csv:2: prin_keur must be finite and >= 0, got {value!r}",
+        ]
+
+    def test_invalid_utf8_reported_with_line(self, demo_root):
+        path = demo_root / "staff.csv"
+        path.write_bytes(path.read_bytes()
+                         + b"S900,Ros\xe9,Mario,FP,U1,A01,1998,2006\n"
+                         + b"S901,Neri,Pia,XX,U1,A01,1998,2006\n")
+        with pytest.raises(IngestError) as exc:
+            ingest(_config(demo_root))
+        assert exc.value.diagnostics == [
+            "staff.csv:30: invalid UTF-8",
+            "staff.csv:31: rank must be one of FP/AP/RF, got 'XX'",
+        ]
+
     def test_negative_weight(self, demo_root):
         _write(demo_root, "journals.csv",
                "journal_id,year,impact_weight\nJ1,2001,-0.5\n")
@@ -180,28 +228,49 @@ class TestAuthorField:
 
 
 class TestOverrideFile:
-    def test_round_trip(self, tmp_path):
+    @pytest.fixture()
+    def corpus(self, demo_root):
+        return ingest(_config(demo_root))
+
+    def test_round_trip(self, tmp_path, corpus):
         path = tmp_path / "fixes.csv"
         path.write_text(
-            "pub_id,author_position,staff_id\nP1,1,S9\nP1,2,\nP2,3,S4\n",
+            "pub_id,author_position,staff_id\n"
+            "P001,1,S001\nP001,2,\nP029,1,S027\n",
             encoding="utf-8",
         )
-        assert load_overrides(path) == {
-            ("P1", 1): "S9", ("P1", 2): None, ("P2", 3): "S4",
+        assert load_overrides(path, corpus) == {
+            ("P001", 1): "S001", ("P001", 2): None, ("P029", 1): "S027",
         }
 
-    def test_duplicate_override_rejected(self, tmp_path):
+    def test_duplicate_override_rejected(self, tmp_path, corpus):
         path = tmp_path / "fixes.csv"
         path.write_text(
-            "pub_id,author_position,staff_id\nP1,1,S9\nP1,1,S8\n",
+            "pub_id,author_position,staff_id\nP001,1,S001\nP001,1,S002\n",
             encoding="utf-8",
         )
         with pytest.raises(IngestError, match="duplicate override"):
-            load_overrides(path)
+            load_overrides(path, corpus)
 
-    def test_bad_position_rejected(self, tmp_path):
+    def test_bad_position_rejected(self, tmp_path, corpus):
         path = tmp_path / "fixes.csv"
-        path.write_text("pub_id,author_position,staff_id\nP1,0,S9\n",
+        path.write_text("pub_id,author_position,staff_id\nP001,0,S001\n",
                         encoding="utf-8")
-        with pytest.raises(IngestError, match="position >= 1"):
-            load_overrides(path)
+        with pytest.raises(IngestError, match="no author position 0"):
+            load_overrides(path, corpus)
+
+    def test_unknown_references_reported_with_lines(self, tmp_path, corpus):
+        path = tmp_path / "fixes.csv"
+        path.write_text(
+            "pub_id,author_position,staff_id\n"
+            "P029,1,S99999\nP999,1,S001\nP029,3,S027\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(IngestError) as exc:
+            load_overrides(path, corpus)
+        assert exc.value.diagnostics == [
+            "fixes.csv:2: unknown staff id 'S99999'",
+            "fixes.csv:3: unknown publication 'P999'",
+            "fixes.csv:4: publication 'P029' has no author position 3 "
+            "(it lists 2 author(s))",
+        ]

@@ -9,8 +9,8 @@ from uniprod.lp import LinearProgram, LpSolution, solve_lp
 from .oracles import lp_vertex_oracle, random_small_lp
 
 
-def lp_max(objective, constraints, **kw):
-    return LinearProgram("max", objective, constraints, **kw)
+def lp_max(objective, constraints):
+    return LinearProgram("max", objective, constraints)
 
 
 class TestSmallCases:
@@ -45,17 +45,6 @@ class TestSmallCases:
         sol = solve_lp(LinearProgram("min", [1.0, 1.0], [((1.0, 2.0), ">=", 4.0)]))
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(2.0, abs=1e-8)
-
-    def test_lower_and_upper_bounds(self):
-        sol = solve_lp(
-            lp_max([1.0], [((1.0,), "<=", 10.0)], lower=(2.0,), upper=(5.0,))
-        )
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(5.0, abs=1e-9)
-
-    def test_infeasible_bounds(self):
-        sol = solve_lp(lp_max([1.0], [], lower=(3.0,), upper=(1.0,)))
-        assert sol.status == "infeasible"
 
     def test_no_constraints_zero_objective(self):
         sol = solve_lp(lp_max([0.0, 0.0], []))
@@ -99,10 +88,6 @@ class TestStructuralValidation:
     def test_empty_objective(self):
         with pytest.raises(StructuralError):
             LinearProgram("max", [], [])
-
-    def test_bound_length_mismatch(self):
-        with pytest.raises(StructuralError):
-            LinearProgram("max", [1.0, 1.0], [], lower=(0.0,))
 
 
 class TestProperties:

@@ -1,6 +1,16 @@
+"""Record carriers, and the ingest rules that guarantee their contents.
+
+The record types check nothing themselves.  The rejection tests below
+go through ingest: author entries through ``parse_author_field``, every
+other record as one bad row that must yield its ``file:line:``
+diagnostic.
+"""
+
 import pytest
 
-from uniprod.errors import StructuralError, UnknownIdError
+from uniprod.config import RunConfig
+from uniprod.errors import IngestError, StructuralError, UnknownIdError
+from uniprod.ingest import ingest, parse_author_field
 from uniprod.records import (
     AuthorToken,
     FundingTable,
@@ -10,6 +20,8 @@ from uniprod.records import (
     StaffRegistry,
 )
 
+from .fixtures import write_demo_dataset
+
 
 def make_staff(staff_id="S1", surname="Rossi", first_names="Mario",
                rank="FP", university_id="U1", area_id="A1",
@@ -18,24 +30,42 @@ def make_staff(staff_id="S1", surname="Rossi", first_names="Mario",
                        university_id, area_id, year_from, year_to)
 
 
+def rejected(tmp_path, file_name, row):
+    """The one diagnostic of ingesting the demo dataset with ``row``
+    appended to ``file_name``; it must point at that row's line."""
+    root = write_demo_dataset(tmp_path / "data")
+    path = root / file_name
+    text = path.read_text(encoding="utf-8") + row + "\n"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(IngestError) as exc:
+        ingest(RunConfig.for_data_dir(root))
+    [diagnostic] = exc.value.diagnostics
+    assert diagnostic.startswith(f"{file_name}:{len(text.splitlines())}: ")
+    return diagnostic
+
+
 class TestAuthorToken:
     def test_basic(self):
-        t = AuthorToken("ROSSI", ("M", "a"))
+        [t] = parse_author_field("ROSSI,M.a.")
         assert t.initials == ("M", "A")
         assert str(t) == "ROSSI,M.A."
 
     def test_blank_surname(self):
-        with pytest.raises(StructuralError):
-            AuthorToken("  ", ("M",))
+        with pytest.raises(StructuralError, match="blank surname"):
+            parse_author_field("  ,M.")
 
     def test_no_initials(self):
-        with pytest.raises(StructuralError):
-            AuthorToken("ROSSI", ())
+        with pytest.raises(StructuralError, match="no initials"):
+            parse_author_field("ROSSI,")
 
     @pytest.mark.parametrize("bad", ["", "MA", "1", "."])
     def test_bad_initial(self, bad):
-        with pytest.raises(StructuralError):
-            AuthorToken("ROSSI", (bad,))
+        # Initials are read letter by letter, so every one is a single
+        # upper-case letter whatever surrounds it.
+        [t] = parse_author_field(f"ROSSI,{bad}m")
+        assert t.initials[-1] == "M"
+        assert all(len(i) == 1 and i.isalpha() and i.isupper()
+                   for i in t.initials)
 
 
 class TestStaffMember:
@@ -51,17 +81,17 @@ class TestStaffMember:
         assert m.active_in(2003)
         assert not m.active_in(2004)
 
-    def test_bad_rank(self):
-        with pytest.raises(StructuralError):
-            make_staff(rank="prof")
+    def test_bad_rank(self, tmp_path):
+        assert "rank must be one of FP/AP/RF, got 'prof'" in rejected(
+            tmp_path, "staff.csv", "S900,Rossi,Mario,prof,U1,A01,1998,2006")
 
-    def test_inverted_years(self):
-        with pytest.raises(StructuralError):
-            make_staff(year_from=2005, year_to=2001)
+    def test_inverted_years(self, tmp_path):
+        assert "empty active range 2005..2001" in rejected(
+            tmp_path, "staff.csv", "S900,Rossi,Mario,FP,U1,A01,2005,2001")
 
-    def test_non_integer_years(self):
-        with pytest.raises(StructuralError):
-            make_staff(year_from="2001", year_to=2003)
+    def test_non_integer_years(self, tmp_path):
+        assert "year_from must be an integer" in rejected(
+            tmp_path, "staff.csv", "S900,Rossi,Mario,FP,U1,A01,2001.5,2003")
 
 
 class TestPublication:
@@ -72,7 +102,7 @@ class TestPublication:
             doc_type="article",
             journal_id="J1",
             authors=(AuthorToken("ROSSI", ("M",)),),
-            raw_affiliations=("UNIV X", ""),
+            raw_affiliations=("UNIV X",),
         )
         base.update(kw)
         return Publication(**base)
@@ -89,13 +119,10 @@ class TestPublication:
     def test_empty_author_list_is_representable(self):
         assert self.make(authors=()).author_count == 0
 
-    def test_bad_doc_type(self):
-        with pytest.raises(StructuralError):
-            self.make(doc_type="letter")
-
-    def test_non_token_author(self):
-        with pytest.raises(StructuralError):
-            self.make(authors=("ROSSI,M",))
+    def test_bad_doc_type(self, tmp_path):
+        assert "doc_type must be one of" in rejected(
+            tmp_path, "publications.csv",
+            'PX,2002,letter,J1,"KIM,A.","Univ. of Alpha"')
 
 
 class TestStaffRegistry:
@@ -107,9 +134,9 @@ class TestStaffRegistry:
             make_staff("S4", "Verdi", "Anna", "FP", "U2", "A1", 2000, 2009),
         ])
 
-    def test_duplicate_id(self):
-        with pytest.raises(StructuralError):
-            StaffRegistry([make_staff("S1"), make_staff("S1", surname="Bianchi")])
+    def test_duplicate_id(self, tmp_path):
+        assert "duplicate staff id 'S001'" in rejected(
+            tmp_path, "staff.csv", "S001,Bianchi,Mario,FP,U1,A01,1998,2006")
 
     def test_member_lookup(self):
         reg = self.registry()
@@ -153,13 +180,13 @@ class TestJournalTable:
         assert "J2" in t and "J9" not in t
         assert len(t) == 3
 
-    def test_negative_weight(self):
-        with pytest.raises(StructuralError):
-            JournalTable([("J1", 2001, -0.1)])
+    def test_negative_weight(self, tmp_path):
+        assert "impact_weight must be finite and >= 0" in rejected(
+            tmp_path, "journals.csv", "J1,2004,-0.1")
 
-    def test_duplicate_row(self):
-        with pytest.raises(StructuralError):
-            JournalTable([("J1", 2001, 1.0), ("J1", 2001, 2.0)])
+    def test_duplicate_row(self, tmp_path):
+        assert "duplicate weight for journal 'J1' year 2001" in rejected(
+            tmp_path, "journals.csv", "J1,2001,2.0")
 
 
 class TestFundingTable:
@@ -169,12 +196,11 @@ class TestFundingTable:
         assert t.amount("U1", "A1", 2002) == 0.0
         assert t.amount("U1", "A1", 2003) == 0.0
         assert t.amount("U2", "A1", 2001) == 0.0
-        assert t.years_present() == frozenset({2001, 2002})
 
-    def test_duplicate_row(self):
-        with pytest.raises(StructuralError):
-            FundingTable([("U1", "A1", 2001, 1.0), ("U1", "A1", 2001, 2.0)])
+    def test_duplicate_row(self, tmp_path):
+        assert "duplicate funding row" in rejected(
+            tmp_path, "funding.csv", "U1,A01,2001,5")
 
-    def test_negative_amount(self):
-        with pytest.raises(StructuralError):
-            FundingTable([("U1", "A1", 2001, -5.0)])
+    def test_negative_amount(self, tmp_path):
+        assert "prin_keur must be finite and >= 0" in rejected(
+            tmp_path, "funding.csv", "U1,A01,2004,-5")
