@@ -13,8 +13,12 @@ from uniprod.disambiguation import (
     normalize_text,
     surname_variants,
 )
-from uniprod.errors import StructuralError
+from uniprod.config import RunConfig
+from uniprod.errors import IngestError, StructuralError
+from uniprod.ingest import ingest
 from uniprod.records import AuthorToken, Publication, StaffMember, StaffRegistry
+
+from .fixtures import write_demo_dataset
 
 
 def staff(staff_id, surname, first_names, university_id,
@@ -79,6 +83,17 @@ class TestAffiliationDictionary:
 
     def test_miss_returns_none(self):
         assert DICT.lookup("MIT") is None
+
+    def test_conflicting_patterns_rejected(self, tmp_path):
+        # The dictionary trusts its rows; ingest is what rejects two
+        # patterns that normalize alike but name different universities.
+        root = write_demo_dataset(tmp_path / "data")
+        (root / "affiliations.csv").write_text(
+            "raw_pattern,university_id\nUNIV X,U1\nuniv x.,U2\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(IngestError, match="conflicts"):
+            ingest(RunConfig.for_data_dir(root))
 
 
 
