@@ -9,6 +9,7 @@ exported for human review rather than auto-resolved.
 
 from __future__ import annotations
 
+import functools
 import unicodedata
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -49,9 +50,14 @@ def normalize_text(text: str) -> str:
     return " ".join(cleaned.split())
 
 
+@functools.lru_cache(maxsize=None)
 def surname_variants(surname: str) -> frozenset[str]:
     """Normalized surname forms: the spaced form, and, when the surname
-    has several parts (hyphenated or spaced), the joined form as well."""
+    has several parts (hyphenated or spaced), the joined form as well.
+
+    Memoized for the life of the process: a corpus repeats each surname
+    on every staff row and author token, and the result is immutable.
+    """
     base = normalize_text(surname)
     if not base:
         return frozenset()
@@ -61,6 +67,7 @@ def surname_variants(surname: str) -> frozenset[str]:
     return frozenset(variants)
 
 
+@functools.lru_cache(maxsize=None)
 def _normalized_initial(letter: str) -> str:
     folded = normalize_text(letter)
     return folded[0] if folded else letter.casefold()
@@ -72,6 +79,8 @@ class AffiliationDictionary:
     Patterns are compared after text normalization, so case, diacritics
     and punctuation never matter.  Ingest rejects blank patterns and
     university ids and patterns that would point at two universities.
+    Each distinct raw string is normalized once per dictionary: raw
+    affiliations repeat on every publication of a university.
     """
 
     def __init__(self, rows: Iterable[tuple[str, str]]):
@@ -79,12 +88,15 @@ class AffiliationDictionary:
             normalize_text(raw_pattern): university_id
             for raw_pattern, university_id in rows
         }
+        self._memo: dict[str, str | None] = {}
 
     def __len__(self) -> int:
         return len(self._mapping)
 
     def lookup(self, raw: str) -> str | None:
-        return self._mapping.get(normalize_text(raw))
+        if raw not in self._memo:
+            self._memo[raw] = self._mapping.get(normalize_text(raw))
+        return self._memo[raw]
 
 
 @dataclass(frozen=True)
@@ -200,9 +212,10 @@ def match_author(token: AuthorToken, staff_in_scope) -> MatchOutcome:
     survivor is a match, several are ambiguous, none is unmatched.
     """
     token_initials = tuple(_normalized_initial(ch) for ch in token.initials)
+    token_variants = surname_variants(token.surname)
     candidates = []
     for member in staff_in_scope:
-        if not (surname_variants(member.surname) & surname_variants(token.surname)):
+        if not (surname_variants(member.surname) & token_variants):
             continue
         member_initials = tuple(
             _normalized_initial(ch) for ch in member.initials

@@ -1,10 +1,11 @@
 """CSV ingestion: the one place that validates outside input.
 
-All five input files are UTF-8 CSV with a header row.  Every check on
-their contents happens here, once: blank ids and names, rank and
-document-type codes, integer years and active ranges, author initials,
-finite non-negative amounts, duplicate keys, bytes that are not UTF-8,
-and the references of a manual-override file.  Malformed rows are
+All five input files are UTF-8 CSV with a header row (a leading
+byte-order mark is dropped).  Every check on their contents happens
+here, once: blank ids and names, rank and document-type codes, integer
+years and active ranges, author initials, finite non-negative amounts
+up to ``MAX_AMOUNT``, duplicate keys, bytes that are not UTF-8, and the
+references of a manual-override file.  Malformed rows are
 collected as ``file:line:`` diagnostics (not raised one at a time) so a
 single run reports every problem; referential gaps that the pipeline
 can survive become warnings instead.  The record types built here carry
@@ -43,6 +44,11 @@ FUNDING_FIELDS = ("university_id", "area_id", "year", "prin_keur")
 AFFILIATION_FIELDS = ("raw_pattern", "university_id")
 OVERRIDE_FIELDS = ("pub_id", "author_position", "staff_id")
 
+#: Largest accepted impact weight or funding amount.  Far above any real
+#: value, and small enough that sums over millions of rows, and their
+#: squared deviations, stay finite.
+MAX_AMOUNT = 1e12
+
 #: Undecodable bytes read with ``errors="surrogateescape"``.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
@@ -78,7 +84,9 @@ def _read_rows(path: Path, fields: tuple[str, ...], diagnostics: list[str]):
     """
     name = path.name
     try:
-        handle = open(path, newline="", encoding="utf-8",
+        # utf-8-sig drops the byte-order mark that spreadsheet exports
+        # put before the header.
+        handle = open(path, newline="", encoding="utf-8-sig",
                       errors="surrogateescape")
     except OSError as exc:
         diagnostics.append(f"{name}: cannot open: {exc}")
@@ -157,6 +165,11 @@ def _amount(row: dict, field: str) -> float:
     if not (math.isfinite(value) and value >= 0):
         raise StructuralError(
             f"{field} must be finite and >= 0, got {row[field].strip()!r}"
+        )
+    if value > MAX_AMOUNT:
+        raise StructuralError(
+            f"{field} must be at most {MAX_AMOUNT:g}, "
+            f"got {row[field].strip()!r}"
         )
     return value
 

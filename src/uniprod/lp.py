@@ -208,13 +208,10 @@ def _two_phase(A, rels, b, cmax, pivot_tol, tol, max_iterations):
 def _simplex(T, z, basis, pivot_tol, tol, max_iterations, iters):
     n_cols = T.shape[1] - 1
     while True:
-        entering = -1
-        for j in range(n_cols):  # Bland: lowest improvable index
-            if z[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
+        improvable = np.flatnonzero(z[:n_cols] < -tol)
+        if improvable.size == 0:
             return OPTIMAL, iters
+        entering = int(improvable[0])  # Bland: lowest improvable index
         leaving = -1
         best = np.inf
         for i in range(T.shape[0]):
@@ -237,9 +234,10 @@ def _simplex(T, z, basis, pivot_tol, tol, max_iterations, iters):
 
 def _pivot(T, z, basis, row, col):
     T[row] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i] -= T[i, col] * T[row]
+    # One rank-1 update; the pivot row's zero factor leaves it unchanged.
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
     if z[col] != 0.0:
         z -= z[col] * T[row]
     basis[row] = col

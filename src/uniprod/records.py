@@ -10,6 +10,7 @@ here only provide exact-key indexing and headcount queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import StructuralError, UnknownIdError
@@ -52,9 +53,10 @@ class StaffMember:
     year_from: int
     year_to: int
 
-    @property
+    @cached_property
     def initials(self) -> tuple[str, ...]:
-        """First letter of each given-name part, in order."""
+        """First letter of each given-name part, in order (computed once
+        per member; matching reads it for every token in scope)."""
         parts: list[str] = []
         for chunk in self.first_names.replace("-", " ").split():
             parts.append(chunk[0].upper())

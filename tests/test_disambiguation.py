@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from uniprod import disambiguation
 from uniprod.disambiguation import (
     AMBIGUOUS,
     MATCHED,
@@ -17,6 +20,7 @@ from uniprod.config import RunConfig
 from uniprod.errors import IngestError, StructuralError
 from uniprod.ingest import ingest
 from uniprod.records import AuthorToken, Publication, StaffMember, StaffRegistry
+from uniprod.synthetic import write_synthetic_dataset
 
 from .fixtures import write_demo_dataset
 
@@ -95,6 +99,13 @@ class TestAffiliationDictionary:
         with pytest.raises(IngestError, match="conflicts"):
             ingest(RunConfig.for_data_dir(root))
 
+    def test_instances_keep_their_own_lookups(self):
+        first = AffiliationDictionary([("UNIV X", "U1")])
+        second = AffiliationDictionary([("univ x.", "U2")])
+        assert first.lookup("Univ. X") == "U1"
+        assert second.lookup("Univ. X") == "U2"
+        assert first.lookup("Univ. X") == "U1"
+        assert AffiliationDictionary([]).lookup("Univ. X") is None
 
 
 class TestMatchAuthor:
@@ -304,3 +315,78 @@ class TestDisambiguateCorpus:
         s = res.stats
         assert s.resolved + s.manual + s.discarded + s.unresolvable == s.total == 4
         assert sorted(res.categories) == ["P1", "P2", "P3", "P4"]
+
+
+@pytest.fixture()
+def synthetic_corpus(tmp_path):
+    root = write_synthetic_dataset(tmp_path / "data", seed=11, n_areas=2,
+                                   n_universities=8)
+    return ingest(RunConfig.for_data_dir(root))
+
+
+def _outcomes(corpus):
+    res = disambiguate_corpus(corpus.publications, corpus.staff,
+                              corpus.affiliations)
+    return res.assignments, res.stats, res.manual_review, res.categories
+
+
+def _clearing(cached):
+    def call(arg):
+        cached.cache_clear()
+        return cached(arg)
+    return call
+
+
+class TestMemoizedMatching:
+    """Names are normalized once per process (surnames, initials), per
+    dictionary (affiliations) and per staff member (initials); none of
+    it may change an outcome."""
+
+    def test_same_outcomes_as_with_caches_cleared(self, synthetic_corpus,
+                                                  monkeypatch):
+        memoized = _outcomes(synthetic_corpus)
+        assert memoized[1].resolved and memoized[1].manual
+
+        monkeypatch.setattr(disambiguation, "surname_variants",
+                            _clearing(surname_variants))
+        monkeypatch.setattr(disambiguation, "_normalized_initial",
+                            _clearing(disambiguation._normalized_initial))
+        lookup = AffiliationDictionary.lookup
+
+        def fresh_lookup(self, raw):
+            self._memo.clear()
+            return lookup(self, raw)
+
+        monkeypatch.setattr(AffiliationDictionary, "lookup", fresh_lookup)
+        monkeypatch.setattr(StaffMember, "initials",
+                            property(StaffMember.__dict__["initials"].func))
+        assert _outcomes(synthetic_corpus) == memoized
+
+    def test_each_distinct_string_is_normalized_once(self, synthetic_corpus,
+                                                     monkeypatch):
+        corpus = synthetic_corpus
+        surname_variants.cache_clear()
+        disambiguation._normalized_initial.cache_clear()
+        calls = Counter()
+        normalize = disambiguation.normalize_text
+
+        def counting(text):
+            calls[text] += 1
+            return normalize(text)
+
+        monkeypatch.setattr(disambiguation, "normalize_text", counting)
+        _outcomes(corpus)
+        tokens = [t for p in corpus.publications for t in p.authors]
+        distinct = (
+            {m.surname for m in corpus.staff}
+            | {t.surname for t in tokens}
+            | {ch for m in corpus.staff for ch in m.initials}
+            | {ch for t in tokens for ch in t.initials}
+            | {raw for p in corpus.publications for raw in p.raw_affiliations}
+        )
+        assert calls and set(calls) <= distinct
+        assert max(calls.values()) == 1
+
+        calls.clear()
+        _outcomes(corpus)
+        assert not calls

@@ -131,8 +131,12 @@ class TestDiagnostics:
             "(first defined at line 2)"
         ]
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400",
+                                       "1e308"])
     def test_non_finite_amounts(self, demo_root, value):
+        # 1e308 is finite, but its sums and squared deviations are not.
+        rule = ("must be at most 1e+12" if value == "1e308"
+                else "must be finite and >= 0")
         _write(demo_root, "journals.csv",
                f"journal_id,year,impact_weight\nJ1,2001,{value}\n")
         _write(demo_root, "funding.csv",
@@ -140,9 +144,8 @@ class TestDiagnostics:
         with pytest.raises(IngestError) as exc:
             ingest(_config(demo_root))
         assert exc.value.diagnostics == [
-            f"journals.csv:2: impact_weight must be finite and >= 0, "
-            f"got {value!r}",
-            f"funding.csv:2: prin_keur must be finite and >= 0, got {value!r}",
+            f"journals.csv:2: impact_weight {rule}, got {value!r}",
+            f"funding.csv:2: prin_keur {rule}, got {value!r}",
         ]
 
     def test_invalid_utf8_reported_with_line(self, demo_root):

@@ -12,6 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from uniprod.cli import main
+from uniprod.config import RunConfig
+from uniprod.ingest import ingest
 
 from .fixtures import write_demo_dataset
 
@@ -55,6 +57,13 @@ PINNED = {
          "publications.csv:32: doc_type must be one of article/review/other, "
          "got 'poster'"),
     ),
+    # Finite, but the SS and PR means over it overflow.
+    "huge-amounts": (
+        ("journals.csv", b"J9,2001,1e308\n",
+         "journals.csv:8: impact_weight must be at most 1e+12, got '1e308'"),
+        ("funding.csv", b"U1,A01,2004,1e13\n",
+         "funding.csv:8: prin_keur must be at most 1e+12, got '1e13'"),
+    ),
 }
 
 
@@ -71,6 +80,24 @@ def test_bad_rows_in_two_files_are_both_reported(tmp_path, case):
         diagnostic for _, _, diagnostic in PINNED[case]
     )
     assert not (tmp_path / "r").exists()
+
+
+def _loaded(corpus) -> tuple:
+    return (tuple(corpus.staff), corpus.publications,
+            vars(corpus.journals), vars(corpus.funding),
+            vars(corpus.affiliations), corpus.warnings)
+
+
+@pytest.mark.parametrize("name", DATA_FILES)
+def test_byte_order_mark_is_dropped(tmp_path, name):
+    plain = write_demo_dataset(tmp_path / "plain")
+    marked = write_demo_dataset(tmp_path / "marked")
+    path = marked / name
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert _loaded(ingest(RunConfig.for_data_dir(marked))) == _loaded(
+        ingest(RunConfig.for_data_dir(plain))
+    )
+    assert _run(marked, tmp_path / "r")[0] == 0
 
 
 # Cells drawn from arbitrary text and from values that are nearly valid,

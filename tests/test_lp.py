@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uniprod.errors import StructuralError
-from uniprod.lp import LinearProgram, LpSolution, solve_lp
+from uniprod.lp import LinearProgram, LpSolution, _pivot, solve_lp
 
 from .oracles import lp_vertex_oracle, random_small_lp
 
@@ -62,6 +62,34 @@ class TestSmallCases:
         sol = solve_lp(LinearProgram("min", objective, constraints))
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-0.05, abs=1e-9)
+
+
+def _pivot_by_rows(T, z, basis, row, col):
+    """Row-at-a-time reference for ``_pivot``."""
+    T[row] /= T[row, col]
+    for i in range(T.shape[0]):
+        if i != row and T[i, col] != 0.0:
+            T[i] -= T[i, col] * T[row]
+    if z[col] != 0.0:
+        z -= z[col] * T[row]
+    basis[row] = col
+
+
+class TestPivot:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rank_one_update_matches_row_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        T = rng.normal(size=(6, 9))
+        T[rng.random(T.shape) < 0.3] = 0.0
+        row, col = 2, 4
+        T[row, col] = 1.7
+        z = rng.normal(size=9)
+        got = (T.copy(), z.copy(), np.arange(6))
+        want = (T.copy(), z.copy(), np.arange(6))
+        _pivot(*got, row, col)
+        _pivot_by_rows(*want, row, col)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 class TestStructuralValidation:
