@@ -153,25 +153,54 @@ class MatchedCorpus:
         return tuple(rows)
 
 
+def _cell_outputs(
+    corpus: MatchedCorpus,
+    journals: JournalTable | None,
+    area_id: str,
+    university_id: str,
+    years: Iterable[int],
+    warnings: list[str] | None = None,
+) -> tuple[int, float, float]:
+    """PU, PC and SS of one cell from a single scan of its rows.
+
+    Each sum runs in row order, as three separate scans would.  SS is
+    left at zero when ``journals`` is None.
+    """
+    rows = corpus.cell_rows(area_id, university_id, years)
+    pc = 0.0
+    ss = 0.0
+    for pub_id, journal_id, year, b, c in rows:
+        if c <= 0:
+            raise CorruptRecordError(
+                f"publication {pub_id!r} has author count {c}"
+            )
+        pc += b / c
+        if journals is None:
+            continue
+        weight = journals.weight_for(journal_id, year)
+        if weight is None:
+            if warnings is not None:
+                warnings.append(
+                    f"no impact weight for journal {journal_id!r} in {year} "
+                    f"(publication {pub_id!r})"
+                )
+            continue
+        ss += weight
+    return len(rows), pc, ss
+
+
 def compute_pu(
     corpus: MatchedCorpus, area_id: str, university_id: str, years: Iterable[int]
 ) -> int:
     """Distinct qualifying publications with >= 1 matched author in the cell."""
-    return len(corpus.cell_rows(area_id, university_id, years))
+    return _cell_outputs(corpus, None, area_id, university_id, years)[0]
 
 
 def compute_pc(
     corpus: MatchedCorpus, area_id: str, university_id: str, years: Iterable[int]
 ) -> float:
     """Sum of matched-author fractions b/c over qualifying publications."""
-    total = 0.0
-    for pub_id, _, _, b, c in corpus.cell_rows(area_id, university_id, years):
-        if c <= 0:
-            raise CorruptRecordError(
-                f"publication {pub_id!r} has author count {c}"
-            )
-        total += b / c
-    return total
+    return _cell_outputs(corpus, None, area_id, university_id, years)[1]
 
 
 def compute_ss(
@@ -187,20 +216,9 @@ def compute_ss(
     A publication whose journal has no stored weight for its year
     contributes zero; each such case appends one warning message.
     """
-    total = 0.0
-    for pub_id, journal_id, year, _, _ in corpus.cell_rows(
-        area_id, university_id, years
-    ):
-        weight = journals.weight_for(journal_id, year)
-        if weight is None:
-            if warnings is not None:
-                warnings.append(
-                    f"no impact weight for journal {journal_id!r} in {year} "
-                    f"(publication {pub_id!r})"
-                )
-            continue
-        total += weight
-    return total
+    return _cell_outputs(
+        corpus, journals, area_id, university_id, years, warnings
+    )[2]
 
 
 def compute_output_vector(
@@ -211,11 +229,10 @@ def compute_output_vector(
     years: Iterable[int],
     warnings: list[str] | None = None,
 ) -> OutputVector:
-    return OutputVector(
-        pu=float(compute_pu(corpus, area_id, university_id, years)),
-        pc=compute_pc(corpus, area_id, university_id, years),
-        ss=compute_ss(corpus, journals, area_id, university_id, years, warnings),
+    pu, pc, ss = _cell_outputs(
+        corpus, journals, area_id, university_id, years, warnings
     )
+    return OutputVector(pu=float(pu), pc=pc, ss=ss)
 
 
 def build_input_vector(

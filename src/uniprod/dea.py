@@ -20,6 +20,7 @@ increasing from decreasing returns for scale-inefficient units.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import (
     InvariantViolationError,
     StructuralError,
 )
-from .lp import LinearProgram, solve_lp
+from .lp import EQ, GE, LE, MAXIMIZE, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
 
 CRS = "crs"
 VRS = "vrs"
@@ -42,7 +43,6 @@ RTS_DECREASING = "decreasing"
 #: a DMU counts as efficient when its score reaches 1 - EFFICIENCY_EPS
 EFFICIENCY_EPS = 1e-6
 RTS_TOL = 1e-6
-INTENSITY_TOL = 1e-6
 PHI_SNAP_TOL = 1e-9
 
 
@@ -76,6 +76,10 @@ class DeaProblem:
     Every DMU must have at least one strictly positive output; all-zero
     output vectors make the radial expansion unbounded and are rejected
     here (callers exclude and report them beforehand).
+
+    The problem is immutable, so it caches what its LPs share: the
+    envelopment rows of each regime, built once, and each solved
+    expansion factor, so that no (unit, regime) LP is solved twice.
     """
 
     dmus: tuple[DmuRecord, ...]
@@ -132,6 +136,31 @@ class DeaProblem:
         ]
         return DeaProblem(dmus, [self.input_labels[i] for i in keep], self.output_labels)
 
+    @cached_property
+    def _scaled(self) -> tuple[np.ndarray, np.ndarray]:
+        """X and Y with every column divided by its maximum.
+
+        Each constraint is scaled by a positive constant, so phi and the
+        intensities are untouched, but the simplex then works on O(1)
+        magnitudes and the scores stay invariant to the measurement
+        units of any single input or output.
+        """
+        X = self.input_matrix()
+        Y = self.output_matrix()
+        x_scale = np.where(X.max(axis=0) > 0.0, X.max(axis=0), 1.0)
+        y_scale = np.where(Y.max(axis=0) > 0.0, Y.max(axis=0), 1.0)
+        return X / x_scale, Y / y_scale
+
+    @cached_property
+    def _rows_memo(self) -> dict[str, tuple]:
+        """Regime -> (A, relations, b), filled by ``_envelopment_rows``."""
+        return {}
+
+    @cached_property
+    def _phi_memo(self) -> dict[str, dict[int, float]]:
+        """Regime -> {unit index: solved phi}, filled by ``_phis``."""
+        return {regime: {} for regime in REGIMES}
+
 
 @dataclass(frozen=True)
 class EfficiencyResult:
@@ -143,7 +172,31 @@ class EfficiencyResult:
     pte: float
     se: float
     rts: str
-    peers: tuple[tuple[str, float], ...]
+
+
+def _envelopment_rows(problem: DeaProblem, regime: str) -> tuple:
+    """The regime's constraint rows over [phi, lambda_1 .. lambda_n],
+    shared by every unit's LP: a unit only sets the phi column of the
+    output rows to -y_k and the input right-hand sides to x_k."""
+    rows = problem._rows_memo.get(regime)
+    if rows is None:
+        X, Y = problem._scaled
+        n_in, n_out = X.shape[1], Y.shape[1]
+        m = n_in + n_out + (regime != CRS)
+        A = np.zeros((m, problem.n_dmus + 1))
+        A[:n_in, 1:] = X.T
+        A[n_in:n_in + n_out, 1:] = Y.T
+        A[n_in + n_out:, 1:] = 1.0
+        relations = [LE] * n_in + [GE] * n_out
+        if regime == VRS:
+            relations.append(EQ)
+        elif regime == NIRS:
+            relations.append(LE)
+        b = np.zeros(m)
+        b[n_in + n_out:] = 1.0
+        A.flags.writeable = b.flags.writeable = False
+        rows = problem._rows_memo[regime] = (A, relations, b)
+    return rows
 
 
 def solve_output_oriented(
@@ -155,46 +208,41 @@ def solve_output_oriented(
     if not 0 <= dmu_index < problem.n_dmus:
         raise StructuralError(f"dmu index {dmu_index} out of range")
 
-    X = problem.input_matrix()
-    Y = problem.output_matrix()
-    # Divide every dimension by its column maximum before building the
-    # tableau.  Each constraint is scaled by a positive constant, so phi
-    # and the intensities are untouched, but the simplex then works on
-    # O(1) magnitudes and the scores stay invariant to the measurement
-    # units of any single input or output.
-    x_scale = np.where(X.max(axis=0) > 0.0, X.max(axis=0), 1.0)
-    y_scale = np.where(Y.max(axis=0) > 0.0, Y.max(axis=0), 1.0)
-    X = X / x_scale
-    Y = Y / y_scale
-    n = problem.n_dmus
-    x0 = X[dmu_index]
-    y0 = Y[dmu_index]
+    shared, relations, shared_b = _envelopment_rows(problem, regime)
+    X, Y = problem._scaled
+    n_in, n_out = X.shape[1], Y.shape[1]
+    A = shared.copy()
+    A[n_in:n_in + n_out, 0] = -Y[dmu_index]
+    b = shared_b.copy()
+    b[:n_in] = X[dmu_index]
+    objective = np.zeros(problem.n_dmus + 1)
+    objective[0] = 1.0
 
-    # variables: [phi, lambda_1 .. lambda_n]
-    objective = [1.0] + [0.0] * n
-    constraints = []
-    for i in range(X.shape[1]):
-        constraints.append(([0.0] + X[:, i].tolist(), "<=", float(x0[i])))
-    for r in range(Y.shape[1]):
-        constraints.append(([-float(y0[r])] + Y[:, r].tolist(), ">=", 0.0))
-    if regime == VRS:
-        constraints.append(([0.0] + [1.0] * n, "=", 1.0))
-    elif regime == NIRS:
-        constraints.append(([0.0] + [1.0] * n, "<=", 1.0))
-
-    sol = solve_lp(LinearProgram("max", objective, constraints))
-    if sol.status == "unbounded":
+    sol = solve_lp(LinearProgram(MAXIMIZE, objective, zip(A, relations, b)))
+    if sol.status == UNBOUNDED:
         raise DegenerateDmuError(
             f"{problem.dmus[dmu_index].dmu_id}: unbounded expansion "
             "(degenerate output vector)"
         )
-    if sol.status != "optimal":
+    if sol.status != OPTIMAL:
         # the DMU itself (lambda = e_dmu, phi = 1) is always feasible
         raise InvariantViolationError(
             f"{problem.dmus[dmu_index].dmu_id}: {regime} model reported "
             f"{sol.status}, which cannot happen for a well-posed problem"
         )
     return float(sol.x[0]), sol.x[1:].copy()
+
+
+def _phis(problem: DeaProblem, regime: str, units=None) -> dict[int, float]:
+    """Solved phi per unit index (all units by default), each (unit,
+    regime) LP solved at most once per problem."""
+    if regime not in REGIMES:
+        raise StructuralError(f"unknown regime {regime!r}")
+    memo = problem._phi_memo[regime]
+    for k in range(problem.n_dmus) if units is None else units:
+        if k not in memo:
+            memo[k] = solve_output_oriented(problem, k, regime)[0]
+    return memo
 
 
 def efficiency_score(phi: float, tol: float = RTS_TOL) -> float:
@@ -217,24 +265,38 @@ def _snap_phi(phi: float, snap_tol: float = PHI_SNAP_TOL) -> float:
 
 def scores(problem: DeaProblem, regime: str) -> dict[str, float]:
     """Efficiency score per dmu id under one regime."""
-    out = {}
-    for k, dmu in enumerate(problem.dmus):
-        phi, _ = solve_output_oriented(problem, k, regime)
-        out[dmu.dmu_id] = efficiency_score(_snap_phi(phi))
-    return out
+    phi = _phis(problem, regime)
+    return {
+        dmu.dmu_id: efficiency_score(_snap_phi(phi[k]))
+        for k, dmu in enumerate(problem.dmus)
+    }
 
 
 def decompose(
-    problem: DeaProblem,
-    rts_tol: float = RTS_TOL,
-    intensity_tol: float = INTENSITY_TOL,
+    problem: DeaProblem, rts_tol: float = RTS_TOL
 ) -> list[EfficiencyResult]:
-    """Full three-model decomposition for every DMU in the problem."""
+    """Full three-model decomposition for every DMU in the problem.
+
+    NIRS is solved only for scale-inefficient units.  Where the CRS and
+    VRS factors agree, the NIRS region, which lies between the two,
+    gives the same factor.
+    """
+    phi_crs = _phis(problem, CRS)
+    phi_vrs = _phis(problem, VRS)
+    scale_inefficient = [
+        k for k in range(problem.n_dmus)
+        if max(_snap_phi(phi_crs[k]), 1.0) > max(_snap_phi(phi_vrs[k]), 1.0)
+    ]
+    # Only these units' NIRS factors are read, even when an earlier
+    # ``scores(problem, NIRS)`` memoized the rest, so the result does not
+    # depend on what ran before.
+    solved = _phis(problem, NIRS, scale_inefficient)
+    phi_nirs = {k: solved[k] for k in scale_inefficient}
     results = []
     for k, dmu in enumerate(problem.dmus):
-        phi_c, _ = solve_output_oriented(problem, k, CRS)
-        phi_n, _ = solve_output_oriented(problem, k, NIRS)
-        phi_v, lambdas = solve_output_oriented(problem, k, VRS)
+        phi_c = phi_crs[k]
+        phi_v = phi_vrs[k]
+        phi_n = phi_nirs.get(k, phi_v)
 
         # The feasible regions nest (VRS within NIRS within CRS), so each
         # later factor bounds the earlier one from below.  Snap sub-tolerance
@@ -253,11 +315,6 @@ def decompose(
         pte = efficiency_score(phi_v2)
         se = te / pte
         rts = classify_rts(te, te_nirs, pte, tol=rts_tol)
-        peers = tuple(
-            (problem.dmus[j].dmu_id, float(lambdas[j]))
-            for j in range(problem.n_dmus)
-            if lambdas[j] > intensity_tol
-        )
         results.append(
             EfficiencyResult(
                 dmu_id=dmu.dmu_id,
@@ -268,7 +325,6 @@ def decompose(
                 pte=pte,
                 se=se,
                 rts=rts,
-                peers=peers,
             )
         )
     return results

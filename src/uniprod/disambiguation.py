@@ -73,6 +73,13 @@ def _normalized_initial(letter: str) -> str:
     return folded[0] if folded else letter.casefold()
 
 
+@functools.lru_cache(maxsize=None)
+def _normalized_initials(initials: tuple[str, ...]) -> tuple[str, ...]:
+    """Normalized initial sequence, memoized like ``surname_variants``:
+    ``match_author`` compares it for every member in every token's scope."""
+    return tuple(_normalized_initial(ch) for ch in initials)
+
+
 class AffiliationDictionary:
     """Map from raw affiliation patterns to canonical university ids.
 
@@ -211,15 +218,13 @@ def match_author(token: AuthorToken, staff_in_scope) -> MatchOutcome:
     the token's initial sequence to be a prefix of the member's; a single
     survivor is a match, several are ambiguous, none is unmatched.
     """
-    token_initials = tuple(_normalized_initial(ch) for ch in token.initials)
+    token_initials = _normalized_initials(token.initials)
     token_variants = surname_variants(token.surname)
     candidates = []
     for member in staff_in_scope:
-        if not (surname_variants(member.surname) & token_variants):
+        if surname_variants(member.surname).isdisjoint(token_variants):
             continue
-        member_initials = tuple(
-            _normalized_initial(ch) for ch in member.initials
-        )
+        member_initials = _normalized_initials(member.initials)
         if not member_initials or member_initials[0] != token_initials[0]:
             continue
         if len(token_initials) > 1:

@@ -37,48 +37,71 @@ PIVOT_TOL = 1e-9
 FEASIBILITY_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+def _float_array(values) -> np.ndarray:
+    """A float copy of an array or of any other iterable of numbers."""
+    return np.array(values if isinstance(values, np.ndarray) else tuple(values),
+                    dtype=float)
+
+
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
     """Immutable problem statement.
 
     ``constraints`` is a sequence of ``(row, relation, rhs)`` triples with
-    ``relation`` one of ``"<="``, ``"="``, ``">="``.  Every variable is
-    non-negative.
+    ``relation`` one of ``"<="``, ``"="``, ``">="``; rows may be numpy
+    arrays.  Every variable is non-negative.  The rows are kept as one
+    ``(m, n)`` array ``A`` with ``relations`` and right-hand sides ``b``.
     """
 
     sense: str
-    objective: tuple[float, ...]
-    constraints: tuple[tuple[tuple[float, ...], str, float], ...]
+    objective: np.ndarray
+    A: np.ndarray
+    relations: tuple[str, ...]
+    b: np.ndarray
 
     def __init__(self, sense, objective, constraints):
         if sense not in (MAXIMIZE, MINIMIZE):
             raise StructuralError(f"sense must be 'max' or 'min', got {sense!r}")
-        obj = tuple(float(v) for v in objective)
-        if not obj:
+        obj = _float_array(objective)
+        if not obj.size:
             raise StructuralError("objective must have at least one coefficient")
-        if not all(np.isfinite(obj)):
+        if not np.isfinite(obj).all():
             raise StructuralError("objective coefficients must be finite")
-        n = len(obj)
-        rows = []
-        for k, (row, rel, rhs) in enumerate(constraints):
-            row = tuple(float(v) for v in row)
-            if len(row) != n:
-                raise StructuralError(
-                    f"constraint {k} has {len(row)} coefficients, expected {n}"
-                )
+        n = obj.size
+        rows, rels, rhs = [], [], []
+        bad = None  # first row with a wrong length or an unknown relation
+        for k, (row, rel, r) in enumerate(constraints):
+            row = _float_array(row)
+            if row.shape != (n,):
+                bad = f"constraint {k} has {row.size} coefficients, expected {n}"
+                break
             if rel not in _RELATIONS:
-                raise StructuralError(f"constraint {k}: unknown relation {rel!r}")
-            rhs = float(rhs)
-            if not all(np.isfinite(row)) or not np.isfinite(rhs):
-                raise StructuralError(f"constraint {k} contains non-finite values")
-            rows.append((row, rel, rhs))
+                bad = f"constraint {k}: unknown relation {rel!r}"
+                break
+            rows.append(row)
+            rels.append(rel)
+            rhs.append(float(r))
+        A = np.array(rows, dtype=float).reshape(len(rows), n)
+        b = np.array(rhs, dtype=float)
+        # Rows are checked in order: a non-finite row before the first
+        # malformed one is the error reported.
+        finite = np.isfinite(A).all(axis=1) & np.isfinite(b)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise StructuralError(f"constraint {k} contains non-finite values")
+        if bad is not None:
+            raise StructuralError(bad)
+        for array in (obj, A, b):
+            array.flags.writeable = False
         object.__setattr__(self, "sense", sense)
         object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "constraints", tuple(rows))
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "relations", tuple(rels))
+        object.__setattr__(self, "b", b)
 
     @property
     def n_variables(self) -> int:
-        return len(self.objective)
+        return self.objective.size
 
 
 @dataclass(frozen=True)
@@ -100,16 +123,11 @@ def solve_lp(
     Deterministic: Bland's rule picks the lowest-index entering column and
     breaks ratio-test ties by lowest basis variable index.
     """
-    n = lp.n_variables
-    A = np.array([row for row, _, _ in lp.constraints], dtype=float)
-    rels = [rel for _, rel, _ in lp.constraints]
-    b = np.array([rhs for _, _, rhs in lp.constraints], dtype=float)
-
-    c = np.asarray(lp.objective, dtype=float)
+    c = lp.objective
     cmax = c if lp.sense == MAXIMIZE else -c
 
     status, x, iters = _two_phase(
-        A.reshape(len(rels), n), rels, b, cmax, pivot_tol, tol, max_iterations,
+        lp.A, lp.relations, lp.b, cmax, pivot_tol, tol, max_iterations,
     )
     if status != OPTIMAL:
         return LpSolution(status, None, None, iters)
@@ -208,19 +226,23 @@ def _two_phase(A, rels, b, cmax, pivot_tol, tol, max_iterations):
 def _simplex(T, z, basis, pivot_tol, tol, max_iterations, iters):
     n_cols = T.shape[1] - 1
     while True:
-        improvable = np.flatnonzero(z[:n_cols] < -tol)
+        improvable = (z[:n_cols] < -tol).nonzero()[0]
         if improvable.size == 0:
             return OPTIMAL, iters
         entering = int(improvable[0])  # Bland: lowest improvable index
+        # The ratio test's tie-break is sequential, so it runs over plain
+        # floats: the tableau has only a handful of rows.
+        column = T[:, entering].tolist()
+        rhs = T[:, -1].tolist()
+        labels = basis.tolist()
         leaving = -1
         best = np.inf
-        for i in range(T.shape[0]):
-            a = T[i, entering]
+        for i, a in enumerate(column):
             if a > pivot_tol:
-                ratio = T[i, -1] / a
+                ratio = rhs[i] / a
                 if ratio < best - pivot_tol or (
                     ratio < best + pivot_tol
-                    and (leaving < 0 or basis[i] < basis[leaving])
+                    and (leaving < 0 or labels[i] < labels[leaving])
                 ):
                     best = ratio
                     leaving = i
@@ -237,7 +259,7 @@ def _pivot(T, z, basis, row, col):
     # One rank-1 update; the pivot row's zero factor leaves it unchanged.
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+    T -= factors[:, None] * T[row]
     if z[col] != 0.0:
         z -= z[col] * T[row]
     basis[row] = col

@@ -351,6 +351,8 @@ class TestMemoizedMatching:
                             _clearing(surname_variants))
         monkeypatch.setattr(disambiguation, "_normalized_initial",
                             _clearing(disambiguation._normalized_initial))
+        monkeypatch.setattr(disambiguation, "_normalized_initials",
+                            _clearing(disambiguation._normalized_initials))
         lookup = AffiliationDictionary.lookup
 
         def fresh_lookup(self, raw):
@@ -367,6 +369,7 @@ class TestMemoizedMatching:
         corpus = synthetic_corpus
         surname_variants.cache_clear()
         disambiguation._normalized_initial.cache_clear()
+        disambiguation._normalized_initials.cache_clear()
         calls = Counter()
         normalize = disambiguation.normalize_text
 

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uniprod.errors import StructuralError
+from uniprod import lp as lp_module
+from uniprod.errors import InvariantViolationError, StructuralError
 from uniprod.lp import LinearProgram, LpSolution, _pivot, solve_lp
 
 from .oracles import lp_vertex_oracle, random_small_lp
@@ -92,7 +95,92 @@ class TestPivot:
             assert np.array_equal(a, b)
 
 
+def _simplex_reference(T, z, basis, pivot_tol, tol, max_iterations, iters):
+    """Element-indexed reference for ``_simplex``'s Bland steps."""
+    n_cols = T.shape[1] - 1
+    while True:
+        improvable = np.flatnonzero(z[:n_cols] < -tol)
+        if improvable.size == 0:
+            return "optimal", iters
+        entering = int(improvable[0])
+        leaving = -1
+        best = np.inf
+        for i in range(T.shape[0]):
+            a = T[i, entering]
+            if a > pivot_tol:
+                ratio = T[i, -1] / a
+                if ratio < best - pivot_tol or (
+                    ratio < best + pivot_tol
+                    and (leaving < 0 or basis[i] < basis[leaving])
+                ):
+                    best = ratio
+                    leaving = i
+        if leaving < 0:
+            return "unbounded", iters
+        _pivot_by_rows(T, z, basis, leaving, entering)
+        iters += 1
+        if iters > max_iterations:
+            raise InvariantViolationError("simplex iteration limit exceeded")
+
+
+class TestSimplexLoop:
+    def test_same_pivots_and_solution_as_reference(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        programs = [LinearProgram(*random_small_lp(rng)) for _ in range(150)]
+        # Envelopment-shaped programs: many columns, tied ratios.
+        for _ in range(10):
+            n = int(rng.integers(5, 40))
+            X = rng.integers(1, 6, size=(n, 2)).astype(float)
+            Y = rng.integers(1, 6, size=(n, 2)).astype(float)
+            rows = [(np.r_[0.0, X[:, i]], "<=", X[0, i]) for i in range(2)]
+            rows += [(np.r_[-Y[0, r], Y[:, r]], ">=", 0.0) for r in range(2)]
+            rows.append((np.r_[0.0, np.ones(n)], "=", 1.0))
+            programs.append(LinearProgram("max", np.r_[1.0, np.zeros(n)], rows))
+        got = [solve_lp(p) for p in programs]
+        monkeypatch.setattr(lp_module, "_simplex", _simplex_reference)
+        want = [solve_lp(p) for p in programs]
+        for a, b in zip(got, want):
+            assert (a.status, a.objective, a.iterations) == (
+                b.status, b.objective, b.iterations)
+            assert (a.x is None and b.x is None) or np.array_equal(a.x, b.x)
+
+
 class TestStructuralValidation:
+    GOOD = ((1.0, 1.0), "<=", 4.0)
+
+    @pytest.mark.parametrize("row, rel, rhs, message", [
+        ((1.0, 2.0, 3.0), "<=", 1.0, "constraint 1 has 3 coefficients, expected 2"),
+        ((1.0,), "<=", 1.0, "constraint 1 has 1 coefficients, expected 2"),
+        ((1.0, 2.0), "<", 1.0, "constraint 1: unknown relation '<'"),
+        ((1.0, float("nan")), "<=", 1.0, "constraint 1 contains non-finite values"),
+        ((1.0, 2.0), "=", float("nan"), "constraint 1 contains non-finite values"),
+    ], ids=["long", "short", "relation", "nan-row", "nan-rhs"])
+    @pytest.mark.parametrize("as_row", [tuple, np.array], ids=["tuple", "array"])
+    def test_bad_row_message(self, row, rel, rhs, message, as_row):
+        good_row, good_rel, good_rhs = self.GOOD
+        constraints = [(as_row(good_row), good_rel, good_rhs),
+                       (as_row(row), rel, rhs)]
+        with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+            LinearProgram("max", [1.0, 1.0], constraints)
+
+    @pytest.mark.parametrize("as_row", [tuple, np.array], ids=["tuple", "array"])
+    def test_first_bad_row_is_reported(self, as_row):
+        constraints = [(as_row((float("nan"), 1.0)), "<=", 1.0),
+                       (as_row((1.0,)), "<=", 1.0)]
+        with pytest.raises(StructuralError, match="^constraint 0 contains"):
+            LinearProgram("max", [1.0, 1.0], constraints)
+
+    def test_array_rows_equal_tuple_rows(self):
+        rows = [((1.0, 2.0), "<=", 6.0), ((2.0, 1.0), ">=", 1.0)]
+        a = LinearProgram("max", [1.0, 1.0], rows)
+        b = LinearProgram("max", np.ones(2),
+                          zip(np.array([r for r, _, _ in rows]),
+                              [rel for _, rel, _ in rows],
+                              np.array([rhs for _, _, rhs in rows])))
+        assert np.array_equal(a.A, b.A) and np.array_equal(a.b, b.b)
+        assert a.relations == b.relations == ("<=", ">=")
+        assert not a.A.flags.writeable
+
     def test_dimension_mismatch(self):
         with pytest.raises(StructuralError):
             LinearProgram("max", [1.0, 2.0], [((1.0,), "<=", 1.0)])
