@@ -33,9 +33,6 @@ from .bibliometrics import (
     assemble_problem,
     build_input_vector,
     compute_output_vector,
-    compute_pc,
-    compute_pu,
-    compute_ss,
 )
 from .config import REGIMES, RunConfig
 from .dea import (
@@ -133,9 +130,6 @@ __all__ = [
     "build_input_vector",
     "compare_rankings",
     "compute_output_vector",
-    "compute_pc",
-    "compute_pu",
-    "compute_ss",
     "decompose",
     "disambiguate_corpus",
     "efficiency_score",

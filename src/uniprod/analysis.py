@@ -155,19 +155,15 @@ def global_index(
     return tuple(indices), tuple(notices)
 
 
-def rank(
-    values: Mapping[str, float], descending: bool = True
-) -> dict[str, int]:
-    """Competition ranking: tied values share the smallest rank and the
-    next distinct value's rank skips by the tie size."""
+def rank(values: Mapping[str, float]) -> dict[str, int]:
+    """Competition ranking, highest value first: tied values share the
+    smallest rank and the next distinct value's rank skips by the tie
+    size."""
     for key, v in values.items():
         fv = float(v)
         if fv != fv or fv in (float("inf"), float("-inf")):
             raise StructuralError(f"non-finite value for {key!r}: {v}")
-    ordered = sorted(
-        values.items(),
-        key=lambda kv: (-kv[1] if descending else kv[1], kv[0]),
-    )
+    ordered = sorted(values.items(), key=lambda kv: (-kv[1], kv[0]))
     ranks: dict[str, int] = {}
     position = 0
     last_value: float | None = None
@@ -181,9 +177,7 @@ def rank(
     return ranks
 
 
-def tertile_summary(
-    scores_by_unit: Mapping[str, float], eps: float = EFFICIENCY_EPS
-) -> TertileSummary:
+def tertile_summary(scores_by_unit: Mapping[str, float]) -> TertileSummary:
     """Count efficient units and average the rest in three groups.
 
     Inefficient scores are sorted descending and split into groups whose
@@ -191,9 +185,11 @@ def tertile_summary(
     three inefficient units the trailing groups are empty and their
     means are reported as None.
     """
-    efficient = [u for u, s in scores_by_unit.items() if s >= 1.0 - eps]
+    efficient = [
+        u for u, s in scores_by_unit.items() if s >= 1.0 - EFFICIENCY_EPS
+    ]
     inefficient = sorted(
-        (s for u, s in scores_by_unit.items() if s < 1.0 - eps),
+        (s for u, s in scores_by_unit.items() if s < 1.0 - EFFICIENCY_EPS),
         reverse=True,
     )
     n = len(inefficient)
@@ -247,9 +243,7 @@ def compare_rankings(
     )
 
 
-def sensitivity_drop_input(
-    problem: DeaProblem, label: str, eps: float = EFFICIENCY_EPS
-) -> SensitivityResult:
+def sensitivity_drop_input(problem: DeaProblem, label: str) -> SensitivityResult:
     """Re-solve the variable-returns model without one input column and
     compare the induced rankings.
 
@@ -264,7 +258,7 @@ def sensitivity_drop_input(
     lost = sum(
         1
         for unit, s in before.items()
-        if s >= 1.0 - eps and after[unit] < 1.0 - eps
+        if s >= 1.0 - EFFICIENCY_EPS and after[unit] < 1.0 - EFFICIENCY_EPS
     )
     comparison = replace(comparison, no_longer_efficient=lost)
     return SensitivityResult(

@@ -153,18 +153,18 @@ class MatchedCorpus:
         return tuple(rows)
 
 
-def _cell_outputs(
+def compute_output_vector(
     corpus: MatchedCorpus,
-    journals: JournalTable | None,
+    journals: JournalTable,
     area_id: str,
     university_id: str,
     years: Iterable[int],
     warnings: list[str] | None = None,
-) -> tuple[int, float, float]:
+) -> OutputVector:
     """PU, PC and SS of one cell from a single scan of its rows.
 
-    Each sum runs in row order, as three separate scans would.  SS is
-    left at zero when ``journals`` is None.
+    A publication whose journal has no stored weight for its year adds
+    nothing to SS; each such case appends one message to ``warnings``.
     """
     rows = corpus.cell_rows(area_id, university_id, years)
     pc = 0.0
@@ -175,8 +175,6 @@ def _cell_outputs(
                 f"publication {pub_id!r} has author count {c}"
             )
         pc += b / c
-        if journals is None:
-            continue
         weight = journals.weight_for(journal_id, year)
         if weight is None:
             if warnings is not None:
@@ -186,53 +184,7 @@ def _cell_outputs(
                 )
             continue
         ss += weight
-    return len(rows), pc, ss
-
-
-def compute_pu(
-    corpus: MatchedCorpus, area_id: str, university_id: str, years: Iterable[int]
-) -> int:
-    """Distinct qualifying publications with >= 1 matched author in the cell."""
-    return _cell_outputs(corpus, None, area_id, university_id, years)[0]
-
-
-def compute_pc(
-    corpus: MatchedCorpus, area_id: str, university_id: str, years: Iterable[int]
-) -> float:
-    """Sum of matched-author fractions b/c over qualifying publications."""
-    return _cell_outputs(corpus, None, area_id, university_id, years)[1]
-
-
-def compute_ss(
-    corpus: MatchedCorpus,
-    journals: JournalTable,
-    area_id: str,
-    university_id: str,
-    years: Iterable[int],
-    warnings: list[str] | None = None,
-) -> float:
-    """Impact-weighted sum over the publications counted in PU.
-
-    A publication whose journal has no stored weight for its year
-    contributes zero; each such case appends one warning message.
-    """
-    return _cell_outputs(
-        corpus, journals, area_id, university_id, years, warnings
-    )[2]
-
-
-def compute_output_vector(
-    corpus: MatchedCorpus,
-    journals: JournalTable,
-    area_id: str,
-    university_id: str,
-    years: Iterable[int],
-    warnings: list[str] | None = None,
-) -> OutputVector:
-    pu, pc, ss = _cell_outputs(
-        corpus, journals, area_id, university_id, years, warnings
-    )
-    return OutputVector(pu=float(pu), pc=pc, ss=ss)
+    return OutputVector(pu=float(len(rows)), pc=pc, ss=ss)
 
 
 def build_input_vector(

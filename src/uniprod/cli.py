@@ -30,23 +30,40 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_years(text: str) -> tuple[int, ...]:
-    """Accept ``2001-2003`` (inclusive range) or ``2001,2002,2003``."""
+    """Accept ``2001-2003`` (inclusive range) or ``2001,2002,2003``, with
+    every year in 1000-9999 (a range is bounded before it is built)."""
     text = text.strip()
+    is_range = "-" in text
     try:
-        if "-" in text:
-            lo_text, hi_text = text.split("-", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise ValueError(f"year range {text!r} is reversed")
-            return tuple(range(lo, hi + 1))
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
+        years = tuple(int(p) for p in text.split("-" if is_range else ","))
+    except ValueError:
+        years = ()
+    if not years or (is_range and len(years) != 2):
         raise argparse.ArgumentTypeError(
             f"cannot parse years {text!r}: use 2001-2003 or 2001,2002,2003"
-        ) from exc
+        )
+    for year in years:
+        if not 1000 <= year <= 9999:
+            raise argparse.ArgumentTypeError(
+                f"year {year} in {text!r} is outside 1000-9999"
+            )
+    if not is_range:
+        return years
+    lo, hi = years
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"year range {text!r} is reversed")
+    return tuple(range(lo, hi + 1))
+
+
+def _years_text(years: tuple[int, ...]) -> str:
+    """``years`` in the form ``parse_years`` reads."""
+    if years == tuple(range(years[0], years[-1] + 1)):
+        return f"{years[0]}-{years[-1]}"
+    return ",".join(str(y) for y in years)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = RunConfig()
     parser = _Parser(
         prog="uniprod",
         description=(
@@ -63,23 +80,25 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--years", type=parse_years, default=(2001, 2002, 2003),
+        "--years", type=parse_years, default=defaults.years,
         metavar="SPEC",
-        help="output window, e.g. 2001-2003 or 2001,2002,2003 (default 2001-2003)",
+        help="output window, e.g. 2001-2003 or 2001,2002,2003 "
+             f"(default {_years_text(defaults.years)})",
     )
     parser.add_argument(
-        "--lag", type=int, default=1, metavar="N",
-        help="staff snapshot lag in years behind each output year (default 1)",
+        "--lag", type=int, default=defaults.lag, metavar="N",
+        help="staff snapshot lag in years behind each output year "
+             "(default %(default)s)",
     )
     parser.add_argument(
-        "--min-staff", type=float, default=4.0, metavar="X",
+        "--min-staff", type=float, default=defaults.min_staff, metavar="X",
         help="minimum mean research staff for a university to enter an area "
-             "model (default 4.0)",
+             "model (default %(default)s)",
     )
     parser.add_argument(
-        "--regime", choices=REGIMES, default="all",
+        "--regime", choices=REGIMES, default=defaults.regime,
         help="frontier returns-to-scale regime; 'all' adds the scale "
-             "decomposition (default all)",
+             "decomposition (default %(default)s)",
     )
     parser.add_argument(
         "--drop-input", action="append", default=[], metavar="LABEL",
@@ -93,8 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
              "ratio ranking",
     )
     parser.add_argument(
-        "--format", choices=FORMATS, default="csv", dest="report_format",
-        help="report format (default csv: one file per table)",
+        "--format", choices=FORMATS, default=defaults.report_format,
+        dest="report_format",
+        help="report format (default %(default)s: one file per table)",
     )
     parser.add_argument(
         "--out", type=Path, default=Path("report"), metavar="DIR",
@@ -148,7 +168,6 @@ def main(argv=None) -> int:
             drop_inputs=tuple(args.drop_inputs),
             compare_partial=args.compare_partial,
             report_format=args.report_format,
-            out_dir=args.out,
         )
         corpus = ingest(config)
         overrides = None

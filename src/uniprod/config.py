@@ -7,13 +7,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bibliometrics import INPUT_LABELS, OUTPUT_LABELS
-from .dea import EFFICIENCY_EPS
+from .dea import CRS, EFFICIENCY_EPS, VRS
 from .errors import StructuralError
 
-REGIME_CRS = "crs"
-REGIME_VRS = "vrs"
 REGIME_ALL = "all"
-REGIMES = (REGIME_CRS, REGIME_VRS, REGIME_ALL)
+REGIMES = (CRS, VRS, REGIME_ALL)
 
 FORMAT_CSV = "csv"
 FORMAT_JSON = "json"
@@ -45,14 +43,12 @@ class RunConfig:
     years: tuple[int, ...] = (2001, 2002, 2003)
     lag: int = 1
     min_staff: float = 4.0
-    efficiency_eps: float = EFFICIENCY_EPS
     regime: str = REGIME_ALL
     input_labels: tuple[str, ...] = INPUT_LABELS
     output_labels: tuple[str, ...] = OUTPUT_LABELS
     drop_inputs: tuple[str, ...] = ()
     compare_partial: bool = False
     report_format: str = FORMAT_CSV
-    out_dir: Path | None = None
 
     def __post_init__(self):
         years = tuple(sorted(set(self.years)))
@@ -67,10 +63,6 @@ class RunConfig:
         if not (math.isfinite(self.min_staff) and self.min_staff >= 0):
             raise StructuralError(
                 f"min_staff must be finite and >= 0, got {self.min_staff}"
-            )
-        if not 0.0 <= self.efficiency_eps < 0.1:
-            raise StructuralError(
-                f"efficiency_eps must be in [0, 0.1), got {self.efficiency_eps}"
             )
         if self.regime not in REGIMES:
             raise StructuralError(
@@ -99,6 +91,8 @@ class RunConfig:
         object.__setattr__(self, "input_labels", inputs)
         object.__setattr__(self, "output_labels", outputs)
         drops = tuple(self.drop_inputs)
+        if len(set(drops)) != len(drops):
+            raise StructuralError(f"dropped inputs must not repeat, got {drops}")
         for lbl in drops:
             if lbl not in inputs:
                 raise StructuralError(
@@ -127,7 +121,7 @@ class RunConfig:
             "years": list(self.years),
             "lag": self.lag,
             "min_staff": self.min_staff,
-            "efficiency_eps": self.efficiency_eps,
+            "efficiency_eps": EFFICIENCY_EPS,
             "regime": self.regime,
             "input_labels": list(self.input_labels),
             "output_labels": list(self.output_labels),

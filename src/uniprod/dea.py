@@ -245,9 +245,9 @@ def _phis(problem: DeaProblem, regime: str, units=None) -> dict[int, float]:
     return memo
 
 
-def efficiency_score(phi: float, tol: float = RTS_TOL) -> float:
+def efficiency_score(phi: float) -> float:
     """Reciprocal-of-expansion score in (0, 1]."""
-    if phi < 1.0 - tol:
+    if phi < 1.0 - RTS_TOL:
         raise InvariantViolationError(
             f"expansion factor {phi} < 1; the DMU is feasible for its own "
             "constraints so this cannot happen"
@@ -255,10 +255,10 @@ def efficiency_score(phi: float, tol: float = RTS_TOL) -> float:
     return 1.0 / max(phi, 1.0)
 
 
-def _snap_phi(phi: float, snap_tol: float = PHI_SNAP_TOL) -> float:
+def _snap_phi(phi: float) -> float:
     """Collapse sub-tolerance wobble around 1 so that frontier units get
     exactly equal scores (rank ties at the frontier must be exact)."""
-    if abs(phi - 1.0) <= snap_tol:
+    if abs(phi - 1.0) <= PHI_SNAP_TOL:
         return 1.0
     return phi
 
@@ -272,9 +272,7 @@ def scores(problem: DeaProblem, regime: str) -> dict[str, float]:
     }
 
 
-def decompose(
-    problem: DeaProblem, rts_tol: float = RTS_TOL
-) -> list[EfficiencyResult]:
+def decompose(problem: DeaProblem) -> list[EfficiencyResult]:
     """Full three-model decomposition for every DMU in the problem.
 
     NIRS is solved only for scale-inefficient units.  Where the CRS and
@@ -304,7 +302,8 @@ def decompose(
         phi_v2 = max(_snap_phi(phi_v), 1.0)
         phi_n2 = max(_snap_phi(phi_n), phi_v2)
         phi_c2 = max(_snap_phi(phi_c), phi_n2)
-        if phi_v2 - phi_v > rts_tol or phi_n2 - phi_n > rts_tol or phi_c2 - phi_c > rts_tol:
+        if (phi_v2 - phi_v > RTS_TOL or phi_n2 - phi_n > RTS_TOL
+                or phi_c2 - phi_c > RTS_TOL):
             raise InvariantViolationError(
                 f"{dmu.dmu_id}: expansion factors out of order beyond tolerance "
                 f"(crs={phi_c}, nirs={phi_n}, vrs={phi_v})"
@@ -314,7 +313,7 @@ def decompose(
         te_nirs = efficiency_score(phi_n2)
         pte = efficiency_score(phi_v2)
         se = te / pte
-        rts = classify_rts(te, te_nirs, pte, tol=rts_tol)
+        rts = classify_rts(te, te_nirs, pte)
         results.append(
             EfficiencyResult(
                 dmu_id=dmu.dmu_id,
@@ -330,9 +329,7 @@ def decompose(
     return results
 
 
-def classify_rts(
-    te_crs: float, te_nirs: float, te_vrs: float, tol: float = RTS_TOL
-) -> str:
+def classify_rts(te_crs: float, te_nirs: float, te_vrs: float) -> str:
     """Returns-to-scale class from the three per-regime scores.
 
     Scale-efficient units are constant; otherwise the non-increasing-returns
@@ -340,17 +337,17 @@ def classify_rts(
     and with the variable-returns score in the decreasing region.
     """
     for name, s in (("crs", te_crs), ("nirs", te_nirs), ("vrs", te_vrs)):
-        if not 0.0 < s <= 1.0 + tol:
+        if not 0.0 < s <= 1.0 + RTS_TOL:
             raise InvariantViolationError(f"{name} score {s} outside (0, 1]")
-    if te_crs > te_nirs + tol or te_nirs > te_vrs + tol:
+    if te_crs > te_nirs + RTS_TOL or te_nirs > te_vrs + RTS_TOL:
         raise InvariantViolationError(
             f"score ordering violated: crs={te_crs}, nirs={te_nirs}, vrs={te_vrs}"
         )
-    if abs(te_crs - te_vrs) <= tol:
+    if abs(te_crs - te_vrs) <= RTS_TOL:
         return RTS_CONSTANT
-    if abs(te_nirs - te_crs) <= tol:
+    if abs(te_nirs - te_crs) <= RTS_TOL:
         return RTS_INCREASING
-    if abs(te_nirs - te_vrs) <= tol:
+    if abs(te_nirs - te_vrs) <= RTS_TOL:
         return RTS_DECREASING
     raise InvariantViolationError(
         "nirs score matches neither the crs nor the vrs score: "

@@ -35,6 +35,8 @@ UNBOUNDED = "unbounded"
 # Standard double-precision simplex practice.
 PIVOT_TOL = 1e-9
 FEASIBILITY_TOL = 1e-6
+#: safety limit on the pivots of one solve; reaching it means a solver bug
+MAX_ITERATIONS = 100_000
 
 
 def _float_array(values) -> np.ndarray:
@@ -99,10 +101,6 @@ class LinearProgram:
         object.__setattr__(self, "relations", tuple(rels))
         object.__setattr__(self, "b", b)
 
-    @property
-    def n_variables(self) -> int:
-        return self.objective.size
-
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -112,12 +110,7 @@ class LpSolution:
     iterations: int
 
 
-def solve_lp(
-    lp: LinearProgram,
-    pivot_tol: float = PIVOT_TOL,
-    tol: float = FEASIBILITY_TOL,
-    max_iterations: int = 100_000,
-) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve ``lp``, reporting optimal / infeasible / unbounded explicitly.
 
     Deterministic: Bland's rule picks the lowest-index entering column and
@@ -126,16 +119,14 @@ def solve_lp(
     c = lp.objective
     cmax = c if lp.sense == MAXIMIZE else -c
 
-    status, x, iters = _two_phase(
-        lp.A, lp.relations, lp.b, cmax, pivot_tol, tol, max_iterations,
-    )
+    status, x, iters = _two_phase(lp.A, lp.relations, lp.b, cmax)
     if status != OPTIMAL:
         return LpSolution(status, None, None, iters)
     x = np.maximum(x, 0.0)
     return LpSolution(OPTIMAL, float(c @ x), x, iters)
 
 
-def _two_phase(A, rels, b, cmax, pivot_tol, tol, max_iterations):
+def _two_phase(A, rels, b, cmax):
     m, n = A.shape
     A = A.copy()
     b = b.copy()
@@ -182,10 +173,10 @@ def _two_phase(A, rels, b, cmax, pivot_tol, tol, max_iterations):
             if basis[i] >= art0:
                 z -= T[i]
         z[art0:total] += 1.0
-        status, iters = _simplex(T, z, basis, pivot_tol, tol, max_iterations, iters)
+        status, iters = _simplex(T, z, basis, iters)
         if status != OPTIMAL:
             raise InvariantViolationError(f"phase-1 simplex ended with {status}")
-        if z[-1] < -tol:
+        if z[-1] < -FEASIBILITY_TOL:
             return INFEASIBLE, None, iters
         # Drive leftover artificials out of the basis; rows that cannot be
         # repaired are redundant and dropped.
@@ -194,7 +185,7 @@ def _two_phase(A, rels, b, cmax, pivot_tol, tol, max_iterations):
             if basis[i] >= art0:
                 piv = -1
                 for j in range(art0):
-                    if abs(T[i, j]) > pivot_tol:
+                    if abs(T[i, j]) > PIVOT_TOL:
                         piv = j
                         break
                 if piv < 0:
@@ -214,7 +205,7 @@ def _two_phase(A, rels, b, cmax, pivot_tol, tol, max_iterations):
         cb = cfull[basis[i]]
         if cb != 0.0:
             z += cb * T2[i]
-    status, iters = _simplex(T2, z, basis, pivot_tol, tol, max_iterations, iters)
+    status, iters = _simplex(T2, z, basis, iters)
     if status != OPTIMAL:
         return status, None, iters
 
@@ -223,10 +214,10 @@ def _two_phase(A, rels, b, cmax, pivot_tol, tol, max_iterations):
     return OPTIMAL, x[:n], iters
 
 
-def _simplex(T, z, basis, pivot_tol, tol, max_iterations, iters):
+def _simplex(T, z, basis, iters):
     n_cols = T.shape[1] - 1
     while True:
-        improvable = (z[:n_cols] < -tol).nonzero()[0]
+        improvable = (z[:n_cols] < -FEASIBILITY_TOL).nonzero()[0]
         if improvable.size == 0:
             return OPTIMAL, iters
         entering = int(improvable[0])  # Bland: lowest improvable index
@@ -238,10 +229,10 @@ def _simplex(T, z, basis, pivot_tol, tol, max_iterations, iters):
         leaving = -1
         best = np.inf
         for i, a in enumerate(column):
-            if a > pivot_tol:
+            if a > PIVOT_TOL:
                 ratio = rhs[i] / a
-                if ratio < best - pivot_tol or (
-                    ratio < best + pivot_tol
+                if ratio < best - PIVOT_TOL or (
+                    ratio < best + PIVOT_TOL
                     and (leaving < 0 or labels[i] < labels[leaving])
                 ):
                     best = ratio
@@ -250,7 +241,7 @@ def _simplex(T, z, basis, pivot_tol, tol, max_iterations, iters):
             return UNBOUNDED, iters
         _pivot(T, z, basis, leaving, entering)
         iters += 1
-        if iters > max_iterations:
+        if iters > MAX_ITERATIONS:
             raise InvariantViolationError("simplex iteration limit exceeded")
 
 

@@ -27,8 +27,8 @@ from .bibliometrics import (
     build_input_vector,
     compute_output_vector,
 )
-from .config import REGIME_ALL, REGIME_CRS, REGIME_VRS, RunConfig
-from .dea import CRS, VRS, decompose, scores
+from .config import REGIME_ALL, RunConfig
+from .dea import CRS, EFFICIENCY_EPS, VRS, decompose, scores
 from .disambiguation import disambiguate_corpus
 from .errors import (
     AreaNotAnalyzableError,
@@ -143,12 +143,14 @@ def _mean(values) -> float | None:
     return sum(values) / len(values) if values else None
 
 
-def _efficiency_row(area_id, n_units, te, pte, se, rts, eps) -> dict:
+def _efficiency_row(area_id, n_units, te, pte, se, rts) -> dict:
     """Area summary; the columns of a model that did not run stay None."""
     def efficient(scores_by_unit):
         if not scores_by_unit:
             return None
-        return sum(1 for v in scores_by_unit.values() if v >= 1.0 - eps)
+        return sum(
+            1 for v in scores_by_unit.values() if v >= 1.0 - EFFICIENCY_EPS
+        )
 
     row: dict = {
         "area_id": area_id,
@@ -177,8 +179,8 @@ def _frontier_scores(problem, config: RunConfig):
             {r.dmu_id: r.se for r in results},
             {r.dmu_id: r.rts for r in results},
         )
-    te = scores(problem, CRS) if config.regime == REGIME_CRS else {}
-    pte = scores(problem, VRS) if config.regime == REGIME_VRS else {}
+    te = scores(problem, CRS) if config.regime == CRS else {}
+    pte = scores(problem, VRS) if config.regime == VRS else {}
     return te, pte, {}, {}
 
 
@@ -223,14 +225,13 @@ def _analyze_area(area_id: str, corpus: Corpus, matched: MatchedCorpus,
                         "detail": str(exc)}
         return area
 
-    eps = config.efficiency_eps
     unit_ids = [d.dmu_id for d in problem.dmus]
     area.descriptive = [
         {"area_id": area_id, **row}
         for row in descriptive_stats(problem, config)
     ]
     area.efficiency = _efficiency_row(area_id, len(unit_ids), te, pte, se,
-                                      rts, eps)
+                                      rts)
     area_ranks = rank(pte if pte else te)
     area.score_rows = [
         {
@@ -248,7 +249,7 @@ def _analyze_area(area_id: str, corpus: Corpus, matched: MatchedCorpus,
     if not pte:
         return area
 
-    summary = tertile_summary(pte, eps=eps)
+    summary = tertile_summary(pte)
     area.tertile = {
         "area_id": area_id,
         "efficient": summary.efficient_count,
@@ -270,7 +271,7 @@ def _analyze_area(area_id: str, corpus: Corpus, matched: MatchedCorpus,
         area.partial = {"area_id": area_id, "n_universities": len(unit_ids),
                         **_comparison_row(cmp)}
     for label in config.drop_inputs:
-        cmp = sensitivity_drop_input(problem, label, eps=eps).comparison
+        cmp = sensitivity_drop_input(problem, label).comparison
         area.sensitivity.append({
             "area_id": area_id,
             "dropped_input": label,
@@ -283,14 +284,14 @@ def _analyze_area(area_id: str, corpus: Corpus, matched: MatchedCorpus,
 
 def _require_snapshot_years(staff, config: RunConfig) -> None:
     """Every staff snapshot year of the output window must lie inside the
-    registry's covered span; otherwise the run is misconfigured."""
+    (non-empty) registry's covered span; otherwise the run is
+    misconfigured."""
+    first, last = staff.coverage()
     snapshot_years = [y - config.lag for y in config.years]
-    missing = [s for s in snapshot_years if not staff.covers(s)]
+    missing = [s for s in snapshot_years if not first <= s <= last]
     if missing:
-        span = staff.coverage()
-        covered = f"{span[0]}..{span[1]}" if span else "nothing"
         raise MissingDataError(
-            f"staff registry covers {covered}; no snapshot for year(s) "
+            f"staff registry covers {first}..{last}; no snapshot for year(s) "
             + ", ".join(str(s) for s in sorted(set(missing)))
         )
 

@@ -159,10 +159,6 @@ class StaffRegistry:
             max(m.year_to for m in self._members),
         )
 
-    def covers(self, year: int) -> bool:
-        span = self.coverage()
-        return span is not None and span[0] <= year <= span[1]
-
 
 class JournalTable:
     """Per-journal, per-year impact weights.

@@ -120,9 +120,6 @@ class TestRank:
         values = {"a": 3.0, "b": 3.0, "c": 2.0, "d": 1.0, "e": 1.0, "f": 0.5}
         assert rank(values) == {"a": 1, "b": 1, "c": 3, "d": 4, "e": 4, "f": 6}
 
-    def test_ascending_direction(self):
-        assert rank({"a": 10.0, "b": 5.0}, descending=False) == {"a": 2, "b": 1}
-
     def test_non_finite_rejected(self):
         with pytest.raises(StructuralError):
             rank({"a": float("nan")})
@@ -162,7 +159,7 @@ class TestTertileSummary:
         assert summary.tertile_means[2] is None
 
     def test_epsilon_boundary_counts_as_efficient(self):
-        summary = tertile_summary({"a": 1.0 - 1e-6, "b": 0.5}, eps=1e-6)
+        summary = tertile_summary({"a": 1.0 - 1e-6, "b": 0.5})
         assert summary.efficient_count == 1
 
 

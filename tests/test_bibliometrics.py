@@ -10,9 +10,6 @@ from uniprod.bibliometrics import (
     assemble_problem,
     build_input_vector,
     compute_output_vector,
-    compute_pc,
-    compute_pu,
-    compute_ss,
 )
 from uniprod.config import RunConfig
 from uniprod.disambiguation import (
@@ -76,6 +73,11 @@ def corpus_of(pub_specs, assigns):
     return MatchedCorpus(pub_specs, assigns, REGISTRY)
 
 
+def outputs(corpus, area_id, university_id, years, warnings=None):
+    return compute_output_vector(corpus, JOURNALS, area_id, university_id,
+                                 years, warnings)
+
+
 class TestComputePu:
     def test_many_matched_authors_count_once(self):
         c = corpus_of(
@@ -83,19 +85,19 @@ class TestComputePu:
             [matched("P1", 1, "S1"), matched("P1", 2, "S2"),
              matched("P1", 3, "S3")],
         )
-        assert compute_pu(c, "A1", "U1", [2002]) == 1
+        assert outputs(c, "A1", "U1", [2002]).pu == 1
 
     def test_multi_area_publication_counts_in_each_cell(self):
         c = corpus_of(
             [pub("P1", n_authors=2)],
             [matched("P1", 1, "S1"), matched("P1", 2, "S4")],
         )
-        assert compute_pu(c, "A1", "U1", [2002]) == 1
-        assert compute_pu(c, "A2", "U1", [2002]) == 1
+        assert outputs(c, "A1", "U1", [2002]).pu == 1
+        assert outputs(c, "A2", "U1", [2002]).pu == 1
 
     def test_empty_cell(self):
         c = corpus_of([pub("P1")], [matched("P1", 1, "S1")])
-        assert compute_pu(c, "A1", "U2", [2002]) == 0
+        assert outputs(c, "A1", "U2", [2002]).pu == 0
 
     def test_year_filter_and_doc_type(self):
         c = corpus_of(
@@ -104,8 +106,8 @@ class TestComputePu:
             [matched("P1", 1, "S1"), matched("P2", 1, "S1"),
              matched("P3", 1, "S1")],
         )
-        assert compute_pu(c, "A1", "U1", [2002]) == 1
-        assert compute_pu(c, "A1", "U1", [2001, 2002]) == 2
+        assert outputs(c, "A1", "U1", [2002]).pu == 1
+        assert outputs(c, "A1", "U1", [2001, 2002]).pu == 2
 
 
 class TestComputePc:
@@ -114,32 +116,32 @@ class TestComputePc:
             [pub("P1", n_authors=4)],
             [matched("P1", 1, "S1"), matched("P1", 2, "S2")],
         )
-        assert compute_pc(c, "A1", "U1", [2002]) == pytest.approx(0.5, abs=0)
+        assert outputs(c, "A1", "U1", [2002]).pc == pytest.approx(0.5, abs=0)
 
     def test_single_author_full_credit(self):
         c = corpus_of([pub("P1", n_authors=1)], [matched("P1", 1, "S1")])
-        assert compute_pc(c, "A1", "U1", [2002]) == 1.0
+        assert outputs(c, "A1", "U1", [2002]).pc == 1.0
 
     def test_sum_of_fractions(self):
         c = corpus_of(
             [pub("P1", n_authors=2), pub("P2", n_authors=3)],
             [matched("P1", 1, "S1"), matched("P2", 1, "S2")],
         )
-        assert compute_pc(c, "A1", "U1", [2002]) == pytest.approx(5.0 / 6.0,
-                                                                  abs=1e-15)
+        assert outputs(c, "A1", "U1", [2002]).pc == pytest.approx(5.0 / 6.0,
+                                                                abs=1e-15)
 
 
 class TestComputeSs:
     def test_single_weight(self):
         c = corpus_of([pub("P1", year=2001)], [matched("P1", 1, "S1")])
-        assert compute_ss(c, JOURNALS, "A1", "U1", [2001]) == 3.0
+        assert outputs(c, "A1", "U1", [2001]).ss == 3.0
 
     def test_weight_sum(self):
         c = corpus_of(
             [pub("P1", journal_id="J2"), pub("P2", journal_id="J3")],
             [matched("P1", 1, "S1"), matched("P2", 1, "S1")],
         )
-        assert compute_ss(c, JOURNALS, "A1", "U1", [2002]) == 2.0
+        assert outputs(c, "A1", "U1", [2002]).ss == 2.0
 
     def test_missing_weight_contributes_zero_with_warning(self):
         c = corpus_of(
@@ -147,7 +149,7 @@ class TestComputeSs:
             [matched("P1", 1, "S1"), matched("P2", 1, "S1")],
         )
         warnings: list[str] = []
-        got = compute_ss(c, JOURNALS, "A1", "U1", [2002], warnings)
+        got = outputs(c, "A1", "U1", [2002], warnings).ss
         assert got == 1.5
         assert len(warnings) == 1
         assert "JX" in warnings[0] and "P2" in warnings[0]
@@ -202,9 +204,9 @@ class TestCorpusInvariants:
         years = [2001, 2002, 2003]
         for area in ("A1", "A2"):
             for uni in ("U1", "U2", "U3"):
-                pu = compute_pu(corpus, area, uni, years)
-                pc = compute_pc(corpus, area, uni, years)
-                ss = compute_ss(corpus, journals, area, uni, years)
+                vector = compute_output_vector(corpus, journals, area, uni,
+                                               years)
+                pu, pc, ss = vector.pu, vector.pc, vector.ss
                 assert 0.0 <= pc <= pu
                 opu, opc, oss = cell_outputs_bruteforce(
                     pubs, result.assignments, registry, journals,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from uniprod.cli import build_parser, main, parse_years
+from uniprod.config import RunConfig
 from uniprod.report import read_table
 
 from .fixtures import write_demo_dataset, write_override_file
@@ -25,7 +26,8 @@ class TestParseYears:
     def test_single(self):
         assert parse_years("2002") == (2002,)
 
-    @pytest.mark.parametrize("bad", ["2003-2001", "x", "2001-2002-2003", ""])
+    @pytest.mark.parametrize("bad", ["2003-2001", "x", "2001-2002-2003", "",
+                                     "2001-10000", "999-2001", "2001,10000"])
     def test_rejects(self, bad):
         import argparse
 
@@ -55,10 +57,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "staff.csv" in err
 
-    def test_usage_error_exits_one(self, data_dir):
+    def test_usage_error_exits_one(self, data_dir, capsys):
         with pytest.raises(SystemExit) as exc:
             main([str(data_dir), "--years", "2003-2001"])
         assert exc.value.code == 1
+        assert "year range '2003-2001' is reversed" in capsys.readouterr().err
+
+    def test_year_outside_four_digits_is_usage_error(self, data_dir, capsys):
+        # An unbounded range would be built in memory and checked year by
+        # year; the bound rejects it before either happens.
+        with pytest.raises(SystemExit) as exc:
+            main([str(data_dir), "--years", "2001-10000"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: uniprod")
+        assert "year 10000 in '2001-10000' is outside 1000-9999" in err
 
     def test_unknown_flag_exits_one(self, data_dir):
         with pytest.raises(SystemExit) as exc:
@@ -79,6 +92,13 @@ class TestExitCodes:
                      "--out", str(tmp_path / "r")])
         assert code == 1
         assert "XX" in capsys.readouterr().err
+
+    def test_repeated_drop_label_is_fatal(self, data_dir, tmp_path, capsys):
+        code = main([str(data_dir), "--drop-input", "PR", "--drop-input", "PR",
+                     "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "must not repeat" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
 
 class TestFlags:
@@ -190,6 +210,17 @@ class TestFlags:
 
 
 class TestParserHelp:
+    def test_defaults_are_the_run_config_defaults(self):
+        args = build_parser().parse_args(["data"])
+        defaults = RunConfig()
+        assert args.years == defaults.years
+        assert args.lag == defaults.lag
+        assert args.min_staff == defaults.min_staff
+        assert args.regime == defaults.regime
+        assert args.report_format == defaults.report_format
+        assert tuple(args.drop_inputs) == defaults.drop_inputs
+        assert args.compare_partial == defaults.compare_partial
+
     def test_help_mentions_all_flags(self, capsys):
         parser = build_parser()
         text = parser.format_help()

@@ -69,9 +69,9 @@ class TestValidation:
         with pytest.raises(StructuralError):
             RunConfig(input_labels=("FP",), drop_inputs=("FP",))
 
-    def test_eps_range(self):
-        with pytest.raises(StructuralError):
-            RunConfig(efficiency_eps=0.5)
+    def test_repeated_drop_label(self):
+        with pytest.raises(StructuralError, match="must not repeat"):
+            RunConfig(drop_inputs=("PR", "AP", "PR"))
 
 
 class TestDerivation:

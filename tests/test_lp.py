@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from uniprod import lp as lp_module
 from uniprod.errors import InvariantViolationError, StructuralError
-from uniprod.lp import LinearProgram, LpSolution, _pivot, solve_lp
+from uniprod.lp import (
+    FEASIBILITY_TOL,
+    MAX_ITERATIONS,
+    PIVOT_TOL,
+    LinearProgram,
+    LpSolution,
+    _pivot,
+    solve_lp,
+)
 
 from .oracles import lp_vertex_oracle, random_small_lp
 
@@ -95,11 +103,11 @@ class TestPivot:
             assert np.array_equal(a, b)
 
 
-def _simplex_reference(T, z, basis, pivot_tol, tol, max_iterations, iters):
+def _simplex_reference(T, z, basis, iters):
     """Element-indexed reference for ``_simplex``'s Bland steps."""
     n_cols = T.shape[1] - 1
     while True:
-        improvable = np.flatnonzero(z[:n_cols] < -tol)
+        improvable = np.flatnonzero(z[:n_cols] < -FEASIBILITY_TOL)
         if improvable.size == 0:
             return "optimal", iters
         entering = int(improvable[0])
@@ -107,10 +115,10 @@ def _simplex_reference(T, z, basis, pivot_tol, tol, max_iterations, iters):
         best = np.inf
         for i in range(T.shape[0]):
             a = T[i, entering]
-            if a > pivot_tol:
+            if a > PIVOT_TOL:
                 ratio = T[i, -1] / a
-                if ratio < best - pivot_tol or (
-                    ratio < best + pivot_tol
+                if ratio < best - PIVOT_TOL or (
+                    ratio < best + PIVOT_TOL
                     and (leaving < 0 or basis[i] < basis[leaving])
                 ):
                     best = ratio
@@ -119,7 +127,7 @@ def _simplex_reference(T, z, basis, pivot_tol, tol, max_iterations, iters):
             return "unbounded", iters
         _pivot_by_rows(T, z, basis, leaving, entering)
         iters += 1
-        if iters > max_iterations:
+        if iters > MAX_ITERATIONS:
             raise InvariantViolationError("simplex iteration limit exceeded")
 
 

@@ -9,6 +9,7 @@ from uniprod.disambiguation import disambiguate_corpus
 from uniprod.errors import MissingDataError
 from uniprod.ingest import ingest
 from uniprod.pipeline import FAILURE_NOT_ANALYZABLE, descriptive_stats, run_pipeline
+from uniprod.records import StaffRegistry
 
 from .fixtures import (
     EXPECTED_DISAMB,
@@ -273,6 +274,18 @@ class TestFailureHandling:
     def test_uncovered_snapshot_year_is_fatal(self, corpus):
         with pytest.raises(MissingDataError):
             run_pipeline(corpus, RunConfig(years=(1990,)))
+
+    def test_staff_coverage_read_once(self, corpus, config, monkeypatch):
+        calls = []
+        coverage = StaffRegistry.coverage
+
+        def counting(registry):
+            calls.append(registry)
+            return coverage(registry)
+
+        monkeypatch.setattr(StaffRegistry, "coverage", counting)
+        run_pipeline(corpus, config)
+        assert len(calls) == 1
 
     def test_empty_report_when_every_area_fails(self, corpus, config):
         from dataclasses import replace
