@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
+from uniprod.cli import parse_years
+from uniprod.config import RunConfig
 from uniprod.synthetic import write_synthetic_dataset
 
 
@@ -23,24 +25,23 @@ def main(argv=None) -> int:
                         help="number of disciplinary areas (default 9)")
     parser.add_argument("--universities", type=int, default=60,
                         help="number of universities (default 60)")
-    parser.add_argument("--years", default="2001-2003",
-                        help="output year range, e.g. 2001-2003")
+    parser.add_argument("--years", type=parse_years,
+                        default=RunConfig().years,
+                        help="output years, e.g. 2001-2003 or 2001,2003")
     parser.add_argument("--pubs-per-staff-year", type=float, default=0.6,
                         help="mean publication intensity (default 0.6)")
     args = parser.parse_args(argv)
 
-    lo, _, hi = args.years.partition("-")
-    years = tuple(range(int(lo), int(hi or lo) + 1))
-
     root = write_synthetic_dataset(
         args.out_dir, seed=args.seed, n_areas=args.areas,
-        n_universities=args.universities, years=years,
+        n_universities=args.universities, years=args.years,
         pubs_per_staff_year=args.pubs_per_staff_year,
     )
     for name in ("staff", "publications", "journals", "funding",
                  "affiliations"):
         path = root / f"{name}.csv"
-        rows = sum(1 for _ in open(path, encoding="utf-8")) - 1
+        with open(path, encoding="utf-8") as handle:
+            rows = sum(1 for _ in handle) - 1
         print(f"{path}: {rows} rows")
     return 0
 

@@ -16,6 +16,7 @@ import time
 from pathlib import Path
 
 from uniprod.cli import main as uniprod_main
+from uniprod.config import REGIMES, RunConfig
 from uniprod.report import read_table
 from uniprod.synthetic import write_synthetic_dataset
 
@@ -27,8 +28,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--areas", type=int, default=9)
     parser.add_argument("--universities", type=int, default=60)
-    parser.add_argument("--regime", choices=("crs", "vrs", "all"),
-                        default="all")
+    parser.add_argument("--regime", choices=REGIMES,
+                        default=RunConfig().regime)
     parser.add_argument("--drop-input", action="append", default=[],
                         metavar="LABEL",
                         help="forwarded to the pipeline (repeatable)")

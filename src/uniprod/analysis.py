@@ -12,7 +12,7 @@ import statistics
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
-from .dea import EFFICIENCY_EPS, VRS, DeaProblem, scores
+from .dea import VRS, DeaProblem, is_efficient, scores
 from .errors import InvariantViolationError, StructuralError
 
 
@@ -185,11 +185,8 @@ def tertile_summary(scores_by_unit: Mapping[str, float]) -> TertileSummary:
     three inefficient units the trailing groups are empty and their
     means are reported as None.
     """
-    efficient = [
-        u for u, s in scores_by_unit.items() if s >= 1.0 - EFFICIENCY_EPS
-    ]
     inefficient = sorted(
-        (s for u, s in scores_by_unit.items() if s < 1.0 - EFFICIENCY_EPS),
+        (s for s in scores_by_unit.values() if not is_efficient(s)),
         reverse=True,
     )
     n = len(inefficient)
@@ -202,7 +199,7 @@ def tertile_summary(scores_by_unit: Mapping[str, float]) -> TertileSummary:
         start += size
         means.append(sum(group) / size if size else None)
     return TertileSummary(
-        efficient_count=len(efficient),
+        efficient_count=len(scores_by_unit) - n,
         inefficient_count=n,
         tertile_sizes=sizes,
         tertile_means=(means[0], means[1], means[2]),
@@ -258,7 +255,7 @@ def sensitivity_drop_input(problem: DeaProblem, label: str) -> SensitivityResult
     lost = sum(
         1
         for unit, s in before.items()
-        if s >= 1.0 - EFFICIENCY_EPS and after[unit] < 1.0 - EFFICIENCY_EPS
+        if is_efficient(s) and not is_efficient(after[unit])
     )
     comparison = replace(comparison, no_longer_efficient=lost)
     return SensitivityResult(

@@ -49,14 +49,9 @@ class InputVector:
     def staff_total(self) -> float:
         return self.fp + self.ap + self.rf
 
-    def component(self, label: str) -> float:
-        try:
-            return {"FP": self.fp, "AP": self.ap, "RF": self.rf, "PR": self.pr}[label]
-        except KeyError:
-            raise StructuralError(f"unknown input label {label!r}") from None
-
-    def as_tuple(self, labels: Sequence[str] = INPUT_LABELS) -> tuple[float, ...]:
-        return tuple(self.component(lbl) for lbl in labels)
+    def as_tuple(self) -> tuple[float, ...]:
+        """The inputs in ``INPUT_LABELS`` order."""
+        return (self.fp, self.ap, self.rf, self.pr)
 
 
 @dataclass(frozen=True)
@@ -65,14 +60,9 @@ class OutputVector:
     pc: float
     ss: float
 
-    def component(self, label: str) -> float:
-        try:
-            return {"PU": self.pu, "PC": self.pc, "SS": self.ss}[label]
-        except KeyError:
-            raise StructuralError(f"unknown output label {label!r}") from None
-
-    def as_tuple(self, labels: Sequence[str] = OUTPUT_LABELS) -> tuple[float, ...]:
-        return tuple(self.component(lbl) for lbl in labels)
+    def as_tuple(self) -> tuple[float, ...]:
+        """The outputs in ``OUTPUT_LABELS`` order."""
+        return (self.pu, self.pc, self.ss)
 
 
 @dataclass(frozen=True)
@@ -193,7 +183,7 @@ def build_input_vector(
     area_id: str,
     university_id: str,
     output_years: Sequence[int],
-    lag: int = 1,
+    lag: int,
 ) -> InputVector:
     """Mean staff headcounts and funding over the lagged window.
 
@@ -229,9 +219,7 @@ def assemble_problem(
     inputs: Mapping[str, InputVector],
     outputs: Mapping[str, OutputVector],
     area_id: str,
-    min_staff: float = 4.0,
-    input_labels: Sequence[str] = INPUT_LABELS,
-    output_labels: Sequence[str] = OUTPUT_LABELS,
+    min_staff: float,
 ) -> tuple[DeaProblem, tuple[Exclusion, ...]]:
     """Build the area's frontier problem, applying the exclusion rules.
 
@@ -248,10 +236,6 @@ def assemble_problem(
         )
     if min_staff < 0:
         raise StructuralError(f"min_staff must be >= 0, got {min_staff}")
-    input_labels = tuple(input_labels)
-    output_labels = tuple(output_labels)
-    if not input_labels or not output_labels:
-        raise StructuralError("at least one input and one output required")
 
     exclusions: list[Exclusion] = []
     dmus: list[DmuRecord] = []
@@ -275,7 +259,7 @@ def assemble_problem(
                 )
             )
             continue
-        out_values = vec_out.as_tuple(output_labels)
+        out_values = vec_out.as_tuple()
         if all(v == 0.0 for v in out_values):
             exclusions.append(
                 Exclusion(
@@ -287,7 +271,7 @@ def assemble_problem(
             )
             continue
         dmus.append(
-            DmuRecord(university_id, vec_in.as_tuple(input_labels), out_values)
+            DmuRecord(university_id, vec_in.as_tuple(), out_values)
         )
 
     if len(dmus) < 2:
@@ -297,5 +281,5 @@ def assemble_problem(
             "at least 2 are required for a comparative frontier",
             tuple(exclusions),
         )
-    problem = DeaProblem(tuple(dmus), input_labels, output_labels)
+    problem = DeaProblem(tuple(dmus), INPUT_LABELS, OUTPUT_LABELS)
     return problem, tuple(exclusions)

@@ -44,8 +44,6 @@ class RunConfig:
     lag: int = 1
     min_staff: float = 4.0
     regime: str = REGIME_ALL
-    input_labels: tuple[str, ...] = INPUT_LABELS
-    output_labels: tuple[str, ...] = OUTPUT_LABELS
     drop_inputs: tuple[str, ...] = ()
     compare_partial: bool = False
     report_format: str = FORMAT_CSV
@@ -72,36 +70,14 @@ class RunConfig:
             raise StructuralError(
                 f"report format must be one of {FORMATS}, got {self.report_format!r}"
             )
-        inputs = tuple(self.input_labels)
-        outputs = tuple(self.output_labels)
-        if not inputs or not outputs:
-            raise StructuralError("at least one input and one output required")
-        for lbl in inputs:
-            if lbl not in INPUT_LABELS:
-                raise StructuralError(
-                    f"unknown input label {lbl!r}; known: {INPUT_LABELS}"
-                )
-        for lbl in outputs:
-            if lbl not in OUTPUT_LABELS:
-                raise StructuralError(
-                    f"unknown output label {lbl!r}; known: {OUTPUT_LABELS}"
-                )
-        if len(set(inputs)) != len(inputs) or len(set(outputs)) != len(outputs):
-            raise StructuralError("input/output labels must not repeat")
-        object.__setattr__(self, "input_labels", inputs)
-        object.__setattr__(self, "output_labels", outputs)
         drops = tuple(self.drop_inputs)
         if len(set(drops)) != len(drops):
             raise StructuralError(f"dropped inputs must not repeat, got {drops}")
         for lbl in drops:
-            if lbl not in inputs:
+            if lbl not in INPUT_LABELS:
                 raise StructuralError(
-                    f"cannot drop input {lbl!r}: not among selected inputs {inputs}"
+                    f"cannot drop input {lbl!r}: not among inputs {INPUT_LABELS}"
                 )
-        if drops and len(inputs) < 2:
-            raise StructuralError(
-                "sensitivity drops need at least two selected inputs"
-            )
         object.__setattr__(self, "drop_inputs", drops)
 
     @staticmethod
@@ -123,8 +99,8 @@ class RunConfig:
             "min_staff": self.min_staff,
             "efficiency_eps": EFFICIENCY_EPS,
             "regime": self.regime,
-            "input_labels": list(self.input_labels),
-            "output_labels": list(self.output_labels),
+            "input_labels": list(INPUT_LABELS),
+            "output_labels": list(OUTPUT_LABELS),
             "drop_inputs": list(self.drop_inputs),
             "compare_partial": self.compare_partial,
             "report_format": self.report_format,

@@ -255,6 +255,11 @@ def efficiency_score(phi: float) -> float:
     return 1.0 / max(phi, 1.0)
 
 
+def is_efficient(score: float) -> bool:
+    """Whether a score places its DMU on the frontier."""
+    return score >= 1.0 - EFFICIENCY_EPS
+
+
 def _snap_phi(phi: float) -> float:
     """Collapse sub-tolerance wobble around 1 so that frontier units get
     exactly equal scores (rank ties at the frontier must be exact)."""

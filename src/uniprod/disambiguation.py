@@ -241,31 +241,6 @@ def match_author(token: AuthorToken, staff_in_scope) -> MatchOutcome:
     return MatchOutcome.unmatched()
 
 
-def _validate_override(
-    pub: Publication,
-    position: int,
-    staff_id: str | None,
-    staff: StaffRegistry,
-    canonical: tuple[str, ...],
-) -> MatchOutcome:
-    if staff_id is None:
-        return MatchOutcome.unmatched()
-    member = staff.member(staff_id)
-    if member.university_id not in canonical:
-        raise StructuralError(
-            f"override for publication {pub.pub_id!r} position {position} "
-            f"assigns staff {staff_id!r} at university "
-            f"{member.university_id!r}, which the publication's "
-            "affiliations do not name"
-        )
-    if not member.active_in(pub.year):
-        raise StructuralError(
-            f"override for publication {pub.pub_id!r} position {position} "
-            f"assigns staff {staff_id!r}, inactive in {pub.year}"
-        )
-    return MatchOutcome.matched(staff_id)
-
-
 def disambiguate_corpus(
     publications: Iterable[Publication],
     staff: StaffRegistry,
@@ -279,8 +254,7 @@ def disambiguate_corpus(
     review; one with no staff evidence at all is discarded; the rest are
     resolved.  Overrides (from a review file that ``load_overrides`` has
     checked against the corpus) replace rule matching for the named
-    positions; each must still name a staff member of one of the
-    publication's universities, active in its year.
+    positions.
     """
     publications = tuple(publications)
     overrides = dict(overrides or {})
@@ -319,9 +293,9 @@ def disambiguate_corpus(
         for position, token in enumerate(pub.authors, start=1):
             key = (pub.pub_id, position)
             if key in overrides:
-                outcome = _validate_override(
-                    pub, position, overrides[key], staff, canonical
-                )
+                staff_id = overrides[key]
+                outcome = (MatchOutcome.unmatched() if staff_id is None
+                           else MatchOutcome.matched(staff_id))
             else:
                 scope = index.candidates(token, canonical, pub.year)
                 outcome = match_author(token, scope)

@@ -368,23 +368,41 @@ def load_overrides(
     Columns: pub_id, author_position (1-based), staff_id.  A blank
     staff_id records the decision that the author is not on staff.
     Every publication, author position and staff id must exist in the
-    corpus.
+    corpus, and a named staff member must work at a university the
+    publication's affiliations name and be active in its year.
     """
-    author_counts = {p.pub_id: p.author_count for p in corpus.publications}
+    pubs = {p.pub_id: p for p in corpus.publications}
 
     def override(row: dict) -> tuple[tuple[str, int], str | None]:
         pub_id = _text(row, "pub_id")
         position = _integer(row, "author_position")
-        if pub_id not in author_counts:
+        pub = pubs.get(pub_id)
+        if pub is None:
             raise StructuralError(f"unknown publication {pub_id!r}")
-        if not 1 <= position <= author_counts[pub_id]:
+        if not 1 <= position <= pub.author_count:
             raise StructuralError(
                 f"publication {pub_id!r} has no author position {position} "
-                f"(it lists {author_counts[pub_id]} author(s))"
+                f"(it lists {pub.author_count} author(s))"
             )
         staff_id = row["staff_id"].strip() or None
-        if staff_id is not None and staff_id not in corpus.staff:
+        if staff_id is None:
+            return (pub_id, position), None
+        if staff_id not in corpus.staff:
             raise StructuralError(f"unknown staff id {staff_id!r}")
+        member = corpus.staff.member(staff_id)
+        named = {corpus.affiliations.lookup(raw)
+                 for raw in pub.raw_affiliations}
+        if member.university_id not in named:
+            raise StructuralError(
+                f"staff {staff_id!r} works at university "
+                f"{member.university_id!r}, which the affiliations of "
+                f"publication {pub_id!r} do not name"
+            )
+        if not member.active_in(pub.year):
+            raise StructuralError(
+                f"staff {staff_id!r} is inactive in {pub.year}, the year "
+                f"of publication {pub_id!r}"
+            )
         return (pub_id, position), staff_id
 
     path = Path(path)

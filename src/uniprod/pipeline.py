@@ -28,7 +28,7 @@ from .bibliometrics import (
     compute_output_vector,
 )
 from .config import REGIME_ALL, RunConfig
-from .dea import CRS, EFFICIENCY_EPS, VRS, decompose, scores
+from .dea import CRS, VRS, decompose, is_efficient, scores
 from .disambiguation import disambiguate_corpus
 from .errors import (
     AreaNotAnalyzableError,
@@ -77,16 +77,17 @@ def _population_std(values) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in values) / n)
 
 
-def descriptive_stats(problem, config: RunConfig) -> list[dict]:
+def descriptive_stats(problem) -> list[dict]:
     """Per-variable summary over the area's modeled universities."""
     rows = []
-    labels = list(config.input_labels) + list(config.output_labels)
-    for idx, label in enumerate(labels):
-        is_input = idx < len(config.input_labels)
-        if is_input:
-            col = [d.inputs[idx] for d in problem.dmus]
-        else:
-            col = [d.outputs[idx - len(config.input_labels)] for d in problem.dmus]
+    columns = [
+        (label, [d.inputs[idx] for d in problem.dmus])
+        for idx, label in enumerate(problem.input_labels)
+    ] + [
+        (label, [d.outputs[idx] for d in problem.dmus])
+        for idx, label in enumerate(problem.output_labels)
+    ]
+    for label, col in columns:
         rows.append({
             "variable": label,
             "n": len(col),
@@ -148,9 +149,7 @@ def _efficiency_row(area_id, n_units, te, pte, se, rts) -> dict:
     def efficient(scores_by_unit):
         if not scores_by_unit:
             return None
-        return sum(
-            1 for v in scores_by_unit.values() if v >= 1.0 - EFFICIENCY_EPS
-        )
+        return sum(1 for v in scores_by_unit.values() if is_efficient(v))
 
     row: dict = {
         "area_id": area_id,
@@ -200,12 +199,8 @@ def _analyze_area(area_id: str, corpus: Corpus, matched: MatchedCorpus,
             config.years, warnings,
         )
     try:
-        problem, excluded = assemble_problem(
-            inputs, outputs, area_id,
-            min_staff=config.min_staff,
-            input_labels=config.input_labels,
-            output_labels=config.output_labels,
-        )
+        problem, excluded = assemble_problem(inputs, outputs, area_id,
+                                             config.min_staff)
     except AreaNotAnalyzableError as exc:
         return _AreaRows(
             [_exclusion_row(e) for e in exc.exclusions],
@@ -228,7 +223,7 @@ def _analyze_area(area_id: str, corpus: Corpus, matched: MatchedCorpus,
     unit_ids = [d.dmu_id for d in problem.dmus]
     area.descriptive = [
         {"area_id": area_id, **row}
-        for row in descriptive_stats(problem, config)
+        for row in descriptive_stats(problem)
     ]
     area.efficiency = _efficiency_row(area_id, len(unit_ids), te, pte, se,
                                       rts)

@@ -331,22 +331,13 @@ class TestAssembleProblem:
             [10.0, 10.0, 10.0],
             outputs={"U2": OutputVector(0.0, 0.0, 0.0)},
         )
-        problem, exclusions = assemble_problem(inputs, outputs, "A1")
+        problem, exclusions = assemble_problem(inputs, outputs, "A1",
+                                               min_staff=4.0)
         assert [d.dmu_id for d in problem.dmus] == ["U1", "U3"]
         assert exclusions[0].reason == EXCLUDED_ZERO_OUTPUTS
-
-    def test_label_subsetting(self):
-        inputs, outputs = self.vectors([10.0, 8.0])
-        problem, _ = assemble_problem(
-            inputs, outputs, "A1",
-            input_labels=("FP", "PR"), output_labels=("PU",),
-        )
-        assert problem.input_labels == ("FP", "PR")
-        assert problem.dmus[0].inputs == (10.0, 10.0)
-        assert problem.dmus[0].outputs == (5.0,)
 
     def test_mismatched_universes(self):
         inputs, outputs = self.vectors([10.0, 8.0])
         del outputs["U2"]
         with pytest.raises(StructuralError):
-            assemble_problem(inputs, outputs, "A1")
+            assemble_problem(inputs, outputs, "A1", min_staff=4.0)

@@ -17,7 +17,7 @@ from uniprod.disambiguation import (
     surname_variants,
 )
 from uniprod.config import RunConfig
-from uniprod.errors import IngestError, StructuralError
+from uniprod.errors import IngestError
 from uniprod.ingest import ingest
 from uniprod.records import AuthorToken, Publication, StaffMember, StaffRegistry
 from uniprod.synthetic import write_synthetic_dataset
@@ -277,21 +277,6 @@ class TestDisambiguateCorpus:
         )
         assert res.assignments[0].outcome.kind == UNMATCHED
         assert res.stats.discarded == 1
-
-    def test_override_validation(self):
-        # Unknown publications, positions and staff ids are rejected by
-        # load_overrides; the university and activity rules stay here.
-        pubs = [pub("P1", [("ROSSI", "M")], ("UNIV TESTONE",))]
-        with pytest.raises(StructuralError):
-            # S6 works at U2, which this publication does not name
-            disambiguate_corpus(pubs, REGISTRY, DICT,
-                                overrides={("P1", 1): "S6"})
-        retired = StaffRegistry(
-            [staff("S1", "Rossi", "Mario", "U1", year_from=1995, year_to=2000)]
-        )
-        with pytest.raises(StructuralError, match="inactive in 2002"):
-            disambiguate_corpus(pubs, retired, DICT,
-                                overrides={("P1", 1): "S1"})
 
     def test_deterministic(self):
         pubs = [

@@ -277,3 +277,27 @@ class TestOverrideFile:
             "fixes.csv:4: publication 'P029' has no author position 3 "
             "(it lists 2 author(s))",
         ]
+
+    def test_override_validation(self, tmp_path, demo_root):
+        # S001 works at U1, but P029 names only "Univ. of Beta" (U2);
+        # S099 left in 1999, before P030 (2000, Univ. of Alpha).
+        staff_path = demo_root / "staff.csv"
+        staff_path.write_text(
+            staff_path.read_text() + "S099,Rossi9,Mario,FP,U1,A01,1990,1999\n",
+            encoding="utf-8",
+        )
+        corpus = ingest(_config(demo_root))
+        path = tmp_path / "fixes.csv"
+        path.write_text(
+            "pub_id,author_position,staff_id\n"
+            "P029,1,S001\nP029,2,S006\nP030,1,S099\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(IngestError) as exc:
+            load_overrides(path, corpus)
+        assert exc.value.diagnostics == [
+            "fixes.csv:2: staff 'S001' works at university 'U1', which the "
+            "affiliations of publication 'P029' do not name",
+            "fixes.csv:4: staff 'S099' is inactive in 2000, the year of "
+            "publication 'P030'",
+        ]

@@ -2,7 +2,13 @@
 
 import pytest
 
-from uniprod.bibliometrics import MatchedCorpus, build_input_vector, compute_output_vector
+from uniprod.bibliometrics import (
+    INPUT_LABELS,
+    OUTPUT_LABELS,
+    MatchedCorpus,
+    build_input_vector,
+    compute_output_vector,
+)
 from uniprod.config import RunConfig
 from uniprod.dea import DeaProblem, DmuRecord, decompose
 from uniprod.disambiguation import disambiguate_corpus
@@ -50,7 +56,7 @@ class TestVectors:
         for (area, uni), expected in EXPECTED_INPUTS.items():
             vec = build_input_vector(corpus.staff, corpus.funding, area, uni,
                                      config.years, config.lag)
-            assert vec.as_tuple(config.input_labels) == pytest.approx(
+            assert vec.as_tuple() == pytest.approx(
                 expected, abs=1e-12), (area, uni)
             assert vec.staff_total == EXPECTED_STAFF_TOTALS[(area, uni)]
 
@@ -69,12 +75,12 @@ class TestVectors:
             warnings: list[str] = []
             vec = compute_output_vector(matched, corpus.journals, area, uni,
                                         config.years, warnings)
-            assert vec.as_tuple(config.output_labels) == pytest.approx(
+            assert vec.as_tuple() == pytest.approx(
                 expected, abs=1e-12), (area, uni)
             oracle = cell_outputs_bruteforce(
                 corpus.publications, disamb.assignments, corpus.staff,
                 corpus.journals, area, uni, config.years)
-            assert vec.as_tuple(("PU", "PC", "SS")) == pytest.approx(
+            assert vec.as_tuple() == pytest.approx(
                 oracle, abs=1e-12)
 
     def test_override_gives_full_credit(self, corpus, config):
@@ -106,7 +112,7 @@ class TestReportTables:
             assert row["theta"] == 1.0
             assert row["area_rank"] == 1
 
-    def test_scores_agree_with_direct_solver(self, report, config):
+    def test_scores_agree_with_direct_solver(self, report):
         """The report wiring must reproduce a by-hand solve of the same
         vectors."""
         for area in report.areas_analyzed:
@@ -115,8 +121,7 @@ class TestReportTables:
                           EXPECTED_OUTPUTS[(a, uni)])
                 for (a, uni) in sorted(EXPECTED_INPUTS) if a == area
             )
-            problem = DeaProblem(dmus, config.input_labels,
-                                 config.output_labels)
+            problem = DeaProblem(dmus, INPUT_LABELS, OUTPUT_LABELS)
             direct = {r.dmu_id: r for r in decompose(problem)}
             for row in report.score_rows:
                 if row["area_id"] != area:
@@ -169,7 +174,7 @@ class TestReportTables:
             for key, value in expected.items():
                 assert rows[area][key] == pytest.approx(value), (area, key)
 
-    def test_sensitivity_after_scores_match_hand_values(self, corpus, config):
+    def test_sensitivity_after_scores_match_hand_values(self):
         """Check the recomputed frontier itself, not only the summary."""
         from uniprod.analysis import sensitivity_drop_input
 
@@ -179,8 +184,7 @@ class TestReportTables:
                           EXPECTED_OUTPUTS[(a, uni)])
                 for (a, uni) in sorted(EXPECTED_INPUTS) if a == area
             )
-            problem = DeaProblem(dmus, config.input_labels,
-                                 config.output_labels)
+            problem = DeaProblem(dmus, INPUT_LABELS, OUTPUT_LABELS)
             result = sensitivity_drop_input(problem, "PR")
             for uni, score in result.scores_after.items():
                 assert score == pytest.approx(
@@ -207,14 +211,13 @@ class TestReportTables:
         assert any("J3" in w for w in report.warning_rows)
         assert list(report.warning_rows) == sorted(set(report.warning_rows))
 
-    def test_descriptive_stats_population_sigma(self, config):
+    def test_descriptive_stats_population_sigma(self):
         problem = DeaProblem(
             (DmuRecord("A", (1.0,), (1.0,)),
              DmuRecord("B", (2.0,), (2.0,)),
              DmuRecord("C", (3.0,), (3.0,))),
             ("FP",), ("PU",))
-        cfg = RunConfig(input_labels=("FP",), output_labels=("PU",))
-        rows = descriptive_stats(problem, cfg)
+        rows = descriptive_stats(problem)
         assert rows[0]["std_dev"] == pytest.approx(0.816496580927726)
 
 
