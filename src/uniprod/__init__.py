@@ -59,7 +59,6 @@ from .disambiguation import (
 )
 from .errors import (
     AreaNotAnalyzableError,
-    CorruptRecordError,
     DegenerateDmuError,
     IngestError,
     InvariantViolationError,
@@ -91,7 +90,6 @@ __all__ = [
     "AuthorToken",
     "CRS",
     "Corpus",
-    "CorruptRecordError",
     "DeaProblem",
     "DegenerateDmuError",
     "DisambiguationResult",

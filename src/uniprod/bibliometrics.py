@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .dea import DeaProblem, DmuRecord
-from .disambiguation import MATCHED, Assignment
-from .errors import (
-    AreaNotAnalyzableError,
-    CorruptRecordError,
-    StructuralError,
-    UnknownIdError,
-)
+from .errors import AreaNotAnalyzableError, StructuralError
 from .records import (
     RANK_ASSOCIATE,
     RANK_FELLOW,
@@ -77,55 +71,28 @@ class Exclusion:
 
 
 class MatchedCorpus:
-    """Publications joined with their author assignments.
+    """Publications indexed by the matched-author counts of their cells.
 
-    Per publication, pre-aggregates the matched-author count b for every
-    (area, university) cell.  Only article and review records ever
-    contribute to outputs; other document types are carried but inert.
+    ``matched_cells`` is ``DisambiguationResult.matched_cells``: per
+    publication, the matched-author count b of every (area, university)
+    cell.  Only article and review records ever contribute to outputs;
+    other document types are carried but inert.
     """
 
     def __init__(
         self,
         publications: Iterable[Publication],
-        assignments: Iterable[Assignment],
-        staff: StaffRegistry,
+        matched_cells: Mapping[str, Mapping[tuple[str, str], int]],
     ):
-        pubs = {p.pub_id: p for p in publications}
-
-        matched_per_pub: dict[str, dict[tuple[str, str], int]] = {}
-        for a in assignments:
-            if a.outcome.kind != MATCHED:
-                continue
-            pub = pubs.get(a.pub_id)
-            if pub is None:
-                raise UnknownIdError(
-                    f"assignment references unknown publication {a.pub_id!r}"
-                )
-            if pub.author_count == 0:
-                raise CorruptRecordError(
-                    f"publication {a.pub_id!r} has matched authors but a "
-                    "zero author count"
-                )
-            member = staff.member(a.outcome.staff_id)
-            cell = (member.area_id, member.university_id)
-            bucket = matched_per_pub.setdefault(a.pub_id, {})
-            bucket[cell] = bucket.get(cell, 0) + 1
-
         # cell -> year -> list of (pub_id, journal_id, b, c)
         contribs: dict[tuple[str, str], dict[int, list]] = {}
-        for pub_id, cells in matched_per_pub.items():
-            pub = pubs[pub_id]
-            total_matched = sum(cells.values())
-            if total_matched > pub.author_count:
-                raise CorruptRecordError(
-                    f"publication {pub_id!r} has {total_matched} matched "
-                    f"authors but only {pub.author_count} listed"
-                )
-            if not pub.counts_as_output:
+        for pub in publications:
+            cells = matched_cells.get(pub.pub_id)
+            if not cells or not pub.counts_as_output:
                 continue
             for cell, b in cells.items():
                 contribs.setdefault(cell, {}).setdefault(pub.year, []).append(
-                    (pub_id, pub.journal_id, b, pub.author_count)
+                    (pub.pub_id, pub.journal_id, b, pub.author_count)
                 )
         self._contribs = contribs
 
@@ -160,10 +127,6 @@ def compute_output_vector(
     pc = 0.0
     ss = 0.0
     for pub_id, journal_id, year, b, c in rows:
-        if c <= 0:
-            raise CorruptRecordError(
-                f"publication {pub_id!r} has author count {c}"
-            )
         pc += b / c
         weight = journals.weight_for(journal_id, year)
         if weight is None:

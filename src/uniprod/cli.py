@@ -104,12 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--drop-input", action="append", default=[], metavar="LABEL",
         dest="drop_inputs",
         help="re-run each area without this input and report ranking shifts "
-             "(repeatable)",
+             "(repeatable; needs --regime vrs or all)",
     )
     parser.add_argument(
         "--compare-partial", action="store_true",
         help="compare frontier ranks against the publications-per-staff "
-             "ratio ranking",
+             "ratio ranking (needs --regime vrs or all)",
     )
     parser.add_argument(
         "--format", choices=FORMATS, default=defaults.report_format,

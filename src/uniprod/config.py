@@ -79,6 +79,11 @@ class RunConfig:
                     f"cannot drop input {lbl!r}: not among inputs {INPUT_LABELS}"
                 )
         object.__setattr__(self, "drop_inputs", drops)
+        if self.regime == CRS and (drops or self.compare_partial):
+            raise StructuralError(
+                "--drop-input and --compare-partial need the variable-"
+                "returns scores; use --regime vrs or all"
+            )
 
     @staticmethod
     def for_data_dir(data_dir: Path, **kwargs) -> "RunConfig":

@@ -177,11 +177,16 @@ class DisambiguationStats:
 
 @dataclass(frozen=True)
 class DisambiguationResult:
+    """Every assignment and category, plus ``matched_cells``: per
+    publication with at least one matched author, the matched-author
+    count b of each (area, university) cell, in author-position order."""
+
     assignments: tuple[Assignment, ...]
     stats: DisambiguationStats
     manual_review: tuple[ManualReviewRow, ...]
     categories: Mapping[str, str]
     errors: tuple[str, ...]
+    matched_cells: Mapping[str, Mapping[tuple[str, str], int]]
 
 
 class _SurnameIndex:
@@ -254,7 +259,8 @@ def disambiguate_corpus(
     review; one with no staff evidence at all is discarded; the rest are
     resolved.  Overrides (from a review file that ``load_overrides`` has
     checked against the corpus) replace rule matching for the named
-    positions.
+    positions.  Each matched author, override or not, counts toward the
+    (area, university) cell of its staff member.
     """
     publications = tuple(publications)
     overrides = dict(overrides or {})
@@ -264,6 +270,7 @@ def disambiguate_corpus(
     manual_rows: list[ManualReviewRow] = []
     categories: dict[str, str] = {}
     errors: list[str] = []
+    matched_cells: dict[str, dict[tuple[str, str], int]] = {}
     counts = {
         CATEGORY_RESOLVED: 0,
         CATEGORY_MANUAL: 0,
@@ -288,7 +295,7 @@ def disambiguate_corpus(
                 }
             )
         )
-        matched_any = False
+        cells: dict[tuple[str, str], int] = {}
         ambiguous_any = False
         for position, token in enumerate(pub.authors, start=1):
             key = (pub.pub_id, position)
@@ -301,7 +308,9 @@ def disambiguate_corpus(
                 outcome = match_author(token, scope)
             assignments.append(Assignment(pub.pub_id, position, outcome))
             if outcome.kind == MATCHED:
-                matched_any = True
+                member = staff.member(outcome.staff_id)
+                cell = (member.area_id, member.university_id)
+                cells[cell] = cells.get(cell, 0) + 1
             elif outcome.kind == AMBIGUOUS:
                 ambiguous_any = True
                 manual_rows.append(
@@ -309,9 +318,11 @@ def disambiguate_corpus(
                         pub.pub_id, position, str(token), outcome.candidates
                     )
                 )
+        if cells:
+            matched_cells[pub.pub_id] = cells
         if ambiguous_any:
             category = CATEGORY_MANUAL
-        elif matched_any:
+        elif cells:
             category = CATEGORY_RESOLVED
         else:
             category = CATEGORY_DISCARDED
@@ -331,4 +342,5 @@ def disambiguate_corpus(
         manual_review=tuple(manual_rows),
         categories=categories,
         errors=tuple(errors),
+        matched_cells=matched_cells,
     )

@@ -19,10 +19,6 @@ class MissingDataError(UniprodError):
     """A required year or snapshot is absent from the ingested data."""
 
 
-class CorruptRecordError(UniprodError):
-    """A single record violates its own invariants (e.g. zero authors)."""
-
-
 class DegenerateDmuError(UniprodError):
     """A DMU cannot be evaluated (all-zero output vector)."""
 

@@ -340,8 +340,7 @@ def run_pipeline(
         corpus.publications, corpus.staff, corpus.affiliations, overrides
     )
     warnings.extend(f"disambiguation: {msg}" for msg in disamb.errors)
-    matched = MatchedCorpus(corpus.publications, disamb.assignments,
-                            corpus.staff)
+    matched = MatchedCorpus(corpus.publications, disamb.matched_cells)
 
     areas = {
         area_id: _analyze_area(area_id, corpus, matched, config, warnings)

@@ -283,9 +283,7 @@ def test_c06_output_construction_matches_bruteforce(gate, tmp_path):
         resolved = disambiguate_corpus(
             corpus.publications, corpus.staff, corpus.affiliations
         )
-        matched = MatchedCorpus(
-            corpus.publications, resolved.assignments, corpus.staff
-        )
+        matched = MatchedCorpus(corpus.publications, resolved.matched_cells)
         for area_id in corpus.staff.area_ids():
             for university_id in corpus.staff.universities_in_area(area_id):
                 cells += 1

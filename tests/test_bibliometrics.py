@@ -1,5 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uniprod.bibliometrics import (
     EXCLUDED_BELOW_STAFF_THRESHOLD,
@@ -13,6 +17,7 @@ from uniprod.bibliometrics import (
 )
 from uniprod.config import RunConfig
 from uniprod.disambiguation import (
+    MATCHED,
     AffiliationDictionary,
     Assignment,
     MatchOutcome,
@@ -70,7 +75,15 @@ def matched(pub_id, position, staff_id):
 
 
 def corpus_of(pub_specs, assigns):
-    return MatchedCorpus(pub_specs, assigns, REGISTRY)
+    """Fold hand-written assignments into per-publication cell counts,
+    the way ``disambiguate_corpus`` records them."""
+    cells = {}
+    for a in assigns:
+        member = REGISTRY.member(a.outcome.staff_id)
+        bucket = cells.setdefault(a.pub_id, {})
+        key = (member.area_id, member.university_id)
+        bucket[key] = bucket.get(key, 0) + 1
+    return MatchedCorpus(pub_specs, cells)
 
 
 def outputs(corpus, area_id, university_id, years, warnings=None):
@@ -155,52 +168,61 @@ class TestComputeSs:
         assert "JX" in warnings[0] and "P2" in warnings[0]
 
 
+def random_corpus(rng):
+    """A small corpus over three universities and two areas: staff with
+    clashing surnames and initials, and publications whose authors are
+    mostly staff, the rest strangers.  Returns (registry, dictionary,
+    journals, publications)."""
+    surnames = ["Rossi", "Bianchi", "Verdi", "Neri", "Russo", "Gallo"]
+    firsts = ["Mario", "Marta", "Anna", "Paolo", "Elena", "Luca"]
+    pool = []
+    sid = 0
+    for uni in ("U1", "U2", "U3"):
+        for area in ("A1", "A2"):
+            for _ in range(int(rng.integers(1, 4))):
+                sid += 1
+                pool.append(staff(
+                    f"S{sid}",
+                    surnames[rng.integers(len(surnames))],
+                    firsts[rng.integers(len(firsts))],
+                    "FP", uni, area,
+                ))
+    registry = StaffRegistry(pool)
+    pattern_of = {"U1": "UNIV ONE", "U2": "UNIV TWO", "U3": "UNIV THREE"}
+    dictionary = AffiliationDictionary(
+        [(p, u) for u, p in pattern_of.items()]
+    )
+    journals = JournalTable(
+        [(f"J{j}", y, float(j)) for j in (1, 2) for y in (2001, 2002, 2003)]
+    )
+    pubs = []
+    for i in range(30):
+        n_auth = int(rng.integers(1, 5))
+        authors, affs = [], set()
+        for _ in range(n_auth):
+            if rng.random() < 0.7:
+                m = pool[rng.integers(len(pool))]
+                authors.append(AuthorToken(m.surname.upper(), m.initials))
+                affs.add(pattern_of[m.university_id])
+            else:
+                authors.append(AuthorToken("SMITH", ("J",)))
+        pubs.append(Publication(
+            f"P{i:03d}",
+            int(rng.integers(2001, 2004)),
+            "article" if rng.random() < 0.8 else "other",
+            f"J{int(rng.integers(1, 4))}",
+            tuple(authors),
+            tuple(sorted(affs)) or ("ELSEWHERE INSTITUTE",),
+        ))
+    return registry, dictionary, journals, pubs
+
+
 class TestCorpusInvariants:
     def test_pc_bounded_by_pu_and_matches_bruteforce(self):
-        rng = np.random.default_rng(31)
-        surnames = ["Rossi", "Bianchi", "Verdi", "Neri", "Russo", "Gallo"]
-        firsts = ["Mario", "Marta", "Anna", "Paolo", "Elena", "Luca"]
-        pool = []
-        sid = 0
-        for uni in ("U1", "U2", "U3"):
-            for area in ("A1", "A2"):
-                for _ in range(int(rng.integers(1, 4))):
-                    sid += 1
-                    pool.append(staff(
-                        f"S{sid}",
-                        surnames[rng.integers(len(surnames))],
-                        firsts[rng.integers(len(firsts))],
-                        "FP", uni, area,
-                    ))
-        registry = StaffRegistry(pool)
-        pattern_of = {"U1": "UNIV ONE", "U2": "UNIV TWO", "U3": "UNIV THREE"}
-        dictionary = AffiliationDictionary(
-            [(p, u) for u, p in pattern_of.items()]
-        )
-        journals = JournalTable(
-            [(f"J{j}", y, float(j)) for j in (1, 2) for y in (2001, 2002, 2003)]
-        )
-        pubs = []
-        for i in range(30):
-            n_auth = int(rng.integers(1, 5))
-            authors, affs = [], set()
-            for _ in range(n_auth):
-                if rng.random() < 0.7:
-                    m = pool[rng.integers(len(pool))]
-                    authors.append(AuthorToken(m.surname.upper(), m.initials))
-                    affs.add(pattern_of[m.university_id])
-                else:
-                    authors.append(AuthorToken("SMITH", ("J",)))
-            pubs.append(Publication(
-                f"P{i:03d}",
-                int(rng.integers(2001, 2004)),
-                "article" if rng.random() < 0.8 else "other",
-                f"J{int(rng.integers(1, 4))}",
-                tuple(authors),
-                tuple(sorted(affs)) or ("ELSEWHERE INSTITUTE",),
-            ))
+        registry, dictionary, journals, pubs = random_corpus(
+            np.random.default_rng(31))
         result = disambiguate_corpus(pubs, registry, dictionary)
-        corpus = MatchedCorpus(pubs, result.assignments, registry)
+        corpus = MatchedCorpus(pubs, result.matched_cells)
         years = [2001, 2002, 2003]
         for area in ("A1", "A2"):
             for uni in ("U1", "U2", "U3"):
@@ -215,6 +237,38 @@ class TestCorpusInvariants:
                 assert pu == opu
                 assert pc == opc
                 assert ss == pytest.approx(oss, abs=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matched_cells_count_each_publications_matched_authors(self,
+                                                                   seed):
+        rng = np.random.default_rng(seed)
+        registry, dictionary, _, pubs = random_corpus(rng)
+        staff_ids = [m.staff_id for m in registry]
+        overrides = {}
+        for p in pubs:
+            if rng.random() < 0.2:
+                position = int(rng.integers(1, p.author_count + 1))
+                overrides[(p.pub_id, position)] = (
+                    None if rng.random() < 0.3
+                    else staff_ids[rng.integers(len(staff_ids))]
+                )
+        result = disambiguate_corpus(pubs, registry, dictionary, overrides)
+        matched_staff = {}
+        for a in result.assignments:
+            if a.outcome.kind == MATCHED:
+                matched_staff.setdefault(a.pub_id, []).append(
+                    registry.member(a.outcome.staff_id))
+        for p in pubs:
+            members = matched_staff.get(p.pub_id)
+            if not members:
+                assert p.pub_id not in result.matched_cells
+                continue
+            cells = result.matched_cells[p.pub_id]
+            assert cells == Counter((m.area_id, m.university_id)
+                                    for m in members)
+            assert sum(cells.values()) <= p.author_count
+        assert set(result.matched_cells) <= {p.pub_id for p in pubs}
 
     def test_additive_over_year_partition(self):
         c = corpus_of(

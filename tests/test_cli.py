@@ -100,6 +100,14 @@ class TestExitCodes:
         assert "must not repeat" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_crs_with_vrs_analytics_is_fatal(self, data_dir, tmp_path,
+                                             capsys):
+        code = main([str(data_dir), "--regime", "crs", "--compare-partial",
+                     "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "--regime vrs or all" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
 
 class TestFlags:
     def test_years_flag_reaches_config(self, data_dir, tmp_path, capsys):

@@ -57,6 +57,14 @@ class TestValidation:
         with pytest.raises(StructuralError, match="must not repeat"):
             RunConfig(drop_inputs=("PR", "AP", "PR"))
 
+    @pytest.mark.parametrize("flags", [
+        {"drop_inputs": ("PR",)},
+        {"compare_partial": True},
+    ])
+    def test_crs_rejects_vrs_analytics(self, flags):
+        with pytest.raises(StructuralError, match="--regime vrs or all"):
+            RunConfig(regime="crs", **flags)
+
 
 class TestDerivation:
     def test_for_data_dir_fills_conventional_names(self, tmp_path):

@@ -12,7 +12,7 @@ from uniprod.bibliometrics import (
 from uniprod.config import RunConfig
 from uniprod.dea import DeaProblem, DmuRecord, decompose
 from uniprod.disambiguation import disambiguate_corpus
-from uniprod.errors import MissingDataError
+from uniprod.errors import MissingDataError, StructuralError
 from uniprod.ingest import ingest
 from uniprod.pipeline import FAILURE_NOT_ANALYZABLE, descriptive_stats, run_pipeline
 from uniprod.records import StaffRegistry
@@ -69,8 +69,7 @@ class TestVectors:
     def test_output_vectors_match_hand_values(self, corpus, config):
         disamb = disambiguate_corpus(corpus.publications, corpus.staff,
                                      corpus.affiliations)
-        matched = MatchedCorpus(corpus.publications, disamb.assignments,
-                                corpus.staff)
+        matched = MatchedCorpus(corpus.publications, disamb.matched_cells)
         for (area, uni), expected in EXPECTED_OUTPUTS.items():
             warnings: list[str] = []
             vec = compute_output_vector(matched, corpus.journals, area, uni,
@@ -87,8 +86,7 @@ class TestVectors:
         disamb = disambiguate_corpus(corpus.publications, corpus.staff,
                                      corpus.affiliations,
                                      {("P029", 1): "S027"})
-        matched = MatchedCorpus(corpus.publications, disamb.assignments,
-                                corpus.staff)
+        matched = MatchedCorpus(corpus.publications, disamb.matched_cells)
         vec = compute_output_vector(matched, corpus.journals, "A01", "U2",
                                     config.years, [])
         assert vec.pc == pytest.approx(EXPECTED_PC_A01_U2_WITH_OVERRIDE)
@@ -247,12 +245,10 @@ class TestOverridesAndRegimes:
         assert report.global_rows != ()
 
     def test_crs_regime_skips_vrs_analytics_even_with_flags(self, corpus):
-        report = run_pipeline(
-            corpus,
-            RunConfig(regime="crs", compare_partial=True, drop_inputs=("PR",)),
-        )
-        assert report.partial_rows == ()
-        assert report.sensitivity_rows == ()
+        # Both analytics need PTE, which the CRS regime never computes;
+        # the configuration is refused instead of writing empty tables.
+        with pytest.raises(StructuralError, match="--regime vrs or all"):
+            RunConfig(regime="crs", compare_partial=True, drop_inputs=("PR",))
 
 
 class TestFailureHandling:
