@@ -13,7 +13,7 @@ from pathlib import Path
 
 from uniprod.cli import parse_years
 from uniprod.config import RunConfig
-from uniprod.synthetic import write_synthetic_dataset
+from uniprod.synthetic import MAX_UNIVERSITIES, write_synthetic_dataset
 
 
 def main(argv=None) -> int:
@@ -24,13 +24,19 @@ def main(argv=None) -> int:
     parser.add_argument("--areas", type=int, default=9,
                         help="number of disciplinary areas (default 9)")
     parser.add_argument("--universities", type=int, default=60,
-                        help="number of universities (default 60)")
+                        help=f"number of universities, at most "
+                             f"{MAX_UNIVERSITIES} (default 60)")
     parser.add_argument("--years", type=parse_years,
                         default=RunConfig().years,
                         help="output years, e.g. 2001-2003 or 2001,2003")
     parser.add_argument("--pubs-per-staff-year", type=float, default=0.6,
                         help="mean publication intensity (default 0.6)")
     args = parser.parse_args(argv)
+    if not 1 <= args.universities <= MAX_UNIVERSITIES:
+        parser.error(f"--universities must be in 1-{MAX_UNIVERSITIES}, "
+                     f"got {args.universities}")
+    if args.areas < 1:
+        parser.error(f"--areas must be at least 1, got {args.areas}")
 
     root = write_synthetic_dataset(
         args.out_dir, seed=args.seed, n_areas=args.areas,

@@ -18,7 +18,7 @@ from pathlib import Path
 from uniprod.cli import main as uniprod_main
 from uniprod.config import REGIMES, RunConfig
 from uniprod.report import read_table
-from uniprod.synthetic import write_synthetic_dataset
+from uniprod.synthetic import MAX_UNIVERSITIES, write_synthetic_dataset
 
 
 def main(argv=None) -> int:
@@ -35,6 +35,11 @@ def main(argv=None) -> int:
                         help="forwarded to the pipeline (repeatable)")
     parser.add_argument("--compare-partial", action="store_true")
     args = parser.parse_args(argv)
+    if not 1 <= args.universities <= MAX_UNIVERSITIES:
+        parser.error(f"--universities must be in 1-{MAX_UNIVERSITIES}, "
+                     f"got {args.universities}")
+    if args.areas < 1:
+        parser.error(f"--areas must be at least 1, got {args.areas}")
 
     data_dir = write_synthetic_dataset(
         args.workdir / "data", seed=args.seed, n_areas=args.areas,

@@ -158,9 +158,7 @@ def _summarize(report: AnalysisReport, written, stream) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = RunConfig.for_data_dir(
-            args.data_dir,
-            manual_overrides_path=args.manual_overrides,
+        config = RunConfig(
             years=args.years,
             lag=args.lag,
             min_staff=args.min_staff,
@@ -169,11 +167,10 @@ def main(argv=None) -> int:
             compare_partial=args.compare_partial,
             report_format=args.report_format,
         )
-        corpus = ingest(config)
+        corpus = ingest(args.data_dir)
         overrides = None
-        if config.manual_overrides_path is not None:
-            overrides = load_overrides(config.manual_overrides_path,
-                                       corpus)
+        if args.manual_overrides is not None:
+            overrides = load_overrides(args.manual_overrides, corpus)
         report = run_pipeline(corpus, config, overrides)
         written = write_report(report, args.out, config.report_format)
     except (UniprodError, OSError) as exc:

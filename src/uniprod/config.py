@@ -1,10 +1,9 @@
-"""Run configuration for the end-to-end pipeline."""
+"""The study parameters of a run, and their checks."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .bibliometrics import INPUT_LABELS, OUTPUT_LABELS
 from .dea import CRS, EFFICIENCY_EPS, VRS
@@ -17,29 +16,11 @@ FORMAT_CSV = "csv"
 FORMAT_JSON = "json"
 FORMATS = (FORMAT_CSV, FORMAT_JSON)
 
-DATA_FILE_NAMES = {
-    "staff": "staff.csv",
-    "publications": "publications.csv",
-    "journals": "journals.csv",
-    "funding": "funding.csv",
-    "affiliations": "affiliations.csv",
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything the pipeline needs to know besides the data itself.
+    """Everything the pipeline needs to know besides the data itself."""
 
-    Paths may stay None when the corpus is built in memory; the CLI
-    always fills them in.
-    """
-
-    staff_path: Path | None = None
-    publications_path: Path | None = None
-    journals_path: Path | None = None
-    funding_path: Path | None = None
-    affiliations_path: Path | None = None
-    manual_overrides_path: Path | None = None
     years: tuple[int, ...] = (2001, 2002, 2003)
     lag: int = 1
     min_staff: float = 4.0
@@ -84,17 +65,6 @@ class RunConfig:
                 "--drop-input and --compare-partial need the variable-"
                 "returns scores; use --regime vrs or all"
             )
-
-    @staticmethod
-    def for_data_dir(data_dir: Path, **kwargs) -> "RunConfig":
-        """Config with the conventional five file names under one directory."""
-        data_dir = Path(data_dir)
-        paths = {
-            f"{key}_path": data_dir / name
-            for key, name in DATA_FILE_NAMES.items()
-        }
-        paths.update(kwargs)
-        return RunConfig(**paths)
 
     def snapshot(self) -> dict:
         """JSON-friendly view of the configuration for report headers."""

@@ -39,12 +39,10 @@ class InvariantViolationError(UniprodError, RuntimeError):
 class IngestError(UniprodError):
     """Fatal input-file problem, carrying per-line diagnostics."""
 
-    def __init__(self, message: str, diagnostics=()):
+    def __init__(self, message: str, diagnostics):
         super().__init__(message)
         self.diagnostics = list(diagnostics)
 
     def __str__(self) -> str:  # diagnostics inline so CLI users see them
-        base = super().__str__()
-        if self.diagnostics:
-            return base + "\n" + "\n".join("  " + d for d in self.diagnostics)
-        return base
+        return "\n".join([super().__str__(),
+                          *("  " + d for d in self.diagnostics)])

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .config import RunConfig
 from .disambiguation import AffiliationDictionary, normalize_text
 from .errors import IngestError, StructuralError
 from .records import (
@@ -420,32 +419,28 @@ def load_overrides(
     return overrides
 
 
-def ingest(config: RunConfig) -> Corpus:
-    """Load and validate the five input files named by the config.
+def ingest(data_dir: Path) -> Corpus:
+    """Load and validate staff.csv, publications.csv, journals.csv,
+    funding.csv and affiliations.csv under ``data_dir``.
 
     Raises IngestError with the full list of line diagnostics when any
     file has structural problems; survivable referential gaps are
     returned as warnings on the corpus.
     """
-    for attr in ("staff_path", "publications_path", "journals_path",
-                 "funding_path", "affiliations_path"):
-        if getattr(config, attr) is None:
-            raise IngestError(f"config is missing {attr}")
+    root = Path(data_dir)
     diagnostics: list[str] = []
     warnings: list[str] = []
 
-    staff = _load_staff(Path(config.staff_path), diagnostics)
-    publications = _load_publications(Path(config.publications_path),
-                                      diagnostics)
-    journals = _load_journals(Path(config.journals_path), diagnostics)
+    staff = _load_staff(root / "staff.csv", diagnostics)
+    publications = _load_publications(root / "publications.csv", diagnostics)
+    journals = _load_journals(root / "journals.csv", diagnostics)
     funding = _load_funding(
-        Path(config.funding_path),
+        root / "funding.csv",
         frozenset(staff.university_ids()),
         diagnostics,
         warnings,
     )
-    affiliations = _load_affiliations(Path(config.affiliations_path),
-                                      diagnostics)
+    affiliations = _load_affiliations(root / "affiliations.csv", diagnostics)
 
     if diagnostics:
         raise IngestError(

@@ -71,6 +71,8 @@ _CITIES = [
     "Trento", "Treviso", "Trieste", "Udine", "Varese", "Venezia",
     "Verbania", "Vercelli", "Verona", "Vicenza", "Viterbo",
 ]
+#: Each university is named after a different city.
+MAX_UNIVERSITIES = len(_CITIES)
 
 _PATTERN_TEMPLATES = [
     "University of {city}",
@@ -125,13 +127,12 @@ def write_synthetic_dataset(
     n_areas: int = 9,
     n_universities: int = 60,
     years: tuple[int, ...] = (2001, 2002, 2003),
-    lag: int = 1,
     pubs_per_staff_year: float = 0.6,
 ) -> Path:
     """Write the five CSVs under ``out_dir`` and return ``out_dir``."""
-    if n_universities > len(_CITIES):
+    if n_universities > MAX_UNIVERSITIES:
         raise ValueError(
-            f"at most {len(_CITIES)} universities supported, "
+            f"at most {MAX_UNIVERSITIES} universities supported, "
             f"got {n_universities}"
         )
     rng = random.Random(seed)
@@ -219,9 +220,9 @@ def write_synthetic_dataset(
             weight = min(20.0, max(0.05, rng.lognormvariate(0.0, 0.7)))
             journal_rows.append((journal, year, round(weight, 3)))
 
-    # Funding: rows inside the lagged window plus decoys outside it.
+    # Funding: rows inside the one-year-lagged window plus decoys outside it.
     funding_rows = []
-    funding_years = sorted({y - lag for y in years} | {max(years)})
+    funding_years = sorted({y - 1 for y in years} | {max(years)})
     for uni, area in active_cells:
         for year in funding_years:
             if rng.random() < 0.55:

@@ -278,8 +278,8 @@ def test_c06_output_construction_matches_bruteforce(gate, tmp_path):
         data_dir = write_synthetic_dataset(
             tmp_path / f"corpus-{seed}", seed=seed, n_areas=2, n_universities=8
         )
-        config = RunConfig.for_data_dir(data_dir)
-        corpus = ingest(config)
+        config = RunConfig()
+        corpus = ingest(data_dir)
         resolved = disambiguate_corpus(
             corpus.publications, corpus.staff, corpus.affiliations
         )

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from uniprod.config import DATA_FILE_NAMES, RunConfig
+from uniprod.config import RunConfig
 from uniprod.errors import StructuralError
 
 
@@ -67,15 +67,6 @@ class TestValidation:
 
 
 class TestDerivation:
-    def test_for_data_dir_fills_conventional_names(self, tmp_path):
-        config = RunConfig.for_data_dir(tmp_path, lag=2)
-        assert config.staff_path == tmp_path / DATA_FILE_NAMES["staff"]
-        assert config.publications_path == tmp_path / "publications.csv"
-        assert config.journals_path == tmp_path / "journals.csv"
-        assert config.funding_path == tmp_path / "funding.csv"
-        assert config.affiliations_path == tmp_path / "affiliations.csv"
-        assert config.lag == 2
-
     def test_snapshot_is_json_serializable(self):
         config = RunConfig(drop_inputs=("PR",), compare_partial=True)
         text = json.dumps(config.snapshot())

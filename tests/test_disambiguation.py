@@ -16,7 +16,6 @@ from uniprod.disambiguation import (
     normalize_text,
     surname_variants,
 )
-from uniprod.config import RunConfig
 from uniprod.errors import IngestError
 from uniprod.ingest import ingest
 from uniprod.records import AuthorToken, Publication, StaffMember, StaffRegistry
@@ -97,7 +96,7 @@ class TestAffiliationDictionary:
             encoding="utf-8",
         )
         with pytest.raises(IngestError, match="conflicts"):
-            ingest(RunConfig.for_data_dir(root))
+            ingest(root)
 
     def test_instances_keep_their_own_lookups(self):
         first = AffiliationDictionary([("UNIV X", "U1")])
@@ -306,7 +305,7 @@ class TestDisambiguateCorpus:
 def synthetic_corpus(tmp_path):
     root = write_synthetic_dataset(tmp_path / "data", seed=11, n_areas=2,
                                    n_universities=8)
-    return ingest(RunConfig.for_data_dir(root))
+    return ingest(root)
 
 
 def _outcomes(corpus):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from uniprod.config import RunConfig
 from uniprod.errors import IngestError, StructuralError
 from uniprod.ingest import ingest, load_overrides, parse_author_field
 
@@ -10,7 +9,7 @@ from .fixtures import write_demo_dataset
 
 
 def _config(root):
-    return RunConfig.for_data_dir(root)
+    return root
 
 
 def _write(root, name, text):
@@ -59,6 +58,16 @@ class TestDiagnostics:
         (demo_root / "funding.csv").unlink()
         with pytest.raises(IngestError, match="funding.csv"):
             ingest(_config(demo_root))
+
+    def test_missing_files_are_all_reported(self, demo_root):
+        (demo_root / "funding.csv").unlink()
+        (demo_root / "affiliations.csv").unlink()
+        with pytest.raises(IngestError) as exc:
+            ingest(demo_root)
+        diagnostics = exc.value.diagnostics
+        assert len(diagnostics) == 2
+        assert diagnostics[0].startswith("funding.csv: cannot open: ")
+        assert diagnostics[1].startswith("affiliations.csv: cannot open: ")
 
     def test_wrong_header(self, demo_root):
         _write(demo_root, "journals.csv", "journal,yr,weight\nJ1,2001,1.0\n")
@@ -186,10 +195,6 @@ class TestDiagnostics:
         with pytest.raises(IngestError) as exc:
             ingest(_config(demo_root))
         assert len(exc.value.diagnostics) == 3
-
-    def test_missing_path_in_config(self):
-        with pytest.raises(IngestError, match="staff_path"):
-            ingest(RunConfig())
 
 
 class TestFundingWarnings:

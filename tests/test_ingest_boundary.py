@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from uniprod.cli import main
-from uniprod.config import RunConfig
 from uniprod.ingest import ingest
 
 from .fixtures import write_demo_dataset
@@ -94,9 +93,7 @@ def test_byte_order_mark_is_dropped(tmp_path, name):
     marked = write_demo_dataset(tmp_path / "marked")
     path = marked / name
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-    assert _loaded(ingest(RunConfig.for_data_dir(marked))) == _loaded(
-        ingest(RunConfig.for_data_dir(plain))
-    )
+    assert _loaded(ingest(marked)) == _loaded(ingest(plain))
     assert _run(marked, tmp_path / "r")[0] == 0
 
 

@@ -38,7 +38,7 @@ from .oracles import cell_outputs_bruteforce
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     root = write_demo_dataset(tmp_path_factory.mktemp("demo"))
-    return ingest(RunConfig.for_data_dir(root))
+    return ingest(root)
 
 
 @pytest.fixture(scope="module")
@@ -258,7 +258,7 @@ class TestFailureHandling:
             tmp_path / "thin",
             skip_staff_ids=frozenset({"S021", "S022", "S023", "S024", "S025"}),
         )
-        corpus = ingest(RunConfig.for_data_dir(root))
+        corpus = ingest(root)
         report = run_pipeline(corpus, config)
         assert report.areas_analyzed == ("A01",)
         assert not report.fully_successful

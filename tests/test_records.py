@@ -8,7 +8,6 @@ diagnostic.
 
 import pytest
 
-from uniprod.config import RunConfig
 from uniprod.errors import IngestError, StructuralError, UnknownIdError
 from uniprod.ingest import ingest, parse_author_field
 from uniprod.records import (
@@ -38,7 +37,7 @@ def rejected(tmp_path, file_name, row):
     text = path.read_text(encoding="utf-8") + row + "\n"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(IngestError) as exc:
-        ingest(RunConfig.for_data_dir(root))
+        ingest(root)
     [diagnostic] = exc.value.diagnostics
     assert diagnostic.startswith(f"{file_name}:{len(text.splitlines())}: ")
     return diagnostic

@@ -22,7 +22,7 @@ from .fixtures import write_demo_dataset
 @pytest.fixture(scope="module")
 def report(tmp_path_factory):
     root = write_demo_dataset(tmp_path_factory.mktemp("demo"))
-    corpus = ingest(RunConfig.for_data_dir(root))
+    corpus = ingest(root)
     config = RunConfig(compare_partial=True, drop_inputs=("PR",))
     return run_pipeline(corpus, config)
 

@@ -40,6 +40,26 @@ class TestMakeSyntheticDataset:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("script", ["make_synthetic_dataset",
+                                    "run_synthetic_study"])
+@pytest.mark.parametrize("flags", [
+    ["--universities", "80"],
+    ["--universities", "0"],
+    ["--universities", "-3"],
+    ["--areas", "0"],
+    ["--areas", "-1"],
+], ids="=".join)
+def test_out_of_range_size_is_usage_error(tmp_path, capsys, script, flags):
+    main = _script_main(script)
+    with pytest.raises(SystemExit) as exc:
+        main([str(tmp_path / "work"), *SMALL, *flags])
+    assert exc.value.code != 0
+    err = capsys.readouterr().err
+    assert flags[0] in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "work").exists()
+
+
 class TestRunSyntheticStudy:
     def test_full_study(self, tmp_path, capsys):
         main = _script_main("run_synthetic_study")
