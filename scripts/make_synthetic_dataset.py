@@ -9,6 +9,7 @@ Example:
 from __future__ import annotations
 
 import argparse
+import math
 from pathlib import Path
 
 from uniprod.cli import parse_years
@@ -37,6 +38,10 @@ def main(argv=None) -> int:
                      f"got {args.universities}")
     if args.areas < 1:
         parser.error(f"--areas must be at least 1, got {args.areas}")
+    intensity = args.pubs_per_staff_year
+    if not (math.isfinite(intensity) and intensity >= 0):
+        parser.error(f"--pubs-per-staff-year must be finite and >= 0, "
+                     f"got {intensity}")
 
     root = write_synthetic_dataset(
         args.out_dir, seed=args.seed, n_areas=args.areas,

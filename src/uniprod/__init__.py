@@ -49,7 +49,6 @@ from .dea import (
 )
 from .disambiguation import (
     AffiliationDictionary,
-    Assignment,
     DisambiguationResult,
     MatchOutcome,
     disambiguate_corpus,
@@ -86,7 +85,6 @@ __all__ = [
     "AffiliationDictionary",
     "AnalysisReport",
     "AreaNotAnalyzableError",
-    "Assignment",
     "AuthorToken",
     "CRS",
     "Corpus",

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import functools
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import StructuralError
 from .records import AuthorToken, Publication, StaffRegistry
 
 MATCHED = "matched"
@@ -115,16 +115,6 @@ class MatchOutcome:
     staff_id: str | None = None
     candidates: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.kind not in (MATCHED, AMBIGUOUS, UNMATCHED):
-            raise StructuralError(f"invalid outcome kind {self.kind!r}")
-        if self.kind == MATCHED and not self.staff_id:
-            raise StructuralError("matched outcome requires a staff id")
-        if self.kind == AMBIGUOUS and len(self.candidates) < 2:
-            raise StructuralError(
-                "ambiguous outcome requires at least two candidates"
-            )
-
     @staticmethod
     def matched(staff_id: str) -> "MatchOutcome":
         return MatchOutcome(MATCHED, staff_id=staff_id)
@@ -136,15 +126,6 @@ class MatchOutcome:
     @staticmethod
     def unmatched() -> "MatchOutcome":
         return MatchOutcome(UNMATCHED)
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """Outcome for one author position (1-based) of one publication."""
-
-    pub_id: str
-    position: int
-    outcome: MatchOutcome
 
 
 @dataclass(frozen=True)
@@ -165,32 +146,37 @@ class DisambiguationStats:
     discarded: int
     unresolvable: int
 
-    def __post_init__(self):
-        parts = self.resolved + self.manual + self.discarded + self.unresolvable
-        if parts != self.total:
-            raise StructuralError(
-                f"categories do not partition the corpus: "
-                f"{self.resolved}+{self.manual}+{self.discarded}"
-                f"+{self.unresolvable} != {self.total}"
-            )
-
 
 @dataclass(frozen=True)
 class DisambiguationResult:
-    """Every assignment and category, plus ``matched_cells``: per
-    publication with at least one matched author, the matched-author
-    count b of each (area, university) cell, in author-position order."""
+    """Per publication id, its authors' outcomes (position k at index
+    k - 1, ``()`` for an author-less publication) and its category, plus
+    ``matched_cells``: per publication with at least one matched author,
+    the matched-author count b of each (area, university) cell, in
+    author-position order.  Ingest rejects duplicate publication ids, so
+    every publication has exactly one entry and one category."""
 
-    assignments: tuple[Assignment, ...]
-    stats: DisambiguationStats
-    manual_review: tuple[ManualReviewRow, ...]
+    outcomes: Mapping[str, tuple[MatchOutcome, ...]]
     categories: Mapping[str, str]
+    manual_review: tuple[ManualReviewRow, ...]
     errors: tuple[str, ...]
     matched_cells: Mapping[str, Mapping[tuple[str, str], int]]
 
+    @property
+    def stats(self) -> DisambiguationStats:
+        counts = Counter(self.categories.values())
+        return DisambiguationStats(
+            total=len(self.categories),
+            resolved=counts[CATEGORY_RESOLVED],
+            manual=counts[CATEGORY_MANUAL],
+            discarded=counts[CATEGORY_DISCARDED],
+            unresolvable=counts[CATEGORY_UNRESOLVABLE],
+        )
+
 
 class _SurnameIndex:
-    """Per-university index from surname variant to staff members."""
+    """Per-university index from surname variant to staff members: the
+    one place where candidates are selected by surname."""
 
     def __init__(self, staff: StaffRegistry):
         self._by_university: dict[str, dict[str, list]] = {}
@@ -212,23 +198,24 @@ class _SurnameIndex:
                 for member in bucket.get(variant, ()):
                     if member.active_in(year):
                         found[member.staff_id] = member
-        return [found[k] for k in sorted(found)]
+        return list(found.values())
 
 
 def match_author(token: AuthorToken, staff_in_scope) -> MatchOutcome:
-    """Apply the matching rules to one token against pre-scoped staff.
+    """Apply the initial rules to one token against its surname scope.
 
-    Rules, in order: keep staff whose surname and first initial agree
-    with the token; if the token carries several initials, also require
-    the token's initial sequence to be a prefix of the member's; a single
-    survivor is a match, several are ambiguous, none is unmatched.
+    ``staff_in_scope`` holds the members ``_SurnameIndex.candidates``
+    selected for the token: active in the publication year, at a
+    university the publication names, and sharing a surname variant with
+    the token; surnames are not compared again here.  Rules, in order:
+    keep members whose first initial agrees with the token's; if the
+    token carries several initials, also require the token's initial
+    sequence to be a prefix of the member's; a single survivor (by staff
+    id) is a match, several are ambiguous, none is unmatched.
     """
     token_initials = _normalized_initials(token.initials)
-    token_variants = surname_variants(token.surname)
     candidates = []
     for member in staff_in_scope:
-        if surname_variants(member.surname).isdisjoint(token_variants):
-            continue
         member_initials = _normalized_initials(member.initials)
         if not member_initials or member_initials[0] != token_initials[0]:
             continue
@@ -252,7 +239,7 @@ def disambiguate_corpus(
     dictionary: AffiliationDictionary,
     overrides: Mapping[tuple[str, int], str | None] | None = None,
 ) -> DisambiguationResult:
-    """Classify every publication and assign its author tokens.
+    """Classify every publication and record its authors' outcomes.
 
     Publications with no author list at all are reported as unresolvable
     and skipped.  A publication with any ambiguous token goes to manual
@@ -262,26 +249,19 @@ def disambiguate_corpus(
     positions.  Each matched author, override or not, counts toward the
     (area, university) cell of its staff member.
     """
-    publications = tuple(publications)
-    overrides = dict(overrides or {})
+    overrides = overrides or {}
     index = _SurnameIndex(staff)
 
-    assignments: list[Assignment] = []
+    outcomes: dict[str, tuple[MatchOutcome, ...]] = {}
     manual_rows: list[ManualReviewRow] = []
     categories: dict[str, str] = {}
     errors: list[str] = []
     matched_cells: dict[str, dict[tuple[str, str], int]] = {}
-    counts = {
-        CATEGORY_RESOLVED: 0,
-        CATEGORY_MANUAL: 0,
-        CATEGORY_DISCARDED: 0,
-        CATEGORY_UNRESOLVABLE: 0,
-    }
 
     for pub in publications:
         if not pub.authors:
+            outcomes[pub.pub_id] = ()
             categories[pub.pub_id] = CATEGORY_UNRESOLVABLE
-            counts[CATEGORY_UNRESOLVABLE] += 1
             errors.append(
                 f"publication {pub.pub_id!r} has an empty author list"
             )
@@ -295,8 +275,8 @@ def disambiguate_corpus(
                 }
             )
         )
+        pub_outcomes = []
         cells: dict[tuple[str, str], int] = {}
-        ambiguous_any = False
         for position, token in enumerate(pub.authors, start=1):
             key = (pub.pub_id, position)
             if key in overrides:
@@ -306,41 +286,31 @@ def disambiguate_corpus(
             else:
                 scope = index.candidates(token, canonical, pub.year)
                 outcome = match_author(token, scope)
-            assignments.append(Assignment(pub.pub_id, position, outcome))
+            pub_outcomes.append(outcome)
             if outcome.kind == MATCHED:
                 member = staff.member(outcome.staff_id)
                 cell = (member.area_id, member.university_id)
                 cells[cell] = cells.get(cell, 0) + 1
             elif outcome.kind == AMBIGUOUS:
-                ambiguous_any = True
                 manual_rows.append(
                     ManualReviewRow(
                         pub.pub_id, position, str(token), outcome.candidates
                     )
                 )
+        outcomes[pub.pub_id] = tuple(pub_outcomes)
         if cells:
             matched_cells[pub.pub_id] = cells
-        if ambiguous_any:
-            category = CATEGORY_MANUAL
+        if any(o.kind == AMBIGUOUS for o in pub_outcomes):
+            categories[pub.pub_id] = CATEGORY_MANUAL
         elif cells:
-            category = CATEGORY_RESOLVED
+            categories[pub.pub_id] = CATEGORY_RESOLVED
         else:
-            category = CATEGORY_DISCARDED
-        categories[pub.pub_id] = category
-        counts[category] += 1
+            categories[pub.pub_id] = CATEGORY_DISCARDED
 
-    stats = DisambiguationStats(
-        total=len(publications),
-        resolved=counts[CATEGORY_RESOLVED],
-        manual=counts[CATEGORY_MANUAL],
-        discarded=counts[CATEGORY_DISCARDED],
-        unresolvable=counts[CATEGORY_UNRESOLVABLE],
-    )
     return DisambiguationResult(
-        assignments=tuple(assignments),
-        stats=stats,
-        manual_review=tuple(manual_rows),
+        outcomes=outcomes,
         categories=categories,
+        manual_review=tuple(manual_rows),
         errors=tuple(errors),
         matched_cells=matched_cells,
     )

@@ -10,7 +10,7 @@ still raise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 from .analysis import (
@@ -360,13 +360,7 @@ def run_pipeline(
         global_rows=tuple(global_rows),
         partial_rows=tuple(a.partial for a in done if a.partial),
         sensitivity_rows=tuple(row for a in done for row in a.sensitivity),
-        disambiguation_row={
-            "total": disamb.stats.total,
-            "resolved": disamb.stats.resolved,
-            "manual": disamb.stats.manual,
-            "discarded": disamb.stats.discarded,
-            "unresolvable": disamb.stats.unresolvable,
-        },
+        disambiguation_row=asdict(disamb.stats),
         exclusion_rows=tuple(
             row for a in areas.values() for row in a.exclusions
         ),

@@ -16,6 +16,15 @@ import math
 import random
 from pathlib import Path
 
+from .ingest import (
+    AFFILIATION_FIELDS,
+    FUNDING_FIELDS,
+    JOURNAL_FIELDS,
+    PUBLICATION_FIELDS,
+    STAFF_FIELDS,
+)
+from .records import RANKS
+
 _SURNAMES = [
     "Rossi", "Russo", "Ferrari", "Esposito", "Bianchi", "Romano",
     "Colombo", "Ricci", "Marino", "Greco", "Bruno", "Gallo", "Conti",
@@ -83,7 +92,6 @@ _PATTERN_TEMPLATES = [
     "{city} University",
 ]
 
-_RANKS = ("FP", "AP", "RF")
 _RANK_WEIGHTS = (0.25, 0.35, 0.40)
 
 
@@ -135,6 +143,11 @@ def write_synthetic_dataset(
             f"at most {MAX_UNIVERSITIES} universities supported, "
             f"got {n_universities}"
         )
+    if not (math.isfinite(pubs_per_staff_year) and pubs_per_staff_year >= 0):
+        raise ValueError(
+            f"pubs_per_staff_year must be finite and >= 0, "
+            f"got {pubs_per_staff_year}"
+        )
     rng = random.Random(seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -182,7 +195,7 @@ def write_synthetic_dataset(
                 staff_seq += 1
                 surname = rng.choice(_SURNAMES)
                 first = pick_first_names()
-                rank = rng.choices(_RANKS, weights=_RANK_WEIGHTS)[0]
+                rank = rng.choices(RANKS, weights=_RANK_WEIGHTS)[0]
                 year_from = rng.randint(1985, min(years) - 1)
                 if rng.random() < 0.05:
                     year_to = rng.randint(min(years) - 1, max(years))
@@ -202,7 +215,7 @@ def write_synthetic_dataset(
                     staff_seq += 1
                     twin = f"S{staff_seq:05d}"
                     twin_first = rng.choice(pool)
-                    rank = rng.choices(_RANKS, weights=_RANK_WEIGHTS)[0]
+                    rank = rng.choices(RANKS, weights=_RANK_WEIGHTS)[0]
                     staff_rows.append((twin, surname, twin_first, rank,
                                        uni, area, 1985, max(years) + 5))
                     members.append((twin, surname, twin_first))
@@ -282,16 +295,9 @@ def write_synthetic_dataset(
             writer.writerow(header)
             writer.writerows(rows)
 
-    dump("staff.csv",
-         ("staff_id", "surname", "first_names", "rank", "university_id",
-          "area_id", "year_from", "year_to"), staff_rows)
-    dump("affiliations.csv", ("raw_pattern", "university_id"),
-         affiliation_rows)
-    dump("journals.csv", ("journal_id", "year", "impact_weight"),
-         journal_rows)
-    dump("funding.csv", ("university_id", "area_id", "year", "prin_keur"),
-         funding_rows)
-    dump("publications.csv",
-         ("pub_id", "year", "doc_type", "journal_id", "authors",
-          "raw_affiliations"), pub_rows)
+    dump("staff.csv", STAFF_FIELDS, staff_rows)
+    dump("affiliations.csv", AFFILIATION_FIELDS, affiliation_rows)
+    dump("journals.csv", JOURNAL_FIELDS, journal_rows)
+    dump("funding.csv", FUNDING_FIELDS, funding_rows)
+    dump("publications.csv", PUBLICATION_FIELDS, pub_rows)
     return out_dir

@@ -7,6 +7,7 @@ bounding box), DEA small cases by the single-ratio formula.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -114,19 +115,20 @@ def random_small_lp(rng):
 
 
 def cell_outputs_bruteforce(
-    publications, assignments, registry, journals, area_id, university_id, years
+    publications, outcomes, registry, journals, area_id, university_id, years
 ):
     """Direct per-publication summation of PU / PC / SS for one cell.
 
     Independent of any pre-aggregated index: scans every publication,
-    counts its matched authors in the cell from the raw assignment list,
+    counts its matched authors in the cell from the raw per-token outcomes,
     and accumulates in sorted publication-id order.
     """
     years = set(years)
     matched = {}
-    for a in assignments:
-        if a.outcome.kind == "matched":
-            matched.setdefault(a.pub_id, []).append(a.outcome.staff_id)
+    for pub_id, pub_outcomes in outcomes.items():
+        for outcome in pub_outcomes:
+            if outcome.kind == "matched":
+                matched.setdefault(pub_id, []).append(outcome.staff_id)
     pu = 0
     pc = 0.0
     ss = 0.0
@@ -146,6 +148,58 @@ def cell_outputs_bruteforce(
             weight = journals.weight_for(pub.journal_id, pub.year)
             ss += weight if weight is not None else 0.0
     return pu, pc, ss
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_variants(surname):
+    from uniprod.disambiguation import normalize_text
+
+    spaced = normalize_text(surname)
+    return frozenset({spaced, spaced.replace(" ", "")} if spaced else ())
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_initials(letters):
+    from uniprod.disambiguation import normalize_text
+
+    return tuple(normalize_text(ch)[:1] or ch.casefold() for ch in letters)
+
+
+def match_outcome_bruteforce(token, publication, registry, dictionary):
+    """Match one author token by scanning the whole staff registry.
+
+    Every member is tested against every rule from scratch: on staff in
+    the publication year, at a university the publication's affiliations
+    name, sharing a surname variant (spaced or joined) with the token,
+    with the same first normalized initial, and, for a multi-initial
+    token, with the token's initials as a prefix of its own.  Returns
+    ``(kind, staff_id, candidates)`` for the survivors in staff-id order.
+    """
+    universities = {dictionary.lookup(raw)
+                    for raw in publication.raw_affiliations}
+    token_variants = _oracle_variants(token.surname)
+    token_initials = _oracle_initials(token.initials)
+    survivors = []
+    for member in registry:
+        if not member.year_from <= publication.year <= member.year_to:
+            continue
+        if member.university_id not in universities:
+            continue
+        if not _oracle_variants(member.surname) & token_variants:
+            continue
+        member_initials = _oracle_initials(member.initials)
+        if member_initials[:1] != token_initials[:1]:
+            continue
+        if (len(token_initials) > 1
+                and member_initials[:len(token_initials)] != token_initials):
+            continue
+        survivors.append(member.staff_id)
+    survivors.sort()
+    if len(survivors) == 1:
+        return "matched", survivors[0], ()
+    if survivors:
+        return "ambiguous", None, tuple(survivors)
+    return "unmatched", None, ()
 
 
 _INPUT_LABELS = ("FP", "AP", "RF", "PR")

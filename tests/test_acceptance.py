@@ -292,7 +292,7 @@ def test_c06_output_construction_matches_bruteforce(gate, tmp_path):
                     config.years,
                 )
                 pu, pc, ss = cell_outputs_bruteforce(
-                    corpus.publications, resolved.assignments, corpus.staff,
+                    corpus.publications, resolved.outcomes, corpus.staff,
                     corpus.journals, area_id, university_id, config.years,
                 )
                 if (vector.pu, vector.pc, vector.ss) != (pu, pc, ss):
@@ -439,7 +439,9 @@ def test_c07_disambiguation_reproduces_hand_labels(gate):
     result = disambiguate_corpus(publications, staff, dictionary)
 
     outcome_by_token = {
-        (a.pub_id, a.position): a.outcome for a in result.assignments
+        (pub_id, position): outcome
+        for pub_id, outcomes in result.outcomes.items()
+        for position, outcome in enumerate(outcomes, start=1)
     }
     failures = []
     expected_tokens = 0
@@ -463,8 +465,8 @@ def test_c07_disambiguation_reproduces_hand_labels(gate):
                 good = outcome.kind == "unmatched"
             if not good:
                 failures.append((pub_id, position, outcome))
-    if len(result.assignments) != expected_tokens:
-        failures.append(("assignment count", len(result.assignments)))
+    if len(outcome_by_token) != expected_tokens:
+        failures.append(("token count", len(outcome_by_token)))
 
     stats = result.stats
     expected_stats = (50, 38, 7, 4, 1)

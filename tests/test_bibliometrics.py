@@ -19,8 +19,6 @@ from uniprod.config import RunConfig
 from uniprod.disambiguation import (
     MATCHED,
     AffiliationDictionary,
-    Assignment,
-    MatchOutcome,
     disambiguate_corpus,
 )
 from uniprod.errors import (
@@ -71,16 +69,17 @@ def pub(pub_id, year=2002, doc_type="article", journal_id="J1", n_authors=1):
 
 
 def matched(pub_id, position, staff_id):
-    return Assignment(pub_id, position, MatchOutcome.matched(staff_id))
+    return pub_id, staff_id
 
 
 def corpus_of(pub_specs, assigns):
-    """Fold hand-written assignments into per-publication cell counts,
-    the way ``disambiguate_corpus`` records them."""
+    """Fold hand-written (publication, staff) matches into
+    per-publication cell counts, the way ``disambiguate_corpus`` records
+    them."""
     cells = {}
-    for a in assigns:
-        member = REGISTRY.member(a.outcome.staff_id)
-        bucket = cells.setdefault(a.pub_id, {})
+    for pub_id, staff_id in assigns:
+        member = REGISTRY.member(staff_id)
+        bucket = cells.setdefault(pub_id, {})
         key = (member.area_id, member.university_id)
         bucket[key] = bucket.get(key, 0) + 1
     return MatchedCorpus(pub_specs, cells)
@@ -231,7 +230,7 @@ class TestCorpusInvariants:
                 pu, pc, ss = vector.pu, vector.pc, vector.ss
                 assert 0.0 <= pc <= pu
                 opu, opc, oss = cell_outputs_bruteforce(
-                    pubs, result.assignments, registry, journals,
+                    pubs, result.outcomes, registry, journals,
                     area, uni, years,
                 )
                 assert pu == opu
@@ -255,10 +254,11 @@ class TestCorpusInvariants:
                 )
         result = disambiguate_corpus(pubs, registry, dictionary, overrides)
         matched_staff = {}
-        for a in result.assignments:
-            if a.outcome.kind == MATCHED:
-                matched_staff.setdefault(a.pub_id, []).append(
-                    registry.member(a.outcome.staff_id))
+        for pub_id, outcomes in result.outcomes.items():
+            for outcome in outcomes:
+                if outcome.kind == MATCHED:
+                    matched_staff.setdefault(pub_id, []).append(
+                        registry.member(outcome.staff_id))
         for p in pubs:
             members = matched_staff.get(p.pub_id)
             if not members:

@@ -22,6 +22,7 @@ from uniprod.records import AuthorToken, Publication, StaffMember, StaffRegistry
 from uniprod.synthetic import write_synthetic_dataset
 
 from .fixtures import write_demo_dataset
+from .oracles import match_outcome_bruteforce
 
 
 def staff(staff_id, surname, first_names, university_id,
@@ -179,7 +180,7 @@ class TestDisambiguateCorpus:
         )
         assert res.stats.resolved == 1
         assert res.stats.manual == res.stats.discarded == 0
-        assert res.assignments[0].outcome == MatchOutcome.matched("S3")
+        assert res.outcomes["P1"][0] == MatchOutcome.matched("S3")
 
     def test_no_staff_match_discarded(self):
         res = disambiguate_corpus(
@@ -232,7 +233,9 @@ class TestDisambiguateCorpus:
             ("P09", 2): MatchOutcome.matched("S5"),
             ("P10", 1): MatchOutcome.matched("S9"),
         }
-        got = {(a.pub_id, a.position): a.outcome for a in res.assignments}
+        got = {(pub_id, position): outcome
+               for pub_id, outcomes in res.outcomes.items()
+               for position, outcome in enumerate(outcomes, start=1)}
         assert got == expected
         review = {(r.pub_id, r.position) for r in res.manual_review}
         assert review == {("P02", 1), ("P04", 1)}
@@ -242,7 +245,7 @@ class TestDisambiguateCorpus:
         res = disambiguate_corpus(
             [pub("P1", [("NERI", "P")], ("UNIV DUESTO",))], REGISTRY, DICT
         )
-        assert res.assignments[0].outcome.kind == UNMATCHED
+        assert res.outcomes["P1"][0].kind == UNMATCHED
 
     def test_year_scoping(self):
         reg = StaffRegistry(
@@ -251,14 +254,14 @@ class TestDisambiguateCorpus:
         res = disambiguate_corpus(
             [pub("P1", [("NERI", "P")], ("UNIV TESTONE",), year=2002)], reg, DICT
         )
-        assert res.assignments[0].outcome.kind == UNMATCHED
+        assert res.outcomes["P1"][0].kind == UNMATCHED
 
     def test_unknown_affiliation_means_no_scope(self):
         res = disambiguate_corpus(
             [pub("P1", [("NERI", "P")], ("SOME FOREIGN INSTITUTE",))],
             REGISTRY, DICT,
         )
-        assert res.assignments[0].outcome.kind == UNMATCHED
+        assert res.outcomes["P1"][0].kind == UNMATCHED
         assert res.categories["P1"] == "discarded"
 
     def test_override_resolves_homonym(self):
@@ -266,7 +269,7 @@ class TestDisambiguateCorpus:
         res = disambiguate_corpus(
             pubs, REGISTRY, DICT, overrides={("P1", 1): "S2"}
         )
-        assert res.assignments[0].outcome == MatchOutcome.matched("S2")
+        assert res.outcomes["P1"][0] == MatchOutcome.matched("S2")
         assert res.stats.resolved == 1 and res.stats.manual == 0
 
     def test_override_to_none_discards(self):
@@ -274,7 +277,7 @@ class TestDisambiguateCorpus:
         res = disambiguate_corpus(
             pubs, REGISTRY, DICT, overrides={("P1", 1): None}
         )
-        assert res.assignments[0].outcome.kind == UNMATCHED
+        assert res.outcomes["P1"][0].kind == UNMATCHED
         assert res.stats.discarded == 1
 
     def test_deterministic(self):
@@ -284,7 +287,7 @@ class TestDisambiguateCorpus:
         ]
         a = disambiguate_corpus(pubs, REGISTRY, DICT)
         b = disambiguate_corpus(pubs, REGISTRY, DICT)
-        assert a.assignments == b.assignments
+        assert a.outcomes == b.outcomes
         assert a.stats == b.stats
         assert a.manual_review == b.manual_review
 
@@ -301,6 +304,27 @@ class TestDisambiguateCorpus:
         assert sorted(res.categories) == ["P1", "P2", "P3", "P4"]
 
 
+@pytest.mark.parametrize("seed", [101, 202, 303])
+def test_matching_equals_registry_scan(tmp_path, seed):
+    """Every outcome equals a whole-registry scan of the matching rules,
+    on corpora with joined and spaced compound surnames and staff who
+    are not active in every year."""
+    corpus = ingest(write_synthetic_dataset(
+        tmp_path / "data", seed=seed, n_areas=2, n_universities=8))
+    res = disambiguate_corpus(corpus.publications, corpus.staff,
+                              corpus.affiliations)
+    assert list(res.outcomes) == [p.pub_id for p in corpus.publications]
+    for p in corpus.publications:
+        got = [(o.kind, o.staff_id, o.candidates)
+               for o in res.outcomes[p.pub_id]]
+        expected = [
+            match_outcome_bruteforce(token, p, corpus.staff,
+                                     corpus.affiliations)
+            for token in p.authors
+        ]
+        assert got == expected, p.pub_id
+
+
 @pytest.fixture()
 def synthetic_corpus(tmp_path):
     root = write_synthetic_dataset(tmp_path / "data", seed=11, n_areas=2,
@@ -311,7 +335,7 @@ def synthetic_corpus(tmp_path):
 def _outcomes(corpus):
     res = disambiguate_corpus(corpus.publications, corpus.staff,
                               corpus.affiliations)
-    return res.assignments, res.stats, res.manual_review, res.categories
+    return res.outcomes, res.stats, res.manual_review, res.categories
 
 
 def _clearing(cached):

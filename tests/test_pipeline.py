@@ -2,6 +2,7 @@
 
 import pytest
 
+from uniprod import cli, pipeline
 from uniprod.bibliometrics import (
     INPUT_LABELS,
     OUTPUT_LABELS,
@@ -12,9 +13,18 @@ from uniprod.bibliometrics import (
 from uniprod.config import RunConfig
 from uniprod.dea import DeaProblem, DmuRecord, decompose
 from uniprod.disambiguation import disambiguate_corpus
-from uniprod.errors import MissingDataError, StructuralError
+from uniprod.errors import (
+    InvariantViolationError,
+    MissingDataError,
+    StructuralError,
+)
 from uniprod.ingest import ingest
-from uniprod.pipeline import FAILURE_NOT_ANALYZABLE, descriptive_stats, run_pipeline
+from uniprod.pipeline import (
+    FAILURE_INVARIANT,
+    FAILURE_NOT_ANALYZABLE,
+    descriptive_stats,
+    run_pipeline,
+)
 from uniprod.records import StaffRegistry
 
 from .fixtures import (
@@ -77,7 +87,7 @@ class TestVectors:
             assert vec.as_tuple() == pytest.approx(
                 expected, abs=1e-12), (area, uni)
             oracle = cell_outputs_bruteforce(
-                corpus.publications, disamb.assignments, corpus.staff,
+                corpus.publications, disamb.outcomes, corpus.staff,
                 corpus.journals, area, uni, config.years)
             assert vec.as_tuple() == pytest.approx(
                 oracle, abs=1e-12)
@@ -269,6 +279,30 @@ class TestFailureHandling:
         # A01's tables are complete despite the failure.
         assert sum(1 for r in report.score_rows if r["area_id"] == "A01") == 3
         assert any(r["area_id"] == "A01" for r in report.sensitivity_rows)
+
+    def test_invariant_failure_is_isolated(self, corpus, config, tmp_path,
+                                           monkeypatch, capsys):
+        # The first area's decomposition breaks an internal invariant.
+        calls = []
+
+        def failing_first(problem):
+            calls.append(problem)
+            if len(calls) == 1:
+                raise InvariantViolationError("planted invariant failure")
+            return decompose(problem)
+
+        monkeypatch.setattr(pipeline, "decompose", failing_first)
+        report = run_pipeline(corpus, config)
+        assert [(r["area_id"], r["reason"])
+                for r in report.area_failure_rows] == [
+                    ("A01", FAILURE_INVARIANT)]
+        assert report.areas_analyzed == ("A02",)
+        assert {r["area_id"] for r in report.score_rows} == {"A02"}
+
+        calls.clear()
+        root = write_demo_dataset(tmp_path / "data")
+        assert cli.main([str(root), "--out", str(tmp_path / "r")]) == 2
+        assert "skipped (internal_invariant)" in capsys.readouterr().out
 
     def test_uncovered_snapshot_year_is_fatal(self, corpus):
         with pytest.raises(MissingDataError):

@@ -60,6 +60,20 @@ def test_out_of_range_size_is_usage_error(tmp_path, capsys, script, flags):
     assert not (tmp_path / "work").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_bad_intensity_is_usage_error(tmp_path, capsys, value):
+    # A NaN intensity used to make the Poisson sampler loop forever.
+    main = _script_main("make_synthetic_dataset")
+    with pytest.raises(SystemExit) as exc:
+        main([str(tmp_path / "data"), *SMALL,
+              "--pubs-per-staff-year", value])
+    assert exc.value.code != 0
+    err = capsys.readouterr().err
+    assert "--pubs-per-staff-year" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "data").exists()
+
+
 class TestRunSyntheticStudy:
     def test_full_study(self, tmp_path, capsys):
         main = _script_main("run_synthetic_study")
