@@ -7,6 +7,7 @@ written but some areas failed, 1 on fatal input or usage errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -156,6 +157,13 @@ def _summarize(report: AnalysisReport, written, stream) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one study and return its exit code.
+
+    The ingested corpus lives until the report is written, so it is
+    frozen (``gc.freeze``) right after ingest and full collections stop
+    rescanning it.  ``gc.unfreeze`` runs before ``main`` returns, and
+    unfreezes any objects the caller had frozen as well.
+    """
     args = build_parser().parse_args(argv)
     try:
         config = RunConfig(
@@ -168,6 +176,7 @@ def main(argv=None) -> int:
             report_format=args.report_format,
         )
         corpus = ingest(args.data_dir)
+        gc.freeze()
         overrides = None
         if args.manual_overrides is not None:
             overrides = load_overrides(args.manual_overrides, corpus)
@@ -176,6 +185,8 @@ def main(argv=None) -> int:
     except (UniprodError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
+    finally:
+        gc.unfreeze()
     _summarize(report, written, sys.stdout)
     return EXIT_OK if report.fully_successful else EXIT_PARTIAL
 

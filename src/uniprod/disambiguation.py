@@ -257,6 +257,11 @@ def disambiguate_corpus(
     categories: dict[str, str] = {}
     errors: list[str] = []
     matched_cells: dict[str, dict[tuple[str, str], int]] = {}
+    # Affiliation fields and outcomes repeat across the corpus: each
+    # distinct field's universities are resolved once, and equal
+    # outcomes are kept as one object for the life of the result.
+    canonical_of: dict[tuple[str, ...], tuple[str, ...]] = {}
+    shared: dict[MatchOutcome, MatchOutcome] = {}
 
     for pub in publications:
         if not pub.authors:
@@ -266,15 +271,17 @@ def disambiguate_corpus(
                 f"publication {pub.pub_id!r} has an empty author list"
             )
             continue
-        canonical = tuple(
-            sorted(
-                {
-                    uid
-                    for raw in pub.raw_affiliations
-                    if (uid := dictionary.lookup(raw)) is not None
-                }
+        canonical = canonical_of.get(pub.raw_affiliations)
+        if canonical is None:
+            canonical = canonical_of[pub.raw_affiliations] = tuple(
+                sorted(
+                    {
+                        uid
+                        for raw in pub.raw_affiliations
+                        if (uid := dictionary.lookup(raw)) is not None
+                    }
+                )
             )
-        )
         pub_outcomes = []
         cells: dict[tuple[str, str], int] = {}
         for position, token in enumerate(pub.authors, start=1):
@@ -286,6 +293,7 @@ def disambiguate_corpus(
             else:
                 scope = index.candidates(token, canonical, pub.year)
                 outcome = match_author(token, scope)
+            outcome = shared.setdefault(outcome, outcome)
             pub_outcomes.append(outcome)
             if outcome.kind == MATCHED:
                 member = staff.member(outcome.staff_id)

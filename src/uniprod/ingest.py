@@ -224,6 +224,40 @@ def _staff_member(row: dict) -> StaffMember:
     return member
 
 
+def _author_token(piece: str) -> AuthorToken:
+    """One stripped, non-empty SURNAME,INITIALS entry as a token."""
+    if "," not in piece:
+        raise StructuralError(
+            f"author entry {piece!r} lacks the SURNAME,INITIALS comma"
+        )
+    surname, _, initials_part = piece.partition(",")
+    surname = surname.strip()
+    if not surname:
+        raise StructuralError(f"author entry {piece!r} has a blank surname")
+    initials = tuple(ch.upper() for ch in initials_part if ch.isalpha())
+    if not initials:
+        raise StructuralError(f"author entry {piece!r} carries no initials")
+    return AuthorToken(surname, initials)
+
+
+def _author_tokens(
+    field: str, known: dict[str, AuthorToken]
+) -> tuple[AuthorToken, ...]:
+    """``parse_author_field``, taking each entry's token from ``known``
+    and adding the entries it parses there, so equal entries share one
+    token.  A bad entry raises before anything is stored."""
+    tokens = []
+    for piece in field.split(";"):
+        piece = piece.strip()
+        if not piece:
+            continue
+        token = known.get(piece)
+        if token is None:
+            token = known[piece] = _author_token(piece)
+        tokens.append(token)
+    return tuple(tokens)
+
+
 def parse_author_field(field: str) -> tuple[AuthorToken, ...]:
     """Split a semicolon-joined author list into tokens.
 
@@ -231,36 +265,35 @@ def parse_author_field(field: str) -> tuple[AuthorToken, ...]:
     initial letters, optionally dotted ("M.A." and "MA" both mean two
     initials).  An empty field means an author-less record.
     """
-    tokens = []
-    for piece in field.split(";"):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if "," not in piece:
-            raise StructuralError(
-                f"author entry {piece!r} lacks the SURNAME,INITIALS comma"
-            )
-        surname, _, initials_part = piece.partition(",")
-        surname = surname.strip()
-        if not surname:
-            raise StructuralError(f"author entry {piece!r} has a blank surname")
-        initials = tuple(ch.upper() for ch in initials_part if ch.isalpha())
-        if not initials:
-            raise StructuralError(f"author entry {piece!r} carries no initials")
-        tokens.append(AuthorToken(surname, initials))
-    return tuple(tokens)
+    return _author_tokens(field, {})
 
 
-def _publication(row: dict) -> Publication:
+def _affiliation_fields(
+    field: str, known: dict[str, tuple[str, ...]]
+) -> tuple[str, ...]:
+    """The non-blank semicolon-separated parts of ``field``, one tuple
+    per distinct field in ``known``."""
+    parts = known.get(field)
+    if parts is None:
+        parts = known[field] = tuple(
+            s.strip() for s in field.split(";") if s.strip()
+        )
+    return parts
+
+
+def _publication(
+    row: dict,
+    tokens: dict[str, AuthorToken],
+    affiliations: dict[str, tuple[str, ...]],
+) -> Publication:
     return Publication(
         pub_id=_text(row, "pub_id"),
         year=_integer(row, "year"),
         doc_type=_code(row, "doc_type", DOC_TYPES),
         journal_id=_text(row, "journal_id"),
-        authors=parse_author_field(row["authors"]),
-        raw_affiliations=tuple(
-            s.strip() for s in row["raw_affiliations"].split(";") if s.strip()
-        ),
+        authors=_author_tokens(row["authors"], tokens),
+        raw_affiliations=_affiliation_fields(row["raw_affiliations"],
+                                             affiliations),
     )
 
 
@@ -286,7 +319,13 @@ def _load_staff(path: Path, diagnostics: list[str]) -> StaffRegistry:
 def _load_publications(
     path: Path, diagnostics: list[str]
 ) -> tuple[Publication, ...]:
-    parsed = _parsed(path, PUBLICATION_FIELDS, _publication, diagnostics)
+    # Author entries and affiliation fields repeat across rows: each
+    # distinct one is parsed once per ingest and its value shared.
+    tokens: dict[str, AuthorToken] = {}
+    affiliations: dict[str, tuple[str, ...]] = {}
+    parsed = _parsed(path, PUBLICATION_FIELDS,
+                     lambda row: _publication(row, tokens, affiliations),
+                     diagnostics)
     return tuple(_unique(
         path, parsed, lambda p: p.pub_id,
         lambda k: f"duplicate publication id {k!r}",

@@ -185,6 +185,8 @@ def write_synthetic_dataset(
     cell_staff: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
     active_cells: list[tuple[str, str]] = []
     staff_seq = 0
+    # Hiring years reach 16 years before the window (1985 for 2001-2003).
+    first_hire = min(years) - 16
     for uni in universities:
         uni_areas = rng.sample(
             areas, rng.randint(min(3, n_areas), min(7, n_areas)))
@@ -196,7 +198,7 @@ def write_synthetic_dataset(
                 surname = rng.choice(_SURNAMES)
                 first = pick_first_names()
                 rank = rng.choices(RANKS, weights=_RANK_WEIGHTS)[0]
-                year_from = rng.randint(1985, min(years) - 1)
+                year_from = rng.randint(first_hire, min(years) - 1)
                 if rng.random() < 0.05:
                     year_to = rng.randint(min(years) - 1, max(years))
                 else:
@@ -217,7 +219,7 @@ def write_synthetic_dataset(
                     twin_first = rng.choice(pool)
                     rank = rng.choices(RANKS, weights=_RANK_WEIGHTS)[0]
                     staff_rows.append((twin, surname, twin_first, rank,
-                                       uni, area, 1985, max(years) + 5))
+                                       uni, area, first_hire, max(years) + 5))
                     members.append((twin, surname, twin_first))
             cell_staff[(uni, area)] = members
             active_cells.append((uni, area))

@@ -1,9 +1,11 @@
 """CLI behavior: flags, exit codes, emitted files."""
 
+import gc
 import json
 
 import pytest
 
+from uniprod import cli
 from uniprod.cli import build_parser, main, parse_years
 from uniprod.config import RunConfig
 from uniprod.report import read_table
@@ -215,6 +217,44 @@ class TestFlags:
         scored = {r["university_id"] for r in read_table(out / "scores.csv")
                   if r["area_id"] == "A01"}
         assert scored == {"U1", "U2", "U3"}
+
+
+class TestCollectorFreeze:
+    """main freezes the ingested corpus out of the collector's scans
+    while the study runs and unfreezes it before returning."""
+
+    @pytest.mark.parametrize("flags, expected", [
+        ([], 0),
+        (["--min-staff", "50"], 2),
+    ])
+    def test_frozen_only_while_running(self, data_dir, tmp_path, capsys,
+                                       monkeypatch, flags, expected):
+        during = []
+        run_pipeline = cli.run_pipeline
+
+        def recording(*args, **kwargs):
+            during.append(gc.get_freeze_count())
+            return run_pipeline(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_pipeline", recording)
+        code = main([str(data_dir), *flags, "--out", str(tmp_path / "r")])
+        assert code == expected
+        assert len(during) == 1 and during[0] > 0
+        assert gc.get_freeze_count() == 0
+
+    def test_unfrozen_after_missing_data_directory(self, tmp_path, capsys):
+        assert main([str(tmp_path / "void"), "--out",
+                     str(tmp_path / "r")]) == 1
+        assert gc.get_freeze_count() == 0
+
+    def test_unfrozen_after_failure_past_ingest(self, data_dir, tmp_path,
+                                                capsys):
+        bad = tmp_path / "fixes.csv"
+        bad.write_text("pub_id,author_position,staff_id\nP029,1,S99999\n",
+                       encoding="utf-8")
+        assert main([str(data_dir), "--manual-overrides", str(bad),
+                     "--out", str(tmp_path / "r")]) == 1
+        assert gc.get_freeze_count() == 0
 
 
 class TestParserHelp:

@@ -401,3 +401,19 @@ class TestMemoizedMatching:
         calls.clear()
         _outcomes(corpus)
         assert not calls
+
+    def test_equal_outcomes_are_one_object(self, synthetic_corpus):
+        outcomes = [o for per_pub in _outcomes(synthetic_corpus)[0].values()
+                    for o in per_pub]
+        assert len({o.kind for o in outcomes}) == 3
+        assert len({id(o) for o in outcomes}) == len(set(outcomes))
+
+    def test_overridden_outcomes_are_shared_too(self, synthetic_corpus):
+        corpus = synthetic_corpus
+        pubs = [p for p in corpus.publications if len(p.authors) >= 2][:2]
+        overrides = {(p.pub_id, 1): None for p in pubs}
+        res = disambiguate_corpus(corpus.publications, corpus.staff,
+                                  corpus.affiliations, overrides)
+        first, second = (res.outcomes[p.pub_id][0] for p in pubs)
+        assert first == second == MatchOutcome.unmatched()
+        assert first is second

@@ -1,9 +1,12 @@
 """CSV ingestion: diagnostics with line numbers, warnings, overrides."""
 
+import csv
+
 import pytest
 
 from uniprod.errors import IngestError, StructuralError
 from uniprod.ingest import ingest, load_overrides, parse_author_field
+from uniprod.synthetic import write_synthetic_dataset
 
 from .fixtures import write_demo_dataset
 
@@ -305,4 +308,61 @@ class TestOverrideFile:
             "affiliations of publication 'P029' do not name",
             "fixes.csv:4: staff 'S099' is inactive in 2000, the year of "
             "publication 'P030'",
+        ]
+
+
+class TestSharedValues:
+    """Ingest parses each distinct author entry and affiliation field
+    once and shares the result; only object identity shows it."""
+
+    @pytest.fixture()
+    def synthetic_root(self, tmp_path):
+        return write_synthetic_dataset(tmp_path / "data", seed=11, n_areas=2,
+                                       n_universities=8)
+
+    @staticmethod
+    def _rows(root):
+        with open(root / "publications.csv", newline="",
+                  encoding="utf-8") as handle:
+            return list(csv.DictReader(handle))
+
+    def test_same_publications_as_a_per_row_parse(self, synthetic_root):
+        corpus = ingest(synthetic_root)
+        rows = self._rows(synthetic_root)
+        assert [p.pub_id for p in corpus.publications] == \
+            [r["pub_id"] for r in rows]
+        for pub, row in zip(corpus.publications, rows):
+            assert pub.authors == parse_author_field(row["authors"])
+            assert pub.raw_affiliations == tuple(
+                s.strip() for s in row["raw_affiliations"].split(";")
+                if s.strip())
+
+    def test_equal_values_are_one_object(self, synthetic_root):
+        pubs = ingest(synthetic_root).publications
+        rows = self._rows(synthetic_root)
+        by_entry: dict[str, set[int]] = {}
+        for pub, row in zip(pubs, rows):
+            entries = [e.strip() for e in row["authors"].split(";")
+                       if e.strip()]
+            for entry, token in zip(entries, pub.authors, strict=True):
+                by_entry.setdefault(entry, set()).add(id(token))
+        assert len(by_entry) < sum(len(p.authors) for p in pubs)
+        assert all(len(ids) == 1 for ids in by_entry.values())
+        fields = [p.raw_affiliations for p in pubs]
+        assert len(set(fields)) < len(fields)
+        assert len({id(f) for f in fields}) == len(set(fields))
+
+    def test_repeated_bad_entry_reported_on_each_line(self, demo_root):
+        path = demo_root / "publications.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for number in (2, 3):
+            lines[number - 1] = lines[number - 1].replace(
+                '"ROSSI1,M.;', '"ROSSI1,M.;BADENTRY;', 1)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(IngestError) as exc:
+            ingest(demo_root)
+        assert [d for d in exc.value.diagnostics if "BADENTRY" in d] == [
+            f"publications.csv:{n}: author entry 'BADENTRY' lacks the "
+            "SURNAME,INITIALS comma"
+            for n in (2, 3)
         ]

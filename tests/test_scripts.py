@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from uniprod import cli
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -72,6 +74,17 @@ def test_bad_intensity_is_usage_error(tmp_path, capsys, value):
     assert "--pubs-per-staff-year" in err
     assert "Traceback" not in err
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("years", ["1985", "1000-1002"])
+def test_early_output_window(tmp_path, capsys, years):
+    # Hiring years used to start at a fixed 1985, which left no range to
+    # draw from for a window that starts in 1985 or earlier.
+    main = _script_main("make_synthetic_dataset")
+    data = tmp_path / "data"
+    assert main([str(data), *SMALL, "--years", years]) == 0
+    assert cli.main([str(data), "--years", years,
+                     "--out", str(tmp_path / "report")]) == 0
 
 
 class TestRunSyntheticStudy:
