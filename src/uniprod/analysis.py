@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from .dea import VRS, DeaProblem, is_efficient, scores
-from .errors import InvariantViolationError, StructuralError
 
 
 @dataclass(frozen=True)
@@ -36,17 +35,6 @@ class GlobalIndex:
     university_id: str
     theta_tot: float
     detail: tuple[tuple[str, float, float], ...]
-
-    def __post_init__(self):
-        thetas = [t for (_, t, _) in self.detail]
-        if thetas:
-            lo, hi = min(thetas), max(thetas)
-            if not (lo - 1e-9 <= self.theta_tot <= hi + 1e-9):
-                raise InvariantViolationError(
-                    f"global index {self.theta_tot} for "
-                    f"{self.university_id!r} outside its per-area range "
-                    f"[{lo}, {hi}]"
-                )
 
 
 @dataclass(frozen=True)
@@ -97,13 +85,7 @@ def normalize_scores(
     out: list[NormalizedScore] = []
     for area_id in sorted(pte_by_area):
         cell = pte_by_area[area_id]
-        if not cell:
-            raise StructuralError(f"area {area_id!r} has no scored universities")
         mean = sum(cell.values()) / len(cell)
-        if mean <= 0.0:
-            raise InvariantViolationError(
-                f"area {area_id!r} has non-positive mean score {mean}"
-            )
         for university_id in sorted(cell):
             out.append(
                 NormalizedScore(university_id, area_id, cell[university_id] / mean)
@@ -123,17 +105,7 @@ def global_index(
     """
     per_university: dict[str, list[tuple[str, float, float]]] = {}
     for ns in thetas:
-        key = (ns.university_id, ns.area_id)
-        if key not in staff_counts:
-            raise StructuralError(
-                f"no staff weight for university {ns.university_id!r} in "
-                f"area {ns.area_id!r}"
-            )
-        weight = float(staff_counts[key])
-        if weight < 0:
-            raise StructuralError(
-                f"negative staff weight for {key!r}: {weight}"
-            )
+        weight = float(staff_counts[(ns.university_id, ns.area_id)])
         per_university.setdefault(ns.university_id, []).append(
             (ns.area_id, ns.theta, weight)
         )
@@ -159,10 +131,6 @@ def rank(values: Mapping[str, float]) -> dict[str, int]:
     """Competition ranking, highest value first: tied values share the
     smallest rank and the next distinct value's rank skips by the tie
     size."""
-    for key, v in values.items():
-        fv = float(v)
-        if fv != fv or fv in (float("inf"), float("-inf")):
-            raise StructuralError(f"non-finite value for {key!r}: {v}")
     ordered = sorted(values.items(), key=lambda kv: (-kv[1], kv[0]))
     ranks: dict[str, int] = {}
     position = 0
@@ -210,13 +178,6 @@ def compare_rankings(
     rank_a: Mapping[str, int], rank_b: Mapping[str, int]
 ) -> RankingComparison:
     """Absolute per-unit rank shifts and their summary statistics."""
-    if set(rank_a) != set(rank_b):
-        raise StructuralError(
-            "rankings cover different unit sets: "
-            f"{sorted(set(rank_a) ^ set(rank_b))}"
-        )
-    if not rank_a:
-        raise StructuralError("cannot compare empty rankings")
     deltas = tuple(
         (unit, abs(int(rank_a[unit]) - int(rank_b[unit])))
         for unit in sorted(rank_a)

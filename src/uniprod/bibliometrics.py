@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .dea import DeaProblem, DmuRecord
-from .errors import AreaNotAnalyzableError, StructuralError
+from .errors import AreaNotAnalyzableError
 from .records import (
     RANK_ASSOCIATE,
     RANK_FELLOW,
@@ -155,10 +155,7 @@ def build_input_vector(
     zero headcounts here; ``run_pipeline`` rejects such a configuration
     once per run, before any cell is built.
     """
-    years = tuple(output_years)
-    if not years:
-        raise StructuralError("output_years must be non-empty")
-    snapshot_years = [y - lag for y in years]
+    snapshot_years = [y - lag for y in output_years]
     n = len(snapshot_years)
     fp = sum(
         staff.headcount(area_id, university_id, RANK_FULL, s)
@@ -193,13 +190,6 @@ def assemble_problem(
     Fewer than two surviving universities means the area cannot be
     analyzed comparatively.
     """
-    if set(inputs) != set(outputs):
-        raise StructuralError(
-            "inputs and outputs must cover the same universities"
-        )
-    if min_staff < 0:
-        raise StructuralError(f"min_staff must be >= 0, got {min_staff}")
-
     exclusions: list[Exclusion] = []
     dmus: list[DmuRecord] = []
     for university_id in sorted(inputs):

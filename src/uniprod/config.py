@@ -30,14 +30,15 @@ class RunConfig:
     report_format: str = FORMAT_CSV
 
     def __post_init__(self):
-        years = tuple(sorted(set(self.years)))
+        years = tuple(self.years)
         if not years:
             raise StructuralError("years must be non-empty")
+        # type() rather than isinstance(): a bool is not a year or a lag
         for y in years:
-            if not isinstance(y, int):
+            if type(y) is not int:
                 raise StructuralError(f"years must be integers, got {y!r}")
-        object.__setattr__(self, "years", years)
-        if not isinstance(self.lag, int) or self.lag < 0:
+        object.__setattr__(self, "years", tuple(sorted(set(years))))
+        if type(self.lag) is not int or self.lag < 0:
             raise StructuralError(f"lag must be a non-negative integer, got {self.lag!r}")
         if not (math.isfinite(self.min_staff) and self.min_staff >= 0):
             raise StructuralError(

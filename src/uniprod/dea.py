@@ -203,11 +203,6 @@ def solve_output_oriented(
     problem: DeaProblem, dmu_index: int, regime: str
 ) -> tuple[float, np.ndarray]:
     """Radial expansion factor and intensity vector for one DMU."""
-    if regime not in REGIMES:
-        raise StructuralError(f"unknown regime {regime!r}")
-    if not 0 <= dmu_index < problem.n_dmus:
-        raise StructuralError(f"dmu index {dmu_index} out of range")
-
     shared, relations, shared_b = _envelopment_rows(problem, regime)
     X, Y = problem._scaled
     n_in, n_out = X.shape[1], Y.shape[1]
@@ -341,13 +336,6 @@ def classify_rts(te_crs: float, te_nirs: float, te_vrs: float) -> str:
     score coincides with the constant-returns score in the increasing region
     and with the variable-returns score in the decreasing region.
     """
-    for name, s in (("crs", te_crs), ("nirs", te_nirs), ("vrs", te_vrs)):
-        if not 0.0 < s <= 1.0 + RTS_TOL:
-            raise InvariantViolationError(f"{name} score {s} outside (0, 1]")
-    if te_crs > te_nirs + RTS_TOL or te_nirs > te_vrs + RTS_TOL:
-        raise InvariantViolationError(
-            f"score ordering violated: crs={te_crs}, nirs={te_nirs}, vrs={te_vrs}"
-        )
     if abs(te_crs - te_vrs) <= RTS_TOL:
         return RTS_CONSTANT
     if abs(te_nirs - te_crs) <= RTS_TOL:

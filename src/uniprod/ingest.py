@@ -241,11 +241,13 @@ def _author_token(piece: str) -> AuthorToken:
 
 
 def _author_tokens(
-    field: str, known: dict[str, AuthorToken]
+    field: str, known: dict[str | AuthorToken, AuthorToken]
 ) -> tuple[AuthorToken, ...]:
     """``parse_author_field``, taking each entry's token from ``known``
-    and adding the entries it parses there, so equal entries share one
-    token.  A bad entry raises before anything is stored."""
+    and adding the entries it parses there, keyed by entry and by token
+    value, so equal entries and equal tokens (``ROSSI,M.`` and
+    ``ROSSI,M``) share one object.  A bad entry raises before anything
+    is stored."""
     tokens = []
     for piece in field.split(";"):
         piece = piece.strip()
@@ -253,7 +255,8 @@ def _author_tokens(
             continue
         token = known.get(piece)
         if token is None:
-            token = known[piece] = _author_token(piece)
+            token = _author_token(piece)
+            token = known[piece] = known.setdefault(token, token)
         tokens.append(token)
     return tuple(tokens)
 
@@ -283,7 +286,7 @@ def _affiliation_fields(
 
 def _publication(
     row: dict,
-    tokens: dict[str, AuthorToken],
+    tokens: dict[str | AuthorToken, AuthorToken],
     affiliations: dict[str, tuple[str, ...]],
 ) -> Publication:
     return Publication(
@@ -321,7 +324,7 @@ def _load_publications(
 ) -> tuple[Publication, ...]:
     # Author entries and affiliation fields repeat across rows: each
     # distinct one is parsed once per ingest and its value shared.
-    tokens: dict[str, AuthorToken] = {}
+    tokens: dict[str | AuthorToken, AuthorToken] = {}
     affiliations: dict[str, tuple[str, ...]] = {}
     parsed = _parsed(path, PUBLICATION_FIELDS,
                      lambda row: _publication(row, tokens, affiliations),

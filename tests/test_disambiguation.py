@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from uniprod import disambiguation
 from uniprod.disambiguation import (
     AMBIGUOUS,
-    MATCHED,
     UNMATCHED,
     AffiliationDictionary,
     MatchOutcome,

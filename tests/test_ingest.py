@@ -348,6 +348,10 @@ class TestSharedValues:
                 by_entry.setdefault(entry, set()).add(id(token))
         assert len(by_entry) < sum(len(p.authors) for p in pubs)
         assert all(len(ids) == 1 for ids in by_entry.values())
+        # Spellings such as ROSSI,M. and ROSSI,M parse to one token value.
+        tokens = [t for p in pubs for t in p.authors]
+        assert len(set(tokens)) < len(by_entry)
+        assert len({id(t) for t in tokens}) == len(set(tokens))
         fields = [p.raw_affiliations for p in pubs]
         assert len(set(fields)) < len(fields)
         assert len({id(f) for f in fields}) == len(set(fields))

@@ -12,7 +12,6 @@ from uniprod.lp import (
     MAX_ITERATIONS,
     PIVOT_TOL,
     LinearProgram,
-    LpSolution,
     _pivot,
     solve_lp,
 )

@@ -1,6 +1,13 @@
-"""End-to-end pipeline checks against the hand-computed demo dataset."""
+"""End-to-end pipeline checks against the hand-computed demo dataset,
+and the cross-area invariants on synthetic corpora."""
+
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uniprod import cli, pipeline
 from uniprod.bibliometrics import (
@@ -25,7 +32,8 @@ from uniprod.pipeline import (
     descriptive_stats,
     run_pipeline,
 )
-from uniprod.records import StaffRegistry
+from uniprod.records import RANKS, StaffRegistry
+from uniprod.synthetic import write_synthetic_dataset
 
 from .fixtures import (
     EXPECTED_DISAMB,
@@ -338,3 +346,53 @@ class TestDeterminism:
         first = run_pipeline(corpus, config)
         second = run_pipeline(corpus, config)
         assert first == second
+
+
+class TestCrossAreaInvariants:
+    """What the analytics no longer check at run time, pinned on whole
+    pipeline runs: each analyzed area's theta averages 1, and each
+    global index is the staff-weighted mean of its university's thetas,
+    so it lies within their range."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 10_000), n_areas=st.integers(2, 4),
+           n_universities=st.integers(4, 10), min_staff=st.integers(0, 8))
+    def test_theta_and_global_index(self, seed, n_areas, n_universities,
+                                    min_staff):
+        config = RunConfig(min_staff=min_staff)
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = ingest(write_synthetic_dataset(
+                Path(tmp), seed=seed, n_areas=n_areas,
+                n_universities=n_universities))
+        report = run_pipeline(corpus, config)
+
+        thetas: dict[str, dict[str, float]] = {}
+        for row in report.score_rows:
+            assert math.isfinite(row["theta"])
+            thetas.setdefault(row["university_id"], {})[row["area_id"]] = \
+                row["theta"]
+        for area_id in report.areas_analyzed:
+            cell = [row["theta"] for row in report.score_rows
+                    if row["area_id"] == area_id]
+            assert sum(cell) / len(cell) == pytest.approx(1.0, abs=1e-9)
+
+        def staff_weight(university_id, area_id):
+            return sum(
+                corpus.staff.headcount(area_id, university_id, r, y - config.lag)
+                for r in RANKS for y in config.years
+            ) / len(config.years)
+
+        for row in report.global_rows:
+            by_area = thetas[row["university_id"]]
+            weights = {a: staff_weight(row["university_id"], a)
+                       for a in by_area}
+            theta_tot = row["theta_tot"]
+            assert math.isfinite(theta_tot) and math.isfinite(row["rank"])
+            assert row["staff_weight_total"] > 0
+            assert row["staff_weight_total"] == pytest.approx(
+                sum(weights.values()), abs=1e-9)
+            assert min(by_area.values()) - 1e-9 <= theta_tot \
+                <= max(by_area.values()) + 1e-9
+            assert theta_tot == pytest.approx(
+                sum(by_area[a] * w for a, w in weights.items())
+                / row["staff_weight_total"], abs=1e-9)

@@ -152,8 +152,6 @@ class TestStaffRegistry:
         assert reg.headcount("A2", "U1", "RF", 1999) == 1
         assert reg.headcount("A2", "U1", "RF", 2002) == 0
         assert reg.headcount("A9", "U9", "FP", 2002) == 0
-        with pytest.raises(StructuralError):
-            reg.headcount("A1", "U1", "XX", 2002)
 
     def test_id_listings(self):
         reg = self.registry()
