@@ -40,10 +40,17 @@ class RunConfig:
         object.__setattr__(self, "years", tuple(sorted(set(years))))
         if type(self.lag) is not int or self.lag < 0:
             raise StructuralError(f"lag must be a non-negative integer, got {self.lag!r}")
+        if isinstance(self.min_staff, bool) or not isinstance(
+                self.min_staff, (int, float)):
+            raise StructuralError(
+                f"min_staff must be a number, got {self.min_staff!r}"
+            )
         if not (math.isfinite(self.min_staff) and self.min_staff >= 0):
             raise StructuralError(
                 f"min_staff must be finite and >= 0, got {self.min_staff}"
             )
+        # an int and its float are one setting, recorded one way
+        object.__setattr__(self, "min_staff", float(self.min_staff))
         if self.regime not in REGIMES:
             raise StructuralError(
                 f"regime must be one of {REGIMES}, got {self.regime!r}"
@@ -51,6 +58,11 @@ class RunConfig:
         if self.report_format not in FORMATS:
             raise StructuralError(
                 f"report format must be one of {FORMATS}, got {self.report_format!r}"
+            )
+        if isinstance(self.drop_inputs, str):
+            raise StructuralError(
+                "drop_inputs must be a sequence of input labels, not the "
+                f"string {self.drop_inputs!r}"
             )
         drops = tuple(self.drop_inputs)
         if len(set(drops)) != len(drops):

@@ -6,10 +6,19 @@ Solves
     s.t.       a_i^T x  (<=, =, >=)  b_i      for each constraint row i
                x >= 0
 
-The envelopment programs built on top of this are tiny (tens of variables,
-a handful of rows), so a dense tableau with Bland's anti-cycling rule is
-the right tool: deterministic pivot order, guaranteed termination, no
-external solver dependency.
+The envelopment programs built on top of this have a handful of rows (one
+per input and output, plus the convexity row) and one column per unit
+plus phi: about 30 columns for a paper-scale area, 251 for a 250-unit
+frontier.  A dense tableau with Bland's anti-cycling rule is the right
+tool for that shape: deterministic pivot order, guaranteed termination,
+no external solver dependency.
+
+Tableau layout: row i < m holds constraint i, and the last row m holds
+the reduced costs z of the current phase's objective.  The columns are
+the n structural variables, then one slack per ``<=`` row, one surplus
+per ``>=`` row, one artificial per ``>=`` or ``=`` row (phase 1 only),
+and last the right-hand side.  Each pivot is one rank-1 update of the
+whole tableau, z included.
 """
 
 from __future__ import annotations
@@ -128,104 +137,103 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
 def _two_phase(A, rels, b, cmax):
     m, n = A.shape
-    A = A.copy()
-    b = b.copy()
     rels = list(rels)
-    for i in range(m):  # rhs must be non-negative for the starting basis
-        if b[i] < 0:
-            A[i] *= -1.0
-            b[i] *= -1.0
-            rels[i] = {LE: GE, GE: LE, EQ: EQ}[rels[i]]
+    flipped = (b < 0).nonzero()[0].tolist()
+    for i in flipped:  # rhs must be non-negative for the starting basis
+        rels[i] = {LE: GE, GE: LE, EQ: EQ}[rels[i]]
 
-    n_slack = sum(1 for r in rels if r == LE)
-    n_surplus = sum(1 for r in rels if r == GE)
-    n_art = sum(1 for r in rels if r in (GE, EQ))
+    n_slack = rels.count(LE)
+    n_surplus = rels.count(GE)
+    n_art = m - n_slack
     slack0, surplus0, art0 = n, n + n_slack, n + n_slack + n_surplus
     total = art0 + n_art
 
-    T = np.zeros((m, total + 1))
-    T[:, :n] = A
-    T[:, -1] = b
-    basis = np.empty(m, dtype=int)
+    T = np.zeros((m + 1, total + 1))
+    T[:m, :n] = A
+    T[:m, -1] = b
+    for i in flipped:
+        T[i, :n] *= -1.0
+        T[i, -1] *= -1.0
+    basis = []
     si = ti = ai = 0
     for i, rel in enumerate(rels):
         if rel == LE:
             T[i, slack0 + si] = 1.0
-            basis[i] = slack0 + si
+            basis.append(slack0 + si)
             si += 1
         elif rel == GE:
             T[i, surplus0 + ti] = -1.0
             T[i, art0 + ai] = 1.0
-            basis[i] = art0 + ai
+            basis.append(art0 + ai)
             ti += 1
             ai += 1
         else:
             T[i, art0 + ai] = 1.0
-            basis[i] = art0 + ai
+            basis.append(art0 + ai)
             ai += 1
 
     iters = 0
 
     if n_art:
-        # Phase 1: maximize -(sum of artificials); z holds reduced costs.
-        z = np.zeros(total + 1)
+        # Phase 1: maximize -(sum of artificials).
+        z = T[m]
         for i in range(m):
             if basis[i] >= art0:
                 z -= T[i]
         z[art0:total] += 1.0
-        status, iters = _simplex(T, z, basis, iters)
+        status, iters = _simplex(T, basis, iters)
         if status != OPTIMAL:
             raise InvariantViolationError(f"phase-1 simplex ended with {status}")
-        if z[-1] < -FEASIBILITY_TOL:
+        if T[m, -1] < -FEASIBILITY_TOL:
             return INFEASIBLE, None, iters
         # Drive leftover artificials out of the basis; rows that cannot be
         # repaired are redundant and dropped.
-        keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= art0:
-                piv = -1
-                for j in range(art0):
-                    if abs(T[i, j]) > PIVOT_TOL:
-                        piv = j
-                        break
-                if piv < 0:
-                    keep[i] = False
-                else:
-                    _pivot(T, z, basis, i, piv)
-        T = T[keep]
-        basis = basis[keep]
-        m = T.shape[0]
+        stuck = [i for i in range(m) if basis[i] >= art0]
+        if stuck:
+            buf = np.empty_like(T)
+            for i in stuck:
+                candidates = (np.abs(T[i, :art0]) > PIVOT_TOL).nonzero()[0]
+                if candidates.size:
+                    _pivot(T, basis, i, int(candidates[0]), buf)
+            kept = [i for i in range(m) if basis[i] < art0]
+            basis = [basis[i] for i in kept]
+            kept.append(m)
+            T = T[kept]
+            m = len(basis)
 
-    # Phase 2 on the artificial-free columns.
-    T2 = np.hstack([T[:, :art0], T[:, -1:]])
-    cfull = np.zeros(art0)
-    cfull[:n] = cmax
-    z = -np.concatenate([cfull, [0.0]])
-    for i in range(m):
-        cb = cfull[basis[i]]
-        if cb != 0.0:
-            z += cb * T2[i]
-    status, iters = _simplex(T2, z, basis, iters)
+        # Phase 2 on the artificial-free columns.
+        T = np.concatenate((T[:, :art0], T[:, -1:]), axis=1)
+
+    z = T[m]
+    z[:] = 0.0
+    z[:n] = -cmax
+    costs = cmax.tolist()
+    for i, j in enumerate(basis):
+        if j < n and costs[j] != 0.0:
+            z += costs[j] * T[i]
+    status, iters = _simplex(T, basis, iters)
     if status != OPTIMAL:
         return status, None, iters
 
     x = np.zeros(art0)
-    x[basis] = T2[:, -1]
+    x[basis] = T[:m, -1]
     return OPTIMAL, x[:n], iters
 
 
-def _simplex(T, z, basis, iters):
-    n_cols = T.shape[1] - 1
+def _simplex(T, basis, iters):
+    m = T.shape[0] - 1
+    z = T[m, :-1]
+    rhs_column = T[:m, -1]
+    buf = np.empty_like(T)
     while True:
-        improvable = (z[:n_cols] < -FEASIBILITY_TOL).nonzero()[0]
-        if improvable.size == 0:
+        improvable = z < -FEASIBILITY_TOL
+        entering = int(improvable.argmax())  # Bland: lowest improvable index
+        if not improvable[entering]:
             return OPTIMAL, iters
-        entering = int(improvable[0])  # Bland: lowest improvable index
         # The ratio test's tie-break is sequential, so it runs over plain
         # floats: the tableau has only a handful of rows.
-        column = T[:, entering].tolist()
-        rhs = T[:, -1].tolist()
-        labels = basis.tolist()
+        column = T[:m, entering].tolist()
+        rhs = rhs_column.tolist()
         leaving = -1
         best = np.inf
         for i, a in enumerate(column):
@@ -233,24 +241,31 @@ def _simplex(T, z, basis, iters):
                 ratio = rhs[i] / a
                 if ratio < best - PIVOT_TOL or (
                     ratio < best + PIVOT_TOL
-                    and (leaving < 0 or labels[i] < labels[leaving])
+                    and (leaving < 0 or basis[i] < basis[leaving])
                 ):
                     best = ratio
                     leaving = i
         if leaving < 0:
             return UNBOUNDED, iters
-        _pivot(T, z, basis, leaving, entering)
+        _pivot(T, basis, leaving, entering, buf)
         iters += 1
         if iters > MAX_ITERATIONS:
             raise InvariantViolationError("simplex iteration limit exceeded")
 
 
-def _pivot(T, z, basis, row, col):
-    T[row] /= T[row, col]
-    # One rank-1 update; the pivot row's zero factor leaves it unchanged.
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= factors[:, None] * T[row]
-    if z[col] != 0.0:
-        z -= z[col] * T[row]
+def _pivot(T, basis, row, col, buf):
+    """Pivot on ``T[row, col]``, objective row included.
+
+    ``buf`` is scratch of ``T``'s shape for the rank-1 product.  The
+    product of a column by a row (``np.dot`` with an inner dimension of
+    one) rounds each element once, as an elementwise multiply does; only
+    the sign of a zero product may differ, and no comparison and no
+    nonzero entry depends on that.  The product's pivot row is zeroed, so
+    the update leaves the pivot row as divided.
+    """
+    prow = T[row]
+    prow /= prow[col]
+    np.dot(T[:, col, None], prow[None, :], out=buf)
+    buf[row] = 0.0
+    T -= buf
     basis[row] = col

@@ -2,7 +2,10 @@
 
 These never touch the simplex path: LPs are checked by enumerating
 candidate vertices (intersections of n constraint planes inside a large
-bounding box), DEA small cases by the single-ratio formula.
+bounding box), DEA small cases by the single-ratio formula.  The one
+exception is the frozen reference simplex at the end of the file, a
+copy of an earlier form of the solver's inner loop that the current one
+must match bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +14,21 @@ import functools
 import itertools
 
 import numpy as np
+
+from uniprod.errors import InvariantViolationError
+from uniprod.lp import (
+    EQ,
+    FEASIBILITY_TOL,
+    GE,
+    INFEASIBLE,
+    LE,
+    MAX_ITERATIONS,
+    MAXIMIZE,
+    OPTIMAL,
+    PIVOT_TOL,
+    UNBOUNDED,
+    LpSolution,
+)
 
 _COMBO_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
@@ -235,3 +253,154 @@ def random_dea_problem(rng, n_dmus=None, n_inputs=4, n_outputs=3):
     return DeaProblem(
         tuple(dmus), _INPUT_LABELS[:n_inputs], _OUTPUT_LABELS[:n_outputs]
     )
+
+
+# --- Frozen reference simplex ------------------------------------------
+#
+# A verbatim copy of the solver's inner loop as it stood before the
+# objective row moved into the tableau: z is kept apart from T and each
+# pivot copies the factor column.  The solver must reproduce it bit for
+# bit (status, objective, x and iteration count) on every envelopment LP;
+# see ``tests/test_lp_bits.py``.
+
+
+def reference_solve_lp(lp):
+    """``solve_lp`` over the frozen reference simplex below."""
+    c = lp.objective
+    cmax = c if lp.sense == MAXIMIZE else -c
+
+    status, x, iters = _two_phase(lp.A, lp.relations, lp.b, cmax)
+    if status != OPTIMAL:
+        return LpSolution(status, None, None, iters)
+    x = np.maximum(x, 0.0)
+    return LpSolution(OPTIMAL, float(c @ x), x, iters)
+
+
+def _two_phase(A, rels, b, cmax):
+    m, n = A.shape
+    A = A.copy()
+    b = b.copy()
+    rels = list(rels)
+    for i in range(m):  # rhs must be non-negative for the starting basis
+        if b[i] < 0:
+            A[i] *= -1.0
+            b[i] *= -1.0
+            rels[i] = {LE: GE, GE: LE, EQ: EQ}[rels[i]]
+
+    n_slack = sum(1 for r in rels if r == LE)
+    n_surplus = sum(1 for r in rels if r == GE)
+    n_art = sum(1 for r in rels if r in (GE, EQ))
+    slack0, surplus0, art0 = n, n + n_slack, n + n_slack + n_surplus
+    total = art0 + n_art
+
+    T = np.zeros((m, total + 1))
+    T[:, :n] = A
+    T[:, -1] = b
+    basis = np.empty(m, dtype=int)
+    si = ti = ai = 0
+    for i, rel in enumerate(rels):
+        if rel == LE:
+            T[i, slack0 + si] = 1.0
+            basis[i] = slack0 + si
+            si += 1
+        elif rel == GE:
+            T[i, surplus0 + ti] = -1.0
+            T[i, art0 + ai] = 1.0
+            basis[i] = art0 + ai
+            ti += 1
+            ai += 1
+        else:
+            T[i, art0 + ai] = 1.0
+            basis[i] = art0 + ai
+            ai += 1
+
+    iters = 0
+
+    if n_art:
+        # Phase 1: maximize -(sum of artificials); z holds reduced costs.
+        z = np.zeros(total + 1)
+        for i in range(m):
+            if basis[i] >= art0:
+                z -= T[i]
+        z[art0:total] += 1.0
+        status, iters = _simplex(T, z, basis, iters)
+        if status != OPTIMAL:
+            raise InvariantViolationError(f"phase-1 simplex ended with {status}")
+        if z[-1] < -FEASIBILITY_TOL:
+            return INFEASIBLE, None, iters
+        # Drive leftover artificials out of the basis; rows that cannot be
+        # repaired are redundant and dropped.
+        keep = np.ones(m, dtype=bool)
+        for i in range(m):
+            if basis[i] >= art0:
+                piv = -1
+                for j in range(art0):
+                    if abs(T[i, j]) > PIVOT_TOL:
+                        piv = j
+                        break
+                if piv < 0:
+                    keep[i] = False
+                else:
+                    _pivot(T, z, basis, i, piv)
+        T = T[keep]
+        basis = basis[keep]
+        m = T.shape[0]
+
+    # Phase 2 on the artificial-free columns.
+    T2 = np.hstack([T[:, :art0], T[:, -1:]])
+    cfull = np.zeros(art0)
+    cfull[:n] = cmax
+    z = -np.concatenate([cfull, [0.0]])
+    for i in range(m):
+        cb = cfull[basis[i]]
+        if cb != 0.0:
+            z += cb * T2[i]
+    status, iters = _simplex(T2, z, basis, iters)
+    if status != OPTIMAL:
+        return status, None, iters
+
+    x = np.zeros(art0)
+    x[basis] = T2[:, -1]
+    return OPTIMAL, x[:n], iters
+
+
+def _simplex(T, z, basis, iters):
+    n_cols = T.shape[1] - 1
+    while True:
+        improvable = (z[:n_cols] < -FEASIBILITY_TOL).nonzero()[0]
+        if improvable.size == 0:
+            return OPTIMAL, iters
+        entering = int(improvable[0])  # Bland: lowest improvable index
+        # The ratio test's tie-break is sequential, so it runs over plain
+        # floats: the tableau has only a handful of rows.
+        column = T[:, entering].tolist()
+        rhs = T[:, -1].tolist()
+        labels = basis.tolist()
+        leaving = -1
+        best = np.inf
+        for i, a in enumerate(column):
+            if a > PIVOT_TOL:
+                ratio = rhs[i] / a
+                if ratio < best - PIVOT_TOL or (
+                    ratio < best + PIVOT_TOL
+                    and (leaving < 0 or labels[i] < labels[leaving])
+                ):
+                    best = ratio
+                    leaving = i
+        if leaving < 0:
+            return UNBOUNDED, iters
+        _pivot(T, z, basis, leaving, entering)
+        iters += 1
+        if iters > MAX_ITERATIONS:
+            raise InvariantViolationError("simplex iteration limit exceeded")
+
+
+def _pivot(T, z, basis, row, col):
+    T[row] /= T[row, col]
+    # One rank-1 update; the pivot row's zero factor leaves it unchanged.
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= factors[:, None] * T[row]
+    if z[col] != 0.0:
+        z -= z[col] * T[row]
+    basis[row] = col

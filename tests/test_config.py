@@ -46,6 +46,18 @@ class TestValidation:
         with pytest.raises(StructuralError):
             RunConfig(min_staff=-0.1)
 
+    @pytest.mark.parametrize("value", [True, "4", None])
+    def test_non_numeric_min_staff(self, value):
+        with pytest.raises(StructuralError,
+                           match=f"^min_staff must be a number, got {value!r}$"):
+            RunConfig(min_staff=value)
+
+    def test_integer_min_staff_recorded_as_float(self):
+        config = RunConfig(min_staff=4)
+        assert config == RunConfig(min_staff=4.0)
+        assert json.dumps(config.snapshot()) == json.dumps(
+            RunConfig(min_staff=4.0).snapshot())
+
     def test_bad_regime(self):
         with pytest.raises(StructuralError):
             RunConfig(regime="drs")
@@ -57,6 +69,11 @@ class TestValidation:
     def test_drop_outside_selection(self):
         with pytest.raises(StructuralError, match="cannot drop input 'XX'"):
             RunConfig(drop_inputs=("XX",))
+
+    def test_drop_inputs_string(self):
+        with pytest.raises(StructuralError,
+                           match="sequence of input labels, not the string 'PR'"):
+            RunConfig(drop_inputs="PR")
 
     def test_repeated_drop_label(self):
         with pytest.raises(StructuralError, match="must not repeat"):

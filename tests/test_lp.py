@@ -74,14 +74,12 @@ class TestSmallCases:
         assert sol.objective == pytest.approx(-0.05, abs=1e-9)
 
 
-def _pivot_by_rows(T, z, basis, row, col):
-    """Row-at-a-time reference for ``_pivot``."""
+def _pivot_by_rows(T, basis, row, col):
+    """Row-at-a-time reference for ``_pivot``; the last row is z."""
     T[row] /= T[row, col]
     for i in range(T.shape[0]):
         if i != row and T[i, col] != 0.0:
             T[i] -= T[i, col] * T[row]
-    if z[col] != 0.0:
-        z -= z[col] * T[row]
     basis[row] = col
 
 
@@ -89,30 +87,30 @@ class TestPivot:
     @pytest.mark.parametrize("seed", range(5))
     def test_rank_one_update_matches_row_loop(self, seed):
         rng = np.random.default_rng(seed)
-        T = rng.normal(size=(6, 9))
+        T = rng.normal(size=(7, 9))  # six constraint rows and z
         T[rng.random(T.shape) < 0.3] = 0.0
         row, col = 2, 4
         T[row, col] = 1.7
-        z = rng.normal(size=9)
-        got = (T.copy(), z.copy(), np.arange(6))
-        want = (T.copy(), z.copy(), np.arange(6))
-        _pivot(*got, row, col)
+        got = (T.copy(), list(range(6)))
+        want = (T.copy(), list(range(6)))
+        _pivot(*got, row, col, np.empty_like(T))
         _pivot_by_rows(*want, row, col)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
 
 
-def _simplex_reference(T, z, basis, iters):
+def _simplex_reference(T, basis, iters):
     """Element-indexed reference for ``_simplex``'s Bland steps."""
+    m = T.shape[0] - 1
     n_cols = T.shape[1] - 1
     while True:
-        improvable = np.flatnonzero(z[:n_cols] < -FEASIBILITY_TOL)
+        improvable = np.flatnonzero(T[m, :n_cols] < -FEASIBILITY_TOL)
         if improvable.size == 0:
             return "optimal", iters
         entering = int(improvable[0])
         leaving = -1
         best = np.inf
-        for i in range(T.shape[0]):
+        for i in range(m):
             a = T[i, entering]
             if a > PIVOT_TOL:
                 ratio = T[i, -1] / a
@@ -124,7 +122,7 @@ def _simplex_reference(T, z, basis, iters):
                     leaving = i
         if leaving < 0:
             return "unbounded", iters
-        _pivot_by_rows(T, z, basis, leaving, entering)
+        _pivot_by_rows(T, basis, leaving, entering)
         iters += 1
         if iters > MAX_ITERATIONS:
             raise InvariantViolationError("simplex iteration limit exceeded")
