@@ -68,7 +68,7 @@ from .errors import (
 )
 from .ingest import Corpus, ingest, load_overrides
 from .lp import LinearProgram, LpSolution, solve_lp
-from .pipeline import AnalysisReport, run_pipeline
+from .pipeline import run_pipeline
 from .records import (
     AuthorToken,
     FundingTable,
@@ -77,7 +77,13 @@ from .records import (
     StaffMember,
     StaffRegistry,
 )
-from .report import read_table, render_json, render_table, write_report
+from .report import (
+    AnalysisReport,
+    read_table,
+    render_json,
+    render_table,
+    write_report,
+)
 
 __version__ = "0.1.0"
 

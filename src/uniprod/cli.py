@@ -14,8 +14,8 @@ from pathlib import Path
 from .config import FORMATS, REGIMES, RunConfig
 from .errors import UniprodError
 from .ingest import ingest, load_overrides
-from .pipeline import AnalysisReport, run_pipeline
-from .report import write_report
+from .pipeline import run_pipeline
+from .report import AnalysisReport, write_report
 
 EXIT_OK = 0
 EXIT_FATAL = 1
@@ -131,27 +131,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _summarize(report: AnalysisReport, written, stream) -> None:
     print(f"areas analyzed: {len(report.areas_analyzed)}", file=stream)
-    for row in report.area_failure_rows:
+    for row in report.tables["area_failures"]:
         print(
             f"area {row['area_id']} skipped ({row['reason']}): "
             f"{row['detail']}",
             file=stream,
         )
-    d = report.disambiguation_row
     print(
         "publications: {total} total, {resolved} resolved, {manual} for "
         "manual review, {discarded} discarded, {unresolvable} unresolvable"
-        .format(**d),
+        .format(**report.tables["disambiguation_stats"][0]),
         file=stream,
     )
-    if report.manual_review_rows:
+    if report.tables["manual_review"]:
         print(
-            f"manual review queue: {len(report.manual_review_rows)} "
+            f"manual review queue: {len(report.tables['manual_review'])} "
             "author mention(s) (see manual_review table)",
             file=stream,
         )
-    for message in report.warning_rows:
-        print(f"warning: {message}", file=stream)
+    for row in report.tables["warnings"]:
+        print(f"warning: {row['message']}", file=stream)
     for path in written:
         print(f"wrote {path}", file=stream)
 

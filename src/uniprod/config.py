@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 from .bibliometrics import INPUT_LABELS, OUTPUT_LABELS
@@ -45,7 +45,9 @@ class RunConfig:
             raise StructuralError(
                 f"min_staff must be a number, got {self.min_staff!r}"
             )
-        if not (math.isfinite(self.min_staff) and self.min_staff >= 0):
+        # a comparison, unlike math.isfinite, also takes an int too large
+        # for a float
+        if not 0 <= self.min_staff <= sys.float_info.max:
             raise StructuralError(
                 f"min_staff must be finite and >= 0, got {self.min_staff}"
             )

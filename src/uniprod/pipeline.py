@@ -1,10 +1,11 @@
 """End-to-end orchestration.
 
 Runs disambiguation, builds the per-area variables, solves the frontier
-models, and assembles every report table.  Per-area failures (too few
-units, degenerate data) are recorded in the report instead of aborting
-the remaining areas; corpus-wide problems (a missing snapshot year)
-still raise.
+models, and fills each table of ``report.TABLE_SPECS`` under its name:
+the areas' rows in area order, then the cross-area and corpus-wide
+tables.  Per-area failures (too few units, degenerate data) are recorded
+in the report instead of aborting the remaining areas; corpus-wide
+problems (a missing snapshot year) still raise.
 """
 
 from __future__ import annotations
@@ -37,38 +38,11 @@ from .errors import (
     MissingDataError,
 )
 from .ingest import Corpus
+from .report import TABLE_SPECS, AnalysisReport
 
 FAILURE_NOT_ANALYZABLE = "not_analyzable"
 FAILURE_DEGENERATE = "degenerate_data"
 FAILURE_INVARIANT = "internal_invariant"
-
-
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Every table the pipeline produces, in emission-ready row form.
-
-    All rows are plain dicts with stable key order; table-level ordering
-    is deterministic (areas, then universities, sorted by id).
-    """
-
-    config: Mapping[str, object]
-    areas_analyzed: tuple[str, ...]
-    descriptive_rows: tuple[dict, ...]
-    efficiency_rows: tuple[dict, ...]
-    tertile_rows: tuple[dict, ...]
-    score_rows: tuple[dict, ...]
-    global_rows: tuple[dict, ...]
-    partial_rows: tuple[dict, ...]
-    sensitivity_rows: tuple[dict, ...]
-    disambiguation_row: dict
-    exclusion_rows: tuple[dict, ...]
-    area_failure_rows: tuple[dict, ...]
-    warning_rows: tuple[str, ...]
-    manual_review_rows: tuple[dict, ...]
-
-    @property
-    def fully_successful(self) -> bool:
-        return not self.area_failure_rows
 
 
 def _population_std(values) -> float:
@@ -101,20 +75,14 @@ def descriptive_stats(problem) -> list[dict]:
 
 @dataclass
 class _AreaRows:
-    """One area's share of the report tables: its rows, or its failure.
+    """One area's share of the report tables, by table name.
 
+    An area that failed holds only ``exclusions`` and ``area_failures``.
     ``pte`` and ``staff_weights`` (per university) feed the cross-area
     step; both stay empty unless the variable-returns model ran.
     """
 
-    exclusions: list[dict]
-    failure: dict | None = None
-    descriptive: list[dict] = field(default_factory=list)
-    efficiency: dict | None = None
-    score_rows: list[dict] = field(default_factory=list)
-    tertile: dict | None = None
-    partial: dict | None = None
-    sensitivity: list[dict] = field(default_factory=list)
+    rows: dict[str, list[dict]]
     pte: dict[str, float] = field(default_factory=dict)
     staff_weights: dict[str, float] = field(default_factory=dict)
 
@@ -126,6 +94,12 @@ def _exclusion_row(e) -> dict:
         "reason": e.reason,
         "detail": e.detail,
     }
+
+
+def _failed_area(area_id, reason, exc, exclusions) -> _AreaRows:
+    failure = {"area_id": area_id, "reason": reason, "detail": str(exc)}
+    return _AreaRows({"exclusions": [_exclusion_row(e) for e in exclusions],
+                      "area_failures": [failure]})
 
 
 def _comparison_row(cmp) -> dict:
@@ -202,50 +176,45 @@ def _analyze_area(area_id: str, corpus: Corpus, matched: MatchedCorpus,
         problem, excluded = assemble_problem(inputs, outputs, area_id,
                                              config.min_staff)
     except AreaNotAnalyzableError as exc:
-        return _AreaRows(
-            [_exclusion_row(e) for e in exc.exclusions],
-            failure={"area_id": area_id, "reason": FAILURE_NOT_ANALYZABLE,
-                     "detail": str(exc)},
-        )
-    area = _AreaRows([_exclusion_row(e) for e in excluded])
+        return _failed_area(area_id, FAILURE_NOT_ANALYZABLE, exc,
+                            exc.exclusions)
     try:
         te, pte, se, rts = _frontier_scores(problem, config)
     except (DegenerateDmuError, InvariantViolationError) as exc:
-        reason = (
-            FAILURE_DEGENERATE
-            if isinstance(exc, DegenerateDmuError)
-            else FAILURE_INVARIANT
-        )
-        area.failure = {"area_id": area_id, "reason": reason,
-                        "detail": str(exc)}
-        return area
+        reason = (FAILURE_DEGENERATE if isinstance(exc, DegenerateDmuError)
+                  else FAILURE_INVARIANT)
+        return _failed_area(area_id, reason, exc, excluded)
 
     unit_ids = [d.dmu_id for d in problem.dmus]
-    area.descriptive = [
-        {"area_id": area_id, **row}
-        for row in descriptive_stats(problem)
-    ]
-    area.efficiency = _efficiency_row(area_id, len(unit_ids), te, pte, se,
-                                      rts)
     area_ranks = rank(pte if pte else te)
-    area.score_rows = [
-        {
-            "area_id": area_id,
-            "university_id": university_id,
-            "te": te.get(university_id),
-            "pte": pte.get(university_id),
-            "se": se.get(university_id),
-            "rts": rts.get(university_id),
-            "theta": None,  # filled after cross-area normalization
-            "area_rank": area_ranks[university_id],
-        }
-        for university_id in unit_ids
-    ]
+    area = _AreaRows({
+        "descriptive_stats": [
+            {"area_id": area_id, **row}
+            for row in descriptive_stats(problem)
+        ],
+        "efficiency_by_area": [
+            _efficiency_row(area_id, len(unit_ids), te, pte, se, rts)
+        ],
+        "scores": [
+            {
+                "area_id": area_id,
+                "university_id": university_id,
+                "te": te.get(university_id),
+                "pte": pte.get(university_id),
+                "se": se.get(university_id),
+                "rts": rts.get(university_id),
+                "theta": None,  # filled after cross-area normalization
+                "area_rank": area_ranks[university_id],
+            }
+            for university_id in unit_ids
+        ],
+        "exclusions": [_exclusion_row(e) for e in excluded],
+    })
     if not pte:
         return area
 
     summary = tertile_summary(pte)
-    area.tertile = {
+    area.rows["tertiles"] = [{
         "area_id": area_id,
         "efficient": summary.efficient_count,
         "inefficient": summary.inefficient_count,
@@ -255,7 +224,7 @@ def _analyze_area(area_id: str, corpus: Corpus, matched: MatchedCorpus,
         "t2_mean": summary.tertile_means[1],
         "t3_n": summary.tertile_sizes[2],
         "t3_mean": summary.tertile_means[2],
-    }
+    }]
     area.pte = dict(pte)
     area.staff_weights = {u: inputs[u].staff_total for u in unit_ids}
     if config.compare_partial:
@@ -263,11 +232,14 @@ def _analyze_area(area_id: str, corpus: Corpus, matched: MatchedCorpus,
             u: outputs[u].pu / inputs[u].staff_total for u in unit_ids
         }
         cmp = compare_rankings(rank(pte), rank(productivity))
-        area.partial = {"area_id": area_id, "n_universities": len(unit_ids),
-                        **_comparison_row(cmp)}
+        area.rows["partial_comparison"] = [{
+            "area_id": area_id, "n_universities": len(unit_ids),
+            **_comparison_row(cmp),
+        }]
+    area.rows["sensitivity"] = []
     for label in config.drop_inputs:
         cmp = sensitivity_drop_input(problem, label).comparison
-        area.sensitivity.append({
+        area.rows["sensitivity"].append({
             "area_id": area_id,
             "dropped_input": label,
             "n_universities": len(unit_ids),
@@ -302,7 +274,7 @@ def _global_rows(analyzed: dict[str, _AreaRows],
     thetas = normalize_scores(pte_by_area)
     theta_lookup = {(ns.university_id, ns.area_id): ns.theta for ns in thetas}
     for area_id, area in analyzed.items():
-        for row in area.score_rows:
+        for row in area.rows["scores"]:
             row["theta"] = theta_lookup.get((row["university_id"], area_id))
     staff_weights = {
         (university_id, area_id): weight
@@ -346,35 +318,26 @@ def run_pipeline(
         area_id: _analyze_area(area_id, corpus, matched, config, warnings)
         for area_id in area_ids
     }
-    analyzed = {a: area for a, area in areas.items() if area.failure is None}
-    global_rows = _global_rows(analyzed, warnings)
-    done = list(analyzed.values())
-
+    analyzed = {a: area for a, area in areas.items()
+                if "area_failures" not in area.rows}
+    tables: dict[str, list[dict]] = {name: [] for name in TABLE_SPECS}
+    for area in areas.values():
+        for name, rows in area.rows.items():
+            tables[name] += rows
+    tables["global_ranking"] = _global_rows(analyzed, warnings)
+    tables["disambiguation_stats"] = [asdict(disamb.stats)]
+    tables["manual_review"] = [
+        {
+            "pub_id": r.pub_id,
+            "author_position": r.position,
+            "token": r.token_text,
+            "candidates": ";".join(r.candidate_ids),
+        }
+        for r in disamb.manual_review
+    ]
+    tables["warnings"] = [{"message": m} for m in sorted(set(warnings))]
     return AnalysisReport(
         config=config.snapshot(),
         areas_analyzed=tuple(analyzed),
-        descriptive_rows=tuple(row for a in done for row in a.descriptive),
-        efficiency_rows=tuple(a.efficiency for a in done),
-        tertile_rows=tuple(a.tertile for a in done if a.tertile),
-        score_rows=tuple(row for a in done for row in a.score_rows),
-        global_rows=tuple(global_rows),
-        partial_rows=tuple(a.partial for a in done if a.partial),
-        sensitivity_rows=tuple(row for a in done for row in a.sensitivity),
-        disambiguation_row=asdict(disamb.stats),
-        exclusion_rows=tuple(
-            row for a in areas.values() for row in a.exclusions
-        ),
-        area_failure_rows=tuple(
-            a.failure for a in areas.values() if a.failure
-        ),
-        warning_rows=tuple(sorted(set(warnings))),
-        manual_review_rows=tuple(
-            {
-                "pub_id": r.pub_id,
-                "author_position": r.position,
-                "token": r.token_text,
-                "candidates": ";".join(r.candidate_ids),
-            }
-            for r in disamb.manual_review
-        ),
+        tables={name: tuple(rows) for name, rows in tables.items()},
     )

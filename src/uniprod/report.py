@@ -1,10 +1,12 @@
-"""Deterministic report emission.
+"""The report's tables and their deterministic emission.
 
-CSV mode writes one file per table plus the config snapshot; JSON mode
-writes a single document.  Efficiency-score columns use fixed six
-decimal places; other numeric columns use 12 significant digits; JSON
-carries full float precision.  Emission is byte-stable for a fixed
-report, and ``read_table`` parses a CSV table back into typed rows.
+``TABLE_SPECS`` names each table once, in emission order; the name is
+the CSV file stem and the JSON key.  CSV mode writes one file per table
+plus the config snapshot; JSON mode writes a single document.
+Efficiency-score columns use fixed six decimal places; other numeric
+columns use 12 significant digits; JSON carries full float precision.
+Emission is byte-stable for a fixed report, and ``read_table`` parses a
+CSV table back into typed rows.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 from .errors import StructuralError
-from .pipeline import AnalysisReport
 
 STR = "str"
 INT = "int"
@@ -23,73 +26,75 @@ NUM = "num"
 SCORE = "score"
 BOOL = "bool"
 
-#: table name -> (report attribute, ((column, kind), ...))
-TABLE_SPECS: dict[str, tuple[str, tuple[tuple[str, str], ...]]] = {
-    "descriptive_stats": ("descriptive_rows", (
+#: table name -> ((column, kind), ...), in emission order
+TABLE_SPECS: dict[str, tuple[tuple[str, str], ...]] = {
+    "descriptive_stats": (
         ("area_id", STR), ("variable", STR), ("n", INT),
         ("mean", NUM), ("min", NUM), ("max", NUM), ("std_dev", NUM),
-    )),
-    "efficiency_by_area": ("efficiency_rows", (
+    ),
+    "efficiency_by_area": (
         ("area_id", STR), ("n_universities", INT),
         ("te_mean", SCORE), ("pte_mean", SCORE), ("se_mean", SCORE),
         ("te_efficient", INT), ("pte_efficient", INT),
         ("rts_constant", INT), ("rts_increasing", INT),
         ("rts_decreasing", INT),
-    )),
-    "tertiles": ("tertile_rows", (
+    ),
+    "tertiles": (
         ("area_id", STR), ("efficient", INT), ("inefficient", INT),
         ("t1_n", INT), ("t1_mean", SCORE),
         ("t2_n", INT), ("t2_mean", SCORE),
         ("t3_n", INT), ("t3_mean", SCORE),
-    )),
-    "scores": ("score_rows", (
+    ),
+    "scores": (
         ("area_id", STR), ("university_id", STR),
         ("te", SCORE), ("pte", SCORE), ("se", SCORE), ("rts", STR),
         ("theta", SCORE), ("area_rank", INT),
-    )),
-    "global_ranking": ("global_rows", (
+    ),
+    "global_ranking": (
         ("university_id", STR), ("theta_tot", SCORE), ("rank", INT),
         ("areas_active", INT), ("staff_weight_total", NUM),
-    )),
-    "partial_comparison": ("partial_rows", (
+    ),
+    "partial_comparison": (
         ("area_id", STR), ("n_universities", INT), ("changed", INT),
         ("max_delta", INT), ("mean_delta", NUM), ("median_delta", NUM),
         ("cv_delta", NUM), ("cv_defined", BOOL),
-    )),
-    "sensitivity": ("sensitivity_rows", (
+    ),
+    "sensitivity": (
         ("area_id", STR), ("dropped_input", STR), ("n_universities", INT),
         ("changed", INT), ("max_delta", INT), ("mean_delta", NUM),
         ("median_delta", NUM), ("cv_delta", NUM), ("cv_defined", BOOL),
         ("no_longer_efficient", INT),
-    )),
-    "disambiguation_stats": ("disambiguation_row", (
+    ),
+    "disambiguation_stats": (
         ("total", INT), ("resolved", INT), ("manual", INT),
         ("discarded", INT), ("unresolvable", INT),
-    )),
-    "exclusions": ("exclusion_rows", (
+    ),
+    "exclusions": (
         ("area_id", STR), ("university_id", STR), ("reason", STR),
         ("detail", STR),
-    )),
-    "area_failures": ("area_failure_rows", (
-        ("area_id", STR), ("reason", STR), ("detail", STR),
-    )),
-    "manual_review": ("manual_review_rows", (
+    ),
+    "area_failures": (("area_id", STR), ("reason", STR), ("detail", STR)),
+    "manual_review": (
         ("pub_id", STR), ("author_position", INT), ("token", STR),
         ("candidates", STR),
-    )),
-    "warnings": ("warning_rows", (
-        ("message", STR),
-    )),
+    ),
+    "warnings": (("message", STR),),
 }
 
 
-def _table_rows(report: AnalysisReport, attribute: str) -> list[dict]:
-    value = getattr(report, attribute)
-    if isinstance(value, dict):
-        return [value]
-    if attribute == "warning_rows":
-        return [{"message": m} for m in value]
-    return list(value)
+@dataclass(frozen=True)
+class AnalysisReport:
+    """``tables`` maps each name of ``TABLE_SPECS``, in its order, to a
+    tuple of row dicts keyed by the table's columns; rows are ordered by
+    area, then university, sorted by id."""
+
+    config: Mapping[str, object]
+    areas_analyzed: tuple[str, ...]
+    tables: Mapping[str, tuple[dict, ...]]
+
+    @property
+    def fully_successful(self) -> bool:
+        return not self.tables["area_failures"]
 
 
 def _format_cell(value, kind: str) -> str:
@@ -103,9 +108,7 @@ def _format_cell(value, kind: str) -> str:
         return "true" if value else "false"
     if kind == SCORE:
         return f"{float(value):.6f}"
-    if kind == NUM:
-        return format(float(value), ".12g")
-    raise StructuralError(f"unknown column kind {kind!r}")
+    return format(float(value), ".12g")  # NUM
 
 
 def _parse_cell(text: str, kind: str):
@@ -116,50 +119,61 @@ def _parse_cell(text: str, kind: str):
     if kind == INT:
         return int(text)
     if kind == BOOL:
+        if text not in ("true", "false"):
+            raise ValueError(text)
         return text == "true"
-    if kind in (SCORE, NUM):
-        return float(text)
-    raise StructuralError(f"unknown column kind {kind!r}")
+    return float(text)  # SCORE or NUM
 
 
 def render_table(report: AnalysisReport, table: str) -> str:
     """One table as CSV text with a header row and LF line endings."""
     try:
-        attribute, columns = TABLE_SPECS[table]
+        columns = TABLE_SPECS[table]
     except KeyError:
         raise StructuralError(f"unknown table {table!r}") from None
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow([name for name, _ in columns])
-    for row in _table_rows(report, attribute):
+    for row in report.tables[table]:
         writer.writerow(
-            [_format_cell(row.get(name), kind) for name, kind in columns]
+            [_format_cell(row[name], kind) for name, kind in columns]
         )
     return buffer.getvalue()
 
 
 def read_table(path: Path) -> list[dict]:
-    """Parse an emitted CSV table back into typed rows."""
+    """Parse an emitted CSV table back into typed rows; a missing or wrong
+    header, a row of the wrong length or a cell its column cannot parse
+    raises a ``StructuralError`` naming the file and line."""
     path = Path(path)
-    table = path.stem
     try:
-        _, columns = TABLE_SPECS[table]
+        columns = TABLE_SPECS[path.stem]
     except KeyError:
         raise StructuralError(f"unknown table file {path.name!r}") from None
+    expected = [name for name, _ in columns]
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
-        expected = [name for name, _ in columns]
+        header = next(reader, None)
         if header != expected:
+            found = "no header" if header is None else f"header {header}"
             raise StructuralError(
-                f"{path.name}: header {header} does not match {expected}"
+                f"{path.name}:1: {found} does not match {expected}"
             )
         rows = []
         for raw in reader:
-            rows.append({
-                name: _parse_cell(cell, kind)
-                for (name, kind), cell in zip(columns, raw)
-            })
+            where = f"{path.name}:{reader.line_num}:"
+            if len(raw) != len(columns):
+                raise StructuralError(
+                    f"{where} expected {len(columns)} cells, got {len(raw)}"
+                )
+            row = {}
+            for (name, kind), cell in zip(columns, raw):
+                try:
+                    row[name] = _parse_cell(cell, kind)
+                except ValueError:
+                    raise StructuralError(f"{where} {name}: cannot read "
+                                          f"{cell!r} as {kind}") from None
+            rows.append(row)
     return rows
 
 
@@ -168,10 +182,7 @@ def render_json(report: AnalysisReport) -> str:
     body = {
         "config": dict(report.config),
         "areas_analyzed": list(report.areas_analyzed),
-        "tables": {
-            table: _table_rows(report, attribute)
-            for table, (attribute, _) in TABLE_SPECS.items()
-        },
+        "tables": dict(report.tables),
     }
     return json.dumps(body, indent=2, allow_nan=False) + "\n"
 
@@ -180,15 +191,14 @@ def write_report(report: AnalysisReport, out_dir: Path, fmt: str) -> list[Path]:
     """Write the report under ``out_dir`` and list the files created."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
     if fmt == "json":
         target = out_dir / "report.json"
         target.write_text(render_json(report), encoding="utf-8")
-        written.append(target)
-        return written
+        return [target]
     if fmt != "csv":
         raise StructuralError(f"unknown report format {fmt!r}")
-    for table in TABLE_SPECS:
+    written: list[Path] = []
+    for table in report.tables:
         target = out_dir / f"{table}.csv"
         target.write_text(render_table(report, table), encoding="utf-8")
         written.append(target)

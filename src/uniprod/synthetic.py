@@ -137,12 +137,21 @@ def write_synthetic_dataset(
     years: tuple[int, ...] = (2001, 2002, 2003),
     pubs_per_staff_year: float = 0.6,
 ) -> Path:
-    """Write the five CSVs under ``out_dir`` and return ``out_dir``."""
-    if n_universities > MAX_UNIVERSITIES:
+    """Write the five CSVs under ``out_dir`` and return ``out_dir``.
+
+    A shape with no area, no university or no year is rejected before
+    anything is written.
+    """
+    if n_areas < 1:
+        raise ValueError(f"n_areas must be at least 1, got {n_areas}")
+    if not 1 <= n_universities <= MAX_UNIVERSITIES:
         raise ValueError(
-            f"at most {MAX_UNIVERSITIES} universities supported, "
+            f"n_universities must be in 1-{MAX_UNIVERSITIES}, "
             f"got {n_universities}"
         )
+    years = tuple(sorted(years))
+    if not years:
+        raise ValueError("years must hold at least one output year")
     if not (math.isfinite(pubs_per_staff_year) and pubs_per_staff_year >= 0):
         raise ValueError(
             f"pubs_per_staff_year must be finite and >= 0, "
@@ -151,7 +160,6 @@ def write_synthetic_dataset(
     rng = random.Random(seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    years = tuple(sorted(years))
 
     areas = [f"A{i + 1:02d}" for i in range(n_areas)]
     universities = [f"U{i + 1:02d}" for i in range(n_universities)]

@@ -46,6 +46,13 @@ class TestValidation:
         with pytest.raises(StructuralError):
             RunConfig(min_staff=-0.1)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 10**400],
+                             ids=["inf", "nan", "int-beyond-float"])
+    def test_non_finite_min_staff(self, value):
+        with pytest.raises(StructuralError,
+                           match="^min_staff must be finite and >= 0, got "):
+            RunConfig(min_staff=value)
+
     @pytest.mark.parametrize("value", [True, "4", None])
     def test_non_numeric_min_staff(self, value):
         with pytest.raises(StructuralError,

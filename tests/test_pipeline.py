@@ -115,11 +115,11 @@ class TestReportTables:
     def test_areas_and_success(self, report):
         assert report.areas_analyzed == ("A01", "A02")
         assert report.fully_successful
-        assert report.area_failure_rows == ()
+        assert report.tables["area_failures"] == ()
 
     def test_all_units_efficient(self, report):
-        assert len(report.score_rows) == len(EXPECTED_INPUTS)
-        for row in report.score_rows:
+        assert len(report.tables["scores"]) == len(EXPECTED_INPUTS)
+        for row in report.tables["scores"]:
             assert (row["area_id"], row["university_id"]) in EXPECTED_INPUTS
             assert row["te"] == 1.0
             assert row["pte"] == 1.0
@@ -139,7 +139,7 @@ class TestReportTables:
             )
             problem = DeaProblem(dmus, INPUT_LABELS, OUTPUT_LABELS)
             direct = {r.dmu_id: r for r in decompose(problem)}
-            for row in report.score_rows:
+            for row in report.tables["scores"]:
                 if row["area_id"] != area:
                     continue
                 ref = direct[row["university_id"]]
@@ -150,7 +150,7 @@ class TestReportTables:
 
     def test_descriptive_rows(self, report):
         rows = {(r["area_id"], r["variable"]): r
-                for r in report.descriptive_rows}
+                for r in report.tables["descriptive_stats"]}
         pu = rows[("A01", "PU")]
         assert pu["n"] == 3
         assert pu["mean"] == pytest.approx(6.0)
@@ -162,28 +162,28 @@ class TestReportTables:
         assert ss["mean"] == pytest.approx((7.5 + 2.4) / 2)
 
     def test_exclusion_row(self, report):
-        assert len(report.exclusion_rows) == 1
-        row = report.exclusion_rows[0]
+        assert len(report.tables["exclusions"]) == 1
+        row = report.tables["exclusions"][0]
         assert (row["area_id"], row["university_id"]) == (
             EXPECTED_EXCLUDED[0], EXPECTED_EXCLUDED[1])
         assert row["reason"] == "below_staff_threshold"
 
     def test_disambiguation_row(self, report):
-        assert report.disambiguation_row == EXPECTED_DISAMB
+        assert report.tables["disambiguation_stats"] == (EXPECTED_DISAMB,)
 
     def test_manual_review_rows(self, report):
-        assert len(report.manual_review_rows) == 1
-        assert report.manual_review_rows[0] == EXPECTED_MANUAL_ROW
+        assert len(report.tables["manual_review"]) == 1
+        assert report.tables["manual_review"][0] == EXPECTED_MANUAL_ROW
 
     def test_partial_rows(self, report):
-        rows = {r["area_id"]: r for r in report.partial_rows}
+        rows = {r["area_id"]: r for r in report.tables["partial_comparison"]}
         assert set(rows) == set(EXPECTED_PARTIAL)
         for area, expected in EXPECTED_PARTIAL.items():
             for key, value in expected.items():
                 assert rows[area][key] == pytest.approx(value), (area, key)
 
     def test_sensitivity_rows(self, report):
-        rows = {r["area_id"]: r for r in report.sensitivity_rows}
+        rows = {r["area_id"]: r for r in report.tables["sensitivity"]}
         assert set(rows) == set(EXPECTED_SENSITIVITY)
         for area, expected in EXPECTED_SENSITIVITY.items():
             assert rows[area]["dropped_input"] == "PR"
@@ -207,7 +207,7 @@ class TestReportTables:
                     EXPECTED_PTE_AFTER_DROP_PR[(area, uni)], abs=1e-9)
 
     def test_global_rows(self, report):
-        rows = {r["university_id"]: r for r in report.global_rows}
+        rows = {r["university_id"]: r for r in report.tables["global_ranking"]}
         assert set(rows) == set(EXPECTED_GLOBAL_WEIGHTS)
         for uni, weight in EXPECTED_GLOBAL_WEIGHTS.items():
             assert rows[uni]["theta_tot"] == pytest.approx(1.0)
@@ -217,15 +217,16 @@ class TestReportTables:
         assert rows["U3"]["areas_active"] == 1
 
     def test_tertile_rows_all_efficient(self, report):
-        rows = {r["area_id"]: r for r in report.tertile_rows}
+        rows = {r["area_id"]: r for r in report.tables["tertiles"]}
         assert rows["A01"]["efficient"] == 3
         assert rows["A01"]["inefficient"] == 0
         assert rows["A01"]["t1_n"] == 0
         assert rows["A01"]["t1_mean"] is None
 
     def test_warnings_mention_weightless_journal(self, report):
-        assert any("J3" in w for w in report.warning_rows)
-        assert list(report.warning_rows) == sorted(set(report.warning_rows))
+        messages = [row["message"] for row in report.tables["warnings"]]
+        assert any("J3" in w for w in messages)
+        assert messages == sorted(set(messages))
 
     def test_descriptive_stats_population_sigma(self):
         problem = DeaProblem(
@@ -240,27 +241,28 @@ class TestReportTables:
 class TestOverridesAndRegimes:
     def test_pipeline_with_overrides(self, corpus, config):
         report = run_pipeline(corpus, config, {("P029", 1): "S027"})
-        assert report.disambiguation_row == EXPECTED_DISAMB_WITH_OVERRIDE
-        assert report.manual_review_rows == ()
+        assert report.tables["disambiguation_stats"] == (
+            EXPECTED_DISAMB_WITH_OVERRIDE,)
+        assert report.tables["manual_review"] == ()
 
     def test_crs_regime_has_te_only(self, corpus):
         report = run_pipeline(corpus, RunConfig(regime="crs"))
-        for row in report.score_rows:
+        for row in report.tables["scores"]:
             assert row["te"] is not None
             assert row["pte"] is None and row["se"] is None
             assert row["rts"] is None and row["theta"] is None
-        assert report.tertile_rows == ()
-        assert report.global_rows == ()
-        eff = report.efficiency_rows[0]
+        assert report.tables["tertiles"] == ()
+        assert report.tables["global_ranking"] == ()
+        eff = report.tables["efficiency_by_area"][0]
         assert eff["te_mean"] is not None and eff["pte_mean"] is None
 
     def test_vrs_regime_has_pte_and_analytics(self, corpus):
         report = run_pipeline(corpus, RunConfig(regime="vrs"))
-        for row in report.score_rows:
+        for row in report.tables["scores"]:
             assert row["pte"] is not None and row["theta"] is not None
             assert row["te"] is None and row["se"] is None
-        assert report.tertile_rows != ()
-        assert report.global_rows != ()
+        assert report.tables["tertiles"] != ()
+        assert report.tables["global_ranking"] != ()
 
     def test_crs_regime_skips_vrs_analytics_even_with_flags(self, corpus):
         # Both analytics need PTE, which the CRS regime never computes;
@@ -280,13 +282,14 @@ class TestFailureHandling:
         report = run_pipeline(corpus, config)
         assert report.areas_analyzed == ("A01",)
         assert not report.fully_successful
-        assert len(report.area_failure_rows) == 1
-        failure = report.area_failure_rows[0]
+        assert len(report.tables["area_failures"]) == 1
+        failure = report.tables["area_failures"][0]
         assert failure["area_id"] == "A02"
         assert failure["reason"] == FAILURE_NOT_ANALYZABLE
         # A01's tables are complete despite the failure.
-        assert sum(1 for r in report.score_rows if r["area_id"] == "A01") == 3
-        assert any(r["area_id"] == "A01" for r in report.sensitivity_rows)
+        assert sum(1 for r in report.tables["scores"]
+                   if r["area_id"] == "A01") == 3
+        assert any(r["area_id"] == "A01" for r in report.tables["sensitivity"])
 
     def test_invariant_failure_is_isolated(self, corpus, config, tmp_path,
                                            monkeypatch, capsys):
@@ -302,10 +305,10 @@ class TestFailureHandling:
         monkeypatch.setattr(pipeline, "decompose", failing_first)
         report = run_pipeline(corpus, config)
         assert [(r["area_id"], r["reason"])
-                for r in report.area_failure_rows] == [
+                for r in report.tables["area_failures"]] == [
                     ("A01", FAILURE_INVARIANT)]
         assert report.areas_analyzed == ("A02",)
-        assert {r["area_id"] for r in report.score_rows} == {"A02"}
+        assert {r["area_id"] for r in report.tables["scores"]} == {"A02"}
 
         calls.clear()
         root = write_demo_dataset(tmp_path / "data")
@@ -334,11 +337,11 @@ class TestFailureHandling:
         strict = replace(config, min_staff=50.0)
         report = run_pipeline(corpus, strict)
         assert report.areas_analyzed == ()
-        assert report.score_rows == ()
-        assert report.global_rows == ()
-        assert len(report.area_failure_rows) == 2
+        assert report.tables["scores"] == ()
+        assert report.tables["global_ranking"] == ()
+        assert len(report.tables["area_failures"]) == 2
         # Disambiguation still ran and is reported.
-        assert report.disambiguation_row == EXPECTED_DISAMB
+        assert report.tables["disambiguation_stats"] == (EXPECTED_DISAMB,)
 
 
 class TestDeterminism:
@@ -367,12 +370,12 @@ class TestCrossAreaInvariants:
         report = run_pipeline(corpus, config)
 
         thetas: dict[str, dict[str, float]] = {}
-        for row in report.score_rows:
+        for row in report.tables["scores"]:
             assert math.isfinite(row["theta"])
             thetas.setdefault(row["university_id"], {})[row["area_id"]] = \
                 row["theta"]
         for area_id in report.areas_analyzed:
-            cell = [row["theta"] for row in report.score_rows
+            cell = [row["theta"] for row in report.tables["scores"]
                     if row["area_id"] == area_id]
             assert sum(cell) / len(cell) == pytest.approx(1.0, abs=1e-9)
 
@@ -382,7 +385,7 @@ class TestCrossAreaInvariants:
                 for r in RANKS for y in config.years
             ) / len(config.years)
 
-        for row in report.global_rows:
+        for row in report.tables["global_ranking"]:
             by_area = thetas[row["university_id"]]
             weights = {a: staff_weight(row["university_id"], a)
                        for a in by_area}

@@ -1,6 +1,7 @@
 """Emission invariants: round-trip fidelity, determinism, formats."""
 
 import json
+import re
 
 import pytest
 
@@ -27,22 +28,13 @@ def report(tmp_path_factory):
     return run_pipeline(corpus, config)
 
 
-def _raw_rows(report, attribute):
-    value = getattr(report, attribute)
-    if isinstance(value, dict):
-        return [value]
-    if attribute == "warning_rows":
-        return [{"message": m} for m in value]
-    return list(value)
-
-
 class TestCsvRoundTrip:
     def test_every_table_round_trips(self, report, tmp_path):
-        for table, (attribute, columns) in TABLE_SPECS.items():
+        for table, columns in TABLE_SPECS.items():
             path = tmp_path / f"{table}.csv"
             path.write_text(render_table(report, table), encoding="utf-8")
             parsed = read_table(path)
-            raw = _raw_rows(report, attribute)
+            raw = report.tables[table]
             assert len(parsed) == len(raw), table
             for got, want in zip(parsed, raw):
                 for name, kind in columns:
@@ -84,14 +76,42 @@ class TestCsvRoundTrip:
         with pytest.raises(StructuralError):
             read_table(path)
 
+    HEADER = "university_id,theta_tot,rank,areas_active,staff_weight_total\n"
+    ROW = "U1,0.5,1,2,10\n"
+
+    @pytest.mark.parametrize("body, where", [
+        (HEADER + ROW + "U1,0.5\n", "3: expected 5 cells, got 2"),
+        (HEADER + ROW + "U1,0.5,1,2,10,3\n", "3: expected 5 cells, got 6"),
+        (HEADER + "U1,abc,1,2,10\n", "2: theta_tot: cannot read 'abc'"),
+        (HEADER + "U1,0.5,1.5,2,10\n", "2: rank: cannot read '1.5'"),
+        ("", "1: no header"),
+    ], ids=["short-row", "long-row", "bad-number", "bad-integer",
+            "empty-file"])
+    def test_malformed_table_rejected(self, tmp_path, body, where):
+        path = tmp_path / "global_ranking.csv"
+        path.write_text(body, encoding="utf-8")
+        message = re.escape(f"global_ranking.csv:{where}")
+        with pytest.raises(StructuralError, match=f"^{message}"):
+            read_table(path)
+
+    def test_bad_boolean_rejected(self, report, tmp_path):
+        path = tmp_path / "partial_comparison.csv"
+        text = render_table(report, "partial_comparison")
+        assert ",true\n" in text or ",false\n" in text
+        path.write_text(text.replace(",true\n", ",yes\n")
+                        .replace(",false\n", ",yes\n"), encoding="utf-8")
+        with pytest.raises(StructuralError,
+                           match=r"^partial_comparison\.csv:2: cv_defined: "):
+            read_table(path)
+
 
 class TestJson:
     def test_json_preserves_exact_values(self, report):
         doc = json.loads(render_json(report))
         assert doc["areas_analyzed"] == list(report.areas_analyzed)
         assert doc["config"] == dict(report.config)
-        for table, (attribute, _) in TABLE_SPECS.items():
-            raw = _raw_rows(report, attribute)
+        for table in TABLE_SPECS:
+            raw = list(report.tables[table])
             assert doc["tables"][table] == raw, table
 
     def test_json_is_deterministic(self, report):
@@ -121,3 +141,33 @@ class TestWriteReport:
         second = write_report(report, tmp_path / "b", "csv")
         for p1, p2 in zip(first, second):
             assert p1.read_bytes() == p2.read_bytes(), p1.name
+
+
+class TestSchema:
+    """Every run fills every table, in ``TABLE_SPECS`` order, with rows
+    keyed by exactly that table's columns: a misspelled or missing key
+    would otherwise reach the CSV as a blank cell or the JSON as a
+    stray field."""
+
+    # Without these staff members area A02 has one analyzable unit.
+    A02_STARVED = frozenset({"S021", "S022", "S023", "S024", "S025"})
+
+    @pytest.mark.parametrize("starved", [frozenset(), A02_STARVED],
+                             ids=["demo", "one-area-fails"])
+    @pytest.mark.parametrize("config", [
+        RunConfig(regime="all", compare_partial=True, drop_inputs=("PR",)),
+        RunConfig(regime="vrs", compare_partial=True, drop_inputs=("PR",)),
+        RunConfig(regime="crs"),
+    ], ids=["all", "vrs", "crs"])
+    def test_rows_carry_their_tables_columns(self, tmp_path, config,
+                                             starved):
+        corpus = ingest(write_demo_dataset(tmp_path, starved))
+        report = run_pipeline(corpus, config)
+        assert list(report.tables) == list(TABLE_SPECS)
+        for table, columns in TABLE_SPECS.items():
+            for row in report.tables[table]:
+                assert set(row) == {name for name, _ in columns}, table
+        assert bool(report.tables["area_failures"]) == bool(starved)
+        if config.regime == "all" and not starved:
+            empty = [t for t, rows in report.tables.items() if not rows]
+            assert empty == ["area_failures"]
