@@ -17,6 +17,7 @@ from pathlib import Path
 
 from uniprod.cli import main as uniprod_main
 from uniprod.config import REGIMES, RunConfig
+from uniprod.dea import CRS
 from uniprod.report import read_table
 from uniprod.synthetic import MAX_UNIVERSITIES, write_synthetic_dataset
 
@@ -64,11 +65,17 @@ def main(argv=None) -> int:
         for row in read_table(report_dir / "efficiency_by_area.csv"):
             te = row["te_mean"]
             pte = row["pte_mean"]
+            n_efficient = row["te_efficient"]
             print(f"  {row['area_id']}: {row['n_universities']:>3} "
                   f"universities, mean TE "
                   f"{'-' if te is None else f'{te:.3f}'}, mean PTE "
                   f"{'-' if pte is None else f'{pte:.3f}'}, "
-                  f"{row['te_efficient'] or 0} TE-efficient")
+                  f"{'-' if n_efficient is None else n_efficient} "
+                  f"TE-efficient")
+        if args.regime == CRS:
+            # The global index normalizes PTE, which only VRS yields.
+            print("\nno global ranking: it needs --regime vrs or all")
+            return code
         top = read_table(report_dir / "global_ranking.csv")[:5]
         print("\ntop of the global ranking:")
         for row in top:

@@ -54,7 +54,7 @@ from .disambiguation import (
     disambiguate_corpus,
     match_author,
     normalize_text,
-    surname_variants,
+    surname_key,
 )
 from .errors import (
     AreaNotAnalyzableError,
@@ -150,7 +150,7 @@ __all__ = [
     "sensitivity_drop_input",
     "solve_output_oriented",
     "solve_lp",
-    "surname_variants",
+    "surname_key",
     "tertile_summary",
     "write_report",
 ]

@@ -2,16 +2,19 @@
 
 The matching pipeline is deliberately rule-based and transparent:
 affiliation strings are canonicalized through a pattern dictionary,
-author tokens are matched to staff by surname and initials within the
-universities named on the publication, and anything still ambiguous is
-exported for human review rather than auto-resolved.
+which also resolves the universities each publication names.  Within
+those universities, an author token is matched to the staff active in
+its year who share its surname key (the normalized surname without
+spaces; an empty key matches nothing) and whose normalized initials
+start with the token's.  Anything still ambiguous is exported for
+human review rather than auto-resolved.
 """
 
 from __future__ import annotations
 
 import functools
 import unicodedata
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -51,20 +54,15 @@ def normalize_text(text: str) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def surname_variants(surname: str) -> frozenset[str]:
-    """Normalized surname forms: the spaced form, and, when the surname
-    has several parts (hyphenated or spaced), the joined form as well.
+def surname_key(surname: str) -> str:
+    """The surname's normalized form with its spaces removed, so that a
+    compound surname spelled spaced, hyphenated or joined has one key.
+    An empty key (a surname of punctuation only) matches nothing.
 
     Memoized for the life of the process: a corpus repeats each surname
-    on every staff row and author token, and the result is immutable.
+    on every staff row and author token.
     """
-    base = normalize_text(surname)
-    if not base:
-        return frozenset()
-    variants = {base}
-    if " " in base:
-        variants.add(base.replace(" ", ""))
-    return frozenset(variants)
+    return normalize_text(surname).replace(" ", "")
 
 
 @functools.lru_cache(maxsize=None)
@@ -75,7 +73,7 @@ def _normalized_initial(letter: str) -> str:
 
 @functools.lru_cache(maxsize=None)
 def _normalized_initials(initials: tuple[str, ...]) -> tuple[str, ...]:
-    """Normalized initial sequence, memoized like ``surname_variants``:
+    """Normalized initial sequence, memoized like ``surname_key``:
     ``match_author`` compares it for every member in every token's scope."""
     return tuple(_normalized_initial(ch) for ch in initials)
 
@@ -86,8 +84,9 @@ class AffiliationDictionary:
     Patterns are compared after text normalization, so case, diacritics
     and punctuation never matter.  Ingest rejects blank patterns and
     university ids and patterns that would point at two universities.
-    Each distinct raw string is normalized once per dictionary: raw
-    affiliations repeat on every publication of a university.
+    Each distinct raw string is normalized once, and each distinct
+    affiliation field resolved once, per dictionary: raw affiliations
+    repeat on every publication of a university.
     """
 
     def __init__(self, rows: Iterable[tuple[str, str]]):
@@ -96,6 +95,7 @@ class AffiliationDictionary:
             for raw_pattern, university_id in rows
         }
         self._memo: dict[str, str | None] = {}
+        self._fields: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     def __len__(self) -> int:
         return len(self._mapping)
@@ -104,6 +104,14 @@ class AffiliationDictionary:
         if raw not in self._memo:
             self._memo[raw] = self._mapping.get(normalize_text(raw))
         return self._memo[raw]
+
+    def universities(self, field: tuple[str, ...]) -> tuple[str, ...]:
+        """The sorted ids of the universities a publication's affiliation
+        field names; raw strings the dictionary does not know name none."""
+        if field not in self._fields:
+            named = {self.lookup(raw) for raw in field} - {None}
+            self._fields[field] = tuple(sorted(named))
+        return self._fields[field]
 
 
 @dataclass(frozen=True)
@@ -174,57 +182,23 @@ class DisambiguationResult:
         )
 
 
-class _SurnameIndex:
-    """Per-university index from surname variant to staff members: the
-    one place where candidates are selected by surname."""
-
-    def __init__(self, staff: StaffRegistry):
-        self._by_university: dict[str, dict[str, list]] = {}
-        for member in staff:
-            bucket = self._by_university.setdefault(member.university_id, {})
-            for variant in surname_variants(member.surname):
-                bucket.setdefault(variant, []).append(member)
-
-    def candidates(
-        self, token: AuthorToken, universities: Iterable[str], year: int
-    ):
-        token_variants = surname_variants(token.surname)
-        found = {}
-        for university_id in universities:
-            bucket = self._by_university.get(university_id)
-            if not bucket:
-                continue
-            for variant in token_variants:
-                for member in bucket.get(variant, ()):
-                    if member.active_in(year):
-                        found[member.staff_id] = member
-        return list(found.values())
-
-
 def match_author(token: AuthorToken, staff_in_scope) -> MatchOutcome:
-    """Apply the initial rules to one token against its surname scope.
+    """Apply the initials rule to one token against its surname scope.
 
-    ``staff_in_scope`` holds the members ``_SurnameIndex.candidates``
-    selected for the token: active in the publication year, at a
-    university the publication names, and sharing a surname variant with
-    the token; surnames are not compared again here.  Rules, in order:
-    keep members whose first initial agrees with the token's; if the
-    token carries several initials, also require the token's initial
-    sequence to be a prefix of the member's; a single survivor (by staff
-    id) is a match, several are ambiguous, none is unmatched.
+    ``staff_in_scope`` holds the members ``disambiguate_corpus`` selected
+    for the token: active in the publication year, at a university the
+    publication names, and with the token's surname key; surnames are
+    not compared again here.  A member survives when the token's
+    normalized initials are a prefix of its own (for a one-initial token,
+    when the first initials agree); a single survivor (by staff id) is a
+    match, several are ambiguous, none is unmatched.
     """
     token_initials = _normalized_initials(token.initials)
+    k = len(token_initials)
     candidates = []
     for member in staff_in_scope:
-        member_initials = _normalized_initials(member.initials)
-        if not member_initials or member_initials[0] != token_initials[0]:
-            continue
-        if len(token_initials) > 1:
-            if len(member_initials) < len(token_initials):
-                continue
-            if member_initials[: len(token_initials)] != token_initials:
-                continue
-        candidates.append(member)
+        if _normalized_initials(member.initials)[:k] == token_initials:
+            candidates.append(member)
     candidates.sort(key=lambda m: m.staff_id)
     if len(candidates) == 1:
         return MatchOutcome.matched(candidates[0].staff_id)
@@ -250,17 +224,21 @@ def disambiguate_corpus(
     (area, university) cell of its staff member.
     """
     overrides = overrides or {}
-    index = _SurnameIndex(staff)
+    # The one place where candidates are selected by surname: per
+    # university, its members by surname key.  A member whose key is
+    # empty is never filed, so no token can reach it.
+    by_surname: dict[str, dict[str, list]] = defaultdict(dict)
+    for member in staff:
+        if key := surname_key(member.surname):
+            by_surname[member.university_id].setdefault(key, []).append(member)
 
     outcomes: dict[str, tuple[MatchOutcome, ...]] = {}
     manual_rows: list[ManualReviewRow] = []
     categories: dict[str, str] = {}
     errors: list[str] = []
     matched_cells: dict[str, dict[tuple[str, str], int]] = {}
-    # Affiliation fields and outcomes repeat across the corpus: each
-    # distinct field's universities are resolved once, and equal
-    # outcomes are kept as one object for the life of the result.
-    canonical_of: dict[tuple[str, ...], tuple[str, ...]] = {}
+    # Outcomes repeat across the corpus: equal ones are kept as one
+    # object for the life of the result.
     shared: dict[MatchOutcome, MatchOutcome] = {}
 
     for pub in publications:
@@ -271,17 +249,7 @@ def disambiguate_corpus(
                 f"publication {pub.pub_id!r} has an empty author list"
             )
             continue
-        canonical = canonical_of.get(pub.raw_affiliations)
-        if canonical is None:
-            canonical = canonical_of[pub.raw_affiliations] = tuple(
-                sorted(
-                    {
-                        uid
-                        for raw in pub.raw_affiliations
-                        if (uid := dictionary.lookup(raw)) is not None
-                    }
-                )
-            )
+        universities = dictionary.universities(pub.raw_affiliations)
         pub_outcomes = []
         cells: dict[tuple[str, str], int] = {}
         for position, token in enumerate(pub.authors, start=1):
@@ -291,7 +259,12 @@ def disambiguate_corpus(
                 outcome = (MatchOutcome.unmatched() if staff_id is None
                            else MatchOutcome.matched(staff_id))
             else:
-                scope = index.candidates(token, canonical, pub.year)
+                token_key = surname_key(token.surname)
+                scope = []
+                for university_id in universities:
+                    for member in by_surname[university_id].get(token_key, ()):
+                        if member.active_in(pub.year):
+                            scope.append(member)
                 outcome = match_author(token, scope)
             outcome = shared.setdefault(outcome, outcome)
             pub_outcomes.append(outcome)

@@ -431,8 +431,7 @@ def load_overrides(
         if staff_id not in corpus.staff:
             raise StructuralError(f"unknown staff id {staff_id!r}")
         member = corpus.staff.member(staff_id)
-        named = {corpus.affiliations.lookup(raw)
-                 for raw in pub.raw_affiliations}
+        named = corpus.affiliations.universities(pub.raw_affiliations)
         if member.university_id not in named:
             raise StructuralError(
                 f"staff {staff_id!r} works at university "

@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uniprod import disambiguation
@@ -13,7 +13,7 @@ from uniprod.disambiguation import (
     disambiguate_corpus,
     match_author,
     normalize_text,
-    surname_variants,
+    surname_key,
 )
 from uniprod.errors import IngestError
 from uniprod.ingest import ingest
@@ -21,7 +21,7 @@ from uniprod.records import AuthorToken, Publication, StaffMember, StaffRegistry
 from uniprod.synthetic import write_synthetic_dataset
 
 from .fixtures import write_demo_dataset
-from .oracles import match_outcome_bruteforce
+from .oracles import _oracle_variants, match_outcome_bruteforce
 
 
 def staff(staff_id, surname, first_names, university_id,
@@ -61,20 +61,83 @@ class TestNormalizeText:
         assert normalize_text(once) == once
 
 
-class TestSurnameVariants:
-    def test_hyphen_generates_both_forms(self):
-        assert surname_variants("García-López") == {"garcia lopez", "garcialopez"}
+class TestSurnameKey:
+    def test_hyphen_joins(self):
+        assert surname_key("García-López") == "garcialopez"
 
     def test_plain(self):
-        assert surname_variants("Rossi") == {"rossi"}
+        assert surname_key("Rossi") == "rossi"
 
-    def test_spaced(self):
-        assert surname_variants("De Luca") == {"de luca", "deluca"}
+    def test_spaced_and_joined_share_a_key(self):
+        assert surname_key("De Luca") == surname_key("DELUCA") == "deluca"
 
     @given(st.text(min_size=1, max_size=30))
-    def test_variants_are_normalization_stable(self, s):
-        for v in surname_variants(s):
-            assert normalize_text(v) == v
+    def test_key_is_normalization_stable(self, s):
+        key = surname_key(s)
+        assert normalize_text(key) == key
+
+
+# Separators, case, accents (precomposed and combining) and characters
+# whose folding changes length: ß -> ss, İ -> i + dot, ǰ -> j + caron,
+# the ligature ﬁ -> fi.
+_SURNAME_CHARS = "aAsSiIjfe -'\u00e9\u00c9\u0301\u00df\u0130\u01f0\ufb01"
+_surnames = st.text(alphabet=_SURNAME_CHARS, max_size=8)
+
+
+@st.composite
+def _surname_pairs(draw):
+    """Two independent surnames, or one and a respelling of it with its
+    separators swapped or dropped and its letters' case changed."""
+    a = draw(_surnames)
+    if draw(st.booleans()):
+        return a, draw(_surnames)
+    b = "".join(
+        draw(st.sampled_from(["", " ", "-", "'"])) if ch in " -'"
+        else draw(st.sampled_from([ch, ch.swapcase()]))
+        for ch in a
+    )
+    return a, b
+
+
+@settings(max_examples=2000, derandomize=True, deadline=None)
+@given(_surname_pairs())
+def test_surname_key_agrees_with_variant_sets(pair):
+    """One key per surname selects exactly the pairs whose spaced and
+    joined variant sets intersect, the rule the key replaced."""
+    a, b = pair
+    same_key = surname_key(a) == surname_key(b) != ""
+    assert same_key == bool(_oracle_variants(a) & _oracle_variants(b))
+
+
+def test_empty_keys_and_missing_initials_never_match(tmp_path):
+    """A token and a member whose surnames are punctuation only share the
+    empty key, which matches nothing; a member without initials matches
+    no token; a multi-initial token needs all its initials."""
+    root = write_demo_dataset(tmp_path / "data")
+    with open(root / "staff.csv", "a", encoding="utf-8") as f:
+        f.write("S090,-,Paolo,FP,U1,A01,1998,2006\n"
+                "S091,Marino,-,FP,U1,A01,1998,2006\n"
+                "S092,Lombardi,Mario,FP,U1,A01,1998,2006\n")
+    with open(root / "publications.csv", "a", encoding="utf-8") as f:
+        f.write('P090,2002,article,J1,"\',P.;-,P.","Univ. of Alpha"\n'
+                'P091,2002,article,J1,"MARINO,P.;MARINO,A.","Univ. of Alpha"\n'
+                'P092,2002,article,J1,"LOMBARDI,M.A.;LOMBARDI,M.",'
+                '"Univ. of Alpha"\n')
+    corpus = ingest(root)
+    res = disambiguate_corpus(corpus.publications, corpus.staff,
+                              corpus.affiliations)
+    unmatched = MatchOutcome.unmatched()
+    assert res.outcomes["P090"] == (unmatched, unmatched)
+    assert res.outcomes["P091"] == (unmatched, unmatched)
+    assert res.outcomes["P092"] == (unmatched, MatchOutcome.matched("S092"))
+    for p in corpus.publications:
+        if p.pub_id in ("P090", "P091", "P092"):
+            assert [(o.kind, o.staff_id, o.candidates)
+                    for o in res.outcomes[p.pub_id]] == [
+                match_outcome_bruteforce(token, p, corpus.staff,
+                                         corpus.affiliations)
+                for token in p.authors
+            ]
 
 
 class TestAffiliationDictionary:
@@ -346,27 +409,34 @@ def _clearing(cached):
 
 class TestMemoizedMatching:
     """Names are normalized once per process (surnames, initials), per
-    dictionary (affiliations) and per staff member (initials); none of
-    it may change an outcome."""
+    dictionary (affiliations and affiliation fields) and per staff member
+    (initials); none of it may change an outcome."""
 
     def test_same_outcomes_as_with_caches_cleared(self, synthetic_corpus,
                                                   monkeypatch):
         memoized = _outcomes(synthetic_corpus)
         assert memoized[1].resolved and memoized[1].manual
 
-        monkeypatch.setattr(disambiguation, "surname_variants",
-                            _clearing(surname_variants))
+        monkeypatch.setattr(disambiguation, "surname_key",
+                            _clearing(surname_key))
         monkeypatch.setattr(disambiguation, "_normalized_initial",
                             _clearing(disambiguation._normalized_initial))
         monkeypatch.setattr(disambiguation, "_normalized_initials",
                             _clearing(disambiguation._normalized_initials))
         lookup = AffiliationDictionary.lookup
+        universities = AffiliationDictionary.universities
 
         def fresh_lookup(self, raw):
             self._memo.clear()
             return lookup(self, raw)
 
+        def fresh_universities(self, field):
+            self._fields.clear()
+            return universities(self, field)
+
         monkeypatch.setattr(AffiliationDictionary, "lookup", fresh_lookup)
+        monkeypatch.setattr(AffiliationDictionary, "universities",
+                            fresh_universities)
         monkeypatch.setattr(StaffMember, "initials",
                             property(StaffMember.__dict__["initials"].func))
         assert _outcomes(synthetic_corpus) == memoized
@@ -374,7 +444,7 @@ class TestMemoizedMatching:
     def test_each_distinct_string_is_normalized_once(self, synthetic_corpus,
                                                      monkeypatch):
         corpus = synthetic_corpus
-        surname_variants.cache_clear()
+        surname_key.cache_clear()
         disambiguation._normalized_initial.cache_clear()
         disambiguation._normalized_initials.cache_clear()
         calls = Counter()

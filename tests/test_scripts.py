@@ -93,3 +93,23 @@ class TestRunSyntheticStudy:
         assert main([str(tmp_path), *SMALL]) == 0
         assert (tmp_path / "report" / "global_ranking.csv").is_file()
         assert "top of the global ranking" in capsys.readouterr().out
+
+    def test_vrs_only_reports_no_te_efficient_count(self, tmp_path, capsys):
+        main = _script_main("run_synthetic_study")
+        assert main([str(tmp_path), *SMALL, "--regime", "vrs"]) == 0
+        out = capsys.readouterr().out
+        areas = [line for line in out.splitlines()
+                 if "universities, mean TE" in line]
+        assert len(areas) == 2
+        for line in areas:
+            assert line.endswith("mean TE -, mean PTE 1.000, - TE-efficient")
+        assert "top of the global ranking:\n  #1 " in out
+
+    def test_crs_only_says_the_ranking_needs_vrs(self, tmp_path, capsys):
+        main = _script_main("run_synthetic_study")
+        assert main([str(tmp_path), *SMALL, "--regime", "crs"]) == 0
+        out = capsys.readouterr().out
+        assert "top of the global ranking" not in out
+        assert out.rstrip().endswith(
+            "no global ranking: it needs --regime vrs or all")
+        assert "mean PTE -, 5 TE-efficient" in out
