@@ -78,8 +78,10 @@ class DeaProblem:
     here (callers exclude and report them beforehand).
 
     The problem is immutable, so it caches what its LPs share: the
-    envelopment rows of each regime, built once, and each solved
-    expansion factor, so that no (unit, regime) LP is solved twice.
+    envelopment rows of each regime, built once, and for each solved
+    (unit, regime) LP its expansion factor and row duals, so that no LP
+    is solved twice.  Nothing else of a solution is kept: a dense
+    intensity vector per LP would cost n floats each.
     """
 
     dmus: tuple[DmuRecord, ...]
@@ -125,16 +127,35 @@ class DeaProblem:
         return np.array([d.outputs for d in self.dmus], dtype=float)
 
     def drop_input(self, label: str) -> "DeaProblem":
+        """The problem without one input column, its memo seeded from
+        this one's.
+
+        Column scaling is per column, so each smaller LP is this
+        problem's LP without the dropped input's row.  Where an LP solved
+        here has a dual of exactly 0.0 on that row, its optimum stays
+        feasible without the row, and so does its dual solution, with
+        the same objective: phi cannot move.  The smaller problem takes
+        that phi bit for bit and solves only the other units' LPs.
+        """
         if label not in self.input_labels:
             raise StructuralError(f"unknown input label {label!r}")
         if len(self.input_labels) < 2:
             raise StructuralError("cannot drop the only input dimension")
+        row = self.input_labels.index(label)
         keep = [i for i, lab in enumerate(self.input_labels) if lab != label]
         dmus = [
             DmuRecord(d.dmu_id, [d.inputs[i] for i in keep], d.outputs)
             for d in self.dmus
         ]
-        return DeaProblem(dmus, [self.input_labels[i] for i in keep], self.output_labels)
+        smaller = DeaProblem(
+            dmus, [self.input_labels[i] for i in keep], self.output_labels)
+        for regime, phis in self._phi_memo.items():
+            duals = self._dual_memo[regime]
+            for k, phi in phis.items():
+                y = duals.get(k)
+                if y is not None and y[row] == 0.0:
+                    smaller._phi_memo[regime][k] = phi
+        return smaller
 
     @cached_property
     def _scaled(self) -> tuple[np.ndarray, np.ndarray]:
@@ -159,6 +180,12 @@ class DeaProblem:
     @cached_property
     def _phi_memo(self) -> dict[str, dict[int, float]]:
         """Regime -> {unit index: solved phi}, filled by ``_phis``."""
+        return {regime: {} for regime in REGIMES}
+
+    @cached_property
+    def _dual_memo(self) -> dict[str, dict[int, np.ndarray]]:
+        """Regime -> {unit index: row duals of its LP}, filled by
+        ``solve_output_oriented``."""
         return {regime: {} for regime in REGIMES}
 
 
@@ -202,7 +229,11 @@ def _envelopment_rows(problem: DeaProblem, regime: str) -> tuple:
 def solve_output_oriented(
     problem: DeaProblem, dmu_index: int, regime: str
 ) -> tuple[float, np.ndarray]:
-    """Radial expansion factor and intensity vector for one DMU."""
+    """Radial expansion factor and intensity vector for one DMU.
+
+    The LP's row duals (inputs, outputs, then the convexity row) are kept
+    in the problem's memo for ``DeaProblem.drop_input``.
+    """
     shared, relations, shared_b = _envelopment_rows(problem, regime)
     X, Y = problem._scaled
     n_in, n_out = X.shape[1], Y.shape[1]
@@ -225,6 +256,7 @@ def solve_output_oriented(
             f"{problem.dmus[dmu_index].dmu_id}: {regime} model reported "
             f"{sol.status}, which cannot happen for a well-posed problem"
         )
+    problem._dual_memo[regime][dmu_index] = sol.duals
     return float(sol.x[0]), sol.x[1:].copy()
 
 

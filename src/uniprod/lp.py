@@ -19,6 +19,14 @@ the n structural variables, then one slack per ``<=`` row, one surplus
 per ``>=`` row, one artificial per ``>=`` or ``=`` row (phase 1 only),
 and last the right-hand side.  Each pivot is one rank-1 update of the
 whole tableau, z included.
+
+Row duals are read from the final z row, with no further arithmetic on
+the tableau: a ``<=`` row's dual is the reduced cost at its slack column
+and a ``>=`` row's is minus the reduced cost at its surplus column.  A
+basic slack or surplus reads exactly 0.0, because each pivot computes
+``z[col] - z[col] * 1.0``.  A row flipped for a negative right-hand side
+has its dual's sign turned back.  A ``=`` row's dual reads NaN: its only
+column is the artificial one, which phase 2 drops.
 """
 
 from __future__ import annotations
@@ -113,10 +121,16 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """``x`` and ``duals`` (one per constraint row, in the problem's
+    order, NaN on ``=`` rows) are None unless the status is optimal.
+    At an optimum of an inequality-only program, the sum of b_i * duals_i
+    equals the objective up to rounding."""
+
     status: str
     objective: float | None
     x: np.ndarray | None
     iterations: int
+    duals: np.ndarray | None = None
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -128,11 +142,12 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     c = lp.objective
     cmax = c if lp.sense == MAXIMIZE else -c
 
-    status, x, iters = _two_phase(lp.A, lp.relations, lp.b, cmax)
+    status, x, y, iters = _two_phase(lp.A, lp.relations, lp.b, cmax)
     if status != OPTIMAL:
         return LpSolution(status, None, None, iters)
     x = np.maximum(x, 0.0)
-    return LpSolution(OPTIMAL, float(c @ x), x, iters)
+    duals = y if lp.sense == MAXIMIZE else -y
+    return LpSolution(OPTIMAL, float(c @ x), x, iters, duals)
 
 
 def _two_phase(A, rels, b, cmax):
@@ -155,21 +170,28 @@ def _two_phase(A, rels, b, cmax):
         T[i, :n] *= -1.0
         T[i, -1] *= -1.0
     basis = []
+    # Row i's dual is sign * z[col] for dual_at[i] = (col, sign), or NaN
+    # where dual_at[i] is None (a = row).
+    dual_at = []
     si = ti = ai = 0
     for i, rel in enumerate(rels):
+        sign = -1.0 if i in flipped else 1.0
         if rel == LE:
             T[i, slack0 + si] = 1.0
             basis.append(slack0 + si)
+            dual_at.append((slack0 + si, sign))
             si += 1
         elif rel == GE:
             T[i, surplus0 + ti] = -1.0
             T[i, art0 + ai] = 1.0
             basis.append(art0 + ai)
+            dual_at.append((surplus0 + ti, -sign))
             ti += 1
             ai += 1
         else:
             T[i, art0 + ai] = 1.0
             basis.append(art0 + ai)
+            dual_at.append(None)
             ai += 1
 
     iters = 0
@@ -185,7 +207,7 @@ def _two_phase(A, rels, b, cmax):
         if status != OPTIMAL:
             raise InvariantViolationError(f"phase-1 simplex ended with {status}")
         if T[m, -1] < -FEASIBILITY_TOL:
-            return INFEASIBLE, None, iters
+            return INFEASIBLE, None, None, iters
         # Drive leftover artificials out of the basis; rows that cannot be
         # repaired are redundant and dropped.
         stuck = [i for i in range(m) if basis[i] >= art0]
@@ -213,11 +235,13 @@ def _two_phase(A, rels, b, cmax):
             z += costs[j] * T[i]
     status, iters = _simplex(T, basis, iters)
     if status != OPTIMAL:
-        return status, None, iters
+        return status, None, None, iters
 
     x = np.zeros(art0)
     x[basis] = T[:m, -1]
-    return OPTIMAL, x[:n], iters
+    z = T[m]
+    y = np.array([np.nan if at is None else at[1] * z[at[0]] for at in dual_at])
+    return OPTIMAL, x[:n], y, iters
 
 
 def _simplex(T, basis, iters):

@@ -1,7 +1,14 @@
 """Envelopment rows are built once per (problem, regime) and each
-expansion factor is memoized on its problem.  None of that may change a
-bit of any result: everything here is compared for exact equality with
-a reference that builds and solves one ``LinearProgram`` per LP."""
+expansion factor is memoized on its problem, with its LP's row duals.
+None of that may change a bit of ``decompose`` or ``scores``: they are
+compared for exact equality with a reference that builds and solves one
+``LinearProgram`` per LP.
+
+``drop_input`` reuses the full model's factor wherever its LP's dual on
+the dropped row is exactly 0.0.  A reused factor is bit-equal to the
+full model's, a re-solved one to the per-LP reference on the smaller
+problem, and every after-score agrees with a from-scratch re-solve
+within 1e-9."""
 
 import math
 from collections import Counter
@@ -21,6 +28,7 @@ from uniprod.dea import (
     classify_rts,
     decompose,
     efficiency_score,
+    is_efficient,
     scores,
 )
 from uniprod.lp import LinearProgram, solve_lp
@@ -28,7 +36,7 @@ from uniprod.lp import LinearProgram, solve_lp
 from .oracles import random_dea_problem
 
 
-def reference_phi(problem, dmu_index, regime):
+def reference_solution(problem, dmu_index, regime):
     """One LP from scratch: scale, build the rows as lists, solve."""
     X = problem.input_matrix()
     Y = problem.output_matrix()
@@ -51,7 +59,19 @@ def reference_phi(problem, dmu_index, regime):
         constraints.append(([0.0] + [1.0] * n, "<=", 1.0))
     sol = solve_lp(LinearProgram("max", objective, constraints))
     assert sol.status == "optimal"
-    return float(sol.x[0])
+    return sol
+
+
+def reference_phi(problem, dmu_index, regime):
+    return float(reference_solution(problem, dmu_index, regime).x[0])
+
+
+def binding(problem, label):
+    """Units whose full VRS LP has a nonzero dual on ``label``'s row: the
+    only ones that ``drop_input(label)`` re-solves."""
+    row = problem.input_labels.index(label)
+    return {k for k in range(problem.n_dmus)
+            if reference_solution(problem, k, VRS).duals[row] != 0.0}
 
 
 def reference_phis(problem):
@@ -158,13 +178,20 @@ def test_bit_equal_to_per_lp_reference(generator):
 
 
 def test_wide_problem_bit_equal_to_per_lp_reference():
+    """Each after-score is bit-equal to the score it comes from: the
+    per-LP re-solve on the smaller problem for a unit whose PR row binds,
+    the full model's score for every other unit."""
     problem = wide_problem()
     phis = reference_phis(problem)
     assert as_tuples(decompose(problem)) == reference_decompose(phis, problem)
-    smaller = problem.drop_input("PR")
+    smaller = fresh(problem).drop_input("PR")
     before = reference_scores(phis, problem, VRS)
+    resolved = binding(problem, "PR")
+    assert 0 < len(resolved) < problem.n_dmus
     after = {
-        d.dmu_id: efficiency_score(dea._snap_phi(reference_phi(smaller, k, VRS)))
+        d.dmu_id: (
+            efficiency_score(dea._snap_phi(reference_phi(smaller, k, VRS)))
+            if k in resolved else before[d.dmu_id])
         for k, d in enumerate(smaller.dmus)
     }
     result = sensitivity_drop_input(problem, "PR")
@@ -213,6 +240,103 @@ def test_each_lp_solved_once(problem, monkeypatch):
                          if pid == id(problem))
     scale_inefficient = sum(1 for r in results if r.te != r.pte)
     assert per_regime == Counter({CRS: n, VRS: n, NIRS: scale_inefficient})
+    # The smaller problem solves only the units whose dropped row binds.
     after = [key for key in calls if key[0] != id(problem)]
-    assert len(after) == n and all(regime == VRS for _, _, regime in after)
+    assert all(regime == VRS for _, _, regime in after)
+    assert {k for _, k, _ in after} == binding(problem, problem.input_labels[-1])
     assert max(calls.values()) == 1
+
+
+def _assert_matches_fresh_resolve(problem, label):
+    """The sensitivity run against a re-solve of every unit on a fresh
+    smaller problem, one whose memo nothing seeded."""
+    result = sensitivity_drop_input(problem, label)
+    scratch = scores(fresh(problem).drop_input(label), VRS)
+    assert result.scores_after.keys() == scratch.keys()
+    for unit, score in scratch.items():
+        assert abs(result.scores_after[unit] - score) <= 1e-9, unit
+    before = result.scores_before
+    assert rank(result.scores_after) == rank(scratch)
+    assert result.comparison.deltas == compare_rankings(
+        rank(before), rank(scratch)).deltas
+    lost = sum(1 for unit, s in before.items()
+               if is_efficient(s) and not is_efficient(scratch[unit]))
+    assert result.comparison.no_longer_efficient == lost
+
+
+@pytest.mark.parametrize("make", [c05_problems, lambda: [wide_problem()]],
+                         ids=["c05", "wide"])
+def test_skip_agrees_with_fresh_resolve(make):
+    for problem in make():
+        decompose(problem)
+        for label in problem.input_labels:
+            _assert_matches_fresh_resolve(problem, label)
+
+
+@pytest.mark.parametrize("seed", [7, 90001])
+def test_skip_agrees_with_fresh_resolve_paper_areas(seed, tmp_path, monkeypatch):
+    """Every area of the paper-scale corpus, memo as the pipeline left it."""
+    from uniprod import pipeline
+    from uniprod.config import RunConfig
+    from uniprod.ingest import ingest
+    from uniprod.synthetic import write_synthetic_dataset
+
+    problems = []
+    run = pipeline.sensitivity_drop_input
+
+    def recording(problem, label):
+        problems.append((problem, label))
+        return run(problem, label)
+
+    monkeypatch.setattr(pipeline, "sensitivity_drop_input", recording)
+    data_dir = write_synthetic_dataset(tmp_path, seed=seed, n_areas=9,
+                                       n_universities=60,
+                                       pubs_per_staff_year=0.6)
+    pipeline.run_pipeline(ingest(data_dir),
+                          RunConfig(drop_inputs=("PR",), compare_partial=True))
+    assert len(problems) == 9
+    for problem, label in problems:
+        _assert_matches_fresh_resolve(problem, label)
+
+
+def test_binding_input_is_resolved(monkeypatch):
+    """E reaches the frontier only through its low funding, so its PR row
+    binds: the smaller problem must re-solve it."""
+    problem = DeaProblem(
+        (
+            DmuRecord("A", (4.0, 200.0), (20.0,)),
+            DmuRecord("B", (6.0, 150.0), (40.0,)),
+            DmuRecord("C", (8.0, 100.0), (60.0,)),
+            DmuRecord("D", (10.0, 50.0), (80.0,)),
+            DmuRecord("E", (10.0, 10.0), (30.0,)),
+        ),
+        ("STAFF", "PR"),
+        ("PU",),
+    )
+    solved = []
+    solve = dea.solve_output_oriented
+
+    def recording(p, k, regime):
+        if p is not problem:
+            solved.append(p.dmus[k].dmu_id)
+        return solve(p, k, regime)
+
+    monkeypatch.setattr(dea, "solve_output_oriented", recording)
+    result = sensitivity_drop_input(problem, "PR")
+    assert "E" in solved
+    assert result.scores_before["E"] == 1.0
+    assert result.scores_after["E"] == pytest.approx(0.375, abs=1e-9)
+    assert result.comparison.no_longer_efficient == 1
+
+
+@pytest.mark.parametrize("problem", [c05_problems()[1], wide_problem(60, seed=3)],
+                         ids=["c05", "wide60"])
+def test_sensitivity_does_not_depend_on_earlier_calls(problem):
+    label = problem.input_labels[-1]
+    want = sensitivity_drop_input(fresh(problem), label)
+    after_decompose = fresh(problem)
+    decompose(after_decompose)
+    after_nirs = fresh(problem)
+    scores(after_nirs, NIRS)
+    assert sensitivity_drop_input(after_decompose, label) == want
+    assert sensitivity_drop_input(after_nirs, label) == want

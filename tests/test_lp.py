@@ -265,3 +265,66 @@ class TestProperties:
                     objective,
                     constraints,
                 )
+
+
+class TestDuals:
+    """The row duals read from the final reduced-cost row."""
+
+    @staticmethod
+    def c03_envelopment_lps(monkeypatch):
+        from uniprod import dea
+
+        from .test_dea_memo import c03_problems, fresh
+
+        solved = []
+        solve = dea.solve_lp
+
+        def recording(lp):
+            solution = solve(lp)
+            solved.append((lp, solution))
+            return solution
+
+        monkeypatch.setattr(dea, "solve_lp", recording)
+        for problem in c03_problems():
+            for regime in (dea.CRS, dea.NIRS):
+                dea.scores(fresh(problem), regime)
+        return solved
+
+    @staticmethod
+    def inequality_programs():
+        rng = np.random.default_rng(31)
+        programs = []
+        while len(programs) < 200:
+            sense, objective, constraints = random_small_lp(rng)
+            if all(rel != "=" for _, rel, _ in constraints):
+                lp = LinearProgram(sense, objective, constraints)
+                programs.append((lp, solve_lp(lp)))
+        return programs
+
+    def test_strong_duality_and_signs(self, monkeypatch):
+        solved = self.c03_envelopment_lps(monkeypatch) + self.inequality_programs()
+        optimal = [(lp, sol) for lp, sol in solved if sol.status == "optimal"]
+        # Some optimum has a row flipped for its negative right-hand side.
+        assert any((lp.b < 0).any() for lp, _ in optimal)
+        for lp, sol in optimal:
+            y = sol.duals
+            assert y.shape == lp.b.shape
+            assert float(lp.b @ y) == pytest.approx(sol.objective, abs=1e-9)
+            if lp.sense == "max":
+                le = np.array([rel == "<=" for rel in lp.relations], dtype=bool)
+                assert np.all(y[le] >= -FEASIBILITY_TOL)
+                assert np.all(y[~le] <= FEASIBILITY_TOL)
+
+    def test_nan_exactly_on_equality_rows(self):
+        rng = np.random.default_rng(37)
+        seen_eq = 0
+        for _ in range(300):
+            lp = LinearProgram(*random_small_lp(rng))
+            sol = solve_lp(lp)
+            if sol.status != "optimal":
+                assert sol.duals is None
+                continue
+            eq = [rel == "=" for rel in lp.relations]
+            assert np.isnan(sol.duals).tolist() == eq
+            seen_eq += any(eq)
+        assert seen_eq
