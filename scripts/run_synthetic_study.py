@@ -2,7 +2,8 @@
 """Generate a synthetic dataset and run the full study over it.
 
 Writes the dataset to WORKDIR/data and the report tables to
-WORKDIR/report, then prints the headline numbers per area.
+WORKDIR/report, prints the CLI's summary, then the headline numbers
+per area from the report in memory.
 
 Example:
     python3 scripts/run_synthetic_study.py out --seed 7 --drop-input PR
@@ -12,14 +13,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
-from uniprod.cli import main as uniprod_main
-from uniprod.config import REGIMES, RunConfig
-from uniprod.dea import CRS
-from uniprod.report import read_table
+from uniprod import (
+    CRS, REGIMES, RunConfig, UniprodError, ingest, run_pipeline, write_report,
+)
+from uniprod.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, summarize
 from uniprod.synthetic import MAX_UNIVERSITIES, write_synthetic_dataset
+
+
+def _cell(value, spec: str = "") -> str:
+    """A table cell for the overview; a model that did not run shows -."""
+    return "-" if value is None else format(value, spec)
 
 
 def main(argv=None) -> int:
@@ -46,42 +51,34 @@ def main(argv=None) -> int:
         args.workdir / "data", seed=args.seed, n_areas=args.areas,
         n_universities=args.universities,
     )
-    report_dir = args.workdir / "report"
+    try:
+        config = RunConfig(regime=args.regime,
+                           drop_inputs=tuple(args.drop_input),
+                           compare_partial=args.compare_partial)
+        report = run_pipeline(ingest(data_dir), config)
+        written = write_report(report, args.workdir / "report",
+                               config.report_format)
+    except (UniprodError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FATAL
+    summarize(report, written, sys.stdout)
+    code = EXIT_OK if report.fully_successful else EXIT_PARTIAL
 
-    cli_args = [str(data_dir), "--out", str(report_dir),
-                "--regime", args.regime]
-    for label in args.drop_input:
-        cli_args += ["--drop-input", label]
-    if args.compare_partial:
-        cli_args.append("--compare-partial")
-
-    started = time.perf_counter()
-    code = uniprod_main(cli_args)
-    elapsed = time.perf_counter() - started
-    print(f"\npipeline exit code {code} in {elapsed:.1f}s", file=sys.stderr)
-
-    if code in (0, 2):
-        print("\narea overview:")
-        for row in read_table(report_dir / "efficiency_by_area.csv"):
-            te = row["te_mean"]
-            pte = row["pte_mean"]
-            n_efficient = row["te_efficient"]
-            print(f"  {row['area_id']}: {row['n_universities']:>3} "
-                  f"universities, mean TE "
-                  f"{'-' if te is None else f'{te:.3f}'}, mean PTE "
-                  f"{'-' if pte is None else f'{pte:.3f}'}, "
-                  f"{'-' if n_efficient is None else n_efficient} "
-                  f"TE-efficient")
-        if args.regime == CRS:
-            # The global index normalizes PTE, which only VRS yields.
-            print("\nno global ranking: it needs --regime vrs or all")
-            return code
-        top = read_table(report_dir / "global_ranking.csv")[:5]
-        print("\ntop of the global ranking:")
-        for row in top:
-            print(f"  #{row['rank']} {row['university_id']} "
-                  f"(score {row['theta_tot']:.3f}, "
-                  f"{row['areas_active']} areas)")
+    print("\narea overview:")
+    for row in report.tables["efficiency_by_area"]:
+        print(f"  {row['area_id']}: {row['n_universities']:>3} "
+              f"universities, mean TE {_cell(row['te_mean'], '.3f')}, "
+              f"mean PTE {_cell(row['pte_mean'], '.3f')}, "
+              f"{_cell(row['te_efficient'])} TE-efficient")
+    if args.regime == CRS:
+        # The global index normalizes PTE, which only VRS yields.
+        print("\nno global ranking: it needs --regime vrs or all")
+        return code
+    print("\ntop of the global ranking:")
+    for row in report.tables["global_ranking"][:5]:
+        print(f"  #{row['rank']} {row['university_id']} "
+              f"(score {row['theta_tot']:.3f}, "
+              f"{row['areas_active']} areas)")
     return code
 
 

@@ -79,7 +79,6 @@ from .records import (
 )
 from .report import (
     AnalysisReport,
-    read_table,
     render_json,
     render_table,
     write_report,
@@ -142,7 +141,6 @@ __all__ = [
     "normalize_scores",
     "normalize_text",
     "rank",
-    "read_table",
     "render_json",
     "render_table",
     "run_pipeline",

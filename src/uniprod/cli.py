@@ -129,7 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _summarize(report: AnalysisReport, written, stream) -> None:
+def summarize(report: AnalysisReport, written, stream) -> None:
+    """Print the run's summary: areas, failures, matching counts,
+    warnings and the files written."""
     print(f"areas analyzed: {len(report.areas_analyzed)}", file=stream)
     for row in report.tables["area_failures"]:
         print(
@@ -186,7 +188,7 @@ def main(argv=None) -> int:
         return EXIT_FATAL
     finally:
         gc.unfreeze()
-    _summarize(report, written, sys.stdout)
+    summarize(report, written, sys.stdout)
     return EXIT_OK if report.fully_successful else EXIT_PARTIAL
 
 

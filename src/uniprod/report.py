@@ -5,8 +5,7 @@ the CSV file stem and the JSON key.  CSV mode writes one file per table
 plus the config snapshot; JSON mode writes a single document.
 Efficiency-score columns use fixed six decimal places; other numeric
 columns use 12 significant digits; JSON carries full float precision.
-Emission is byte-stable for a fixed report, and ``read_table`` parses a
-CSV table back into typed rows.
+Emission is byte-stable for a fixed report.
 """
 
 from __future__ import annotations
@@ -111,20 +110,6 @@ def _format_cell(value, kind: str) -> str:
     return format(float(value), ".12g")  # NUM
 
 
-def _parse_cell(text: str, kind: str):
-    if text == "":
-        return None
-    if kind == STR:
-        return text
-    if kind == INT:
-        return int(text)
-    if kind == BOOL:
-        if text not in ("true", "false"):
-            raise ValueError(text)
-        return text == "true"
-    return float(text)  # SCORE or NUM
-
-
 def render_table(report: AnalysisReport, table: str) -> str:
     """One table as CSV text with a header row and LF line endings."""
     try:
@@ -139,42 +124,6 @@ def render_table(report: AnalysisReport, table: str) -> str:
             [_format_cell(row[name], kind) for name, kind in columns]
         )
     return buffer.getvalue()
-
-
-def read_table(path: Path) -> list[dict]:
-    """Parse an emitted CSV table back into typed rows; a missing or wrong
-    header, a row of the wrong length or a cell its column cannot parse
-    raises a ``StructuralError`` naming the file and line."""
-    path = Path(path)
-    try:
-        columns = TABLE_SPECS[path.stem]
-    except KeyError:
-        raise StructuralError(f"unknown table file {path.name!r}") from None
-    expected = [name for name, _ in columns]
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != expected:
-            found = "no header" if header is None else f"header {header}"
-            raise StructuralError(
-                f"{path.name}:1: {found} does not match {expected}"
-            )
-        rows = []
-        for raw in reader:
-            where = f"{path.name}:{reader.line_num}:"
-            if len(raw) != len(columns):
-                raise StructuralError(
-                    f"{where} expected {len(columns)} cells, got {len(raw)}"
-                )
-            row = {}
-            for (name, kind), cell in zip(columns, raw):
-                try:
-                    row[name] = _parse_cell(cell, kind)
-                except ValueError:
-                    raise StructuralError(f"{where} {name}: cannot read "
-                                          f"{cell!r} as {kind}") from None
-            rows.append(row)
-    return rows
 
 
 def render_json(report: AnalysisReport) -> str:

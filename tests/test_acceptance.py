@@ -31,12 +31,7 @@ from uniprod.dea import CRS, NIRS, VRS, DeaProblem, DmuRecord, decompose, scores
 from uniprod.disambiguation import AffiliationDictionary, disambiguate_corpus
 from uniprod.ingest import ingest, parse_author_field
 from uniprod.lp import LinearProgram, solve_lp
-from uniprod.records import (
-    JournalTable,
-    Publication,
-    StaffMember,
-    StaffRegistry,
-)
+from uniprod.records import Publication, StaffMember, StaffRegistry
 from uniprod.synthetic import write_synthetic_dataset
 
 from .oracles import (
@@ -242,7 +237,16 @@ def test_c05_dropping_an_input_never_helps(gate):
         for label in problem.input_labels:
             cases += 1
             result = sensitivity_drop_input(problem, label)
-            recomputed = scores(problem.drop_input(label), VRS)
+            # A problem built afresh without the column shares no memo
+            # with the one sensitivity_drop_input derives.
+            keep = [i for i, lab in enumerate(problem.input_labels)
+                    if lab != label]
+            recomputed = scores(DeaProblem(
+                [DmuRecord(d.dmu_id, [d.inputs[i] for i in keep], d.outputs)
+                 for d in dmus],
+                [problem.input_labels[i] for i in keep],
+                problem.output_labels,
+            ), VRS)
             for dmu_id, after_value in result.scores_after.items():
                 if after_value > before[dmu_id] + 1e-9:
                     failures.append((case, label, dmu_id, "score rose"))

@@ -8,9 +8,9 @@ import pytest
 from uniprod import cli
 from uniprod.cli import build_parser, main, parse_years
 from uniprod.config import RunConfig
-from uniprod.report import read_table
 
 from .fixtures import write_demo_dataset, write_override_file
+from .tables import read_table
 
 
 @pytest.fixture()

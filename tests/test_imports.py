@@ -1,4 +1,5 @@
-"""Every import in the package modules is used.
+"""Every import in the package modules, the scripts and the tests is
+used.
 
 ``__init__.py`` re-exports names it never reads, and ``from __future__``
 imports switch compiler features, so both are left out.
@@ -9,8 +10,17 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "uniprod"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "uniprod"
+MODULES = [p for folder in (PACKAGE, ROOT / "scripts", ROOT / "tests")
+           for p in sorted(folder.glob("*.py")) if p.name != "__init__.py"]
+
+
+def _module_id(path: Path) -> str:
+    """A package module by its file name, any other file by its path."""
+    if path.parent == PACKAGE:
+        return path.name
+    return path.relative_to(ROOT).as_posix()
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,7 +40,7 @@ def unused_imports(source: str) -> list[str]:
             if name not in read]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

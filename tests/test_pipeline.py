@@ -1,6 +1,7 @@
 """End-to-end pipeline checks against the hand-computed demo dataset,
 and the cross-area invariants on synthetic corpora."""
 
+import csv
 import math
 import tempfile
 from pathlib import Path
@@ -174,6 +175,24 @@ class TestReportTables:
     def test_manual_review_rows(self, report):
         assert len(report.tables["manual_review"]) == 1
         assert report.tables["manual_review"][0] == EXPECTED_MANUAL_ROW
+
+    def test_manual_review_follows_publication_order(self, tmp_path):
+        # The README's contract: publications.csv order, then author
+        # position within a publication.  The rows are reversed so that
+        # file order is not pub_id order.
+        data = write_synthetic_dataset(tmp_path, seed=3, n_areas=2,
+                                       n_universities=8)
+        path = data / "publications.csv"
+        header, *rows = path.read_text(encoding="utf-8").splitlines(True)
+        path.write_text(header + "".join(reversed(rows)), encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as handle:
+            line_of = {row["pub_id"]: i
+                       for i, row in enumerate(csv.DictReader(handle))}
+        rows = run_pipeline(ingest(data), RunConfig(regime="crs")).tables[
+            "manual_review"]
+        keys = [(line_of[r["pub_id"]], r["author_position"]) for r in rows]
+        assert len(keys) > 1
+        assert keys == sorted(keys)
 
     def test_partial_rows(self, report):
         rows = {r["area_id"]: r for r in report.tables["partial_comparison"]}

@@ -1,7 +1,6 @@
 """Emission invariants: round-trip fidelity, determinism, formats."""
 
 import json
-import re
 
 import pytest
 
@@ -9,15 +8,10 @@ from uniprod.config import RunConfig
 from uniprod.errors import StructuralError
 from uniprod.ingest import ingest
 from uniprod.pipeline import run_pipeline
-from uniprod.report import (
-    TABLE_SPECS,
-    read_table,
-    render_json,
-    render_table,
-    write_report,
-)
+from uniprod.report import TABLE_SPECS, render_json, render_table, write_report
 
 from .fixtures import write_demo_dataset
+from .tables import read_table
 
 
 @pytest.fixture(scope="module")
@@ -62,47 +56,9 @@ class TestCsvRoundTrip:
         text = render_table(report, "area_failures")
         assert text == "area_id,reason,detail\n"
 
-    def test_unknown_table_rejected(self, report, tmp_path):
+    def test_unknown_table_rejected(self, report):
         with pytest.raises(StructuralError):
             render_table(report, "nope")
-        bad = tmp_path / "nope.csv"
-        bad.write_text("x\n", encoding="utf-8")
-        with pytest.raises(StructuralError):
-            read_table(bad)
-
-    def test_header_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "scores.csv"
-        path.write_text("wrong,header\n", encoding="utf-8")
-        with pytest.raises(StructuralError):
-            read_table(path)
-
-    HEADER = "university_id,theta_tot,rank,areas_active,staff_weight_total\n"
-    ROW = "U1,0.5,1,2,10\n"
-
-    @pytest.mark.parametrize("body, where", [
-        (HEADER + ROW + "U1,0.5\n", "3: expected 5 cells, got 2"),
-        (HEADER + ROW + "U1,0.5,1,2,10,3\n", "3: expected 5 cells, got 6"),
-        (HEADER + "U1,abc,1,2,10\n", "2: theta_tot: cannot read 'abc'"),
-        (HEADER + "U1,0.5,1.5,2,10\n", "2: rank: cannot read '1.5'"),
-        ("", "1: no header"),
-    ], ids=["short-row", "long-row", "bad-number", "bad-integer",
-            "empty-file"])
-    def test_malformed_table_rejected(self, tmp_path, body, where):
-        path = tmp_path / "global_ranking.csv"
-        path.write_text(body, encoding="utf-8")
-        message = re.escape(f"global_ranking.csv:{where}")
-        with pytest.raises(StructuralError, match=f"^{message}"):
-            read_table(path)
-
-    def test_bad_boolean_rejected(self, report, tmp_path):
-        path = tmp_path / "partial_comparison.csv"
-        text = render_table(report, "partial_comparison")
-        assert ",true\n" in text or ",false\n" in text
-        path.write_text(text.replace(",true\n", ",yes\n")
-                        .replace(",false\n", ",yes\n"), encoding="utf-8")
-        with pytest.raises(StructuralError,
-                           match=r"^partial_comparison\.csv:2: cv_defined: "):
-            read_table(path)
 
 
 class TestJson:

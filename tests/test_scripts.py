@@ -113,3 +113,14 @@ class TestRunSyntheticStudy:
         assert out.rstrip().endswith(
             "no global ranking: it needs --regime vrs or all")
         assert "mean PTE -, 5 TE-efficient" in out
+
+    def test_fatal_config_is_exit_one(self, tmp_path, capsys):
+        # Sensitivity needs the VRS scores that --regime crs skips.
+        main = _script_main("run_synthetic_study")
+        assert main([str(tmp_path), *SMALL, "--regime", "crs",
+                     "--drop-input", "PR"]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err
+        assert "area overview" not in captured.out
+        assert "global ranking" not in captured.out
