@@ -67,7 +67,6 @@ from .errors import (
     UnknownIdError,
 )
 from .ingest import Corpus, ingest, load_overrides
-from .lp import LinearProgram, LpSolution, solve_lp
 from .pipeline import run_pipeline
 from .records import (
     AuthorToken,
@@ -106,8 +105,6 @@ __all__ = [
     "InputVector",
     "InvariantViolationError",
     "JournalTable",
-    "LinearProgram",
-    "LpSolution",
     "MatchOutcome",
     "MatchedCorpus",
     "MissingDataError",
@@ -147,7 +144,6 @@ __all__ = [
     "scores",
     "sensitivity_drop_input",
     "solve_output_oriented",
-    "solve_lp",
     "surname_key",
     "tertile_summary",
     "write_report",

@@ -53,6 +53,9 @@ class RunConfig:
             )
         # an int and its float are one setting, recorded one way
         object.__setattr__(self, "min_staff", float(self.min_staff))
+        if type(self.compare_partial) is not bool:
+            raise StructuralError("compare_partial must be True or False, "
+                                  f"got {self.compare_partial!r}")
         if self.regime not in REGIMES:
             raise StructuralError(
                 f"regime must be one of {REGIMES}, got {self.regime!r}"
@@ -66,14 +69,19 @@ class RunConfig:
                 "drop_inputs must be a sequence of input labels, not the "
                 f"string {self.drop_inputs!r}"
             )
-        drops = tuple(self.drop_inputs)
-        if len(set(drops)) != len(drops):
-            raise StructuralError(f"dropped inputs must not repeat, got {drops}")
+        try:
+            drops = tuple(self.drop_inputs)
+        except TypeError:
+            raise StructuralError(
+                "drop_inputs must be a sequence of input labels, got "
+                f"{self.drop_inputs!r}") from None
         for lbl in drops:
             if lbl not in INPUT_LABELS:
                 raise StructuralError(
                     f"cannot drop input {lbl!r}: not among inputs {INPUT_LABELS}"
                 )
+        if len(set(drops)) != len(drops):
+            raise StructuralError(f"dropped inputs must not repeat, got {drops}")
         object.__setattr__(self, "drop_inputs", drops)
         if self.regime == CRS and (drops or self.compare_partial):
             raise StructuralError(

@@ -29,7 +29,7 @@ from .errors import (
     InvariantViolationError,
     StructuralError,
 )
-from .lp import EQ, GE, LE, MAXIMIZE, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
+from .lp import EQ, GE, LE, MAXIMIZE, OPTIMAL, UNBOUNDED, solve_lp
 
 CRS = "crs"
 VRS = "vrs"
@@ -109,9 +109,11 @@ class DeaProblem:
                 raise DegenerateDmuError(
                     f"{d.dmu_id}: all outputs are zero; radial expansion undefined"
                 )
-        ids = [d.dmu_id for d in dmus]
-        if len(set(ids)) != len(ids):
-            raise StructuralError("duplicate dmu ids")
+        for name, labels in (("dmu ids", [d.dmu_id for d in dmus]),
+                             ("input labels", input_labels),
+                             ("output labels", output_labels)):
+            if len(set(labels)) != len(labels):
+                raise StructuralError(f"duplicate {name}")
         object.__setattr__(self, "dmus", dmus)
         object.__setattr__(self, "input_labels", input_labels)
         object.__setattr__(self, "output_labels", output_labels)
@@ -142,7 +144,7 @@ class DeaProblem:
         if len(self.input_labels) < 2:
             raise StructuralError("cannot drop the only input dimension")
         row = self.input_labels.index(label)
-        keep = [i for i, lab in enumerate(self.input_labels) if lab != label]
+        keep = [i for i in range(len(self.input_labels)) if i != row]
         dmus = [
             DmuRecord(d.dmu_id, [d.inputs[i] for i in keep], d.outputs)
             for d in self.dmus
@@ -174,7 +176,8 @@ class DeaProblem:
 
     @cached_property
     def _rows_memo(self) -> dict[str, tuple]:
-        """Regime -> (A, relations, b), filled by ``_envelopment_rows``."""
+        """Regime -> (objective, A, relations, b), filled by
+        ``_envelopment_rows``."""
         return {}
 
     @cached_property
@@ -202,27 +205,32 @@ class EfficiencyResult:
 
 
 def _envelopment_rows(problem: DeaProblem, regime: str) -> tuple:
-    """The regime's constraint rows over [phi, lambda_1 .. lambda_n],
-    shared by every unit's LP: a unit only sets the phi column of the
-    output rows to -y_k and the input right-hand sides to x_k."""
+    """The regime's objective and constraint rows over [phi, lambda_1 ..
+    lambda_n], shared by every unit's LP: a unit only sets the phi column
+    of the output rows to -y_k and the input right-hand sides to x_k.
+
+    ``_phis`` and ``solve_output_oriented`` both pass through here
+    before they touch a memo, so this is where an unknown regime is
+    rejected."""
+    if regime not in REGIMES:
+        raise StructuralError(f"unknown regime {regime!r}")
     rows = problem._rows_memo.get(regime)
     if rows is None:
         X, Y = problem._scaled
         n_in, n_out = X.shape[1], Y.shape[1]
         m = n_in + n_out + (regime != CRS)
+        objective = np.zeros(problem.n_dmus + 1)
+        objective[0] = 1.0
         A = np.zeros((m, problem.n_dmus + 1))
         A[:n_in, 1:] = X.T
         A[n_in:n_in + n_out, 1:] = Y.T
         A[n_in + n_out:, 1:] = 1.0
-        relations = [LE] * n_in + [GE] * n_out
-        if regime == VRS:
-            relations.append(EQ)
-        elif regime == NIRS:
-            relations.append(LE)
+        relations = (LE,) * n_in + (GE,) * n_out + {
+            CRS: (), VRS: (EQ,), NIRS: (LE,)}[regime]
         b = np.zeros(m)
         b[n_in + n_out:] = 1.0
-        A.flags.writeable = b.flags.writeable = False
-        rows = problem._rows_memo[regime] = (A, relations, b)
+        objective.flags.writeable = A.flags.writeable = b.flags.writeable = False
+        rows = problem._rows_memo[regime] = (objective, A, relations, b)
     return rows
 
 
@@ -234,17 +242,15 @@ def solve_output_oriented(
     The LP's row duals (inputs, outputs, then the convexity row) are kept
     in the problem's memo for ``DeaProblem.drop_input``.
     """
-    shared, relations, shared_b = _envelopment_rows(problem, regime)
+    objective, shared, relations, shared_b = _envelopment_rows(problem, regime)
     X, Y = problem._scaled
     n_in, n_out = X.shape[1], Y.shape[1]
     A = shared.copy()
     A[n_in:n_in + n_out, 0] = -Y[dmu_index]
     b = shared_b.copy()
     b[:n_in] = X[dmu_index]
-    objective = np.zeros(problem.n_dmus + 1)
-    objective[0] = 1.0
 
-    sol = solve_lp(LinearProgram(MAXIMIZE, objective, zip(A, relations, b)))
+    sol = solve_lp(MAXIMIZE, objective, A, relations, b)
     if sol.status == UNBOUNDED:
         raise DegenerateDmuError(
             f"{problem.dmus[dmu_index].dmu_id}: unbounded expansion "
@@ -263,8 +269,7 @@ def solve_output_oriented(
 def _phis(problem: DeaProblem, regime: str, units=None) -> dict[int, float]:
     """Solved phi per unit index (all units by default), each (unit,
     regime) LP solved at most once per problem."""
-    if regime not in REGIMES:
-        raise StructuralError(f"unknown regime {regime!r}")
+    _envelopment_rows(problem, regime)  # rejects an unknown regime
     memo = problem._phi_memo[regime]
     for k in range(problem.n_dmus) if units is None else units:
         if k not in memo:

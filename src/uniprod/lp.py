@@ -1,4 +1,4 @@
-"""Dense two-phase primal simplex solver.
+"""Dense two-phase primal simplex solver, internal to ``dea``.
 
 Solves
 
@@ -12,6 +12,10 @@ plus phi: about 30 columns for a paper-scale area, 251 for a 250-unit
 frontier.  A dense tableau with Bland's anti-cycling rule is the right
 tool for that shape: deterministic pivot order, guaranteed termination,
 no external solver dependency.
+
+A program arrives as plain arrays, not as a checked object: its only
+caller is ``dea``, which hands in the rows of a ``DeaProblem`` whose
+values were validated when the problem was built.
 
 Tableau layout: row i < m holds constraint i, and the last row m holds
 the reduced costs z of the current phase's objective.  The columns are
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolationError, StructuralError
+from .errors import InvariantViolationError
 
 MAXIMIZE = "max"
 MINIMIZE = "min"
@@ -43,7 +47,6 @@ MINIMIZE = "min"
 LE = "<="
 EQ = "="
 GE = ">="
-_RELATIONS = (LE, EQ, GE)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -54,69 +57,6 @@ PIVOT_TOL = 1e-9
 FEASIBILITY_TOL = 1e-6
 #: safety limit on the pivots of one solve; reaching it means a solver bug
 MAX_ITERATIONS = 100_000
-
-
-def _float_array(values) -> np.ndarray:
-    """A float copy of an array or of any other iterable of numbers."""
-    return np.array(values if isinstance(values, np.ndarray) else tuple(values),
-                    dtype=float)
-
-
-@dataclass(frozen=True, eq=False)
-class LinearProgram:
-    """Immutable problem statement.
-
-    ``constraints`` is a sequence of ``(row, relation, rhs)`` triples with
-    ``relation`` one of ``"<="``, ``"="``, ``">="``; rows may be numpy
-    arrays.  Every variable is non-negative.  The rows are kept as one
-    ``(m, n)`` array ``A`` with ``relations`` and right-hand sides ``b``.
-    """
-
-    sense: str
-    objective: np.ndarray
-    A: np.ndarray
-    relations: tuple[str, ...]
-    b: np.ndarray
-
-    def __init__(self, sense, objective, constraints):
-        if sense not in (MAXIMIZE, MINIMIZE):
-            raise StructuralError(f"sense must be 'max' or 'min', got {sense!r}")
-        obj = _float_array(objective)
-        if not obj.size:
-            raise StructuralError("objective must have at least one coefficient")
-        if not np.isfinite(obj).all():
-            raise StructuralError("objective coefficients must be finite")
-        n = obj.size
-        rows, rels, rhs = [], [], []
-        bad = None  # first row with a wrong length or an unknown relation
-        for k, (row, rel, r) in enumerate(constraints):
-            row = _float_array(row)
-            if row.shape != (n,):
-                bad = f"constraint {k} has {row.size} coefficients, expected {n}"
-                break
-            if rel not in _RELATIONS:
-                bad = f"constraint {k}: unknown relation {rel!r}"
-                break
-            rows.append(row)
-            rels.append(rel)
-            rhs.append(float(r))
-        A = np.array(rows, dtype=float).reshape(len(rows), n)
-        b = np.array(rhs, dtype=float)
-        # Rows are checked in order: a non-finite row before the first
-        # malformed one is the error reported.
-        finite = np.isfinite(A).all(axis=1) & np.isfinite(b)
-        if not finite.all():
-            k = int(np.argmin(finite))
-            raise StructuralError(f"constraint {k} contains non-finite values")
-        if bad is not None:
-            raise StructuralError(bad)
-        for array in (obj, A, b):
-            array.flags.writeable = False
-        object.__setattr__(self, "sense", sense)
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "relations", tuple(rels))
-        object.__setattr__(self, "b", b)
 
 
 @dataclass(frozen=True)
@@ -133,21 +73,25 @@ class LpSolution:
     duals: np.ndarray | None = None
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve ``lp``, reporting optimal / infeasible / unbounded explicitly.
+def solve_lp(sense, objective, A, relations, b) -> LpSolution:
+    """Solve ``sense`` (MAXIMIZE or MINIMIZE) ``objective @ x`` subject to
+    ``A[i] @ x  relations[i]  b[i]`` for each row and ``x >= 0``,
+    reporting optimal / infeasible / unbounded explicitly.
+
+    ``objective``, ``A`` (shape ``(m, n)``) and ``b`` are finite float
+    arrays, read and never written.  They are not checked here.
 
     Deterministic: Bland's rule picks the lowest-index entering column and
     breaks ratio-test ties by lowest basis variable index.
     """
-    c = lp.objective
-    cmax = c if lp.sense == MAXIMIZE else -c
+    cmax = objective if sense == MAXIMIZE else -objective
 
-    status, x, y, iters = _two_phase(lp.A, lp.relations, lp.b, cmax)
+    status, x, y, iters = _two_phase(A, relations, b, cmax)
     if status != OPTIMAL:
         return LpSolution(status, None, None, iters)
     x = np.maximum(x, 0.0)
-    duals = y if lp.sense == MAXIMIZE else -y
-    return LpSolution(OPTIMAL, float(c @ x), x, iters, duals)
+    duals = y if sense == MAXIMIZE else -y
+    return LpSolution(OPTIMAL, float(objective @ x), x, iters, duals)
 
 
 def _two_phase(A, rels, b, cmax):

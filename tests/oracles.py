@@ -132,6 +132,16 @@ def random_small_lp(rng):
     return sense, objective, constraints
 
 
+def lp_arrays(sense, objective, constraints):
+    """``solve_lp``'s five arguments for a program written as
+    ``(row, relation, rhs)`` triples."""
+    c = np.array(objective, dtype=float)
+    A = np.array([row for row, _, _ in constraints], dtype=float)
+    relations = tuple(rel for _, rel, _ in constraints)
+    b = np.array([rhs for _, _, rhs in constraints], dtype=float)
+    return sense, c, A.reshape(len(constraints), c.size), relations, b
+
+
 def cell_outputs_bruteforce(
     publications, outcomes, registry, journals, area_id, university_id, years
 ):
@@ -264,16 +274,15 @@ def random_dea_problem(rng, n_dmus=None, n_inputs=4, n_outputs=3):
 # see ``tests/test_lp_bits.py``.
 
 
-def reference_solve_lp(lp):
+def reference_solve_lp(sense, objective, A, relations, b):
     """``solve_lp`` over the frozen reference simplex below."""
-    c = lp.objective
-    cmax = c if lp.sense == MAXIMIZE else -c
+    cmax = objective if sense == MAXIMIZE else -objective
 
-    status, x, iters = _two_phase(lp.A, lp.relations, lp.b, cmax)
+    status, x, iters = _two_phase(A, relations, b, cmax)
     if status != OPTIMAL:
         return LpSolution(status, None, None, iters)
     x = np.maximum(x, 0.0)
-    return LpSolution(OPTIMAL, float(c @ x), x, iters)
+    return LpSolution(OPTIMAL, float(objective @ x), x, iters)
 
 
 def _two_phase(A, rels, b, cmax):

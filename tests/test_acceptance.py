@@ -30,13 +30,14 @@ from uniprod.config import RunConfig
 from uniprod.dea import CRS, NIRS, VRS, DeaProblem, DmuRecord, decompose, scores
 from uniprod.disambiguation import AffiliationDictionary, disambiguate_corpus
 from uniprod.ingest import ingest, parse_author_field
-from uniprod.lp import LinearProgram, solve_lp
+from uniprod.lp import solve_lp
 from uniprod.records import Publication, StaffMember, StaffRegistry
 from uniprod.synthetic import write_synthetic_dataset
 
 from .oracles import (
     cell_outputs_bruteforce,
     crs_ratio_oracle,
+    lp_arrays,
     lp_vertex_oracle,
     random_dea_problem,
     random_small_lp,
@@ -70,7 +71,7 @@ def test_c01_simplex_matches_vertex_enumeration(gate):
     statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     for _ in range(500):
         sense, objective, constraints = random_small_lp(rng)
-        sol = solve_lp(LinearProgram(sense, objective, constraints))
+        sol = solve_lp(*lp_arrays(sense, objective, constraints))
         status, value = lp_vertex_oracle(sense, objective, constraints)
         statuses[status] = statuses.get(status, 0) + 1
         if sol.status != status:

@@ -76,11 +76,25 @@ class TestValidation:
     def test_drop_outside_selection(self):
         with pytest.raises(StructuralError, match="cannot drop input 'XX'"):
             RunConfig(drop_inputs=("XX",))
+        with pytest.raises(StructuralError, match=r"cannot drop input \['PR'\]"):
+            RunConfig(drop_inputs=[["PR"]])
 
     def test_drop_inputs_string(self):
         with pytest.raises(StructuralError,
                            match="sequence of input labels, not the string 'PR'"):
             RunConfig(drop_inputs="PR")
+
+    @pytest.mark.parametrize("value", [None, 3])
+    def test_drop_inputs_not_iterable(self, value):
+        with pytest.raises(StructuralError,
+                           match=f"sequence of input labels, got {value!r}$"):
+            RunConfig(drop_inputs=value)
+
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_compare_partial_must_be_bool(self, value):
+        with pytest.raises(StructuralError,
+                           match=f"^compare_partial must be True or False, got {value!r}$"):
+            RunConfig(compare_partial=value)
 
     def test_repeated_drop_label(self):
         with pytest.raises(StructuralError, match="must not repeat"):

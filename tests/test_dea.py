@@ -52,6 +52,19 @@ class TestEnvelopmentModels:
         with pytest.raises(StructuralError):
             scores(problem, "drs")
 
+    @pytest.mark.parametrize("solve", [
+        lambda problem: scores(problem, "bogus"),
+        lambda problem: solve_output_oriented(problem, 0, "bogus"),
+    ], ids=["scores", "solve_output_oriented"])
+    def test_bad_regime_leaves_no_memo(self, solve):
+        problem = problem_1d([("A", 1.0, 1.0), ("B", 2.0, 1.0)])
+        with pytest.raises(StructuralError, match="^unknown regime 'bogus'$"):
+            solve(problem)
+        assert problem._rows_memo == {}
+        for memo in (problem._phi_memo, problem._dual_memo):
+            assert sorted(memo) == sorted((CRS, VRS, NIRS))
+            assert not any(memo.values())
+
 
 class TestEfficiencyScore:
     @pytest.mark.parametrize("phi,score", [(1.0, 1.0), (2.0, 0.5), (1.25, 0.8)])
@@ -147,6 +160,18 @@ class TestProblemValidation:
     def test_rejects_duplicate_ids(self):
         with pytest.raises(StructuralError):
             problem_1d([("A", 1.0, 1.0), ("A", 2.0, 1.0)])
+
+    @pytest.mark.parametrize("inputs, outputs, name", [
+        (("x", "z", "x"), ("y",), "input labels"),
+        (("x", "z", "w"), ("y", "y"), "output labels"),
+    ], ids=["inputs", "outputs"])
+    def test_rejects_repeated_labels(self, inputs, outputs, name):
+        # With a repeated input label, drop_input(label) would remove every
+        # column of that name but read the dual of only the first one.
+        dmus = [DmuRecord(u, (1.0, 2.0, float(k + 1)), (1.0,) * len(outputs))
+                for k, u in enumerate("AB")]
+        with pytest.raises(StructuralError, match=f"^duplicate {name}$"):
+            DeaProblem(dmus, inputs, outputs)
 
     def test_rejects_negative_values(self):
         with pytest.raises(StructuralError):

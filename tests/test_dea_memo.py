@@ -1,8 +1,8 @@
 """Envelopment rows are built once per (problem, regime) and each
 expansion factor is memoized on its problem, with its LP's row duals.
 None of that may change a bit of ``decompose`` or ``scores``: they are
-compared for exact equality with a reference that builds and solves one
-``LinearProgram`` per LP.
+compared for exact equality with a reference that builds each LP's rows
+from scratch as lists and solves them.
 
 ``drop_input`` reuses the full model's factor wherever its LP's dual on
 the dropped row is exactly 0.0.  A reused factor is bit-equal to the
@@ -31,9 +31,9 @@ from uniprod.dea import (
     is_efficient,
     scores,
 )
-from uniprod.lp import LinearProgram, solve_lp
+from uniprod.lp import solve_lp
 
-from .oracles import random_dea_problem
+from .oracles import lp_arrays, random_dea_problem
 
 
 def reference_solution(problem, dmu_index, regime):
@@ -57,7 +57,7 @@ def reference_solution(problem, dmu_index, regime):
         constraints.append(([0.0] + [1.0] * n, "=", 1.0))
     elif regime == NIRS:
         constraints.append(([0.0] + [1.0] * n, "<=", 1.0))
-    sol = solve_lp(LinearProgram("max", objective, constraints))
+    sol = solve_lp(*lp_arrays("max", objective, constraints))
     assert sol.status == "optimal"
     return sol
 

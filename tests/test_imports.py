@@ -1,14 +1,18 @@
 """Every import in the package modules, the scripts and the tests is
-used.
+used, and every name the package exports exists.
 
 ``__init__.py`` re-exports names it never reads, and ``from __future__``
-imports switch compiler features, so both are left out.
+imports switch compiler features, so both are left out of the first
+check; ``uniprod.__all__`` is checked on its own.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import uniprod
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "uniprod"
@@ -49,3 +53,8 @@ def test_the_check_sees_an_unused_import():
     source = ("from __future__ import annotations\n"
               "import os.path\nfrom x import a, b as c\nprint(a, os)\n")
     assert unused_imports(source) == ["3: c"]
+
+
+def test_every_export_resolves_once():
+    assert [n for n, c in Counter(uniprod.__all__).items() if c > 1] == []
+    assert [n for n in uniprod.__all__ if not hasattr(uniprod, n)] == []

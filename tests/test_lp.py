@@ -1,63 +1,60 @@
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uniprod import lp as lp_module
-from uniprod.errors import InvariantViolationError, StructuralError
+from uniprod.errors import InvariantViolationError
 from uniprod.lp import (
     FEASIBILITY_TOL,
     MAX_ITERATIONS,
     PIVOT_TOL,
-    LinearProgram,
     _pivot,
     solve_lp,
 )
 
-from .oracles import lp_vertex_oracle, random_small_lp
+from .oracles import lp_arrays, lp_vertex_oracle, random_small_lp
 
 
 def lp_max(objective, constraints):
-    return LinearProgram("max", objective, constraints)
+    return lp_arrays("max", objective, constraints)
 
 
 class TestSmallCases:
     def test_zero_objective(self):
-        sol = solve_lp(lp_max([0.0], [((1.0,), "<=", 1.0)]))
+        sol = solve_lp(*lp_max([0.0], [((1.0,), "<=", 1.0)]))
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
     def test_single_variable_bound(self):
         # max x s.t. x <= 3, x >= 0; the only active constraint is x = 3
-        sol = solve_lp(lp_max([1.0], [((1.0,), "<=", 3.0)]))
+        sol = solve_lp(*lp_max([1.0], [((1.0,), "<=", 3.0)]))
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(3.0, abs=1e-9)
         assert sol.x[0] == pytest.approx(3.0, abs=1e-9)
 
     def test_contradictory_bounds_infeasible(self):
-        sol = solve_lp(lp_max([1.0], [((1.0,), "<=", 1.0), ((1.0,), ">=", 2.0)]))
+        sol = solve_lp(*lp_max([1.0], [((1.0,), "<=", 1.0), ((1.0,), ">=", 2.0)]))
         assert sol.status == "infeasible"
         assert sol.objective is None and sol.x is None
 
     def test_unbounded(self):
-        sol = solve_lp(lp_max([1.0], [((-1.0,), "<=", 0.0)]))
+        sol = solve_lp(*lp_max([1.0], [((-1.0,), "<=", 0.0)]))
         assert sol.status == "unbounded"
 
     def test_equality_constraint(self):
-        sol = solve_lp(lp_max([2.0, 1.0], [((1.0, 1.0), "=", 4.0), ((1.0, 0.0), "<=", 3.0)]))
+        sol = solve_lp(*lp_max([2.0, 1.0], [((1.0, 1.0), "=", 4.0), ((1.0, 0.0), "<=", 3.0)]))
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(7.0, abs=1e-8)
         assert sol.x == pytest.approx([3.0, 1.0], abs=1e-8)
 
     def test_minimization(self):
-        sol = solve_lp(LinearProgram("min", [1.0, 1.0], [((1.0, 2.0), ">=", 4.0)]))
+        sol = solve_lp(*lp_arrays("min", [1.0, 1.0], [((1.0, 2.0), ">=", 4.0)]))
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(2.0, abs=1e-8)
 
     def test_no_constraints_zero_objective(self):
-        sol = solve_lp(lp_max([0.0, 0.0], []))
+        sol = solve_lp(*lp_max([0.0, 0.0], []))
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(0.0)
 
@@ -69,7 +66,7 @@ class TestSmallCases:
             ((0.0, 0.0, 1.0, 0.0), "<=", 1.0),
         ]
         objective = [-0.75, 150.0, -0.02, 6.0]
-        sol = solve_lp(LinearProgram("min", objective, constraints))
+        sol = solve_lp(*lp_arrays("min", objective, constraints))
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-0.05, abs=1e-9)
 
@@ -131,7 +128,7 @@ def _simplex_reference(T, basis, iters):
 class TestSimplexLoop:
     def test_same_pivots_and_solution_as_reference(self, monkeypatch):
         rng = np.random.default_rng(17)
-        programs = [LinearProgram(*random_small_lp(rng)) for _ in range(150)]
+        programs = [lp_arrays(*random_small_lp(rng)) for _ in range(150)]
         # Envelopment-shaped programs: many columns, tied ratios.
         for _ in range(10):
             n = int(rng.integers(5, 40))
@@ -140,75 +137,14 @@ class TestSimplexLoop:
             rows = [(np.r_[0.0, X[:, i]], "<=", X[0, i]) for i in range(2)]
             rows += [(np.r_[-Y[0, r], Y[:, r]], ">=", 0.0) for r in range(2)]
             rows.append((np.r_[0.0, np.ones(n)], "=", 1.0))
-            programs.append(LinearProgram("max", np.r_[1.0, np.zeros(n)], rows))
-        got = [solve_lp(p) for p in programs]
+            programs.append(lp_arrays("max", np.r_[1.0, np.zeros(n)], rows))
+        got = [solve_lp(*p) for p in programs]
         monkeypatch.setattr(lp_module, "_simplex", _simplex_reference)
-        want = [solve_lp(p) for p in programs]
+        want = [solve_lp(*p) for p in programs]
         for a, b in zip(got, want):
             assert (a.status, a.objective, a.iterations) == (
                 b.status, b.objective, b.iterations)
             assert (a.x is None and b.x is None) or np.array_equal(a.x, b.x)
-
-
-class TestStructuralValidation:
-    GOOD = ((1.0, 1.0), "<=", 4.0)
-
-    @pytest.mark.parametrize("row, rel, rhs, message", [
-        ((1.0, 2.0, 3.0), "<=", 1.0, "constraint 1 has 3 coefficients, expected 2"),
-        ((1.0,), "<=", 1.0, "constraint 1 has 1 coefficients, expected 2"),
-        ((1.0, 2.0), "<", 1.0, "constraint 1: unknown relation '<'"),
-        ((1.0, float("nan")), "<=", 1.0, "constraint 1 contains non-finite values"),
-        ((1.0, 2.0), "=", float("nan"), "constraint 1 contains non-finite values"),
-    ], ids=["long", "short", "relation", "nan-row", "nan-rhs"])
-    @pytest.mark.parametrize("as_row", [tuple, np.array], ids=["tuple", "array"])
-    def test_bad_row_message(self, row, rel, rhs, message, as_row):
-        good_row, good_rel, good_rhs = self.GOOD
-        constraints = [(as_row(good_row), good_rel, good_rhs),
-                       (as_row(row), rel, rhs)]
-        with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
-            LinearProgram("max", [1.0, 1.0], constraints)
-
-    @pytest.mark.parametrize("as_row", [tuple, np.array], ids=["tuple", "array"])
-    def test_first_bad_row_is_reported(self, as_row):
-        constraints = [(as_row((float("nan"), 1.0)), "<=", 1.0),
-                       (as_row((1.0,)), "<=", 1.0)]
-        with pytest.raises(StructuralError, match="^constraint 0 contains"):
-            LinearProgram("max", [1.0, 1.0], constraints)
-
-    def test_array_rows_equal_tuple_rows(self):
-        rows = [((1.0, 2.0), "<=", 6.0), ((2.0, 1.0), ">=", 1.0)]
-        a = LinearProgram("max", [1.0, 1.0], rows)
-        b = LinearProgram("max", np.ones(2),
-                          zip(np.array([r for r, _, _ in rows]),
-                              [rel for _, rel, _ in rows],
-                              np.array([rhs for _, _, rhs in rows])))
-        assert np.array_equal(a.A, b.A) and np.array_equal(a.b, b.b)
-        assert a.relations == b.relations == ("<=", ">=")
-        assert not a.A.flags.writeable
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(StructuralError):
-            LinearProgram("max", [1.0, 2.0], [((1.0,), "<=", 1.0)])
-
-    def test_non_finite_objective(self):
-        with pytest.raises(StructuralError):
-            LinearProgram("max", [float("nan")], [])
-
-    def test_non_finite_rhs(self):
-        with pytest.raises(StructuralError):
-            LinearProgram("max", [1.0], [((1.0,), "<=", float("inf"))])
-
-    def test_bad_relation(self):
-        with pytest.raises(StructuralError):
-            LinearProgram("max", [1.0], [((1.0,), "<", 1.0)])
-
-    def test_bad_sense(self):
-        with pytest.raises(StructuralError):
-            LinearProgram("maximize", [1.0], [])
-
-    def test_empty_objective(self):
-        with pytest.raises(StructuralError):
-            LinearProgram("max", [], [])
 
 
 class TestProperties:
@@ -216,8 +152,8 @@ class TestProperties:
         rng = np.random.default_rng(7)
         for _ in range(20):
             sense, objective, constraints = random_small_lp(rng)
-            lp = LinearProgram(sense, objective, constraints)
-            a, b = solve_lp(lp), solve_lp(lp)
+            lp = lp_arrays(sense, objective, constraints)
+            a, b = solve_lp(*lp), solve_lp(*lp)
             assert a.status == b.status
             assert a.iterations == b.iterations
             if a.status == "optimal":
@@ -229,7 +165,7 @@ class TestProperties:
         checked = 0
         while checked < 40:
             sense, objective, constraints = random_small_lp(rng)
-            sol = solve_lp(LinearProgram(sense, objective, constraints))
+            sol = solve_lp(*lp_arrays(sense, objective, constraints))
             if sol.status != "optimal":
                 continue
             checked += 1
@@ -247,8 +183,8 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     def test_objective_scaling(self, k):
         constraints = [((1.0, 2.0), "<=", 6.0), ((2.0, 1.0), "<=", 6.0)]
-        base = solve_lp(lp_max([1.0, 1.0], constraints))
-        scaled = solve_lp(lp_max([k, k], constraints))
+        base = solve_lp(*lp_max([1.0, 1.0], constraints))
+        scaled = solve_lp(*lp_max([k, k], constraints))
         assert base.status == scaled.status == "optimal"
         assert scaled.objective == pytest.approx(k * base.objective, rel=1e-9)
 
@@ -256,7 +192,7 @@ class TestProperties:
         rng = np.random.default_rng(2024)
         for _ in range(150):
             sense, objective, constraints = random_small_lp(rng)
-            sol = solve_lp(LinearProgram(sense, objective, constraints))
+            sol = solve_lp(*lp_arrays(sense, objective, constraints))
             status, value = lp_vertex_oracle(sense, objective, constraints)
             assert sol.status == status, (sense, objective, constraints)
             if status == "optimal":
@@ -279,8 +215,8 @@ class TestDuals:
         solved = []
         solve = dea.solve_lp
 
-        def recording(lp):
-            solution = solve(lp)
+        def recording(*lp):
+            solution = solve(*lp)
             solved.append((lp, solution))
             return solution
 
@@ -297,21 +233,21 @@ class TestDuals:
         while len(programs) < 200:
             sense, objective, constraints = random_small_lp(rng)
             if all(rel != "=" for _, rel, _ in constraints):
-                lp = LinearProgram(sense, objective, constraints)
-                programs.append((lp, solve_lp(lp)))
+                lp = lp_arrays(sense, objective, constraints)
+                programs.append((lp, solve_lp(*lp)))
         return programs
 
     def test_strong_duality_and_signs(self, monkeypatch):
         solved = self.c03_envelopment_lps(monkeypatch) + self.inequality_programs()
         optimal = [(lp, sol) for lp, sol in solved if sol.status == "optimal"]
         # Some optimum has a row flipped for its negative right-hand side.
-        assert any((lp.b < 0).any() for lp, _ in optimal)
-        for lp, sol in optimal:
+        assert any((b < 0).any() for (*_, b), _ in optimal)
+        for (sense, _, _, relations, b), sol in optimal:
             y = sol.duals
-            assert y.shape == lp.b.shape
-            assert float(lp.b @ y) == pytest.approx(sol.objective, abs=1e-9)
-            if lp.sense == "max":
-                le = np.array([rel == "<=" for rel in lp.relations], dtype=bool)
+            assert y.shape == b.shape
+            assert float(b @ y) == pytest.approx(sol.objective, abs=1e-9)
+            if sense == "max":
+                le = np.array([rel == "<=" for rel in relations], dtype=bool)
                 assert np.all(y[le] >= -FEASIBILITY_TOL)
                 assert np.all(y[~le] <= FEASIBILITY_TOL)
 
@@ -319,12 +255,12 @@ class TestDuals:
         rng = np.random.default_rng(37)
         seen_eq = 0
         for _ in range(300):
-            lp = LinearProgram(*random_small_lp(rng))
-            sol = solve_lp(lp)
+            sense, objective, A, relations, b = lp_arrays(*random_small_lp(rng))
+            sol = solve_lp(sense, objective, A, relations, b)
             if sol.status != "optimal":
                 assert sol.duals is None
                 continue
-            eq = [rel == "=" for rel in lp.relations]
+            eq = [rel == "=" for rel in relations]
             assert np.isnan(sol.duals).tolist() == eq
             seen_eq += any(eq)
         assert seen_eq

@@ -10,11 +10,11 @@ import pytest
 from uniprod import dea
 from uniprod.config import RunConfig
 from uniprod.ingest import ingest
-from uniprod.lp import LinearProgram, solve_lp
+from uniprod.lp import solve_lp
 from uniprod.pipeline import run_pipeline
 from uniprod.synthetic import write_synthetic_dataset
 
-from .oracles import random_small_lp, reference_solve_lp
+from .oracles import lp_arrays, random_small_lp, reference_solve_lp
 from .test_dea_memo import GENERATORS, fresh, wide_problem
 
 
@@ -25,7 +25,7 @@ def _bits(value):
 def _assert_bit_equal(solved):
     assert solved
     for lp, got in solved:
-        want = reference_solve_lp(lp)
+        want = reference_solve_lp(*lp)
         assert (got.status, got.iterations) == (want.status, want.iterations)
         assert _bits(got.objective) == _bits(want.objective)
         assert _bits(got.x) == _bits(want.x)
@@ -33,12 +33,12 @@ def _assert_bit_equal(solved):
 
 @pytest.fixture
 def captured(monkeypatch):
-    """Every (LinearProgram, LpSolution) that ``dea`` solves."""
+    """Every (``solve_lp`` arguments, LpSolution) that ``dea`` solves."""
     solved = []
     solve = dea.solve_lp
 
-    def recording(lp):
-        solution = solve(lp)
+    def recording(*lp):
+        solution = solve(*lp)
         solved.append((lp, solution))
         return solution
 
@@ -72,8 +72,8 @@ def test_random_small_programs():
     """General LPs reach what envelopment LPs never do: negative
     right-hand sides, redundant rows, infeasible and unbounded ends."""
     rng = np.random.default_rng(5)
-    programs = [LinearProgram(*random_small_lp(rng)) for _ in range(400)]
-    solved = [(lp, solve_lp(lp)) for lp in programs]
+    programs = [lp_arrays(*random_small_lp(rng)) for _ in range(400)]
+    solved = [(lp, solve_lp(*lp)) for lp in programs]
     assert {got.status for _, got in solved} == {
         "optimal", "infeasible", "unbounded"}
     _assert_bit_equal(solved)
