@@ -30,7 +30,12 @@ class RunConfig:
     report_format: str = FORMAT_CSV
 
     def __post_init__(self):
-        years = tuple(self.years)
+        try:
+            years = tuple(self.years)
+        except TypeError:
+            raise StructuralError(
+                f"years must be a sequence of years, got {self.years!r}"
+            ) from None
         if not years:
             raise StructuralError("years must be non-empty")
         # type() rather than isinstance(): a bool is not a year or a lag

@@ -14,7 +14,9 @@ optimum of
 Scores are reciprocals: technical efficiency 1/phi_crs, pure technical
 efficiency 1/phi_vrs, scale efficiency their ratio.  Comparing the
 constant-returns score with the non-increasing-returns score separates
-increasing from decreasing returns for scale-inefficient units.
+increasing from decreasing returns for scale-inefficient units; the sign
+of the variable-returns LP's convexity dual settles most of them without
+a non-increasing-returns solve (see ``decompose``).
 """
 
 from __future__ import annotations
@@ -80,8 +82,10 @@ class DeaProblem:
     The problem is immutable, so it caches what its LPs share: the
     envelopment rows of each regime, built once, and for each solved
     (unit, regime) LP its expansion factor and row duals, so that no LP
-    is solved twice.  Nothing else of a solution is kept: a dense
-    intensity vector per LP would cost n floats each.
+    is solved twice.  The duals answer LPs that need no solve: a dropped
+    input's (``drop_input``) and VRS's convexity row's, which settles
+    the NIRS LP (``decompose``).  Nothing else of a solution is kept: a
+    dense intensity vector per LP would cost n floats each.
     """
 
     dmus: tuple[DmuRecord, ...]
@@ -240,7 +244,8 @@ def solve_output_oriented(
     """Radial expansion factor and intensity vector for one DMU.
 
     The LP's row duals (inputs, outputs, then the convexity row) are kept
-    in the problem's memo for ``DeaProblem.drop_input``.
+    in the problem's memo for ``DeaProblem.drop_input`` and
+    ``decompose``.
     """
     objective, shared, relations, shared_b = _envelopment_rows(problem, regime)
     X, Y = problem._scaled
@@ -312,21 +317,32 @@ def scores(problem: DeaProblem, regime: str) -> dict[str, float]:
 def decompose(problem: DeaProblem) -> list[EfficiencyResult]:
     """Full three-model decomposition for every DMU in the problem.
 
-    NIRS is solved only for scale-inefficient units.  Where the CRS and
-    VRS factors agree, the NIRS region, which lies between the two,
-    gives the same factor.
+    NIRS is solved only for scale-inefficient units, and of those only
+    where the VRS LP does not already answer it.  Where the CRS and VRS
+    factors agree, the NIRS region, which lies between the two, gives
+    the same factor.  The NIRS LP is the VRS LP with sum lambda <= 1 in
+    place of = 1, and its slack column is the VRS convexity row's
+    artificial column.  So the final VRS tableau is a feasible NIRS
+    tableau at the same basis, and where that column's reduced cost, the
+    convexity dual, is >= 0.0 no column improves it: phi_nirs = phi_vrs
+    bit for bit (Banker and Thrall's sign test).  NIRS is solved where
+    the dual is negative (increasing returns signalled) or not on record
+    (a phi that ``drop_input`` seeded).
     """
     phi_crs = _phis(problem, CRS)
     phi_vrs = _phis(problem, VRS)
-    scale_inefficient = [
+    vrs_duals = problem._dual_memo[VRS]
+    unanswered = [
         k for k in range(problem.n_dmus)
         if max(_snap_phi(phi_crs[k]), 1.0) > max(_snap_phi(phi_vrs[k]), 1.0)
+        and (k not in vrs_duals or vrs_duals[k][-1] < 0.0)
     ]
     # Only these units' NIRS factors are read, even when an earlier
-    # ``scores(problem, NIRS)`` memoized the rest, so the result does not
+    # ``scores(problem, NIRS)`` memoized the rest, and an answered unit's
+    # phi_vrs is not filed as its NIRS factor, so the result does not
     # depend on what ran before.
-    solved = _phis(problem, NIRS, scale_inefficient)
-    phi_nirs = {k: solved[k] for k in scale_inefficient}
+    solved = _phis(problem, NIRS, unanswered)
+    phi_nirs = {k: solved[k] for k in unanswered}
     results = []
     for k, dmu in enumerate(problem.dmus):
         phi_c = phi_crs[k]

@@ -20,17 +20,22 @@ values were validated when the problem was built.
 Tableau layout: row i < m holds constraint i, and the last row m holds
 the reduced costs z of the current phase's objective.  The columns are
 the n structural variables, then one slack per ``<=`` row, one surplus
-per ``>=`` row, one artificial per ``>=`` or ``=`` row (phase 1 only),
-and last the right-hand side.  Each pivot is one rank-1 update of the
-whole tableau, z included.
+per ``>=`` row, one artificial per ``>=`` or ``=`` row, and last the
+right-hand side.  Phase 2 drops the ``>=`` rows' artificials and keeps
+the ``=`` rows' ones, barred from entering the basis: ``_simplex``
+prices only the columns below its entering bound.  Each pivot is one rank-1 update of the whole tableau, z
+included, and every column is updated on its own, so a kept column
+changes no bit of the others.
 
 Row duals are read from the final z row, with no further arithmetic on
-the tableau: a ``<=`` row's dual is the reduced cost at its slack column
-and a ``>=`` row's is minus the reduced cost at its surplus column.  A
-basic slack or surplus reads exactly 0.0, because each pivot computes
-``z[col] - z[col] * 1.0``.  A row flipped for a negative right-hand side
-has its dual's sign turned back.  A ``=`` row's dual reads NaN: its only
-column is the artificial one, which phase 2 drops.
+the tableau: a ``<=`` row's dual is the reduced cost at its slack column,
+a ``=`` row's the reduced cost at its artificial column (a slack that
+may not leave zero), and a ``>=`` row's is minus the reduced cost at its
+surplus column.  A basic slack or surplus reads exactly 0.0, because each
+pivot computes ``z[col] - z[col] * 1.0``.  A row flipped for a negative
+right-hand side has its dual's sign turned back.  A row that phase 1
+drops as redundant keeps a zero column, and its dual reads 0.0.  No dual
+is NaN.
 """
 
 from __future__ import annotations
@@ -61,10 +66,10 @@ MAX_ITERATIONS = 100_000
 
 @dataclass(frozen=True)
 class LpSolution:
-    """``x`` and ``duals`` (one per constraint row, in the problem's
-    order, NaN on ``=`` rows) are None unless the status is optimal.
-    At an optimum of an inequality-only program, the sum of b_i * duals_i
-    equals the objective up to rounding."""
+    """``x`` and ``duals`` (one finite dual per constraint row, in the
+    problem's order) are None unless the status is optimal.  At an
+    optimum, the sum of b_i * duals_i equals the objective up to
+    rounding."""
 
     status: str
     objective: float | None
@@ -114,9 +119,11 @@ def _two_phase(A, rels, b, cmax):
         T[i, :n] *= -1.0
         T[i, -1] *= -1.0
     basis = []
-    # Row i's dual is sign * z[col] for dual_at[i] = (col, sign), or NaN
-    # where dual_at[i] is None (a = row).
+    # Row i's dual is sign * z[col] for dual_at[i] = (col, sign), col
+    # indexing the phase-2 tableau.  Phase 2 keeps the = rows' artificial
+    # columns eq_art, in order, from column art0 on.
     dual_at = []
+    eq_art = []
     si = ti = ai = 0
     for i, rel in enumerate(rels):
         sign = -1.0 if i in flipped else 1.0
@@ -135,7 +142,8 @@ def _two_phase(A, rels, b, cmax):
         else:
             T[i, art0 + ai] = 1.0
             basis.append(art0 + ai)
-            dual_at.append(None)
+            dual_at.append((art0 + len(eq_art), sign))
+            eq_art.append(art0 + ai)
             ai += 1
 
     iters = 0
@@ -147,7 +155,7 @@ def _two_phase(A, rels, b, cmax):
             if basis[i] >= art0:
                 z -= T[i]
         z[art0:total] += 1.0
-        status, iters = _simplex(T, basis, iters)
+        status, iters = _simplex(T, basis, iters, total)
         if status != OPTIMAL:
             raise InvariantViolationError(f"phase-1 simplex ended with {status}")
         if T[m, -1] < -FEASIBILITY_TOL:
@@ -167,8 +175,8 @@ def _two_phase(A, rels, b, cmax):
             T = T[kept]
             m = len(basis)
 
-        # Phase 2 on the artificial-free columns.
-        T = np.concatenate((T[:, :art0], T[:, -1:]), axis=1)
+        # Phase 2 keeps the = rows' artificials for their duals only.
+        T = np.concatenate((T[:, :art0], T[:, eq_art], T[:, -1:]), axis=1)
 
     z = T[m]
     z[:] = 0.0
@@ -177,20 +185,22 @@ def _two_phase(A, rels, b, cmax):
     for i, j in enumerate(basis):
         if j < n and costs[j] != 0.0:
             z += costs[j] * T[i]
-    status, iters = _simplex(T, basis, iters)
+    status, iters = _simplex(T, basis, iters, art0)
     if status != OPTIMAL:
         return status, None, None, iters
 
     x = np.zeros(art0)
     x[basis] = T[:m, -1]
     z = T[m]
-    y = np.array([np.nan if at is None else at[1] * z[at[0]] for at in dual_at])
+    y = np.array([sign * z[col] for col, sign in dual_at])
     return OPTIMAL, x[:n], y, iters
 
 
-def _simplex(T, basis, iters):
+def _simplex(T, basis, iters, n_enter):
+    """Bland's steps until optimal or unbounded; only columns below
+    ``n_enter`` may enter the basis."""
     m = T.shape[0] - 1
-    z = T[m, :-1]
+    z = T[m, :n_enter]
     rhs_column = T[:m, -1]
     buf = np.empty_like(T)
     while True:

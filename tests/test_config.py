@@ -28,6 +28,12 @@ class TestValidation:
         with pytest.raises(StructuralError):
             RunConfig(years=())
 
+    @pytest.mark.parametrize("value", [None, 2001])
+    def test_years_not_iterable(self, value):
+        with pytest.raises(StructuralError,
+                           match=f"^years must be a sequence of years, got {value!r}$"):
+            RunConfig(years=value)
+
     def test_non_integer_year(self):
         with pytest.raises(StructuralError):
             RunConfig(years=(2001.5,))

@@ -4,6 +4,16 @@ None of that may change a bit of ``decompose`` or ``scores``: they are
 compared for exact equality with a reference that builds each LP's rows
 from scratch as lists and solves them.
 
+``decompose`` solves NIRS only for a scale-inefficient unit whose VRS
+LP's convexity dual is negative or not on record, and takes phi_vrs as
+the NIRS factor of the others.  The reference applies the same
+certificate, read from its own VRS LP.  On the C03-C05 generators and
+the wide problem, ``decompose`` is bit-equal to it, and to the
+decomposition with all three LPs solved for every unit in every field
+but phi_nirs.  There and on every paper-scale area, every phi_nirs is
+within 1e-9 of its NIRS LP's, and every returns-to-scale class is the
+all-LP one.
+
 ``drop_input`` reuses the full model's factor wherever its LP's dual on
 the dropped row is exactly 0.0.  A reused factor is bit-equal to the
 full model's, a re-solved one to the per-LP reference on the smaller
@@ -22,6 +32,8 @@ from uniprod.dea import (
     CRS,
     NIRS,
     REGIMES,
+    RTS_DECREASING,
+    RTS_INCREASING,
     VRS,
     DeaProblem,
     DmuRecord,
@@ -74,11 +86,26 @@ def binding(problem, label):
             if reference_solution(problem, k, VRS).duals[row] != 0.0}
 
 
+#: ``reference_phis`` key of the NIRS factor that ``decompose`` reads
+CERTIFIED = "nirs, certified"
+
+
 def reference_phis(problem):
-    return {
-        regime: [reference_phi(problem, k, regime) for k in range(problem.n_dmus)]
+    """phi per regime and unit, each LP solved from scratch, and under
+    ``CERTIFIED`` the NIRS factor that ``decompose`` reads: phi_vrs where
+    the VRS LP's convexity dual is >= 0.0, the NIRS LP's phi elsewhere."""
+    solutions = {
+        regime: [reference_solution(problem, k, regime)
+                 for k in range(problem.n_dmus)]
         for regime in REGIMES
     }
+    phis = {regime: [float(sol.x[0]) for sol in sols]
+            for regime, sols in solutions.items()}
+    phis[CERTIFIED] = [
+        phis[VRS][k] if sol.duals[-1] >= 0.0 else phis[NIRS][k]
+        for k, sol in enumerate(solutions[VRS])
+    ]
+    return phis
 
 
 def reference_scores(phis, problem, regime):
@@ -88,12 +115,13 @@ def reference_scores(phis, problem, regime):
     }
 
 
-def reference_decompose(phis, problem):
-    """The decomposition with all three LPs solved for every unit."""
+def reference_decompose(phis, problem, nirs=CERTIFIED):
+    """The decomposition from ``phis[nirs]`` as NIRS factors; with
+    ``nirs=NIRS``, every unit's NIRS LP solved."""
     out = []
     for k, d in enumerate(problem.dmus):
         phi_v2 = max(dea._snap_phi(phis[VRS][k]), 1.0)
-        phi_n2 = max(dea._snap_phi(phis[NIRS][k]), phi_v2)
+        phi_n2 = max(dea._snap_phi(phis[nirs][k]), phi_v2)
         phi_c2 = max(dea._snap_phi(phis[CRS][k]), phi_n2)
         te, te_n, pte = (efficiency_score(p) for p in (phi_c2, phi_n2, phi_v2))
         out.append((d.dmu_id, phi_c2, phi_v2, phi_n2, te, pte, te / pte,
@@ -104,6 +132,32 @@ def reference_decompose(phis, problem):
 def as_tuples(results):
     return [(r.dmu_id, r.phi_crs, r.phi_vrs, r.phi_nirs, r.te, r.pte, r.se,
              r.rts) for r in results]
+
+
+def assert_near_all_lp(problem, results):
+    """Every returns-to-scale class in ``decompose``'s results is the one
+    from solving all three LPs for every unit, and every factor and score
+    is within 1e-9 of that decomposition's.  Returns the reference phis."""
+    phis = reference_phis(problem)
+    got = as_tuples(results)
+    want = reference_decompose(phis, problem, NIRS)
+    assert [row[-1] for row in got] == [row[-1] for row in want]
+    for row, ref in zip(got, want):
+        assert row[1:-1] == pytest.approx(ref[1:-1], abs=1e-9), row[0]
+    return phis
+
+
+def assert_bit_equal_references(problem, results):
+    """As ``assert_near_all_lp``, and bit-equal to the certified reference
+    and to the all-LP one in every field but phi_nirs."""
+    phis = assert_near_all_lp(problem, results)
+    got = as_tuples(results)
+    assert got == reference_decompose(phis, problem)
+    # phi_nirs, at index 3, is the one field the certificate may move.
+    all_lp = reference_decompose(phis, problem, NIRS)
+    assert [row[:3] + row[4:] for row in got] == [
+        row[:3] + row[4:] for row in all_lp]
+    return phis
 
 
 def c03_problems():
@@ -170,8 +224,7 @@ GENERATORS = {"c03": c03_problems, "c04": c04_problems, "c05": c05_problems}
 @pytest.mark.parametrize("generator", sorted(GENERATORS))
 def test_bit_equal_to_per_lp_reference(generator):
     for problem in GENERATORS[generator]():
-        phis = reference_phis(problem)
-        assert as_tuples(decompose(fresh(problem))) == reference_decompose(phis, problem)
+        phis = assert_bit_equal_references(problem, decompose(fresh(problem)))
         for regime in REGIMES:
             assert scores(fresh(problem), regime) == reference_scores(
                 phis, problem, regime)
@@ -182,8 +235,7 @@ def test_wide_problem_bit_equal_to_per_lp_reference():
     per-LP re-solve on the smaller problem for a unit whose PR row binds,
     the full model's score for every other unit."""
     problem = wide_problem()
-    phis = reference_phis(problem)
-    assert as_tuples(decompose(problem)) == reference_decompose(phis, problem)
+    phis = assert_bit_equal_references(problem, decompose(problem))
     smaller = fresh(problem).drop_input("PR")
     before = reference_scores(phis, problem, VRS)
     resolved = binding(problem, "PR")
@@ -238,13 +290,109 @@ def test_each_lp_solved_once(problem, monkeypatch):
     n = problem.n_dmus
     per_regime = Counter(regime for (pid, _, regime) in calls
                          if pid == id(problem))
-    scale_inefficient = sum(1 for r in results if r.te != r.pte)
-    assert per_regime == Counter({CRS: n, VRS: n, NIRS: scale_inefficient})
+    # NIRS only where the unit is scale-inefficient and its VRS LP's
+    # convexity dual is negative.
+    increasing = sum(
+        1 for k, r in enumerate(results)
+        if r.te != r.pte and reference_solution(problem, k, VRS).duals[-1] < 0.0)
+    assert 0 < increasing < n
+    assert per_regime == Counter({CRS: n, VRS: n, NIRS: increasing})
     # The smaller problem solves only the units whose dropped row binds.
     after = [key for key in calls if key[0] != id(problem)]
     assert all(regime == VRS for _, _, regime in after)
     assert {k for _, k, _ in after} == binding(problem, problem.input_labels[-1])
     assert max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("seed", [7, 90001])
+def test_certified_nirs_paper_areas(seed, tmp_path, monkeypatch):
+    """Every area of the paper-scale corpus, as the pipeline built it:
+    each phi_nirs is within 1e-9 of its NIRS LP's, and every
+    returns-to-scale class is the one from solving all three LPs.  Bits
+    are not compared: a unit whose CRS and VRS factors differ only by
+    rounding counts as scale-inefficient, and where its NIRS LP's phi
+    exceeds the CRS LP's by rounding, the all-LP decomposition lifts
+    phi_crs to it, while a certified phi_nirs = phi_vrs leaves phi_crs
+    as solved (one unit of 262 at seed 7, te 2.7e-15 apart)."""
+    from uniprod import pipeline
+    from uniprod.config import RunConfig
+    from uniprod.ingest import ingest
+    from uniprod.synthetic import write_synthetic_dataset
+
+    problems = []
+    run = pipeline.decompose
+
+    def recording(problem):
+        problems.append(problem)
+        return run(problem)
+
+    monkeypatch.setattr(pipeline, "decompose", recording)
+    data_dir = write_synthetic_dataset(tmp_path, seed=seed, n_areas=9,
+                                       n_universities=60)
+    pipeline.run_pipeline(ingest(data_dir), RunConfig())
+    assert len(problems) == 9
+    solved = scale_inefficient = 0
+    for problem in problems:
+        copy = fresh(problem)
+        results = decompose(copy)
+        assert_near_all_lp(problem, results)
+        solved += len(copy._phi_memo[NIRS])
+        scale_inefficient += sum(1 for r in results if r.te != r.pte)
+    # The certificate answers most NIRS LPs, not all.
+    assert 0 < solved < scale_inefficient / 2
+
+
+def test_increasing_returns_unit_solves_nirs(monkeypatch):
+    """D lies below the steep small-scale segment A-B of the VRS
+    frontier, so its VRS convexity dual is negative: its NIRS LP is
+    solved, and it is classed increasing (phi_nirs = phi_crs = 3).  E,
+    beyond the largest unit C, is answered by its VRS LP and classed
+    decreasing (phi_nirs = phi_vrs = 1.2)."""
+    problem = DeaProblem(
+        (
+            DmuRecord("A", (1.0,), (1.0,)),
+            DmuRecord("B", (2.0,), (4.0,)),
+            DmuRecord("C", (4.0,), (6.0,)),
+            DmuRecord("D", (1.5,), (1.0,)),
+            DmuRecord("E", (5.0,), (5.0,)),
+        ),
+        ("STAFF",),
+        ("PU",),
+    )
+    assert reference_solution(problem, 3, VRS).duals[-1] < 0.0
+    assert reference_solution(problem, 4, VRS).duals[-1] >= 0.0
+    solved = []
+    solve = dea.solve_output_oriented
+
+    def recording(p, k, regime):
+        if regime == NIRS:
+            solved.append(p.dmus[k].dmu_id)
+        return solve(p, k, regime)
+
+    monkeypatch.setattr(dea, "solve_output_oriented", recording)
+    results = {r.dmu_id: r for r in decompose(problem)}
+    assert "D" in solved and "E" not in solved
+    d, e = results["D"], results["E"]
+    assert (d.phi_crs, d.phi_nirs, d.phi_vrs) == pytest.approx((3.0, 3.0, 2.5))
+    assert d.rts == RTS_INCREASING
+    assert (e.phi_crs, e.phi_nirs, e.phi_vrs) == pytest.approx((2.0, 1.2, 1.2))
+    assert e.rts == RTS_DECREASING
+
+
+@pytest.mark.parametrize("problem", [c05_problems()[2], wide_problem(60, seed=3)],
+                         ids=["c05", "wide60"])
+def test_decompose_after_drop_input(problem):
+    """A smaller problem's factors seeded by ``drop_input`` have no VRS
+    duals on record, so their NIRS LPs are solved: the decomposition
+    matches that of a smaller problem built from scratch."""
+    decompose(problem)
+    for label in problem.input_labels:
+        got = decompose(problem.drop_input(label))
+        want = decompose(fresh(problem).drop_input(label))
+        assert [r.rts for r in got] == [r.rts for r in want]
+        for a, b in zip(got, want):
+            assert (a.te, a.pte, a.se) == pytest.approx((b.te, b.pte, b.se),
+                                                        abs=1e-9)
 
 
 def _assert_matches_fresh_resolve(problem, label):

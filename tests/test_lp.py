@@ -96,12 +96,11 @@ class TestPivot:
         assert got[1] == want[1]
 
 
-def _simplex_reference(T, basis, iters):
+def _simplex_reference(T, basis, iters, n_enter):
     """Element-indexed reference for ``_simplex``'s Bland steps."""
     m = T.shape[0] - 1
-    n_cols = T.shape[1] - 1
     while True:
-        improvable = np.flatnonzero(T[m, :n_cols] < -FEASIBILITY_TOL)
+        improvable = np.flatnonzero(T[m, :n_enter] < -FEASIBILITY_TOL)
         if improvable.size == 0:
             return "optimal", iters
         entering = int(improvable[0])
@@ -222,7 +221,7 @@ class TestDuals:
 
         monkeypatch.setattr(dea, "solve_lp", recording)
         for problem in c03_problems():
-            for regime in (dea.CRS, dea.NIRS):
+            for regime in dea.REGIMES:
                 dea.scores(fresh(problem), regime)
         return solved
 
@@ -247,20 +246,29 @@ class TestDuals:
             assert y.shape == b.shape
             assert float(b @ y) == pytest.approx(sol.objective, abs=1e-9)
             if sense == "max":
-                le = np.array([rel == "<=" for rel in relations], dtype=bool)
-                assert np.all(y[le] >= -FEASIBILITY_TOL)
-                assert np.all(y[~le] <= FEASIBILITY_TOL)
+                # A = row's dual, VRS's convexity row among them, has
+                # either sign.
+                rels = np.array(relations)
+                assert np.all(y[rels == "<="] >= -FEASIBILITY_TOL)
+                assert np.all(y[rels == ">="] <= FEASIBILITY_TOL)
 
-    def test_nan_exactly_on_equality_rows(self):
+    def test_finite_duals_on_every_row(self):
+        """Every optimum, with = rows and with rows that phase 1 drops as
+        redundant (the rows with their slacks have less than full rank)."""
         rng = np.random.default_rng(37)
-        seen_eq = 0
-        for _ in range(300):
+        optimal = seen_eq = seen_redundant = 0
+        while optimal < 400:
             sense, objective, A, relations, b = lp_arrays(*random_small_lp(rng))
             sol = solve_lp(sense, objective, A, relations, b)
             if sol.status != "optimal":
                 assert sol.duals is None
                 continue
-            eq = [rel == "=" for rel in relations]
-            assert np.isnan(sol.duals).tolist() == eq
-            seen_eq += any(eq)
-        assert seen_eq
+            optimal += 1
+            assert sol.duals.shape == b.shape
+            assert np.all(np.isfinite(sol.duals))
+            assert float(b @ sol.duals) == pytest.approx(sol.objective, abs=1e-9)
+            seen_eq += "=" in relations
+            slacks = np.diag([float(rel != "=") for rel in relations])
+            seen_redundant += (
+                np.linalg.matrix_rank(np.hstack((A, slacks))) < len(relations))
+        assert seen_eq and seen_redundant
