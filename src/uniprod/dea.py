@@ -318,23 +318,26 @@ def decompose(problem: DeaProblem) -> list[EfficiencyResult]:
     """Full three-model decomposition for every DMU in the problem.
 
     NIRS is solved only for scale-inefficient units, and of those only
-    where the VRS LP does not already answer it.  Where the CRS and VRS
-    factors agree, the NIRS region, which lies between the two, gives
-    the same factor.  The NIRS LP is the VRS LP with sum lambda <= 1 in
-    place of = 1, and its slack column is the VRS convexity row's
-    artificial column.  So the final VRS tableau is a feasible NIRS
-    tableau at the same basis, and where that column's reduced cost, the
-    convexity dual, is >= 0.0 no column improves it: phi_nirs = phi_vrs
-    bit for bit (Banker and Thrall's sign test).  NIRS is solved where
-    the dual is negative (increasing returns signalled) or not on record
-    (a phi that ``drop_input`` seeded).
+    where the VRS LP does not already answer it.  A unit is
+    scale-inefficient by ``classify_rts``'s own test: its CRS and VRS
+    scores differ by more than ``RTS_TOL``.  Any other unit is classed
+    constant whatever NIRS reads, and takes phi_nirs = phi_vrs; where
+    its CRS and VRS factors agree, the NIRS region, which lies between
+    the two, gives that factor.  The NIRS LP is the VRS LP with
+    sum lambda <= 1 in place of = 1, and its slack column is the VRS
+    convexity row's artificial column.  So the final VRS tableau is a
+    feasible NIRS tableau at the same basis, and where that column's
+    reduced cost, the convexity dual, is >= 0.0 no column improves it:
+    phi_nirs = phi_vrs bit for bit (Banker and Thrall's sign test).
+    NIRS is solved where the dual is negative (increasing returns
+    signalled) or not on record (a phi that ``drop_input`` seeded).
     """
     phi_crs = _phis(problem, CRS)
     phi_vrs = _phis(problem, VRS)
     vrs_duals = problem._dual_memo[VRS]
     unanswered = [
         k for k in range(problem.n_dmus)
-        if max(_snap_phi(phi_crs[k]), 1.0) > max(_snap_phi(phi_vrs[k]), 1.0)
+        if _scale_inefficient(phi_crs[k], phi_vrs[k])
         and (k not in vrs_duals or vrs_duals[k][-1] < 0.0)
     ]
     # Only these units' NIRS factors are read, even when an earlier
@@ -380,6 +383,15 @@ def decompose(problem: DeaProblem) -> list[EfficiencyResult]:
             )
         )
     return results
+
+
+def _scale_inefficient(phi_crs: float, phi_vrs: float) -> bool:
+    """``classify_rts``'s constant-returns test on the scores that
+    ``decompose`` reports before NIRS is read: a unit whose phi_nirs is
+    phi_vrs keeps these scores."""
+    phi_v = max(_snap_phi(phi_vrs), 1.0)
+    te = efficiency_score(max(_snap_phi(phi_crs), phi_v))
+    return abs(te - efficiency_score(phi_v)) > RTS_TOL
 
 
 def classify_rts(te_crs: float, te_nirs: float, te_vrs: float) -> str:

@@ -117,23 +117,35 @@ class AffiliationDictionary:
 @dataclass(frozen=True)
 class MatchOutcome:
     """Result of matching one author token: matched to a staff id,
-    ambiguous among several candidates, or unmatched."""
+    ambiguous among several candidates, or unmatched.
+
+    The constructors intern: each returns one object per distinct
+    decision, memoized for the life of the process like ``surname_key``,
+    since a corpus repeats few decisions over many tokens.  An outcome
+    built directly is equal to, and hashes like, the interned one."""
 
     kind: str
     staff_id: str | None = None
     candidates: tuple[str, ...] = ()
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def matched(staff_id: str) -> "MatchOutcome":
         return MatchOutcome(MATCHED, staff_id=staff_id)
 
     @staticmethod
     def ambiguous(candidates: Iterable[str]) -> "MatchOutcome":
-        return MatchOutcome(AMBIGUOUS, candidates=tuple(candidates))
+        return _ambiguous(tuple(candidates))
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def unmatched() -> "MatchOutcome":
         return MatchOutcome(UNMATCHED)
+
+
+@functools.lru_cache(maxsize=None)
+def _ambiguous(candidates: tuple[str, ...]) -> MatchOutcome:
+    return MatchOutcome(AMBIGUOUS, candidates=candidates)
 
 
 @dataclass(frozen=True)
@@ -190,20 +202,19 @@ def match_author(token: AuthorToken, staff_in_scope) -> MatchOutcome:
     publication names, and with the token's surname key; surnames are
     not compared again here.  A member survives when the token's
     normalized initials are a prefix of its own (for a one-initial token,
-    when the first initials agree); a single survivor (by staff id) is a
-    match, several are ambiguous, none is unmatched.
+    when the first initials agree); a single survivor is a match, several
+    are ambiguous (in staff-id order), none is unmatched.  The outcome
+    is the interned one of its ``MatchOutcome`` constructor.
     """
     token_initials = _normalized_initials(token.initials)
     k = len(token_initials)
-    candidates = []
-    for member in staff_in_scope:
-        if _normalized_initials(member.initials)[:k] == token_initials:
-            candidates.append(member)
-    candidates.sort(key=lambda m: m.staff_id)
-    if len(candidates) == 1:
-        return MatchOutcome.matched(candidates[0].staff_id)
-    if candidates:
-        return MatchOutcome.ambiguous(m.staff_id for m in candidates)
+    found = [member.staff_id for member in staff_in_scope
+             if _normalized_initials(member.initials)[:k] == token_initials]
+    if len(found) == 1:
+        return MatchOutcome.matched(found[0])
+    if found:
+        found.sort()
+        return MatchOutcome.ambiguous(found)
     return MatchOutcome.unmatched()
 
 
@@ -220,15 +231,20 @@ def disambiguate_corpus(
     review; one with no staff evidence at all is discarded; the rest are
     resolved.  Overrides (from a review file that ``load_overrides`` has
     checked against the corpus) replace rule matching for the named
-    positions.  Each matched author, override or not, counts toward the
-    (area, university) cell of its staff member.
+    positions.  Every other token is decided by one ``match_author``
+    call on its scope, built in the order of the publication's
+    universities and of the registry.  Each matched author, override or
+    not, counts toward the (area, university) cell of its staff member.
+    Outcomes are the interned objects of the ``MatchOutcome``
+    constructors, so equal outcomes are one object.
     """
-    overrides = overrides or {}
     # The one place where candidates are selected by surname: per
     # university, its members by surname key.  A member whose key is
     # empty is never filed, so no token can reach it.
     by_surname: dict[str, dict[str, list]] = defaultdict(dict)
+    cell_of: dict[str, tuple[str, str]] = {}
     for member in staff:
+        cell_of[member.staff_id] = (member.area_id, member.university_id)
         if key := surname_key(member.surname):
             by_surname[member.university_id].setdefault(key, []).append(member)
 
@@ -237,56 +253,50 @@ def disambiguate_corpus(
     categories: dict[str, str] = {}
     errors: list[str] = []
     matched_cells: dict[str, dict[tuple[str, str], int]] = {}
-    # Outcomes repeat across the corpus: equal ones are kept as one
-    # object for the life of the result.
-    shared: dict[MatchOutcome, MatchOutcome] = {}
 
     for pub in publications:
+        pub_id = pub.pub_id
         if not pub.authors:
-            outcomes[pub.pub_id] = ()
-            categories[pub.pub_id] = CATEGORY_UNRESOLVABLE
-            errors.append(
-                f"publication {pub.pub_id!r} has an empty author list"
-            )
+            outcomes[pub_id] = ()
+            categories[pub_id] = CATEGORY_UNRESOLVABLE
+            errors.append(f"publication {pub_id!r} has an empty author list")
             continue
-        universities = dictionary.universities(pub.raw_affiliations)
+        year = pub.year
+        filed = [by_surname[university_id] for university_id
+                 in dictionary.universities(pub.raw_affiliations)]
         pub_outcomes = []
         cells: dict[tuple[str, str], int] = {}
+        ambiguous = False
         for position, token in enumerate(pub.authors, start=1):
-            key = (pub.pub_id, position)
-            if key in overrides:
-                staff_id = overrides[key]
+            if overrides and (pub_id, position) in overrides:
+                staff_id = overrides[pub_id, position]
                 outcome = (MatchOutcome.unmatched() if staff_id is None
                            else MatchOutcome.matched(staff_id))
             else:
                 token_key = surname_key(token.surname)
-                scope = []
-                for university_id in universities:
-                    for member in by_surname[university_id].get(token_key, ()):
-                        if member.active_in(pub.year):
-                            scope.append(member)
+                scope = [member for by_key in filed
+                         for member in by_key.get(token_key, ())
+                         if member.year_from <= year <= member.year_to]
                 outcome = match_author(token, scope)
-            outcome = shared.setdefault(outcome, outcome)
             pub_outcomes.append(outcome)
             if outcome.kind == MATCHED:
-                member = staff.member(outcome.staff_id)
-                cell = (member.area_id, member.university_id)
+                cell = cell_of[outcome.staff_id]
                 cells[cell] = cells.get(cell, 0) + 1
             elif outcome.kind == AMBIGUOUS:
+                ambiguous = True
                 manual_rows.append(
-                    ManualReviewRow(
-                        pub.pub_id, position, str(token), outcome.candidates
-                    )
+                    ManualReviewRow(pub_id, position, str(token),
+                                    outcome.candidates)
                 )
-        outcomes[pub.pub_id] = tuple(pub_outcomes)
+        outcomes[pub_id] = tuple(pub_outcomes)
         if cells:
-            matched_cells[pub.pub_id] = cells
-        if any(o.kind == AMBIGUOUS for o in pub_outcomes):
-            categories[pub.pub_id] = CATEGORY_MANUAL
+            matched_cells[pub_id] = cells
+        if ambiguous:
+            categories[pub_id] = CATEGORY_MANUAL
         elif cells:
-            categories[pub.pub_id] = CATEGORY_RESOLVED
+            categories[pub_id] = CATEGORY_RESOLVED
         else:
-            categories[pub.pub_id] = CATEGORY_DISCARDED
+            categories[pub_id] = CATEGORY_DISCARDED
 
     return DisambiguationResult(
         outcomes=outcomes,

@@ -145,22 +145,25 @@ def _code(row: dict, field: str, allowed: tuple[str, ...]) -> str:
     return value
 
 
+def _number(row: dict, field: str, parse: Callable, kind: str):
+    """``parse`` (``int`` or ``float``) of the stripped cell.  Both also
+    read digit-group underscores ("2_001") and non-ASCII digits
+    ("２００１"); a cell with either is not a number here."""
+    text = row[field].strip()
+    if text.isascii() and "_" not in text:
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    raise StructuralError(f"{field} must be {kind}, got {row[field]!r}")
+
+
 def _integer(row: dict, field: str) -> int:
-    try:
-        return int(row[field].strip())
-    except ValueError:
-        raise StructuralError(
-            f"{field} must be an integer, got {row[field]!r}"
-        ) from None
+    return _number(row, field, int, "an integer")
 
 
 def _amount(row: dict, field: str) -> float:
-    try:
-        value = float(row[field].strip())
-    except ValueError:
-        raise StructuralError(
-            f"{field} must be a number, got {row[field]!r}"
-        ) from None
+    value = _number(row, field, float, "a number")
     if not (math.isfinite(value) and value >= 0):
         raise StructuralError(
             f"{field} must be finite and >= 0, got {row[field].strip()!r}"

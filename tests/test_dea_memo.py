@@ -34,6 +34,7 @@ from uniprod.dea import (
     REGIMES,
     RTS_DECREASING,
     RTS_INCREASING,
+    RTS_TOL,
     VRS,
     DeaProblem,
     DmuRecord,
@@ -290,11 +291,12 @@ def test_each_lp_solved_once(problem, monkeypatch):
     n = problem.n_dmus
     per_regime = Counter(regime for (pid, _, regime) in calls
                          if pid == id(problem))
-    # NIRS only where the unit is scale-inefficient and its VRS LP's
-    # convexity dual is negative.
+    # NIRS only where the unit is scale-inefficient (``classify_rts``'s
+    # test) and its VRS LP's convexity dual is negative.
     increasing = sum(
         1 for k, r in enumerate(results)
-        if r.te != r.pte and reference_solution(problem, k, VRS).duals[-1] < 0.0)
+        if abs(r.te - r.pte) > RTS_TOL
+        and reference_solution(problem, k, VRS).duals[-1] < 0.0)
     assert 0 < increasing < n
     assert per_regime == Counter({CRS: n, VRS: n, NIRS: increasing})
     # The smaller problem solves only the units whose dropped row binds.
@@ -309,11 +311,11 @@ def test_certified_nirs_paper_areas(seed, tmp_path, monkeypatch):
     """Every area of the paper-scale corpus, as the pipeline built it:
     each phi_nirs is within 1e-9 of its NIRS LP's, and every
     returns-to-scale class is the one from solving all three LPs.  Bits
-    are not compared: a unit whose CRS and VRS factors differ only by
-    rounding counts as scale-inefficient, and where its NIRS LP's phi
-    exceeds the CRS LP's by rounding, the all-LP decomposition lifts
-    phi_crs to it, while a certified phi_nirs = phi_vrs leaves phi_crs
-    as solved (one unit of 262 at seed 7, te 2.7e-15 apart)."""
+    are not compared: a unit whose CRS and VRS scores are within RTS_TOL
+    is classed constant and takes phi_nirs = phi_vrs without a NIRS LP,
+    and where its NIRS LP's phi exceeds the CRS LP's by rounding, the
+    all-LP decomposition lifts phi_crs to it, while ``decompose`` leaves
+    phi_crs as solved (one unit of 262 at seed 7, te 2.7e-15 apart)."""
     from uniprod import pipeline
     from uniprod.config import RunConfig
     from uniprod.ingest import ingest
@@ -337,7 +339,12 @@ def test_certified_nirs_paper_areas(seed, tmp_path, monkeypatch):
         results = decompose(copy)
         assert_near_all_lp(problem, results)
         solved += len(copy._phi_memo[NIRS])
-        scale_inefficient += sum(1 for r in results if r.te != r.pte)
+        # No NIRS LP for a unit that ``classify_rts`` classes constant
+        # without reading it.
+        assert all(abs(results[k].te - results[k].pte) > RTS_TOL
+                   for k in copy._phi_memo[NIRS])
+        scale_inefficient += sum(1 for r in results
+                                 if abs(r.te - r.pte) > RTS_TOL)
     # The certificate answers most NIRS LPs, not all.
     assert 0 < solved < scale_inefficient / 2
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from uniprod import disambiguation
 from uniprod.disambiguation import (
     AMBIGUOUS,
+    MATCHED,
     UNMATCHED,
     AffiliationDictionary,
     MatchOutcome,
@@ -486,3 +487,88 @@ class TestMemoizedMatching:
         first, second = (res.outcomes[p.pub_id][0] for p in pubs)
         assert first == second == MatchOutcome.unmatched()
         assert first is second
+
+
+@pytest.fixture()
+def paper_shaped(tmp_path):
+    """A paper-shaped corpus (the paper's publication rate on fewer
+    areas and universities) and overrides for some author positions:
+    each ambiguous token of every third publication with one resolved
+    to its first candidate, and the first author of every fifth
+    publication declared not on staff."""
+    corpus = ingest(write_synthetic_dataset(tmp_path / "data", seed=23,
+                                            n_areas=3, n_universities=10))
+    res = disambiguate_corpus(corpus.publications, corpus.staff,
+                              corpus.affiliations)
+    overrides = {}
+    for i, p in enumerate(corpus.publications):
+        if i % 5 == 0 and p.authors:
+            overrides[p.pub_id, 1] = None
+        if i % 3 == 0:
+            for position, o in enumerate(res.outcomes[p.pub_id], start=1):
+                if o.kind == AMBIGUOUS:
+                    overrides[p.pub_id, position] = o.candidates[0]
+    assert any(overrides.values()) and None in overrides.values()
+    return corpus, overrides
+
+
+def test_match_author_called_once_per_token_on_its_scope(paper_shaped,
+                                                         monkeypatch):
+    """The benchmark's tracer counts tokens and scope sizes from the
+    ``match_author`` calls: one per token that no override decides, on
+    the staff active in the year, at a university the publication
+    names, under the token's surname key, in the order of the named
+    universities and then of the registry."""
+    corpus, overrides = paper_shaped
+    calls = []
+
+    def recording(token, scope):
+        calls.append((token, list(scope)))
+        return match_author(token, scope)
+
+    monkeypatch.setattr(disambiguation, "match_author", recording)
+    disambiguate_corpus(corpus.publications, corpus.staff,
+                        corpus.affiliations, overrides)
+    expected = []
+    for p in corpus.publications:
+        universities = corpus.affiliations.universities(p.raw_affiliations)
+        for position, token in enumerate(p.authors, start=1):
+            if (p.pub_id, position) in overrides:
+                continue
+            key = surname_key(token.surname)
+            expected.append((token, [
+                m for u in universities for m in corpus.staff
+                if m.university_id == u and m.active_in(p.year)
+                and key and surname_key(m.surname) == key
+            ]))
+    assert len(calls) == len(expected)
+    assert sum(len(scope) for _, scope in expected) > len(expected) / 2
+    for (token, scope), (want_token, want_scope) in zip(calls, expected):
+        assert token is want_token
+        assert [m.staff_id for m in scope] == [m.staff_id for m in want_scope]
+
+
+def test_outcome_constructors_intern(paper_shaped):
+    corpus, overrides = paper_shaped
+    first = disambiguate_corpus(corpus.publications, corpus.staff,
+                                corpus.affiliations, overrides)
+    second = disambiguate_corpus(corpus.publications, corpus.staff,
+                                 corpus.affiliations, overrides)
+    seen = set()
+    for pub_id, outcomes in first.outcomes.items():
+        for a, b in zip(outcomes, second.outcomes[pub_id], strict=True):
+            assert a is b
+            if a.kind == MATCHED:
+                again = MatchOutcome.matched(a.staff_id)
+            elif a.kind == AMBIGUOUS:
+                again = MatchOutcome.ambiguous(iter(a.candidates))
+            else:
+                again = MatchOutcome.unmatched()
+            assert again is a
+            direct = MatchOutcome(a.kind, a.staff_id, a.candidates)
+            assert direct is not a
+            assert direct == a and hash(direct) == hash(a)
+            seen.add(a.kind)
+    assert seen == {MATCHED, AMBIGUOUS, UNMATCHED}
+    assert MatchOutcome.ambiguous(["S2", "S3"]) is MatchOutcome.ambiguous(
+        ("S2", "S3"))

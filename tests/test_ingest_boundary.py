@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from uniprod.cli import main
-from uniprod.ingest import ingest
+from uniprod.errors import IngestError
+from uniprod.ingest import ingest, load_overrides
 
 from .fixtures import write_demo_dataset
 
@@ -79,6 +80,50 @@ def test_bad_rows_in_two_files_are_both_reported(tmp_path, case):
         diagnostic for _, _, diagnostic in PINNED[case]
     )
     assert not (tmp_path / "r").exists()
+
+
+# ``int`` and ``float`` alone would read each of these cells as a number.
+_NOT_NUMBERS = ("2_002", "２００２", "2002\u0660", "1_0.5")
+
+#: (file, row with the cell in place of a numeric field, diagnostic
+#: prefix); the demo staff file ends at line 29, publications at 31,
+#: journals at 7 and funding at 7.
+_NUMBER_CELLS = (
+    ("staff.csv", "S900,Neri,Pia,FP,U1,A01,{},2006",
+     "staff.csv:30: year_from must be an integer"),
+    ("staff.csv", "S900,Neri,Pia,FP,U1,A01,1998,{}",
+     "staff.csv:30: year_to must be an integer"),
+    ("publications.csv", 'PX,{},article,J1,"KIM,A.","Univ. of Alpha"',
+     "publications.csv:32: year must be an integer"),
+    ("journals.csv", "J9,2001,{}",
+     "journals.csv:8: impact_weight must be a number"),
+    ("funding.csv", "U1,A01,2002,{}",
+     "funding.csv:8: prin_keur must be a number"),
+)
+
+
+@pytest.mark.parametrize("cell", _NOT_NUMBERS)
+@pytest.mark.parametrize("name, row, diagnostic", _NUMBER_CELLS)
+def test_underscored_or_non_ascii_numbers_are_rejected(tmp_path, cell, name,
+                                                       row, diagnostic):
+    root = write_demo_dataset(tmp_path / "data")
+    _append(root, name, (row.format(cell) + "\n").encode("utf-8"))
+    code, err = _run(root, tmp_path / "r")
+    assert code == 1
+    assert err.splitlines()[1:] == [f"  {diagnostic}, got {cell!r}"]
+
+
+@pytest.mark.parametrize("cell", _NOT_NUMBERS)
+def test_underscored_or_non_ascii_override_position_is_rejected(tmp_path,
+                                                                cell):
+    fixes = tmp_path / "fixes.csv"
+    fixes.write_text(f"pub_id,author_position,staff_id\nP029,{cell},S027\n",
+                     encoding="utf-8")
+    corpus = ingest(write_demo_dataset(tmp_path / "data"))
+    with pytest.raises(IngestError) as exc:
+        load_overrides(fixes, corpus)
+    assert exc.value.diagnostics == [
+        f"fixes.csv:2: author_position must be an integer, got {cell!r}"]
 
 
 def _loaded(corpus) -> tuple:
