@@ -11,8 +11,6 @@ command-line program.
 """
 
 from .analysis import (
-    GlobalIndex,
-    NormalizedScore,
     RankingComparison,
     SensitivityResult,
     TertileSummary,
@@ -26,7 +24,6 @@ from .analysis import (
 from .bibliometrics import (
     INPUT_LABELS,
     OUTPUT_LABELS,
-    Exclusion,
     InputVector,
     MatchedCorpus,
     OutputVector,
@@ -97,9 +94,7 @@ __all__ = [
     "DisambiguationResult",
     "DmuRecord",
     "EfficiencyResult",
-    "Exclusion",
     "FundingTable",
-    "GlobalIndex",
     "INPUT_LABELS",
     "IngestError",
     "InputVector",
@@ -109,7 +104,6 @@ __all__ = [
     "MatchedCorpus",
     "MissingDataError",
     "NIRS",
-    "NormalizedScore",
     "OUTPUT_LABELS",
     "OutputVector",
     "Publication",

@@ -10,31 +10,9 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .dea import VRS, DeaProblem, is_efficient, scores
-
-
-@dataclass(frozen=True)
-class NormalizedScore:
-    """One university's score in one area, divided by the area mean."""
-
-    university_id: str
-    area_id: str
-    theta: float
-
-
-@dataclass(frozen=True)
-class GlobalIndex:
-    """Staff-weighted mean of a university's normalized area scores.
-
-    ``detail`` carries the (area, theta, staff_weight) triples behind the
-    aggregate so reports can show the decomposition.
-    """
-
-    university_id: str
-    theta_tot: float
-    detail: tuple[tuple[str, float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -76,43 +54,46 @@ class SensitivityResult:
 
 def normalize_scores(
     pte_by_area: Mapping[str, Mapping[str, float]]
-) -> tuple[NormalizedScore, ...]:
+) -> dict[tuple[str, str], float]:
     """Divide each score by its area's mean score.
 
-    The result has per-area mean exactly 1 up to rounding, which removes
-    cross-area level differences before any cross-area aggregation.
+    The result maps (university, area) to theta, areas in id order and
+    each area's universities in id order.  It has per-area mean exactly
+    1 up to rounding, which removes cross-area level differences before
+    any cross-area aggregation.
     """
-    out: list[NormalizedScore] = []
+    thetas: dict[tuple[str, str], float] = {}
     for area_id in sorted(pte_by_area):
         cell = pte_by_area[area_id]
         mean = sum(cell.values()) / len(cell)
         for university_id in sorted(cell):
-            out.append(
-                NormalizedScore(university_id, area_id, cell[university_id] / mean)
-            )
-    return tuple(out)
+            thetas[university_id, area_id] = cell[university_id] / mean
+    return thetas
 
 
 def global_index(
-    thetas: Iterable[NormalizedScore],
+    thetas: Mapping[tuple[str, str], float],
     staff_counts: Mapping[tuple[str, str], float],
-) -> tuple[tuple[GlobalIndex, ...], tuple[str, ...]]:
-    """Weight each university's normalized scores by cell staff numbers.
+) -> tuple[tuple[dict, ...], tuple[str, ...]]:
+    """Weight each university's normalized scores by cell staff numbers
+    and rank the universities by the result.
 
     ``staff_counts`` maps (university, area) to the mean staff total used
-    as weight.  Universities whose total weight is zero cannot be
+    as weight.  Each university's sums run over its areas in id order.
+    The rows are the ``global_ranking`` table's, sorted by rank, then
+    university id.  Universities whose total weight is zero cannot be
     aggregated; they are skipped and reported in the notices list.
     """
     per_university: dict[str, list[tuple[str, float, float]]] = {}
-    for ns in thetas:
-        weight = float(staff_counts[(ns.university_id, ns.area_id)])
-        per_university.setdefault(ns.university_id, []).append(
-            (ns.area_id, ns.theta, weight)
+    for (university_id, area_id), theta in thetas.items():
+        weight = float(staff_counts[(university_id, area_id)])
+        per_university.setdefault(university_id, []).append(
+            (area_id, theta, weight)
         )
-    indices: list[GlobalIndex] = []
+    rows: list[dict] = []
     notices: list[str] = []
     for university_id in sorted(per_university):
-        detail = tuple(sorted(per_university[university_id]))
+        detail = sorted(per_university[university_id])
         total_weight = sum(w for (_, _, w) in detail)
         if total_weight <= 0.0:
             notices.append(
@@ -120,11 +101,18 @@ def global_index(
                 "no global index computed"
             )
             continue
-        theta_tot = (
-            sum(t * w for (_, t, w) in detail) / total_weight
-        )
-        indices.append(GlobalIndex(university_id, theta_tot, detail))
-    return tuple(indices), tuple(notices)
+        rows.append({
+            "university_id": university_id,
+            "theta_tot": sum(t * w for (_, t, w) in detail) / total_weight,
+            "rank": None,
+            "areas_active": len(detail),
+            "staff_weight_total": total_weight,
+        })
+    ranks = rank({row["university_id"]: row["theta_tot"] for row in rows})
+    for row in rows:
+        row["rank"] = ranks[row["university_id"]]
+    rows.sort(key=lambda r: (r["rank"], r["university_id"]))
+    return tuple(rows), tuple(notices)
 
 
 def rank(values: Mapping[str, float]) -> dict[str, int]:

@@ -59,17 +59,6 @@ class OutputVector:
         return (self.pu, self.pc, self.ss)
 
 
-@dataclass(frozen=True)
-class Exclusion:
-    """One university dropped from an area's frontier model, with a
-    machine-readable reason code and a human explanation."""
-
-    university_id: str
-    area_id: str
-    reason: str
-    detail: str
-
-
 class MatchedCorpus:
     """Publications indexed by the matched-author counts of their cells.
 
@@ -180,52 +169,39 @@ def assemble_problem(
     outputs: Mapping[str, OutputVector],
     area_id: str,
     min_staff: float,
-) -> tuple[DeaProblem, tuple[Exclusion, ...]]:
+) -> tuple[DeaProblem, tuple[dict, ...]]:
     """Build the area's frontier problem, applying the exclusion rules.
 
     Universities whose mean staff total falls below ``min_staff``, or is
     zero whatever ``min_staff`` is, are dropped, as are universities with
     no output of any kind (neither can be placed on a radial output
-    frontier).  Every drop is recorded.
+    frontier).  Every drop is recorded as an ``exclusions`` table row
+    (area, university, reason code, human explanation).
     Fewer than two surviving universities means the area cannot be
     analyzed comparatively.
     """
-    exclusions: list[Exclusion] = []
+    exclusions: list[dict] = []
     dmus: list[DmuRecord] = []
     for university_id in sorted(inputs):
         vec_in = inputs[university_id]
-        vec_out = outputs[university_id]
+        out_values = outputs[university_id].as_tuple()
         if vec_in.staff_total < min_staff:
+            reason = EXCLUDED_BELOW_STAFF_THRESHOLD
             detail = (f"mean staff {vec_in.staff_total:g} below "
                       f"threshold {min_staff:g}")
         elif vec_in.staff_total == 0:
+            reason = EXCLUDED_BELOW_STAFF_THRESHOLD
             detail = "no staff in the snapshot years"
+        elif all(v == 0.0 for v in out_values):
+            reason = EXCLUDED_ZERO_OUTPUTS
+            detail = "all outputs are zero over the study window"
         else:
-            detail = None
-        if detail is not None:
-            exclusions.append(
-                Exclusion(
-                    university_id,
-                    area_id,
-                    EXCLUDED_BELOW_STAFF_THRESHOLD,
-                    detail,
-                )
+            dmus.append(
+                DmuRecord(university_id, vec_in.as_tuple(), out_values)
             )
             continue
-        out_values = vec_out.as_tuple()
-        if all(v == 0.0 for v in out_values):
-            exclusions.append(
-                Exclusion(
-                    university_id,
-                    area_id,
-                    EXCLUDED_ZERO_OUTPUTS,
-                    "all outputs are zero over the study window",
-                )
-            )
-            continue
-        dmus.append(
-            DmuRecord(university_id, vec_in.as_tuple(), out_values)
-        )
+        exclusions.append({"area_id": area_id, "university_id": university_id,
+                           "reason": reason, "detail": detail})
 
     if len(dmus) < 2:
         raise AreaNotAnalyzableError(

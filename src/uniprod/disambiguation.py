@@ -149,49 +149,33 @@ def _ambiguous(candidates: tuple[str, ...]) -> MatchOutcome:
 
 
 @dataclass(frozen=True)
-class ManualReviewRow:
-    """One ambiguous author token queued for human resolution."""
-
-    pub_id: str
-    position: int
-    token_text: str
-    candidate_ids: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class DisambiguationStats:
-    total: int
-    resolved: int
-    manual: int
-    discarded: int
-    unresolvable: int
-
-
-@dataclass(frozen=True)
 class DisambiguationResult:
     """Per publication id, its authors' outcomes (position k at index
     k - 1, ``()`` for an author-less publication) and its category, plus
     ``matched_cells``: per publication with at least one matched author,
     the matched-author count b of each (area, university) cell, in
     author-position order.  Ingest rejects duplicate publication ids, so
-    every publication has exactly one entry and one category."""
+    every publication has exactly one entry and one category.
+    ``manual_review`` holds the ``manual_review`` table's rows, one per
+    ambiguous author token, in publication order."""
 
     outcomes: Mapping[str, tuple[MatchOutcome, ...]]
     categories: Mapping[str, str]
-    manual_review: tuple[ManualReviewRow, ...]
+    manual_review: tuple[dict, ...]
     errors: tuple[str, ...]
     matched_cells: Mapping[str, Mapping[tuple[str, str], int]]
 
     @property
-    def stats(self) -> DisambiguationStats:
+    def stats(self) -> dict:
+        """The ``disambiguation_stats`` row: publications per category."""
         counts = Counter(self.categories.values())
-        return DisambiguationStats(
-            total=len(self.categories),
-            resolved=counts[CATEGORY_RESOLVED],
-            manual=counts[CATEGORY_MANUAL],
-            discarded=counts[CATEGORY_DISCARDED],
-            unresolvable=counts[CATEGORY_UNRESOLVABLE],
-        )
+        return {
+            "total": len(self.categories),
+            "resolved": counts[CATEGORY_RESOLVED],
+            "manual": counts[CATEGORY_MANUAL],
+            "discarded": counts[CATEGORY_DISCARDED],
+            "unresolvable": counts[CATEGORY_UNRESOLVABLE],
+        }
 
 
 def match_author(token: AuthorToken, staff_in_scope) -> MatchOutcome:
@@ -249,7 +233,7 @@ def disambiguate_corpus(
             by_surname[member.university_id].setdefault(key, []).append(member)
 
     outcomes: dict[str, tuple[MatchOutcome, ...]] = {}
-    manual_rows: list[ManualReviewRow] = []
+    manual_rows: list[dict] = []
     categories: dict[str, str] = {}
     errors: list[str] = []
     matched_cells: dict[str, dict[tuple[str, str], int]] = {}
@@ -284,10 +268,11 @@ def disambiguate_corpus(
                 cells[cell] = cells.get(cell, 0) + 1
             elif outcome.kind == AMBIGUOUS:
                 ambiguous = True
-                manual_rows.append(
-                    ManualReviewRow(pub_id, position, str(token),
-                                    outcome.candidates)
-                )
+                manual_rows.append({
+                    "pub_id": pub_id, "author_position": position,
+                    "token": str(token),
+                    "candidates": ";".join(outcome.candidates),
+                })
         outcomes[pub_id] = tuple(pub_outcomes)
         if cells:
             matched_cells[pub_id] = cells

@@ -11,7 +11,7 @@ problems (a missing snapshot year) still raise.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .analysis import (
@@ -87,18 +87,9 @@ class _AreaRows:
     staff_weights: dict[str, float] = field(default_factory=dict)
 
 
-def _exclusion_row(e) -> dict:
-    return {
-        "area_id": e.area_id,
-        "university_id": e.university_id,
-        "reason": e.reason,
-        "detail": e.detail,
-    }
-
-
 def _failed_area(area_id, reason, exc, exclusions) -> _AreaRows:
     failure = {"area_id": area_id, "reason": reason, "detail": str(exc)}
-    return _AreaRows({"exclusions": [_exclusion_row(e) for e in exclusions],
+    return _AreaRows({"exclusions": list(exclusions),
                       "area_failures": [failure]})
 
 
@@ -208,7 +199,7 @@ def _analyze_area(area_id: str, corpus: Corpus, matched: MatchedCorpus,
             }
             for university_id in unit_ids
         ],
-        "exclusions": [_exclusion_row(e) for e in excluded],
+        "exclusions": list(excluded),
     })
     if not pte:
         return area
@@ -269,33 +260,18 @@ def _global_rows(analyzed: dict[str, _AreaRows],
     fill every score row's theta, and rank universities by the
     staff-weighted global index."""
     pte_by_area = {a: area.pte for a, area in analyzed.items() if area.pte}
-    if not pte_by_area:
-        return []
     thetas = normalize_scores(pte_by_area)
-    theta_lookup = {(ns.university_id, ns.area_id): ns.theta for ns in thetas}
     for area_id, area in analyzed.items():
         for row in area.rows["scores"]:
-            row["theta"] = theta_lookup.get((row["university_id"], area_id))
+            row["theta"] = thetas.get((row["university_id"], area_id))
     staff_weights = {
         (university_id, area_id): weight
         for area_id, area in analyzed.items()
         for university_id, weight in area.staff_weights.items()
     }
-    indices, notices = global_index(thetas, staff_weights)
+    rows, notices = global_index(thetas, staff_weights)
     warnings.extend(notices)
-    general_rank = rank({gi.university_id: gi.theta_tot for gi in indices})
-    rows = [
-        {
-            "university_id": gi.university_id,
-            "theta_tot": gi.theta_tot,
-            "rank": general_rank[gi.university_id],
-            "areas_active": len(gi.detail),
-            "staff_weight_total": sum(w for (_, _, w) in gi.detail),
-        }
-        for gi in indices
-    ]
-    rows.sort(key=lambda r: (r["rank"], r["university_id"]))
-    return rows
+    return list(rows)
 
 
 def run_pipeline(
@@ -325,16 +301,8 @@ def run_pipeline(
         for name, rows in area.rows.items():
             tables[name] += rows
     tables["global_ranking"] = _global_rows(analyzed, warnings)
-    tables["disambiguation_stats"] = [asdict(disamb.stats)]
-    tables["manual_review"] = [
-        {
-            "pub_id": r.pub_id,
-            "author_position": r.position,
-            "token": r.token_text,
-            "candidates": ";".join(r.candidate_ids),
-        }
-        for r in disamb.manual_review
-    ]
+    tables["disambiguation_stats"] = [disamb.stats]
+    tables["manual_review"] = list(disamb.manual_review)
     tables["warnings"] = [{"message": m} for m in sorted(set(warnings))]
     return AnalysisReport(
         config=config.snapshot(),

@@ -84,8 +84,13 @@ TABLE_SPECS: dict[str, tuple[tuple[str, str], ...]] = {
 @dataclass(frozen=True)
 class AnalysisReport:
     """``tables`` maps each name of ``TABLE_SPECS``, in its order, to a
-    tuple of row dicts keyed by the table's columns; rows are ordered by
-    area, then university, sorted by id."""
+    tuple of row dicts keyed by the table's columns.  The per-area
+    tables list their areas by id, and within an area their universities
+    by id (``descriptive_stats``: variables in label order;
+    ``sensitivity``: dropped inputs in the configured order).
+    ``global_ranking`` is ordered by rank, then university id;
+    ``manual_review`` follows ``publications.csv``; ``warnings`` is
+    sorted text; ``disambiguation_stats`` is a single row."""
 
     config: Mapping[str, object]
     areas_analyzed: tuple[str, ...]

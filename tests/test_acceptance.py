@@ -475,15 +475,16 @@ def test_c07_disambiguation_reproduces_hand_labels(gate):
 
     stats = result.stats
     expected_stats = (50, 38, 7, 4, 1)
-    got_stats = (stats.total, stats.resolved, stats.manual,
-                 stats.discarded, stats.unresolvable)
+    got_stats = (stats["total"], stats["resolved"], stats["manual"],
+                 stats["discarded"], stats["unresolvable"])
     if got_stats != expected_stats:
         failures.append(("stats", got_stats))
-    if stats.total != (stats.resolved + stats.manual
-                       + stats.discarded + stats.unresolvable):
+    if stats["total"] != (stats["resolved"] + stats["manual"]
+                          + stats["discarded"] + stats["unresolvable"]):
         failures.append(("stats partition", got_stats))
 
-    queue = {(row.pub_id, row.position): row.candidate_ids
+    queue = {(row["pub_id"], row["author_position"]):
+             tuple(row["candidates"].split(";"))
              for row in result.manual_review}
     expected_queue = {
         (pub_id, position): expectation[1]
@@ -525,39 +526,30 @@ def test_c08_normalization_and_global_index(gate):
         thetas = normalize_scores(pte_by_area)
 
         by_area = {}
-        for t in thetas:
-            by_area.setdefault(t.area_id, []).append(t.theta)
+        for (_, area_id), theta in thetas.items():
+            by_area.setdefault(area_id, []).append(theta)
         for area_id, values in by_area.items():
             if abs(math.fsum(values) / len(values) - 1.0) > 1e-9:
                 failures.append((case, area_id, "area mean"))
 
-        staff_counts = {
-            (t.university_id, t.area_id): rng.uniform(1.0, 60.0)
-            for t in thetas
-        }
+        staff_counts = {key: rng.uniform(1.0, 60.0) for key in thetas}
         indices, notices = global_index(thetas, staff_counts)
         if notices:
             failures.append((case, "unexpected notices", notices))
-        weighted = {}
-        for t in thetas:
-            w = staff_counts[(t.university_id, t.area_id)]
-            num, den = weighted.get(t.university_id, (0.0, 0.0))
-            weighted[t.university_id] = (num, den)
-            weighted.setdefault(t.university_id, (0.0, 0.0))
         direct = {}
-        for t in thetas:
-            direct.setdefault(t.university_id, []).append(
-                (t.theta, staff_counts[(t.university_id, t.area_id)])
+        for (university_id, area_id), theta in thetas.items():
+            direct.setdefault(university_id, []).append(
+                (theta, staff_counts[(university_id, area_id)])
             )
         for entry in indices:
-            pairs = direct[entry.university_id]
+            pairs = direct[entry["university_id"]]
             expected = (
                 math.fsum(theta * w for theta, w in pairs)
                 / math.fsum(w for _, w in pairs)
             )
-            if abs(entry.theta_tot - expected) > 1e-12:
-                failures.append((case, entry.university_id, "theta_tot"))
-        if sorted(direct) != sorted(e.university_id for e in indices):
+            if abs(entry["theta_tot"] - expected) > 1e-12:
+                failures.append((case, entry["university_id"], "theta_tot"))
+        if sorted(direct) != sorted(e["university_id"] for e in indices):
             failures.append((case, "coverage"))
     ok = not failures
     gate(

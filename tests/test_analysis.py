@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from uniprod.analysis import (
-    NormalizedScore,
     compare_rankings,
     global_index,
     normalize_scores,
@@ -18,17 +17,17 @@ from .oracles import random_dea_problem
 class TestNormalizeScores:
     def test_uniform_scores(self):
         out = normalize_scores({"A1": {"U1": 1.0, "U2": 1.0}})
-        assert [ns.theta for ns in out] == [1.0, 1.0]
+        assert list(out.values()) == [1.0, 1.0]
 
     def test_division_by_area_mean(self):
         out = normalize_scores({"A1": {"U1": 1.0, "U2": 0.5}})
-        by_uni = {ns.university_id: ns.theta for ns in out}
+        by_uni = {u: theta for (u, _), theta in out.items()}
         assert by_uni["U1"] == pytest.approx(4.0 / 3.0, abs=1e-12)
         assert by_uni["U2"] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_single_university_area(self):
         out = normalize_scores({"A1": {"U1": 0.8}})
-        assert out[0].theta == pytest.approx(1.0, abs=1e-12)
+        assert out["U1", "A1"] == pytest.approx(1.0, abs=1e-12)
 
     def test_per_area_mean_is_one(self):
         rng = np.random.default_rng(7)
@@ -41,51 +40,47 @@ class TestNormalizeScores:
         }
         out = normalize_scores(table)
         for area_id in table:
-            thetas = [ns.theta for ns in out if ns.area_id == area_id]
+            thetas = [theta for (_, a), theta in out.items() if a == area_id]
             assert sum(thetas) / len(thetas) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestGlobalIndex:
     def test_single_area(self):
         indices, notices = global_index(
-            [NormalizedScore("U1", "A1", 1.2)], {("U1", "A1"): 30.0}
+            {("U1", "A1"): 1.2}, {("U1", "A1"): 30.0}
         )
         assert notices == ()
-        assert indices[0].theta_tot == pytest.approx(1.2, abs=1e-12)
+        assert indices[0]["theta_tot"] == pytest.approx(1.2, abs=1e-12)
 
     def test_weighted_mean(self):
         indices, _ = global_index(
-            [NormalizedScore("U1", "A1", 1.0), NormalizedScore("U1", "A2", 0.5)],
+            {("U1", "A1"): 1.0, ("U1", "A2"): 0.5},
             {("U1", "A1"): 30.0, ("U1", "A2"): 10.0},
         )
-        assert indices[0].theta_tot == pytest.approx(0.875, abs=1e-12)
+        assert indices[0]["theta_tot"] == pytest.approx(0.875, abs=1e-12)
 
     def test_constant_theta_ignores_weights(self):
         indices, _ = global_index(
-            [NormalizedScore("U1", "A1", 0.7), NormalizedScore("U1", "A2", 0.7)],
+            {("U1", "A1"): 0.7, ("U1", "A2"): 0.7},
             {("U1", "A1"): 99.0, ("U1", "A2"): 1.0},
         )
-        assert indices[0].theta_tot == pytest.approx(0.7, abs=1e-12)
+        assert indices[0]["theta_tot"] == pytest.approx(0.7, abs=1e-12)
 
     def test_invariant_under_uniform_weight_scaling(self):
-        thetas = [
-            NormalizedScore("U1", "A1", 1.3),
-            NormalizedScore("U1", "A2", 0.6),
-            NormalizedScore("U1", "A3", 0.9),
-        ]
+        thetas = {("U1", "A1"): 1.3, ("U1", "A2"): 0.6, ("U1", "A3"): 0.9}
         weights = {("U1", "A1"): 12.0, ("U1", "A2"): 5.0, ("U1", "A3"): 40.0}
         base, _ = global_index(thetas, weights)
         for k in (0.5, 3.0, 250.0):
             scaled, _ = global_index(
                 thetas, {key: w * k for key, w in weights.items()}
             )
-            assert scaled[0].theta_tot == pytest.approx(
-                base[0].theta_tot, abs=1e-12
+            assert scaled[0]["theta_tot"] == pytest.approx(
+                base[0]["theta_tot"], abs=1e-12
             )
 
     def test_zero_total_weight_gives_notice(self):
         indices, notices = global_index(
-            [NormalizedScore("U1", "A1", 1.0)], {("U1", "A1"): 0.0}
+            {("U1", "A1"): 1.0}, {("U1", "A1"): 0.0}
         )
         assert indices == ()
         assert len(notices) == 1 and "U1" in notices[0]

@@ -347,8 +347,8 @@ class TestAssembleProblem:
                                                min_staff=4.0)
         assert [d.dmu_id for d in problem.dmus] == ["U2", "U3"]
         assert len(exclusions) == 1
-        assert exclusions[0].university_id == "U1"
-        assert exclusions[0].reason == EXCLUDED_BELOW_STAFF_THRESHOLD
+        assert exclusions[0]["university_id"] == "U1"
+        assert exclusions[0]["reason"] == EXCLUDED_BELOW_STAFF_THRESHOLD
 
     def test_boundary_included(self):
         inputs, outputs = self.vectors([4.0, 10.0])
@@ -362,7 +362,8 @@ class TestAssembleProblem:
         problem, exclusions = assemble_problem(inputs, outputs, "A1",
                                                min_staff=0.0)
         assert [d.dmu_id for d in problem.dmus] == ["U2", "U3"]
-        assert [(e.university_id, e.reason, e.detail) for e in exclusions] == [
+        assert [(e["university_id"], e["reason"], e["detail"])
+                for e in exclusions] == [
             ("U1", EXCLUDED_BELOW_STAFF_THRESHOLD,
              "no staff in the snapshot years"),
         ]
@@ -382,4 +383,4 @@ class TestAssembleProblem:
         problem, exclusions = assemble_problem(inputs, outputs, "A1",
                                                min_staff=4.0)
         assert [d.dmu_id for d in problem.dmus] == ["U1", "U3"]
-        assert exclusions[0].reason == EXCLUDED_ZERO_OUTPUTS
+        assert exclusions[0]["reason"] == EXCLUDED_ZERO_OUTPUTS

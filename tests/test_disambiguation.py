@@ -241,15 +241,15 @@ class TestDisambiguateCorpus:
         res = disambiguate_corpus(
             [pub("P1", [("BIANCHI", "C")], ("UNIV TESTONE",))], REGISTRY, DICT
         )
-        assert res.stats.resolved == 1
-        assert res.stats.manual == res.stats.discarded == 0
+        assert res.stats["resolved"] == 1
+        assert res.stats["manual"] == res.stats["discarded"] == 0
         assert res.outcomes["P1"][0] == MatchOutcome.matched("S3")
 
     def test_no_staff_match_discarded(self):
         res = disambiguate_corpus(
             [pub("P1", [("SMITH", "J")], ("UNIV TESTONE",))], REGISTRY, DICT
         )
-        assert res.stats.discarded == 1
+        assert res.stats["discarded"] == 1
         assert res.categories["P1"] == "discarded"
 
     def test_empty_author_list_unresolvable(self):
@@ -258,8 +258,8 @@ class TestDisambiguateCorpus:
              pub("P2", [("NERI", "P")], ("UNIV TESTONE",))],
             REGISTRY, DICT,
         )
-        assert res.stats.unresolvable == 1
-        assert res.stats.resolved == 1
+        assert res.stats["unresolvable"] == 1
+        assert res.stats["resolved"] == 1
         assert len(res.errors) == 1 and "P1" in res.errors[0]
 
     def test_ten_record_corpus_with_two_homonyms(self):
@@ -277,9 +277,9 @@ class TestDisambiguateCorpus:
             pub("P10", [("ROMANO", "L")], ("UNIV DUESTO",)),
         ]
         res = disambiguate_corpus(pubs, REGISTRY, DICT)
-        assert res.stats.manual == 2
-        assert res.stats.resolved == 8
-        assert res.stats.discarded == res.stats.unresolvable == 0
+        assert res.stats["manual"] == 2
+        assert res.stats["resolved"] == 8
+        assert res.stats["discarded"] == res.stats["unresolvable"] == 0
         expected = {
             ("P01", 1): MatchOutcome.matched("S3"),
             ("P02", 1): MatchOutcome.ambiguous(("S1", "S2")),
@@ -300,7 +300,8 @@ class TestDisambiguateCorpus:
                for pub_id, outcomes in res.outcomes.items()
                for position, outcome in enumerate(outcomes, start=1)}
         assert got == expected
-        review = {(r.pub_id, r.position) for r in res.manual_review}
+        review = {(r["pub_id"], r["author_position"])
+                  for r in res.manual_review}
         assert review == {("P02", 1), ("P04", 1)}
 
     def test_scope_safety(self):
@@ -333,7 +334,7 @@ class TestDisambiguateCorpus:
             pubs, REGISTRY, DICT, overrides={("P1", 1): "S2"}
         )
         assert res.outcomes["P1"][0] == MatchOutcome.matched("S2")
-        assert res.stats.resolved == 1 and res.stats.manual == 0
+        assert res.stats["resolved"] == 1 and res.stats["manual"] == 0
 
     def test_override_to_none_discards(self):
         pubs = [pub("P1", [("ROSSI", "M")], ("UNIV TESTONE",))]
@@ -341,7 +342,7 @@ class TestDisambiguateCorpus:
             pubs, REGISTRY, DICT, overrides={("P1", 1): None}
         )
         assert res.outcomes["P1"][0].kind == UNMATCHED
-        assert res.stats.discarded == 1
+        assert res.stats["discarded"] == 1
 
     def test_deterministic(self):
         pubs = [
@@ -363,7 +364,8 @@ class TestDisambiguateCorpus:
         ]
         res = disambiguate_corpus(pubs, REGISTRY, DICT)
         s = res.stats
-        assert s.resolved + s.manual + s.discarded + s.unresolvable == s.total == 4
+        assert (s["resolved"] + s["manual"] + s["discarded"]
+                + s["unresolvable"] == s["total"] == 4)
         assert sorted(res.categories) == ["P1", "P2", "P3", "P4"]
 
 
@@ -416,7 +418,7 @@ class TestMemoizedMatching:
     def test_same_outcomes_as_with_caches_cleared(self, synthetic_corpus,
                                                   monkeypatch):
         memoized = _outcomes(synthetic_corpus)
-        assert memoized[1].resolved and memoized[1].manual
+        assert memoized[1]["resolved"] and memoized[1]["manual"]
 
         monkeypatch.setattr(disambiguation, "surname_key",
                             _clearing(surname_key))

@@ -108,6 +108,15 @@ class TestSchema:
     # Without these staff members area A02 has one analyzable unit.
     A02_STARVED = frozenset({"S021", "S022", "S023", "S024", "S025"})
 
+    # The JSON report writes each row's keys in row order, so every other
+    # table's rows must list their keys in column order.  The
+    # efficiency_by_area row is built as te_mean, te_efficient, pte_mean,
+    # ... against the columns te_mean, pte_mean, se_mean, te_efficient,
+    # ...; reordering it would change the bytes of every JSON report and
+    # so the benchmark's recorded output digests.  It is checked as a
+    # key set only.
+    KEY_SET_ONLY = frozenset({"efficiency_by_area"})
+
     @pytest.mark.parametrize("starved", [frozenset(), A02_STARVED],
                              ids=["demo", "one-area-fails"])
     @pytest.mark.parametrize("config", [
@@ -121,8 +130,12 @@ class TestSchema:
         report = run_pipeline(corpus, config)
         assert list(report.tables) == list(TABLE_SPECS)
         for table, columns in TABLE_SPECS.items():
+            names = [name for name, _ in columns]
             for row in report.tables[table]:
-                assert set(row) == {name for name, _ in columns}, table
+                if table in self.KEY_SET_ONLY:
+                    assert set(row) == set(names), table
+                else:
+                    assert list(row) == names, table
         assert bool(report.tables["area_failures"]) == bool(starved)
         if config.regime == "all" and not starved:
             empty = [t for t, rows in report.tables.items() if not rows]
