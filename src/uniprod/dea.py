@@ -31,7 +31,7 @@ from .errors import (
     InvariantViolationError,
     StructuralError,
 )
-from .lp import EQ, GE, LE, MAXIMIZE, OPTIMAL, UNBOUNDED, solve_lp
+from .lp import EQ, GE, LE, UNBOUNDED, solve_lp
 
 CRS = "crs"
 VRS = "vrs"
@@ -255,17 +255,11 @@ def solve_output_oriented(
     b = shared_b.copy()
     b[:n_in] = X[dmu_index]
 
-    sol = solve_lp(MAXIMIZE, objective, A, relations, b)
+    sol = solve_lp(objective, A, relations, b)
     if sol.status == UNBOUNDED:
         raise DegenerateDmuError(
             f"{problem.dmus[dmu_index].dmu_id}: unbounded expansion "
             "(degenerate output vector)"
-        )
-    if sol.status != OPTIMAL:
-        # the DMU itself (lambda = e_dmu, phi = 1) is always feasible
-        raise InvariantViolationError(
-            f"{problem.dmus[dmu_index].dmu_id}: {regime} model reported "
-            f"{sol.status}, which cannot happen for a well-posed problem"
         )
     problem._dual_memo[regime][dmu_index] = sol.duals
     return float(sol.x[0]), sol.x[1:].copy()

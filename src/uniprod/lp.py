@@ -2,9 +2,12 @@
 
 Solves
 
-    max / min  c^T x
-    s.t.       a_i^T x  (<=, =, >=)  b_i      for each constraint row i
-               x >= 0
+    max   c^T x
+    s.t.  a_i^T x  (<=, =, >=)  b_i      for each constraint row i
+          x >= 0
+
+with every b_i >= 0, over a program known to be feasible: the
+output-oriented envelopment LPs of ``dea``, each feasible at its own unit.
 
 The envelopment programs built on top of this have a handful of rows (one
 per input and output, plus the convexity row) and one column per unit
@@ -23,19 +26,16 @@ the n structural variables, then one slack per ``<=`` row, one surplus
 per ``>=`` row, one artificial per ``>=`` or ``=`` row, and last the
 right-hand side.  Phase 2 drops the ``>=`` rows' artificials and keeps
 the ``=`` rows' ones, barred from entering the basis: ``_simplex``
-prices only the columns below its entering bound.  Each pivot is one rank-1 update of the whole tableau, z
-included, and every column is updated on its own, so a kept column
-changes no bit of the others.
+prices only the columns below its entering bound.  Each pivot is one
+rank-1 update of the whole tableau, z included, and every column is
+updated on its own, so a kept column changes no bit of the others.
 
 Row duals are read from the final z row, with no further arithmetic on
 the tableau: a ``<=`` row's dual is the reduced cost at its slack column,
 a ``=`` row's the reduced cost at its artificial column (a slack that
 may not leave zero), and a ``>=`` row's is minus the reduced cost at its
 surplus column.  A basic slack or surplus reads exactly 0.0, because each
-pivot computes ``z[col] - z[col] * 1.0``.  A row flipped for a negative
-right-hand side has its dual's sign turned back.  A row that phase 1
-drops as redundant keeps a zero column, and its dual reads 0.0.  No dual
-is NaN.
+pivot computes ``z[col] - z[col] * 1.0``.  No dual is NaN.
 """
 
 from __future__ import annotations
@@ -46,15 +46,11 @@ import numpy as np
 
 from .errors import InvariantViolationError
 
-MAXIMIZE = "max"
-MINIMIZE = "min"
-
 LE = "<="
 EQ = "="
 GE = ">="
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 # Standard double-precision simplex practice.
@@ -78,34 +74,27 @@ class LpSolution:
     duals: np.ndarray | None = None
 
 
-def solve_lp(sense, objective, A, relations, b) -> LpSolution:
-    """Solve ``sense`` (MAXIMIZE or MINIMIZE) ``objective @ x`` subject to
-    ``A[i] @ x  relations[i]  b[i]`` for each row and ``x >= 0``,
-    reporting optimal / infeasible / unbounded explicitly.
+def solve_lp(objective, A, relations, b) -> LpSolution:
+    """Maximize ``objective @ x`` subject to ``A[i] @ x  relations[i]
+    b[i]`` for each row and ``x >= 0``: optimal or unbounded.
 
-    ``objective``, ``A`` (shape ``(m, n)``) and ``b`` are finite float
-    arrays, read and never written.  They are not checked here.
+    ``objective``, ``A`` (shape ``(m, n)``) and ``b >= 0`` are finite
+    float arrays, read and never written.  They are not checked here.
+    A phase 1 that finds the program infeasible, or a row redundant,
+    raises ``InvariantViolationError``.
 
     Deterministic: Bland's rule picks the lowest-index entering column and
     breaks ratio-test ties by lowest basis variable index.
     """
-    cmax = objective if sense == MAXIMIZE else -objective
-
-    status, x, y, iters = _two_phase(A, relations, b, cmax)
+    status, x, y, iters = _two_phase(objective, A, relations, b)
     if status != OPTIMAL:
         return LpSolution(status, None, None, iters)
     x = np.maximum(x, 0.0)
-    duals = y if sense == MAXIMIZE else -y
-    return LpSolution(OPTIMAL, float(objective @ x), x, iters, duals)
+    return LpSolution(OPTIMAL, float(objective @ x), x, iters, y)
 
 
-def _two_phase(A, rels, b, cmax):
+def _two_phase(c, A, rels, b):
     m, n = A.shape
-    rels = list(rels)
-    flipped = (b < 0).nonzero()[0].tolist()
-    for i in flipped:  # rhs must be non-negative for the starting basis
-        rels[i] = {LE: GE, GE: LE, EQ: EQ}[rels[i]]
-
     n_slack = rels.count(LE)
     n_surplus = rels.count(GE)
     n_art = m - n_slack
@@ -115,34 +104,30 @@ def _two_phase(A, rels, b, cmax):
     T = np.zeros((m + 1, total + 1))
     T[:m, :n] = A
     T[:m, -1] = b
-    for i in flipped:
-        T[i, :n] *= -1.0
-        T[i, -1] *= -1.0
     basis = []
-    # Row i's dual is sign * z[col] for dual_at[i] = (col, sign), col
+    # Row i's dual is z[dual_at[i]], negated for a >= row, dual_at
     # indexing the phase-2 tableau.  Phase 2 keeps the = rows' artificial
     # columns eq_art, in order, from column art0 on.
     dual_at = []
     eq_art = []
     si = ti = ai = 0
     for i, rel in enumerate(rels):
-        sign = -1.0 if i in flipped else 1.0
         if rel == LE:
             T[i, slack0 + si] = 1.0
             basis.append(slack0 + si)
-            dual_at.append((slack0 + si, sign))
+            dual_at.append(slack0 + si)
             si += 1
         elif rel == GE:
             T[i, surplus0 + ti] = -1.0
             T[i, art0 + ai] = 1.0
             basis.append(art0 + ai)
-            dual_at.append((surplus0 + ti, -sign))
+            dual_at.append(surplus0 + ti)
             ti += 1
             ai += 1
         else:
             T[i, art0 + ai] = 1.0
             basis.append(art0 + ai)
-            dual_at.append((art0 + len(eq_art), sign))
+            dual_at.append(art0 + len(eq_art))
             eq_art.append(art0 + ai)
             ai += 1
 
@@ -156,32 +141,27 @@ def _two_phase(A, rels, b, cmax):
                 z -= T[i]
         z[art0:total] += 1.0
         status, iters = _simplex(T, basis, iters, total)
-        if status != OPTIMAL:
-            raise InvariantViolationError(f"phase-1 simplex ended with {status}")
-        if T[m, -1] < -FEASIBILITY_TOL:
-            return INFEASIBLE, None, None, iters
-        # Drive leftover artificials out of the basis; rows that cannot be
-        # repaired are redundant and dropped.
+        if status != OPTIMAL or T[m, -1] < -FEASIBILITY_TOL:
+            raise InvariantViolationError(
+                f"phase 1 ended {status} at {T[m, -1]}: not a feasible program")
+        # Drive leftover artificials, at zero, out of the basis.
         stuck = [i for i in range(m) if basis[i] >= art0]
         if stuck:
             buf = np.empty_like(T)
             for i in stuck:
                 candidates = (np.abs(T[i, :art0]) > PIVOT_TOL).nonzero()[0]
-                if candidates.size:
-                    _pivot(T, basis, i, int(candidates[0]), buf)
-            kept = [i for i in range(m) if basis[i] < art0]
-            basis = [basis[i] for i in kept]
-            kept.append(m)
-            T = T[kept]
-            m = len(basis)
+                if not candidates.size:
+                    raise InvariantViolationError(
+                        f"row {i} is redundant: the rows lack full rank")
+                _pivot(T, basis, i, int(candidates[0]), buf)
 
         # Phase 2 keeps the = rows' artificials for their duals only.
         T = np.concatenate((T[:, :art0], T[:, eq_art], T[:, -1:]), axis=1)
 
     z = T[m]
     z[:] = 0.0
-    z[:n] = -cmax
-    costs = cmax.tolist()
+    z[:n] = -c
+    costs = c.tolist()
     for i, j in enumerate(basis):
         if j < n and costs[j] != 0.0:
             z += costs[j] * T[i]
@@ -191,8 +171,8 @@ def _two_phase(A, rels, b, cmax):
 
     x = np.zeros(art0)
     x[basis] = T[:m, -1]
-    z = T[m]
-    y = np.array([sign * z[col] for col, sign in dual_at])
+    y = T[m, dual_at]
+    y[[rel == GE for rel in rels]] *= -1.0
     return OPTIMAL, x[:n], y, iters
 
 

@@ -20,15 +20,17 @@ from uniprod.lp import (
     EQ,
     FEASIBILITY_TOL,
     GE,
-    INFEASIBLE,
     LE,
     MAX_ITERATIONS,
-    MAXIMIZE,
     OPTIMAL,
     PIVOT_TOL,
     UNBOUNDED,
     LpSolution,
 )
+
+#: the oracles' own outcome for a program with no feasible point;
+#: ``solve_lp`` raises ``InvariantViolationError`` on one
+INFEASIBLE = "infeasible"
 
 _COMBO_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
@@ -42,7 +44,7 @@ def _combos(n_planes: int, n: int) -> np.ndarray:
     return _COMBO_CACHE[key]
 
 
-def _halfspaces(n, constraints, lower, upper, box):
+def _halfspaces(n, constraints, box):
     rows, rhs = [], []
     for row, rel, b in constraints:
         r = np.asarray(row, dtype=float)
@@ -56,9 +58,9 @@ def _halfspaces(n, constraints, lower, upper, box):
         e = np.zeros(n)
         e[j] = 1.0
         rows.append(-e)
-        rhs.append(-float(lower[j]))
+        rhs.append(0.0)
         rows.append(e)
-        rhs.append(float(box if upper[j] is None else min(upper[j], box)))
+        rhs.append(box)
     return np.array(rows), np.array(rhs)
 
 
@@ -82,29 +84,27 @@ def _best_vertex_value(cmax, A, b, n, feas_tol=1e-6):
     return float(np.max(X[feasible] @ cmax))
 
 
-def lp_vertex_oracle(sense, objective, constraints, lower=None, upper=None):
-    """Return ``(status, value)`` for a small LP by vertex enumeration.
+def lp_vertex_oracle(objective, constraints):
+    """Return ``(status, value)`` for a small max LP over ``x >= 0`` by
+    vertex enumeration.
 
     Unboundedness is detected by re-running with a 10x larger bounding box:
     for integer-coefficient test problems any genuine optimum is far inside
     the first box, so a value that keeps growing means an improving ray.
     """
     n = len(objective)
-    lower = [0.0] * n if lower is None else list(lower)
-    upper = [None] * n if upper is None else list(upper)
     c = np.asarray(objective, dtype=float)
-    cmax = c if sense == "max" else -c
 
     values = []
     for box in (1e6, 1e7):
-        A, b = _halfspaces(n, constraints, lower, upper, box)
-        values.append(_best_vertex_value(cmax, A, b, n))
+        A, b = _halfspaces(n, constraints, box)
+        values.append(_best_vertex_value(c, A, b, n))
     v1, v2 = values
     if v1 is None:
-        return "infeasible", None
+        return INFEASIBLE, None
     if v2 - v1 > 1.0:
-        return "unbounded", None
-    return "optimal", (v1 if sense == "max" else -v1)
+        return UNBOUNDED, None
+    return OPTIMAL, v1
 
 
 def crs_ratio_oracle(xs, ys):
@@ -118,28 +118,34 @@ def crs_ratio_oracle(xs, ys):
 
 
 def random_small_lp(rng):
-    """A random integer LP with <= 4 variables and <= 4 constraints."""
-    n = int(rng.integers(1, 5))
-    m = int(rng.integers(1, 5))
-    sense = "max" if rng.integers(2) else "min"
-    objective = rng.integers(-5, 6, size=n).tolist()
-    constraints = []
-    for _ in range(m):
-        row = rng.integers(-5, 6, size=n).tolist()
-        rel = ("<=", ">=", "=")[rng.integers(3)]
-        rhs = int(rng.integers(-5, 6))
-        constraints.append((row, rel, rhs))
-    return sense, objective, constraints
+    """A random integer max LP with <= 4 variables, <= 4 constraints and
+    right-hand sides in 0..5, as ``solve_lp`` takes them: a draw whose
+    rows, with their slack and surplus columns, fall short of full rank
+    is drawn again.  It may be infeasible or unbounded."""
+    while True:
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 5))
+        objective = rng.integers(-5, 6, size=n).tolist()
+        constraints = []
+        for _ in range(m):
+            row = rng.integers(-5, 6, size=n).tolist()
+            rel = ("<=", ">=", "=")[rng.integers(3)]
+            rhs = int(rng.integers(0, 6))
+            constraints.append((row, rel, rhs))
+        A = np.array([row for row, _, _ in constraints], dtype=float)
+        slacks = np.diag([float(rel != "=") for _, rel, _ in constraints])
+        if np.linalg.matrix_rank(np.hstack((A, slacks))) == m:
+            return objective, constraints
 
 
-def lp_arrays(sense, objective, constraints):
-    """``solve_lp``'s five arguments for a program written as
+def lp_arrays(objective, constraints):
+    """``solve_lp``'s four arguments for a max program written as
     ``(row, relation, rhs)`` triples."""
     c = np.array(objective, dtype=float)
     A = np.array([row for row, _, _ in constraints], dtype=float)
     relations = tuple(rel for _, rel, _ in constraints)
     b = np.array([rhs for _, _, rhs in constraints], dtype=float)
-    return sense, c, A.reshape(len(constraints), c.size), relations, b
+    return c, A.reshape(len(constraints), c.size), relations, b
 
 
 def cell_outputs_bruteforce(
@@ -274,11 +280,11 @@ def random_dea_problem(rng, n_dmus=None, n_inputs=4, n_outputs=3):
 # see ``tests/test_lp_bits.py``.
 
 
-def reference_solve_lp(sense, objective, A, relations, b):
-    """``solve_lp`` over the frozen reference simplex below."""
-    cmax = objective if sense == MAXIMIZE else -objective
-
-    status, x, iters = _two_phase(A, relations, b, cmax)
+def reference_solve_lp(objective, A, relations, b):
+    """``solve_lp`` over the frozen reference simplex below, which
+    reports an infeasible program as ``INFEASIBLE`` instead of
+    raising."""
+    status, x, iters = _two_phase(A, relations, b, objective)
     if status != OPTIMAL:
         return LpSolution(status, None, None, iters)
     x = np.maximum(x, 0.0)

@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from uniprod import dea
 from uniprod.analysis import (
     compare_rankings,
     global_index,
@@ -29,6 +30,7 @@ from uniprod.cli import main as cli_main
 from uniprod.config import RunConfig
 from uniprod.dea import CRS, NIRS, VRS, DeaProblem, DmuRecord, decompose, scores
 from uniprod.disambiguation import AffiliationDictionary, disambiguate_corpus
+from uniprod.errors import DegenerateDmuError, InvariantViolationError
 from uniprod.ingest import ingest, parse_author_field
 from uniprod.lp import solve_lp
 from uniprod.records import Publication, StaffMember, StaffRegistry
@@ -61,37 +63,83 @@ def gate(capsys):
     return check
 
 
-def test_c01_simplex_matches_vertex_enumeration(gate):
-    """500 random LPs: status must agree exactly with the oracle and
-    optimal objectives must agree within 1e-6, all in under 10 s."""
+def _random_envelopment_lps(rng, monkeypatch):
+    """Every envelopment LP, in all three regimes, of 20 random integer
+    DEA problems with 2-5 units and 1-2 inputs and outputs, as
+    ``solve_lp`` receives it."""
+    lps = []
+    solve = dea.solve_lp
+
+    def recording(*lp):
+        lps.append(lp)
+        return solve(*lp)
+
+    monkeypatch.setattr(dea, "solve_lp", recording)
+    for _ in range(20):
+        n, n_in, n_out = (int(v) for v in rng.integers((2, 1, 1), (6, 3, 3)))
+        dmus = []
+        for j in range(n):
+            outputs = rng.integers(0, 10, size=n_out)
+            outputs[0] += not outputs.any()
+            dmus.append(DmuRecord(f"D{j}", rng.integers(0, 10, size=n_in),
+                                  outputs))
+        problem = DeaProblem(dmus, ("FP", "AP")[:n_in], ("PU", "PC")[:n_out])
+        for regime in dea.REGIMES:
+            for k in range(n):
+                try:
+                    dea.solve_output_oriented(problem, k, regime)
+                except DegenerateDmuError:
+                    pass  # unbounded: the oracle must say so too
+    return lps
+
+
+def test_c01_simplex_matches_vertex_enumeration(gate, monkeypatch):
+    """500 random max programs with right-hand sides >= 0 (an infeasible
+    one must raise), then every envelopment LP of 20 small DEA problems:
+    status must agree exactly with the oracle and optimal objectives must
+    agree within 1e-6, the 500 programs in under 10 s."""
     rng = np.random.default_rng(20260823)
-    started = time.perf_counter()
     mismatches = 0
     worst_gap = 0.0
     statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    for _ in range(500):
-        sense, objective, constraints = random_small_lp(rng)
-        sol = solve_lp(*lp_arrays(sense, objective, constraints))
-        status, value = lp_vertex_oracle(sense, objective, constraints)
-        statuses[status] = statuses.get(status, 0) + 1
-        if sol.status != status:
+
+    def check(objective, constraints):
+        nonlocal mismatches, worst_gap
+        try:
+            sol = solve_lp(*lp_arrays(objective, constraints))
+            got = sol.status
+        except InvariantViolationError:
+            got = "infeasible"
+        status, value = lp_vertex_oracle(objective, constraints)
+        statuses[status] += 1
+        if got != status:
             mismatches += 1
-            continue
-        if status == "optimal":
+        elif status == "optimal":
             gap = abs(sol.objective - value)
             worst_gap = max(worst_gap, gap)
-            if gap > 1e-6:
-                mismatches += 1
+            mismatches += gap > 1e-6
+
+    started = time.perf_counter()
+    for _ in range(500):
+        check(*random_small_lp(rng))
     elapsed = time.perf_counter() - started
-    ok = mismatches == 0 and elapsed < 10.0 and statuses["optimal"] >= 100
+    random_statuses = dict(statuses)
+    envelopment = _random_envelopment_lps(rng, monkeypatch)
+    for objective, A, relations, b in envelopment:
+        check(objective.tolist(), list(zip(A.tolist(), relations, b.tolist())))
+    ok = (mismatches == 0 and elapsed < 10.0
+          and random_statuses["optimal"] >= 100)
     gate(
         "C01 two-phase simplex agrees with the vertex-enumeration oracle "
-        "on 500 random programs (status exact, objective within 1e-6, "
+        "on 500 random programs and on every envelopment LP of 20 small "
+        "DEA problems (status exact, objective within 1e-6, the programs "
         "under 10 s)",
         ok,
         f"{mismatches} mismatches, worst objective gap {worst_gap:.2e}, "
-        f"{statuses['optimal']} optimal / {statuses['infeasible']} infeasible / "
-        f"{statuses['unbounded']} unbounded, {elapsed:.2f} s",
+        f"{random_statuses['optimal']} optimal / "
+        f"{random_statuses['infeasible']} infeasible / "
+        f"{random_statuses['unbounded']} unbounded in {elapsed:.2f} s, "
+        f"{len(envelopment)} envelopment LPs",
     )
 
 

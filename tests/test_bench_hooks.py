@@ -3,8 +3,14 @@ wrapping package functions under their module bindings.  A hook whose
 target is gone is reported as a ``missing`` layer instead of failing, so
 this test keeps a rename or deletion from hiding a layer silently.
 
+The tracer's after-hooks read results and arguments of the functions
+they wrap (``LpSolution.iterations``, the problem, unit and regime of
+``solve_output_oriented``); the second test runs them on a small study so
+that a renamed field or a moved argument fails here, not only in a
+traced benchmark run.
+
 The benchmark's probe (``perfbench/probe.py``) also reads the fields of
-the analytics results for the frontier-wide workload; the second test
+the analytics results for the frontier-wide workload; the last test
 keeps a renamed field from failing only that benchmark run."""
 
 import json
@@ -13,8 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
+from uniprod import cli, dea
 from uniprod.analysis import rank, sensitivity_drop_input, tertile_summary
 from uniprod.dea import decompose
+from uniprod.synthetic import write_synthetic_dataset
 
 from .oracles import random_dea_problem
 
@@ -39,6 +47,36 @@ def test_every_hook_resolves():
         if tracer._resolve(module, path) is None
     ]
     assert missing == []
+
+
+def test_after_hooks_count_a_study(tmp_path, monkeypatch):
+    tracer = _from_source("tracer")
+    iterations = []
+    solve = dea.solve_lp
+
+    def recording(*lp):
+        solution = solve(*lp)
+        iterations.append(solution.iterations)
+        return solution
+
+    monkeypatch.setattr(dea, "solve_lp", recording)
+    for _, module, path, _ in tracer.HOOKS:  # restored at teardown
+        found = tracer._resolve(module, path)
+        if found is not None:
+            monkeypatch.setattr(*found)
+    trace = tracer.Trace()
+    trace.install()
+    data = write_synthetic_dataset(tmp_path / "data", seed=7, n_areas=2,
+                                   n_universities=8)
+    code = cli.main([str(data), "--out", str(tmp_path / "report"),
+                     "--drop-input", "PR", "--compare-partial"])
+    assert code == 0
+    assert trace.missing == []
+    counters = trace.counters
+    assert iterations
+    assert counters["lp.calls"] == len(iterations) == sum(
+        counters[f"dea.lp_calls.{regime}"] for regime in dea.REGIMES)
+    assert counters["lp.pivots"] == sum(iterations)
 
 
 def test_probe_reads_the_frontier_results():

@@ -70,7 +70,7 @@ def reference_solution(problem, dmu_index, regime):
         constraints.append(([0.0] + [1.0] * n, "=", 1.0))
     elif regime == NIRS:
         constraints.append(([0.0] + [1.0] * n, "<=", 1.0))
-    sol = solve_lp(*lp_arrays("max", objective, constraints))
+    sol = solve_lp(*lp_arrays(objective, constraints))
     assert sol.status == "optimal"
     return sol
 
