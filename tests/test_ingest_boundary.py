@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from uniprod.cli import main
 from uniprod.errors import IngestError
-from uniprod.ingest import ingest, load_overrides
+from uniprod.ingest import JOURNAL_FIELDS, _read_rows, ingest, load_overrides
 
 from .fixtures import write_demo_dataset
 
@@ -179,3 +179,57 @@ def test_arbitrary_input_never_raises(name, mode, payload):
     assert code in (0, 1, 2)
     if code == 1:
         assert err.startswith("error: ")
+
+
+# The reader's line accounting: every diagnostic names the physical
+# line the csv reader had reached, and a row that spans several lines is
+# numbered by its last one.
+_HEADER = b"journal_id,year,impact_weight"
+
+#: (bytes after the header, diagnostics, line numbers of the kept rows)
+_READER_CASES = {
+    "crlf": (b"\r\nJ1,2001,1.5\r\nJ2,2001\r\nJ\xff,2002,2\r\nJ3,2002,2\r\n",
+             [":3: expected 3 fields, got 2", ":4: invalid UTF-8"], [2, 5]),
+    "lone-cr": (b"\rJ1,2001,1.5\rJ2,2001\rJ\xff,2002,2\rJ3,2002,2\r",
+                [":3: expected 3 fields, got 2", ":4: invalid UTF-8"], [2, 5]),
+    "bad-byte-in-quoted-multi-line-field": (
+        b'\nJ1,2001,1.5\n"J\nX\xff",2001,1\nJ3,2002,2\n',
+        [":4: invalid UTF-8"], [2, 5]),
+    "bad-header": (b"\xff\nJ1,2001,1.5\nJ\xff,2001,1\n1,2\n",
+                   [":1: invalid UTF-8"], []),
+    "whitespace-only-row": (b"\nJ1,2001,1.5\n  , \t,  \nJ3,2002,2\n", [],
+                            [2, 4]),
+    # Vertical tab, form feed, file separator and line separator end a
+    # line for str.splitlines, not for the csv reader.
+    "line-breaks-csv-does-not-split-on": (
+        "\nJ1,2001,1\v5\nJ\f2,2001,1\nJ\udcff,2001,1\nJ3,2\x1c002,2\u2028\n"
+        .encode("utf-8", "surrogateescape"),
+        [":4: invalid UTF-8"], [2, 3, 5]),
+    "field-over-the-csv-size-limit": (
+        b"\nJ1,2001,1.5\nJ\xff,2001,1\nJ3,"
+        + b"9" * (csv.field_size_limit() + 1) + b",2\nJ4,2002,1\n",
+        [":3: invalid UTF-8", ":4: unreadable CSV: field larger than field "
+         f"limit ({csv.field_size_limit()})"], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_READER_CASES))
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+def test_reader_line_accounting(tmp_path, case, bom):
+    body, expected, kept = _READER_CASES[case]
+    path = tmp_path / "journals.csv"
+    path.write_bytes(bom + _HEADER + body)
+    diagnostics: list[str] = []
+    rows = _read_rows(path, JOURNAL_FIELDS, diagnostics)
+    assert diagnostics == [f"journals.csv{d}" for d in expected]
+    assert [line for line, _ in rows] == kept
+
+
+@pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
+def test_crlf_and_lone_cr_files_load_as_lf(tmp_path, ending):
+    plain = write_demo_dataset(tmp_path / "plain")
+    other = write_demo_dataset(tmp_path / "other")
+    for name in DATA_FILES:
+        path = other / name
+        path.write_bytes(path.read_bytes().replace(b"\n", ending))
+    assert _loaded(ingest(other)) == _loaded(ingest(plain))
