@@ -4,17 +4,21 @@ All five input files are UTF-8 CSV with a header row (a leading
 byte-order mark is dropped).  Every check on their contents happens
 here, once: blank ids and names, rank and document-type codes, integer
 years and active ranges, author initials, finite non-negative amounts
-up to ``MAX_AMOUNT``, duplicate keys, bytes that are not UTF-8, and the
-references of a manual-override file.  Malformed rows are
-collected as ``file:line:`` diagnostics (not raised one at a time) so a
-single run reports every problem; referential gaps that the pipeline
-can survive become warnings instead.  The record types built here carry
-values and check nothing.
+up to ``MAX_AMOUNT``, duplicate keys, bytes that are not UTF-8, NUL
+bytes, and the references of a manual-override file.  Malformed rows
+are collected as ``file:line:`` diagnostics (not raised one at a time)
+so a single run reports every problem; referential gaps that the
+pipeline can survive become warnings instead.  The record types built
+here carry values and check nothing.  Each file is read once, whole,
+into positional rows; a NUL byte is reported and its row skipped on
+every Python version (the csv module of 3.10 rejects the whole file).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import math
 import re
 from dataclasses import dataclass
@@ -64,80 +68,91 @@ class Corpus:
     warnings: tuple[str, ...]
 
 
-def _checked_lines(lines: Iterable[str], name: str,
-                   diagnostics: list[str]) -> Iterator[str]:
-    """Pass lines through, reporting each one that held bytes that are
-    not UTF-8."""
+def _flag_lines(lines: Iterable[str], name: str,
+                diagnostics: list[str]) -> Iterator[str]:
+    """Pass lines through without NUL bytes, reporting each one that held
+    bytes that are not UTF-8 or a NUL byte."""
     for number, line in enumerate(lines, start=1):
-        if not line.isascii() and _UNDECODABLE.search(line):
+        if _UNDECODABLE.search(line):
             diagnostics.append(f"{name}:{number}: invalid UTF-8")
+        elif "\x00" in line:
+            diagnostics.append(f"{name}:{number}: NUL byte")
+            line = line.replace("\x00", "")
         yield line
 
 
 def _read_rows(path: Path, fields: tuple[str, ...], diagnostics: list[str]):
-    """Parse one CSV file into (line_number, row_dict) pairs.
+    """Parse one CSV file into (line_number, cells) pairs, numbered by
+    the last physical line of each row.
 
     Header mismatches and unparseable CSV are fatal diagnostics; the
     file is then skipped entirely.  Rows of the wrong width or with
-    undecodable bytes are reported and skipped.
+    undecodable or NUL bytes are reported and skipped.
     """
     name = path.name
     try:
-        # utf-8-sig drops the byte-order mark that spreadsheet exports
-        # put before the header.
-        handle = open(path, newline="", encoding="utf-8-sig",
-                      errors="surrogateescape")
+        data = path.read_bytes()
     except OSError as exc:
         diagnostics.append(f"{name}: cannot open: {exc}")
         return []
-    with handle:
-        reader = csv.reader(_checked_lines(handle, name, diagnostics))
-        reported = len(diagnostics)
-        rows = []
-        try:
-            header = next(reader, None)
-            if header is None:
-                diagnostics.append(f"{name}: empty file, expected header "
-                                   f"{','.join(fields)}")
-                return []
-            if len(diagnostics) > reported:  # undecodable header
-                return []
-            if tuple(h.strip() for h in header) != fields:
-                diagnostics.append(
-                    f"{name}:1: header must be {','.join(fields)}, "
-                    f"got {','.join(header)}"
-                )
-                return []
-            for raw in reader:
-                line = reader.line_num
-                if len(diagnostics) > reported:  # undecodable row
-                    reported = len(diagnostics)
-                    continue
-                if not raw or all(not cell.strip() for cell in raw):
-                    continue
-                if len(raw) != len(fields):
-                    diagnostics.append(
-                        f"{name}:{line}: expected {len(fields)} fields, "
-                        f"got {len(raw)}"
-                    )
-                    reported = len(diagnostics)
-                    continue
-                rows.append((line, dict(zip(fields, raw))))
-        except csv.Error as exc:
-            diagnostics.append(f"{name}:{reader.line_num}: unreadable CSV: {exc}")
+    # utf-8-sig drops the byte-order mark of spreadsheet exports.  Only a
+    # file that fails the strict decode or holds a NUL byte has its lines
+    # checked one by one, as the reader reaches them.
+    try:
+        text = data.decode("utf-8-sig")
+        undecodable = False
+    except UnicodeDecodeError:
+        text = data.decode("utf-8-sig", "surrogateescape")
+        undecodable = True
+    lines = io.StringIO(text, newline="")
+    if undecodable or "\x00" in text:
+        lines = _flag_lines(lines, name, diagnostics)
+    del data, text
+    reader = csv.reader(lines)
+    reported = len(diagnostics)
+    rows = []
+    try:
+        header = next(reader, None)
+        if header is None:
+            diagnostics.append(f"{name}: empty file, expected header "
+                               f"{','.join(fields)}")
             return []
-        return rows
+        if len(diagnostics) > reported:  # flagged header
+            return []
+        if tuple(h.strip() for h in header) != fields:
+            diagnostics.append(
+                f"{name}:1: header must be {','.join(fields)}, "
+                f"got {','.join(header)}"
+            )
+            return []
+        width = len(fields)
+        for raw in reader:
+            if len(diagnostics) > reported:  # flagged row
+                reported = len(diagnostics)
+                continue
+            if not any(map(str.strip, raw)):
+                continue
+            if len(raw) != width:
+                diagnostics.append(f"{name}:{reader.line_num}: expected "
+                                   f"{width} fields, got {len(raw)}")
+                reported = len(diagnostics)
+                continue
+            rows.append((reader.line_num, raw))
+    except csv.Error as exc:
+        diagnostics.append(f"{name}:{reader.line_num}: unreadable CSV: {exc}")
+        return []
+    return rows
 
 
-def _text(row: dict, field: str) -> str:
-    value = row[field].strip()
+def _text(cell: str, field: str) -> str:
+    value = cell.strip()
     if not value:
         raise StructuralError(f"{field} is blank")
     return value
 
 
-def _code(row: dict, field: str, allowed: tuple[str, ...]) -> str:
-    value = row[field].strip()
+def _code(cell: str, field: str, allowed: tuple[str, ...]) -> str:
+    value = cell.strip()
     if value not in allowed:
         raise StructuralError(
             f"{field} must be one of {'/'.join(allowed)}, got {value!r}"
@@ -145,80 +160,76 @@ def _code(row: dict, field: str, allowed: tuple[str, ...]) -> str:
     return value
 
 
-def _number(row: dict, field: str, parse: Callable, kind: str):
+def _number(cell: str, field: str, parse: Callable, kind: str):
     """``parse`` (``int`` or ``float``) of the stripped cell.  Both also
     read digit-group underscores ("2_001") and non-ASCII digits
     ("２００１"); a cell with either is not a number here."""
-    text = row[field].strip()
+    text = cell.strip()
     if text.isascii() and "_" not in text:
         try:
             return parse(text)
         except ValueError:
             pass
-    raise StructuralError(f"{field} must be {kind}, got {row[field]!r}")
+    raise StructuralError(f"{field} must be {kind}, got {cell!r}")
 
 
-def _integer(row: dict, field: str) -> int:
-    return _number(row, field, int, "an integer")
+def _integer(cell: str, field: str) -> int:
+    return _number(cell, field, int, "an integer")
 
 
-def _amount(row: dict, field: str) -> float:
-    value = _number(row, field, float, "a number")
+def _amount(cell: str, field: str) -> float:
+    value = _number(cell, field, float, "a number")
     if not (math.isfinite(value) and value >= 0):
         raise StructuralError(
-            f"{field} must be finite and >= 0, got {row[field].strip()!r}"
+            f"{field} must be finite and >= 0, got {cell.strip()!r}"
         )
     if value > MAX_AMOUNT:
         raise StructuralError(
-            f"{field} must be at most {MAX_AMOUNT:g}, "
-            f"got {row[field].strip()!r}"
+            f"{field} must be at most {MAX_AMOUNT:g}, got {cell.strip()!r}"
         )
     return value
 
 
-def _parsed(path: Path, fields: tuple[str, ...], parse: Callable,
-            diagnostics: list[str]):
-    """(line, record) for every row that ``parse`` accepts; each
-    StructuralError it raises becomes a ``file:line:`` diagnostic."""
-    for line, row in _read_rows(path, fields, diagnostics):
-        try:
-            record = parse(row)
-        except StructuralError as exc:
-            diagnostics.append(f"{path.name}:{line}: {exc}")
-            continue
-        yield line, record
-
-
-def _unique(path: Path, parsed, key: Callable, describe: Callable,
-            diagnostics: list[str]) -> list:
-    """The parsed records whose key is new, in file order; a repeated key
-    is a diagnostic, ``describe(key)``, naming the line that defined it
-    first."""
+def _records(path: Path, fields: tuple[str, ...], parse: Callable,
+             key: Callable, describe: Callable, diagnostics: list[str],
+             keep: Callable | None = None) -> list:
+    """``parse(*cells)`` of each row, in file order.  Each StructuralError
+    it raises is a ``file:line:`` diagnostic, and so is a record whose key
+    an earlier record has: ``describe(key)``, naming the line of the
+    first.  A record that ``keep(line, record)`` refuses is dropped
+    before its key is checked."""
+    name = path.name
     first: dict = {}
     kept = []
-    for line, record in parsed:
+    for line, row in _read_rows(path, fields, diagnostics):
+        try:
+            record = parse(*row)
+        except StructuralError as exc:
+            diagnostics.append(f"{name}:{line}: {exc}")
+            continue
+        if keep is not None and not keep(line, record):
+            continue
         k = key(record)
         if k in first:
-            diagnostics.append(
-                f"{path.name}:{line}: {describe(k)} "
-                f"(first defined at line {first[k]})"
-            )
+            diagnostics.append(f"{name}:{line}: {describe(k)} "
+                               f"(first defined at line {first[k]})")
             continue
         first[k] = line
         kept.append(record)
     return kept
 
 
-def _staff_member(row: dict) -> StaffMember:
+def _staff_member(staff_id, surname, first_names, rank, university_id,
+                  area_id, year_from, year_to) -> StaffMember:
     member = StaffMember(
-        staff_id=_text(row, "staff_id"),
-        surname=_text(row, "surname"),
-        first_names=_text(row, "first_names"),
-        rank=_code(row, "rank", RANKS),
-        university_id=_text(row, "university_id"),
-        area_id=_text(row, "area_id"),
-        year_from=_integer(row, "year_from"),
-        year_to=_integer(row, "year_to"),
+        staff_id=_text(staff_id, "staff_id"),
+        surname=_text(surname, "surname"),
+        first_names=_text(first_names, "first_names"),
+        rank=_code(rank, "rank", RANKS),
+        university_id=_text(university_id, "university_id"),
+        area_id=_text(area_id, "area_id"),
+        year_from=_integer(year_from, "year_from"),
+        year_to=_integer(year_to, "year_to"),
     )
     if member.year_from > member.year_to:
         raise StructuralError(
@@ -274,75 +285,54 @@ def parse_author_field(field: str) -> tuple[AuthorToken, ...]:
     return _author_tokens(field, {})
 
 
-def _affiliation_fields(
-    field: str, known: dict[str, tuple[str, ...]]
-) -> tuple[str, ...]:
-    """The non-blank semicolon-separated parts of ``field``, one tuple
-    per distinct field in ``known``."""
-    parts = known.get(field)
-    if parts is None:
-        parts = known[field] = tuple(
-            s.strip() for s in field.split(";") if s.strip()
-        )
-    return parts
+def _journal_weight(journal_id: str, year: str, weight: str):
+    return (_text(journal_id, "journal_id"), _integer(year, "year"),
+            _amount(weight, "impact_weight"))
 
 
-def _publication(
-    row: dict,
-    tokens: dict[str | AuthorToken, AuthorToken],
-    affiliations: dict[str, tuple[str, ...]],
-) -> Publication:
-    return Publication(
-        pub_id=_text(row, "pub_id"),
-        year=_integer(row, "year"),
-        doc_type=_code(row, "doc_type", DOC_TYPES),
-        journal_id=_text(row, "journal_id"),
-        authors=_author_tokens(row["authors"], tokens),
-        raw_affiliations=_affiliation_fields(row["raw_affiliations"],
-                                             affiliations),
-    )
-
-
-def _journal_weight(row: dict) -> tuple[str, int, float]:
-    return (_text(row, "journal_id"), _integer(row, "year"),
-            _amount(row, "impact_weight"))
-
-
-def _funding_amount(row: dict) -> tuple[str, str, int, float]:
-    return (_text(row, "university_id"), _text(row, "area_id"),
-            _integer(row, "year"), _amount(row, "prin_keur"))
+def _funding_amount(university_id: str, area_id: str, year: str, keur: str):
+    return (_text(university_id, "university_id"), _text(area_id, "area_id"),
+            _integer(year, "year"), _amount(keur, "prin_keur"))
 
 
 def _load_staff(path: Path, diagnostics: list[str]) -> StaffRegistry:
-    parsed = _parsed(path, STAFF_FIELDS, _staff_member, diagnostics)
-    return StaffRegistry(_unique(
-        path, parsed, lambda m: m.staff_id,
-        lambda k: f"duplicate staff id {k!r}",
-        diagnostics,
+    return StaffRegistry(_records(
+        path, STAFF_FIELDS, _staff_member, lambda m: m.staff_id,
+        lambda k: f"duplicate staff id {k!r}", diagnostics,
     ))
 
 
 def _load_publications(
     path: Path, diagnostics: list[str]
 ) -> tuple[Publication, ...]:
-    # Author entries and affiliation fields repeat across rows: each
-    # distinct one is parsed once per ingest and its value shared.
+    # Years, document types, journal ids, author entries and affiliation
+    # fields repeat across rows: each distinct one is parsed once per
+    # ingest and its value shared (a cell that raises is not cached).
+    year_of = functools.cache(lambda cell: _integer(cell, "year"))
+    doc_type_of = functools.cache(
+        lambda cell: _code(cell, "doc_type", DOC_TYPES))
+    journal_id_of = functools.cache(lambda cell: _text(cell, "journal_id"))
     tokens: dict[str | AuthorToken, AuthorToken] = {}
-    affiliations: dict[str, tuple[str, ...]] = {}
-    parsed = _parsed(path, PUBLICATION_FIELDS,
-                     lambda row: _publication(row, tokens, affiliations),
-                     diagnostics)
-    return tuple(_unique(
-        path, parsed, lambda p: p.pub_id,
-        lambda k: f"duplicate publication id {k!r}",
-        diagnostics,
+    affiliations_of = functools.cache(
+        lambda field: tuple(s.strip() for s in field.split(";") if s.strip()))
+
+    def publication(pub_id, year, doc_type, journal_id, authors,
+                    raw_affiliations) -> Publication:
+        return Publication(
+            _text(pub_id, "pub_id"), year_of(year), doc_type_of(doc_type),
+            journal_id_of(journal_id), _author_tokens(authors, tokens),
+            affiliations_of(raw_affiliations),
+        )
+
+    return tuple(_records(
+        path, PUBLICATION_FIELDS, publication, lambda p: p.pub_id,
+        lambda k: f"duplicate publication id {k!r}", diagnostics,
     ))
 
 
 def _load_journals(path: Path, diagnostics: list[str]) -> JournalTable:
-    parsed = _parsed(path, JOURNAL_FIELDS, _journal_weight, diagnostics)
-    return JournalTable(_unique(
-        path, parsed, lambda r: r[:2],
+    return JournalTable(_records(
+        path, JOURNAL_FIELDS, _journal_weight, lambda r: r[:2],
         lambda k: f"duplicate weight for journal {k[0]!r} year {k[1]}",
         diagnostics,
     ))
@@ -354,20 +344,16 @@ def _load_funding(
     diagnostics: list[str],
     warnings: list[str],
 ) -> FundingTable:
-    known = []
-    for line, row in _parsed(path, FUNDING_FIELDS, _funding_amount,
-                             diagnostics):
-        if row[0] not in known_universities:
-            warnings.append(
-                f"{path.name}:{line}: unknown university {row[0]!r}; "
-                "row skipped"
-            )
-            continue
-        known.append((line, row))
-    return FundingTable(_unique(
-        path, known, lambda r: r[:3],
-        lambda k: f"duplicate funding row for {k!r}",
-        diagnostics,
+    def known(line: int, row: tuple[str, str, int, float]) -> bool:
+        if row[0] in known_universities:
+            return True
+        warnings.append(f"{path.name}:{line}: unknown university "
+                        f"{row[0]!r}; row skipped")
+        return False
+
+    return FundingTable(_records(
+        path, FUNDING_FIELDS, _funding_amount, lambda r: r[:3],
+        lambda k: f"duplicate funding row for {k!r}", diagnostics, known,
     ))
 
 
@@ -377,9 +363,9 @@ def _load_affiliations(
     rows = []
     seen: dict[str, tuple[int, str]] = {}
     name = path.name
-    for line, row in _read_rows(path, AFFILIATION_FIELDS, diagnostics):
-        pattern = row["raw_pattern"]
-        university_id = row["university_id"].strip()
+    for line, (pattern, university_id) in _read_rows(
+            path, AFFILIATION_FIELDS, diagnostics):
+        university_id = university_id.strip()
         key = normalize_text(pattern)
         if not key:
             diagnostics.append(
@@ -417,9 +403,10 @@ def load_overrides(
     """
     pubs = {p.pub_id: p for p in corpus.publications}
 
-    def override(row: dict) -> tuple[tuple[str, int], str | None]:
-        pub_id = _text(row, "pub_id")
-        position = _integer(row, "author_position")
+    def override(pub_id: str, position: str,
+                 staff_id: str) -> tuple[tuple[str, int], str | None]:
+        pub_id = _text(pub_id, "pub_id")
+        position = _integer(position, "author_position")
         pub = pubs.get(pub_id)
         if pub is None:
             raise StructuralError(f"unknown publication {pub_id!r}")
@@ -428,7 +415,7 @@ def load_overrides(
                 f"publication {pub_id!r} has no author position {position} "
                 f"(it lists {pub.author_count} author(s))"
             )
-        staff_id = row["staff_id"].strip() or None
+        staff_id = staff_id.strip() or None
         if staff_id is None:
             return (pub_id, position), None
         if staff_id not in corpus.staff:
@@ -450,11 +437,9 @@ def load_overrides(
 
     path = Path(path)
     diagnostics: list[str] = []
-    parsed = _parsed(path, OVERRIDE_FIELDS, override, diagnostics)
-    overrides = dict(_unique(
-        path, parsed, lambda r: r[0],
-        lambda k: f"duplicate override for {k!r}",
-        diagnostics,
+    overrides = dict(_records(
+        path, OVERRIDE_FIELDS, override, lambda r: r[0],
+        lambda k: f"duplicate override for {k!r}", diagnostics,
     ))
     if diagnostics:
         raise IngestError(

@@ -5,13 +5,15 @@ the one place that validates outside input, so build them through it
 (or, in tests, from values that already satisfy its rules).  Text
 normalization and matching logic live elsewhere; the registry types
 here only provide exact-key indexing and headcount queries.
+``Publication``, the most numerous record, is a ``typing.NamedTuple``
+(one cheap object each, equal to the plain tuple of its fields).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import UnknownIdError
 
@@ -67,8 +69,7 @@ class StaffMember:
         return self.year_from <= year <= self.year_to
 
 
-@dataclass(frozen=True)
-class Publication:
+class Publication(NamedTuple):
     """A bibliographic record.
 
     ``authors`` is the full ordered author list; its length is the total

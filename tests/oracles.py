@@ -10,8 +10,10 @@ must match bit for bit.
 
 from __future__ import annotations
 
+import csv
 import functools
 import itertools
+from pathlib import Path
 
 import numpy as np
 
@@ -234,6 +236,67 @@ def match_outcome_bruteforce(token, publication, registry, dictionary):
     if survivors:
         return "ambiguous", None, tuple(survivors)
     return "unmatched", None, ()
+
+
+def ingest_oracle(data_dir):
+    """The records ``ingest`` builds from a valid data directory, read
+    with ``csv.DictReader`` and plain conversions and checking nothing.
+
+    Returns ``(staff, publications, journal weights, funding amounts,
+    affiliation mapping, warnings)``: the ``StaffMember`` and
+    ``Publication`` lists in file order, ``{(journal, year): weight}``,
+    ``{(university, area, year): amount}`` for the universities on
+    staff, ``{normalized pattern: university}`` and the warnings.
+    """
+    from uniprod.disambiguation import normalize_text
+    from uniprod.records import AuthorToken, Publication, StaffMember
+
+    root = Path(data_dir)
+
+    def rows(name):
+        with open(root / name, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.DictReader(handle)
+            return [(reader.line_num, {k: v.strip() for k, v in row.items()})
+                    for row in reader if any(v.strip() for v in row.values())]
+
+    staff = [
+        StaffMember(r["staff_id"], r["surname"], r["first_names"], r["rank"],
+                    r["university_id"], r["area_id"], int(r["year_from"]),
+                    int(r["year_to"]))
+        for _, r in rows("staff.csv")
+    ]
+    publications = []
+    for _, r in rows("publications.csv"):
+        authors = []
+        for entry in r["authors"].split(";"):
+            if entry.strip():
+                surname, initials = entry.split(",", 1)
+                authors.append(AuthorToken(
+                    surname.strip(),
+                    tuple(ch.upper() for ch in initials if ch.isalpha())))
+        publications.append(Publication(
+            r["pub_id"], int(r["year"]), r["doc_type"], r["journal_id"],
+            tuple(authors),
+            tuple(a.strip() for a in r["raw_affiliations"].split(";")
+                  if a.strip())))
+    journals = {(r["journal_id"], int(r["year"])): float(r["impact_weight"])
+                for _, r in rows("journals.csv")}
+    universities = {m.university_id for m in staff}
+    funding, warnings = {}, []
+    for line, r in rows("funding.csv"):
+        if r["university_id"] in universities:
+            funding[(r["university_id"], r["area_id"], int(r["year"]))] = (
+                float(r["prin_keur"]))
+        else:
+            warnings.append(f"funding.csv:{line}: unknown university "
+                            f"{r['university_id']!r}; row skipped")
+    affiliations = {normalize_text(r["raw_pattern"]): r["university_id"]
+                    for _, r in rows("affiliations.csv")}
+    warnings += [f"journal {j!r} appears in publications but not in the "
+                 "journal table"
+                 for j in sorted({p.journal_id for p in publications}
+                                 - {j for j, _ in journals})]
+    return staff, publications, journals, funding, affiliations, warnings
 
 
 _INPUT_LABELS = ("FP", "AP", "RF", "PR")

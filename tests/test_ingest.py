@@ -6,9 +6,11 @@ import pytest
 
 from uniprod.errors import IngestError, StructuralError
 from uniprod.ingest import ingest, load_overrides, parse_author_field
+from uniprod.records import Publication
 from uniprod.synthetic import write_synthetic_dataset
 
 from .fixtures import write_demo_dataset
+from .oracles import ingest_oracle
 
 
 def _config(root):
@@ -355,6 +357,10 @@ class TestSharedValues:
         fields = [p.raw_affiliations for p in pubs]
         assert len(set(fields)) < len(fields)
         assert len({id(f) for f in fields}) == len(set(fields))
+        for name in ("year", "doc_type", "journal_id"):
+            values = [getattr(p, name) for p in pubs]
+            assert len(set(values)) < len(values)
+            assert len({id(v) for v in values}) == len(set(values)), name
 
     def test_repeated_bad_entry_reported_on_each_line(self, demo_root):
         path = demo_root / "publications.csv"
@@ -370,3 +376,39 @@ class TestSharedValues:
             "SURNAME,INITIALS comma"
             for n in (2, 3)
         ]
+
+    @pytest.mark.parametrize("cell, diagnostic", [
+        ("20O1,article,J1", "year must be an integer, got '20O1'"),
+        ("2001,poster,J1",
+         "doc_type must be one of article/review/other, got 'poster'"),
+        ("2001,article, ", "journal_id is blank"),
+    ])
+    def test_repeated_bad_cell_reported_on_each_line(self, demo_root, cell,
+                                                     diagnostic):
+        path = demo_root / "publications.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for number in (2, 3):
+            pub_id, _ = lines[number - 1].split(",", 1)
+            lines[number - 1] = (f'{pub_id},{cell},"KIM,A.",'
+                                 '"Univ. of Alpha"')
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(IngestError) as exc:
+            ingest(demo_root)
+        assert exc.value.diagnostics == [
+            f"publications.csv:{n}: {diagnostic}" for n in (2, 3)]
+
+
+def test_same_records_as_a_dictreader_oracle(tmp_path):
+    root = write_synthetic_dataset(tmp_path / "data", seed=5, n_areas=2,
+                                   n_universities=6)
+    corpus = ingest(root)
+    staff, publications, journals, funding, affiliations, warnings = (
+        ingest_oracle(root))
+    assert list(corpus.staff) == staff
+    assert all(type(p) is Publication for p in corpus.publications)
+    assert list(corpus.publications) == publications
+    assert vars(corpus.journals)["_weights"] == journals
+    assert vars(corpus.funding)["_amounts"] == funding
+    assert vars(corpus.affiliations)["_mapping"] == affiliations
+    assert list(corpus.warnings) == warnings
+    assert len(publications) > 100 and warnings

@@ -57,6 +57,12 @@ PINNED = {
          "publications.csv:32: doc_type must be one of article/review/other, "
          "got 'poster'"),
     ),
+    "nul-byte-staff": (
+        ("staff.csv", b"S900,Ro\x00ss,Mario,FP,U1,A01,1998,2006\n",
+         "staff.csv:30: NUL byte"),
+        ("publications.csv", b'PX,2002,article,J1,"KIM,A.",\x00\n',
+         "publications.csv:32: NUL byte"),
+    ),
     # Finite, but the SS and PR means over it overflow.
     "huge-amounts": (
         ("journals.csv", b"J9,2001,1e308\n",
@@ -197,6 +203,13 @@ _READER_CASES = {
         [":4: invalid UTF-8"], [2, 5]),
     "bad-header": (b"\xff\nJ1,2001,1.5\nJ\xff,2001,1\n1,2\n",
                    [":1: invalid UTF-8"], []),
+    # A NUL byte is reported and its row skipped on every Python
+    # version; the csv module of 3.10 would reject the whole file.
+    "nul-byte": (b'\nJ1,2001,1.5\n"J\n\x002",2001,1\nJ3,2002,2\n',
+                 [":4: NUL byte"], [2, 5]),
+    "nul-byte-and-bad-byte-on-one-line": (
+        b"\nJ1,2001,1.5\nJ\x00\xff,2001,1\nJ3,2002,2\n",
+        [":3: invalid UTF-8"], [2, 4]),
     "whitespace-only-row": (b"\nJ1,2001,1.5\n  , \t,  \nJ3,2002,2\n", [],
                             [2, 4]),
     # Vertical tab, form feed, file separator and line separator end a
