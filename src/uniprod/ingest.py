@@ -77,8 +77,9 @@ def _flag_lines(lines: Iterable[str], name: str,
             diagnostics.append(f"{name}:{number}: invalid UTF-8")
         elif "\x00" in line:
             diagnostics.append(f"{name}:{number}: NUL byte")
-            line = line.replace("\x00", "")
-        yield line
+        # A line flagged for its bad byte may hold a NUL too; the csv
+        # module of 3.10 would reject the whole file over it.
+        yield line.replace("\x00", "")
 
 
 def _read_rows(path: Path, fields: tuple[str, ...], diagnostics: list[str]):

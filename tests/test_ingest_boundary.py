@@ -238,6 +238,28 @@ def test_reader_line_accounting(tmp_path, case, bom):
     assert [line for line, _ in rows] == kept
 
 
+@pytest.mark.parametrize("case", ["nul-byte",
+                                  "nul-byte-and-bad-byte-on-one-line"])
+def test_no_nul_byte_reaches_the_csv_reader(tmp_path, monkeypatch, case):
+    """The csv module of 3.10 rejects a whole file over one NUL byte
+    and that of 3.11 accepts it, so the reader is never handed one,
+    whichever diagnostic its line gets."""
+    body, expected, kept = _READER_CASES[case]
+    path = tmp_path / "journals.csv"
+    path.write_bytes(_HEADER + body)
+    seen: list[str] = []
+    real = csv.reader
+    monkeypatch.setattr(
+        csv, "reader",
+        lambda lines: real(seen.append(line) or line for line in lines))
+    diagnostics: list[str] = []
+    rows = _read_rows(path, JOURNAL_FIELDS, diagnostics)
+    assert diagnostics == [f"journals.csv{d}" for d in expected]
+    assert [line for line, _ in rows] == kept
+    assert len(seen) == body.count(b"\n")
+    assert not any("\x00" in line for line in seen)
+
+
 @pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
 def test_crlf_and_lone_cr_files_load_as_lf(tmp_path, ending):
     plain = write_demo_dataset(tmp_path / "plain")
