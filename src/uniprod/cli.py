@@ -158,14 +158,13 @@ def summarize(report: AnalysisReport, written, stream) -> None:
 
 
 def main(argv=None) -> int:
-    """Run one study and return its exit code.
-
-    The ingested corpus lives until the report is written, so it is
-    frozen (``gc.freeze``) right after ingest and full collections stop
-    rescanning it.  ``gc.unfreeze`` runs before ``main`` returns, and
-    unfreezes any objects the caller had frozen as well.
-    """
+    """Run one study and return its exit code.  The cyclic garbage
+    collector is off from ``ingest`` through ``summarize``, since the
+    run's objects live that long and form no cycles; it is back on, if
+    the caller had it on, only as ``main`` returns."""
     args = build_parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         config = RunConfig(
             years=args.years,
@@ -177,7 +176,6 @@ def main(argv=None) -> int:
             report_format=args.report_format,
         )
         corpus = ingest(args.data_dir)
-        gc.freeze()
         overrides = None
         if args.manual_overrides is not None:
             overrides = load_overrides(args.manual_overrides, corpus)
@@ -186,10 +184,12 @@ def main(argv=None) -> int:
     except (UniprodError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
+    else:
+        summarize(report, written, sys.stdout)
+        return EXIT_OK if report.fully_successful else EXIT_PARTIAL
     finally:
-        gc.unfreeze()
-    summarize(report, written, sys.stdout)
-    return EXIT_OK if report.fully_successful else EXIT_PARTIAL
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

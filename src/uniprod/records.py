@@ -5,8 +5,8 @@ the one place that validates outside input, so build them through it
 (or, in tests, from values that already satisfy its rules).  Text
 normalization and matching logic live elsewhere; the registry types
 here only provide exact-key indexing and headcount queries.
-``Publication``, the most numerous record, is a ``typing.NamedTuple``
-(one cheap object each, equal to the plain tuple of its fields).
+``Publication`` and ``AuthorToken``, the most numerous records, are
+``typing.NamedTuple`` types: one cheap object each, equal to a tuple.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ DOC_TYPES = (DOC_ARTICLE, DOC_REVIEW, DOC_OTHER)
 COUNTED_DOC_TYPES = frozenset({DOC_ARTICLE, DOC_REVIEW})
 
 
-@dataclass(frozen=True)
-class AuthorToken:
+class AuthorToken(NamedTuple):
     """One author entry on a publication: surname plus ordered initials."""
 
     surname: str

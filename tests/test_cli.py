@@ -8,6 +8,7 @@ import pytest
 from uniprod import cli
 from uniprod.cli import build_parser, main, parse_years
 from uniprod.config import RunConfig
+from uniprod.synthetic import write_synthetic_dataset
 
 from .fixtures import write_demo_dataset, write_override_file
 from .tables import read_table
@@ -219,42 +220,81 @@ class TestFlags:
         assert scored == {"U1", "U2", "U3"}
 
 
-class TestCollectorFreeze:
-    """main freezes the ingested corpus out of the collector's scans
-    while the study runs and unfreezes it before returning."""
+class TestCollector:
+    """main runs the study with the cyclic collector off and leaves it
+    as its caller had it."""
 
     @pytest.mark.parametrize("flags, expected", [
         ([], 0),
         (["--min-staff", "50"], 2),
     ])
-    def test_frozen_only_while_running(self, data_dir, tmp_path, capsys,
-                                       monkeypatch, flags, expected):
+    def test_off_only_while_running(self, data_dir, tmp_path, capsys,
+                                    monkeypatch, flags, expected):
         during = []
-        run_pipeline = cli.run_pipeline
 
-        def recording(*args, **kwargs):
-            during.append(gc.get_freeze_count())
-            return run_pipeline(*args, **kwargs)
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                during.append((fn.__name__, gc.isenabled()))
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(cli, "run_pipeline", recording)
+        monkeypatch.setattr(cli, "ingest", recording(cli.ingest))
+        monkeypatch.setattr(cli, "run_pipeline", recording(cli.run_pipeline))
+        assert gc.isenabled()
         code = main([str(data_dir), *flags, "--out", str(tmp_path / "r")])
         assert code == expected
-        assert len(during) == 1 and during[0] > 0
-        assert gc.get_freeze_count() == 0
+        assert during == [("ingest", False), ("run_pipeline", False)]
+        assert gc.isenabled()
 
-    def test_unfrozen_after_missing_data_directory(self, tmp_path, capsys):
+    def test_on_after_missing_data_directory(self, tmp_path, capsys):
         assert main([str(tmp_path / "void"), "--out",
                      str(tmp_path / "r")]) == 1
-        assert gc.get_freeze_count() == 0
+        assert gc.isenabled()
 
-    def test_unfrozen_after_failure_past_ingest(self, data_dir, tmp_path,
-                                                capsys):
+    def test_on_after_failure_past_ingest(self, data_dir, tmp_path, capsys):
         bad = tmp_path / "fixes.csv"
         bad.write_text("pub_id,author_position,staff_id\nP029,1,S99999\n",
                        encoding="utf-8")
         assert main([str(data_dir), "--manual-overrides", str(bad),
                      "--out", str(tmp_path / "r")]) == 1
-        assert gc.get_freeze_count() == 0
+        assert gc.isenabled()
+
+    def test_stays_off_when_the_caller_had_it_off(self, data_dir, tmp_path,
+                                                  capsys):
+        gc.disable()
+        try:
+            assert main([str(data_dir), "--out", str(tmp_path / "r")]) == 0
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_callers_frozen_objects_stay_frozen(self, data_dir, tmp_path,
+                                                capsys):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert main([str(data_dir), "--out", str(tmp_path / "r")]) == 0
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+
+    def test_cyclic_garbage_does_not_grow_with_the_corpus(self, data_dir,
+                                                          tmp_path, capsys):
+        # Pausing the collector for a run costs no memory only while the
+        # run leaves no reference cycles per record.
+        larger = write_synthetic_dataset(tmp_path / "larger", seed=5,
+                                         n_areas=3, n_universities=20)
+        garbage = []
+        for root in (data_dir, larger):
+            gc.collect()
+            gc.disable()
+            try:
+                main([str(root), "--min-staff", "0",
+                      "--out", str(tmp_path / root.name / "r")])
+                garbage.append(gc.collect())
+            finally:
+                gc.enable()
+        assert garbage[0] == garbage[1] < 500
 
 
 class TestParserHelp:
