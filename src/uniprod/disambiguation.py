@@ -154,8 +154,10 @@ class DisambiguationResult:
     k - 1, ``()`` for an author-less publication) and its category, plus
     ``matched_cells``: per publication with at least one matched author,
     the matched-author count b of each (area, university) cell, in
-    author-position order.  Ingest rejects duplicate publication ids, so
-    every publication has exactly one entry and one category.
+    author-position order.  Publications whose maps are equal, in the
+    same order, share one dict, so the maps are read-only.  Ingest
+    rejects duplicate publication ids, so every publication has exactly
+    one entry and one category.
     ``manual_review`` holds the ``manual_review`` table's rows, one per
     ambiguous author token, in publication order."""
 
@@ -237,6 +239,9 @@ def disambiguate_corpus(
     categories: dict[str, str] = {}
     errors: list[str] = []
     matched_cells: dict[str, dict[tuple[str, str], int]] = {}
+    # One dict per distinct cell-count map, in its order: a corpus has
+    # many publications and few distinct maps.
+    shared_cells: dict[tuple, dict[tuple[str, str], int]] = {}
 
     for pub in publications:
         pub_id = pub.pub_id
@@ -275,7 +280,8 @@ def disambiguate_corpus(
                 })
         outcomes[pub_id] = tuple(pub_outcomes)
         if cells:
-            matched_cells[pub_id] = cells
+            matched_cells[pub_id] = shared_cells.setdefault(
+                tuple(cells.items()), cells)
         if ambiguous:
             categories[pub_id] = CATEGORY_MANUAL
         elif cells:

@@ -9,8 +9,9 @@ bytes, and the references of a manual-override file.  Malformed rows
 are collected as ``file:line:`` diagnostics (not raised one at a time)
 so a single run reports every problem; referential gaps that the
 pipeline can survive become warnings instead.  The record types built
-here carry values and check nothing.  Each file is read once, whole,
-into positional rows; a NUL byte is reported and its row skipped on
+here carry values and check nothing.  Each file's bytes are read once
+and its rows streamed, as positional cell lists, into its loader, which
+keeps no list of rows; a NUL byte is reported and its row skipped on
 every Python version (the csv module of 3.10 rejects the whole file).
 """
 
@@ -82,50 +83,59 @@ def _flag_lines(lines: Iterable[str], name: str,
         yield line.replace("\x00", "")
 
 
-def _read_rows(path: Path, fields: tuple[str, ...], diagnostics: list[str]):
-    """Parse one CSV file into (line_number, cells) pairs, numbered by
-    the last physical line of each row.
+class _Unreadable(Exception):
+    """Raised by ``_read_rows`` after a fatal diagnostic: the rest of the
+    file is not read, and its loader keeps none of its records."""
 
-    Header mismatches and unparseable CSV are fatal diagnostics; the
-    file is then skipped entirely.  Rows of the wrong width or with
-    undecodable or NUL bytes are reported and skipped.
+
+def _read_rows(path: Path, fields: tuple[str, ...],
+               diagnostics: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield one CSV file's rows as (line_number, cells) pairs, numbered
+    by the last physical line of each row, as the csv reader parses them.
+
+    Rows of the wrong width or with undecodable or NUL bytes are reported
+    and skipped.  A file that cannot be opened, is empty, has the wrong
+    header or is not CSV gets a fatal diagnostic and raises
+    ``_Unreadable`` where the reader finds it, after the rows before it
+    were yielded.
     """
     name = path.name
     try:
         data = path.read_bytes()
     except OSError as exc:
         diagnostics.append(f"{name}: cannot open: {exc}")
-        return []
-    # utf-8-sig drops the byte-order mark of spreadsheet exports.  Only a
-    # file that fails the strict decode or holds a NUL byte has its lines
-    # checked one by one, as the reader reaches them.
+        raise _Unreadable from None
+    # utf-8-sig drops the byte-order mark of spreadsheet exports.  The
+    # strict decode is only the check for bytes that are not UTF-8: the
+    # reader takes its lines from the bytes, a buffer at a time, with
+    # those bytes escaped.  Only a file that fails the check or holds a
+    # NUL byte has its lines checked one by one, as the reader reaches
+    # them.
     try:
-        text = data.decode("utf-8-sig")
-        undecodable = False
+        data.decode("utf-8-sig")
+        flagged = b"\x00" in data
     except UnicodeDecodeError:
-        text = data.decode("utf-8-sig", "surrogateescape")
-        undecodable = True
-    lines = io.StringIO(text, newline="")
-    if undecodable or "\x00" in text:
+        flagged = True
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig",
+                             errors="surrogateescape", newline="")
+    if flagged:
         lines = _flag_lines(lines, name, diagnostics)
-    del data, text
     reader = csv.reader(lines)
     reported = len(diagnostics)
-    rows = []
     try:
         header = next(reader, None)
         if header is None:
             diagnostics.append(f"{name}: empty file, expected header "
                                f"{','.join(fields)}")
-            return []
+            raise _Unreadable
         if len(diagnostics) > reported:  # flagged header
-            return []
+            raise _Unreadable
         if tuple(h.strip() for h in header) != fields:
             diagnostics.append(
                 f"{name}:1: header must be {','.join(fields)}, "
                 f"got {','.join(header)}"
             )
-            return []
+            raise _Unreadable
         width = len(fields)
         for raw in reader:
             if len(diagnostics) > reported:  # flagged row
@@ -138,11 +148,10 @@ def _read_rows(path: Path, fields: tuple[str, ...], diagnostics: list[str]):
                                    f"{width} fields, got {len(raw)}")
                 reported = len(diagnostics)
                 continue
-            rows.append((reader.line_num, raw))
+            yield reader.line_num, raw
     except csv.Error as exc:
         diagnostics.append(f"{name}:{reader.line_num}: unreadable CSV: {exc}")
-        return []
-    return rows
+        raise _Unreadable from None
 
 
 def _text(cell: str, field: str) -> str:
@@ -198,25 +207,31 @@ def _records(path: Path, fields: tuple[str, ...], parse: Callable,
     it raises is a ``file:line:`` diagnostic, and so is a record whose key
     an earlier record has: ``describe(key)``, naming the line of the
     first.  A record that ``keep(line, record)`` refuses is dropped
-    before its key is checked."""
+    before its key is checked.  These diagnostics follow the reader's
+    for the file; an unreadable file keeps no record and adds none."""
     name = path.name
     first: dict = {}
     kept = []
-    for line, row in _read_rows(path, fields, diagnostics):
-        try:
-            record = parse(*row)
-        except StructuralError as exc:
-            diagnostics.append(f"{name}:{line}: {exc}")
-            continue
-        if keep is not None and not keep(line, record):
-            continue
-        k = key(record)
-        if k in first:
-            diagnostics.append(f"{name}:{line}: {describe(k)} "
-                               f"(first defined at line {first[k]})")
-            continue
-        first[k] = line
-        kept.append(record)
+    problems: list[str] = []
+    try:
+        for line, row in _read_rows(path, fields, diagnostics):
+            try:
+                record = parse(*row)
+            except StructuralError as exc:
+                problems.append(f"{name}:{line}: {exc}")
+                continue
+            if keep is not None and not keep(line, record):
+                continue
+            k = key(record)
+            if k in first:
+                problems.append(f"{name}:{line}: {describe(k)} "
+                                f"(first defined at line {first[k]})")
+                continue
+            first[k] = line
+            kept.append(record)
+    except _Unreadable:
+        return []
+    diagnostics.extend(problems)
     return kept
 
 
@@ -363,31 +378,37 @@ def _load_affiliations(
 ) -> AffiliationDictionary:
     rows = []
     seen: dict[str, tuple[int, str]] = {}
+    problems: list[str] = []
     name = path.name
-    for line, (pattern, university_id) in _read_rows(
-            path, AFFILIATION_FIELDS, diagnostics):
-        university_id = university_id.strip()
-        key = normalize_text(pattern)
-        if not key:
-            diagnostics.append(
-                f"{name}:{line}: pattern {pattern!r} is empty after "
-                "normalization"
-            )
-            continue
-        if not university_id:
-            diagnostics.append(f"{name}:{line}: university_id is blank")
-            continue
-        if key in seen:
-            prev_line, prev_uni = seen[key]
-            if prev_uni != university_id:
-                diagnostics.append(
-                    f"{name}:{line}: pattern {pattern!r} conflicts with "
-                    f"line {prev_line} (maps to both {prev_uni!r} and "
-                    f"{university_id!r})"
+    try:
+        for line, (pattern, university_id) in _read_rows(
+                path, AFFILIATION_FIELDS, diagnostics):
+            university_id = university_id.strip()
+            key = normalize_text(pattern)
+            if not key:
+                problems.append(
+                    f"{name}:{line}: pattern {pattern!r} is empty after "
+                    "normalization"
                 )
-            continue
-        seen[key] = (line, university_id)
-        rows.append((pattern, university_id))
+                continue
+            if not university_id:
+                problems.append(f"{name}:{line}: university_id is blank")
+                continue
+            if key in seen:
+                prev_line, prev_uni = seen[key]
+                if prev_uni != university_id:
+                    problems.append(
+                        f"{name}:{line}: pattern {pattern!r} conflicts with "
+                        f"line {prev_line} (maps to both {prev_uni!r} and "
+                        f"{university_id!r})"
+                    )
+                continue
+            seen[key] = (line, university_id)
+            rows.append((pattern, university_id))
+    except _Unreadable:
+        rows = []
+    else:
+        diagnostics.extend(problems)
     return AffiliationDictionary(rows)
 
 

@@ -268,6 +268,10 @@ class TestCorpusInvariants:
                                     for m in members)
             assert sum(cells.values()) <= p.author_count
         assert set(result.matched_cells) <= {p.pub_id for p in pubs}
+        # Equal maps, in the same order, are one shared object.
+        shared = {}
+        for cells in result.matched_cells.values():
+            assert shared.setdefault(tuple(cells.items()), cells) is cells
 
     def test_additive_over_year_partition(self):
         c = corpus_of(

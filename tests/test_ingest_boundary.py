@@ -4,6 +4,7 @@ exit 1 with ``file:line:`` diagnostics, never in a traceback."""
 import contextlib
 import csv
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from uniprod.cli import main
 from uniprod.errors import IngestError
-from uniprod.ingest import JOURNAL_FIELDS, _read_rows, ingest, load_overrides
+from uniprod.ingest import (JOURNAL_FIELDS, _read_rows, _Unreadable, ingest,
+                            load_overrides)
 
 from .fixtures import write_demo_dataset
 
@@ -233,7 +235,9 @@ def test_reader_line_accounting(tmp_path, case, bom):
     path = tmp_path / "journals.csv"
     path.write_bytes(bom + _HEADER + body)
     diagnostics: list[str] = []
-    rows = _read_rows(path, JOURNAL_FIELDS, diagnostics)
+    rows = []
+    with contextlib.suppress(_Unreadable):
+        rows = list(_read_rows(path, JOURNAL_FIELDS, diagnostics))
     assert diagnostics == [f"journals.csv{d}" for d in expected]
     assert [line for line, _ in rows] == kept
 
@@ -253,11 +257,111 @@ def test_no_nul_byte_reaches_the_csv_reader(tmp_path, monkeypatch, case):
         csv, "reader",
         lambda lines: real(seen.append(line) or line for line in lines))
     diagnostics: list[str] = []
-    rows = _read_rows(path, JOURNAL_FIELDS, diagnostics)
+    rows = list(_read_rows(path, JOURNAL_FIELDS, diagnostics))
     assert diagnostics == [f"journals.csv{d}" for d in expected]
     assert [line for line, _ in rows] == kept
     assert len(seen) == body.count(b"\n")
     assert not any("\x00" in line for line in seen)
+
+
+@pytest.mark.parametrize("name, bad_row", [
+    ("journals.csv", b"J9,2001,-1\n"),
+    ("affiliations.csv", b"--,U1\n"),
+])
+def test_unreadable_file_drops_its_loaders_diagnostics(tmp_path, name,
+                                                       bad_row):
+    """A fatal reader diagnostic ends the file.  The loader has parsed
+    the rows before it, but it keeps neither their records nor its
+    diagnostics on them, as if it had never been handed a row."""
+    root = write_demo_dataset(tmp_path / "data")
+    line = (root / name).read_bytes().count(b"\n") + 2
+    limit = csv.field_size_limit()
+    _append(root, name, bad_row + b"X," + b"9" * (limit + 1) + b"\n")
+    with pytest.raises(IngestError) as exc:
+        ingest(root)
+    assert exc.value.diagnostics == [
+        f"{name}:{line}: unreadable CSV: field larger than field limit "
+        f"({limit})"]
+
+
+#: The reader decodes and splits lines a buffer of this many bytes at a
+#: time (``io.TextIOWrapper``'s chunk).
+_CHUNK = 8192
+
+
+def _straddling_file(bom: bytes) -> bytes:
+    """A journals file over 64 KiB, CRLF throughout, where a row's CRLF,
+    the CRLF inside a quoted field, a bad byte and a valid multi-byte
+    character each have an 8 KiB boundary between their bytes; a short
+    row and some valid rows follow."""
+    body = bytearray(bom + _HEADER + b"\r\n")
+    count = 0
+
+    def fill_to(boundary: int, piece: bytes, cut: int) -> None:
+        # Valid rows, then one whose weight is padded with zeros so that
+        # ``piece`` starts ``cut`` bytes before ``boundary``.
+        nonlocal count
+        while boundary - len(body) > 64:
+            count += 1
+            body.extend(b"J%d,2001,1.5\r\n" % count)
+        pad = boundary - cut - len(body) - len(b"Jf,2001,1.\r\n")
+        body.extend(b"Jf%d,2001,1." % count + b"0" * (pad - len(b"%d" % count))
+                    + b"\r\n")
+        assert len(body) == boundary - cut
+        body.extend(piece)
+
+    fill_to(2 * _CHUNK, b"Jcr,2001,1\r\n", len(b"Jcr,2001,1\r"))
+    fill_to(4 * _CHUNK, b'"Jm\r\nM",2001,1\r\n', len(b'"Jm\r'))
+    fill_to(6 * _CHUNK, b"J\xe2\x82,2001,1\r\n", len(b"J\xe2"))
+    fill_to(7 * _CHUNK, b"J\xe2\x82\xac,2001,1\r\n", len(b"J\xe2\x82"))
+    body.extend(b"J9,2001\r\n")
+    fill_to(8 * _CHUNK + 1000, b"Jz,2002,2\r\n", 0)
+    return bytes(body)
+
+
+def _reference_pass(data: bytes) -> tuple[list[str], list]:
+    """Diagnostics and kept (line, cells) of one whole-text csv pass over
+    a file whose header is valid."""
+    text = data.decode("utf-8-sig", "surrogateescape")
+    bad = {number for number, line
+           in enumerate(io.StringIO(text, newline=""), start=1)
+           if re.search("[\udc80-\udcff]", line)}
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    diagnostics, kept, last = [], [], 1
+    for cells in reader:
+        span = range(last + 1, reader.line_num + 1)
+        last = reader.line_num
+        if bad.intersection(span):
+            diagnostics += [f"journals.csv:{n}: invalid UTF-8"
+                            for n in span if n in bad]
+        elif not any(map(str.strip, cells)):
+            pass
+        elif len(cells) != len(JOURNAL_FIELDS):
+            diagnostics.append(f"journals.csv:{reader.line_num}: expected "
+                               f"{len(JOURNAL_FIELDS)} fields, "
+                               f"got {len(cells)}")
+        else:
+            kept.append((reader.line_num, cells))
+    return diagnostics, kept
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+def test_reader_chunk_boundaries(tmp_path, bom):
+    data = _straddling_file(bom)
+    assert len(data) > 64 * 1024
+    for boundary, pair in ((2, b"\r\n"), (4, b"\r\n"), (6, b"\xe2\x82"),
+                           (7, b"\x82\xac")):
+        assert data[boundary * _CHUNK - 1:][:2] == pair
+    path = tmp_path / "journals.csv"
+    path.write_bytes(data)
+    diagnostics: list[str] = []
+    rows = list(_read_rows(path, JOURNAL_FIELDS, diagnostics))
+    expected, kept = _reference_pass(data)
+    assert len(expected) == 2 and ["Jm\r\nM", "2001", "1"] in (
+        cells for _, cells in kept)
+    assert diagnostics == expected
+    assert rows == kept
 
 
 @pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
