@@ -48,6 +48,7 @@ from .disambiguation import (
     AffiliationDictionary,
     DisambiguationResult,
     MatchOutcome,
+    decide,
     disambiguate_corpus,
     match_author,
     normalize_text,
@@ -122,6 +123,7 @@ __all__ = [
     "build_input_vector",
     "compare_rankings",
     "compute_output_vector",
+    "decide",
     "decompose",
     "disambiguate_corpus",
     "efficiency_score",

@@ -8,26 +8,25 @@ its year who share its surname key (the normalized surname without
 spaces; an empty key matches nothing) and whose normalized initials
 start with the token's.  Anything still ambiguous is exported for
 human review rather than auto-resolved.
+
+``decide`` is the one matching loop: it yields each publication with
+its authors' outcomes, and ``disambiguate_corpus`` keeps only what the
+study reads of them, so no outcome outlives the matching.
 """
 
 from __future__ import annotations
 
 import functools
 import unicodedata
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .records import AuthorToken, Publication, StaffRegistry
 
 MATCHED = "matched"
 AMBIGUOUS = "ambiguous"
 UNMATCHED = "unmatched"
-
-CATEGORY_RESOLVED = "resolved"
-CATEGORY_MANUAL = "manual"
-CATEGORY_DISCARDED = "discarded"
-CATEGORY_UNRESOLVABLE = "unresolvable"
 
 
 def _fold_once(text: str) -> str:
@@ -114,15 +113,14 @@ class AffiliationDictionary:
         return self._fields[field]
 
 
-@dataclass(frozen=True)
-class MatchOutcome:
+class MatchOutcome(NamedTuple):
     """Result of matching one author token: matched to a staff id,
     ambiguous among several candidates, or unmatched.
 
-    The constructors intern: each returns one object per distinct
-    decision, memoized for the life of the process like ``surname_key``,
-    since a corpus repeats few decisions over many tokens.  An outcome
-    built directly is equal to, and hashes like, the interned one."""
+    ``matched`` interns for one ``decide`` call: it returns one object
+    per staff id until the call finishes, since a corpus repeats few
+    decisions over many tokens.  Every unmatched token shares one
+    module constant; an ambiguous outcome is built as it is found."""
 
     kind: str
     staff_id: str | None = None
@@ -133,64 +131,38 @@ class MatchOutcome:
     def matched(staff_id: str) -> "MatchOutcome":
         return MatchOutcome(MATCHED, staff_id=staff_id)
 
-    @staticmethod
-    def ambiguous(candidates: Iterable[str]) -> "MatchOutcome":
-        return _ambiguous(tuple(candidates))
 
-    @staticmethod
-    @functools.lru_cache(maxsize=None)
-    def unmatched() -> "MatchOutcome":
-        return MatchOutcome(UNMATCHED)
-
-
-@functools.lru_cache(maxsize=None)
-def _ambiguous(candidates: tuple[str, ...]) -> MatchOutcome:
-    return MatchOutcome(AMBIGUOUS, candidates=candidates)
+_UNMATCHED = MatchOutcome(UNMATCHED)
 
 
 @dataclass(frozen=True)
 class DisambiguationResult:
-    """Per publication id, its authors' outcomes (position k at index
-    k - 1, ``()`` for an author-less publication) and its category, plus
-    ``matched_cells``: per publication with at least one matched author,
-    the matched-author count b of each (area, university) cell, in
-    author-position order.  Publications whose maps are equal, in the
-    same order, share one dict, so the maps are read-only.  Ingest
-    rejects duplicate publication ids, so every publication has exactly
-    one entry and one category.
-    ``manual_review`` holds the ``manual_review`` table's rows, one per
-    ambiguous author token, in publication order."""
+    """What the study reads of the matching: ``matched_cells``, per
+    publication with at least one matched author, the matched-author
+    count b of each (area, university) cell, in author-position order
+    (publications whose maps are equal, in the same order, share one
+    dict, so the maps are read-only); ``manual_review``, the
+    ``manual_review`` table's rows, one per ambiguous author token, in
+    publication order; the errors; and ``stats``, the
+    ``disambiguation_stats`` row of publications per category.  No
+    outcome is kept: ``decide`` gives them."""
 
-    outcomes: Mapping[str, tuple[MatchOutcome, ...]]
-    categories: Mapping[str, str]
     manual_review: tuple[dict, ...]
     errors: tuple[str, ...]
     matched_cells: Mapping[str, Mapping[tuple[str, str], int]]
-
-    @property
-    def stats(self) -> dict:
-        """The ``disambiguation_stats`` row: publications per category."""
-        counts = Counter(self.categories.values())
-        return {
-            "total": len(self.categories),
-            "resolved": counts[CATEGORY_RESOLVED],
-            "manual": counts[CATEGORY_MANUAL],
-            "discarded": counts[CATEGORY_DISCARDED],
-            "unresolvable": counts[CATEGORY_UNRESOLVABLE],
-        }
+    stats: dict
 
 
 def match_author(token: AuthorToken, staff_in_scope) -> MatchOutcome:
     """Apply the initials rule to one token against its surname scope.
 
-    ``staff_in_scope`` holds the members ``disambiguate_corpus`` selected
-    for the token: active in the publication year, at a university the
+    ``staff_in_scope`` holds the members ``decide`` selected for the
+    token: active in the publication year, at a university the
     publication names, and with the token's surname key; surnames are
     not compared again here.  A member survives when the token's
     normalized initials are a prefix of its own (for a one-initial token,
     when the first initials agree); a single survivor is a match, several
-    are ambiguous (in staff-id order), none is unmatched.  The outcome
-    is the interned one of its ``MatchOutcome`` constructor.
+    are ambiguous (in staff-id order), none is unmatched.
     """
     token_initials = _normalized_initials(token.initials)
     k = len(token_initials)
@@ -199,9 +171,56 @@ def match_author(token: AuthorToken, staff_in_scope) -> MatchOutcome:
     if len(found) == 1:
         return MatchOutcome.matched(found[0])
     if found:
-        found.sort()
-        return MatchOutcome.ambiguous(found)
-    return MatchOutcome.unmatched()
+        return MatchOutcome(AMBIGUOUS, candidates=tuple(sorted(found)))
+    return _UNMATCHED
+
+
+def decide(
+    publications: Iterable[Publication],
+    staff: StaffRegistry,
+    dictionary: AffiliationDictionary,
+    overrides: Mapping[tuple[str, int], str | None] | None = None,
+) -> Iterator[tuple[Publication, tuple[MatchOutcome, ...]]]:
+    """Yield each publication with its authors' outcomes, in input order.
+
+    The outcomes are in author order, ``()`` for a publication with no
+    author list.  Overrides (from a review file that ``load_overrides``
+    has checked against the corpus) replace rule matching for the named
+    positions.  Every other token is decided by one ``match_author``
+    call on its scope, built in the order of the publication's
+    universities and of the registry.  Matched outcomes are interned
+    until the call finishes, and then released.
+    """
+    # The one place where candidates are selected by surname: per
+    # university, its members by surname key.  A member whose key is
+    # empty is never filed, so no token can reach it.
+    by_surname: dict[str, dict[str, list]] = defaultdict(dict)
+    for member in staff:
+        if key := surname_key(member.surname):
+            by_surname[member.university_id].setdefault(key, []).append(member)
+    try:
+        for pub in publications:
+            if not pub.authors:
+                yield pub, ()
+                continue
+            year = pub.year
+            filed = [by_surname[university_id] for university_id
+                     in dictionary.universities(pub.raw_affiliations)]
+            outcomes = []
+            for position, token in enumerate(pub.authors, start=1):
+                if overrides and (pub.pub_id, position) in overrides:
+                    staff_id = overrides[pub.pub_id, position]
+                    outcomes.append(_UNMATCHED if staff_id is None
+                                    else MatchOutcome.matched(staff_id))
+                    continue
+                token_key = surname_key(token.surname)
+                scope = [member for by_key in filed
+                         for member in by_key.get(token_key, ())
+                         if member.year_from <= year <= member.year_to]
+                outcomes.append(match_author(token, scope))
+            yield pub, tuple(outcomes)
+    finally:
+        MatchOutcome.matched.cache_clear()
 
 
 def disambiguate_corpus(
@@ -210,89 +229,59 @@ def disambiguate_corpus(
     dictionary: AffiliationDictionary,
     overrides: Mapping[tuple[str, int], str | None] | None = None,
 ) -> DisambiguationResult:
-    """Classify every publication and record its authors' outcomes.
+    """Classify every publication by its outcomes from ``decide``.
 
-    Publications with no author list at all are reported as unresolvable
-    and skipped.  A publication with any ambiguous token goes to manual
-    review; one with no staff evidence at all is discarded; the rest are
-    resolved.  Overrides (from a review file that ``load_overrides`` has
-    checked against the corpus) replace rule matching for the named
-    positions.  Every other token is decided by one ``match_author``
-    call on its scope, built in the order of the publication's
-    universities and of the registry.  Each matched author, override or
-    not, counts toward the (area, university) cell of its staff member.
-    Outcomes are the interned objects of the ``MatchOutcome``
-    constructors, so equal outcomes are one object.
+    Publications with no author list at all are reported as unresolvable.
+    A publication with any ambiguous token goes to manual review; one
+    with no staff evidence at all is discarded; the rest are resolved.
+    Each matched author, override or not, counts toward the (area,
+    university) cell of its staff member.
     """
-    # The one place where candidates are selected by surname: per
-    # university, its members by surname key.  A member whose key is
-    # empty is never filed, so no token can reach it.
-    by_surname: dict[str, dict[str, list]] = defaultdict(dict)
-    cell_of: dict[str, tuple[str, str]] = {}
-    for member in staff:
-        cell_of[member.staff_id] = (member.area_id, member.university_id)
-        if key := surname_key(member.surname):
-            by_surname[member.university_id].setdefault(key, []).append(member)
-
-    outcomes: dict[str, tuple[MatchOutcome, ...]] = {}
+    cell_of = {member.staff_id: (member.area_id, member.university_id)
+               for member in staff}
+    counts = dict.fromkeys(("resolved", "manual", "discarded",
+                            "unresolvable"), 0)
     manual_rows: list[dict] = []
-    categories: dict[str, str] = {}
     errors: list[str] = []
     matched_cells: dict[str, dict[tuple[str, str], int]] = {}
     # One dict per distinct cell-count map, in its order: a corpus has
     # many publications and few distinct maps.
     shared_cells: dict[tuple, dict[tuple[str, str], int]] = {}
 
-    for pub in publications:
+    for pub, outcomes in decide(publications, staff, dictionary, overrides):
         pub_id = pub.pub_id
-        if not pub.authors:
-            outcomes[pub_id] = ()
-            categories[pub_id] = CATEGORY_UNRESOLVABLE
+        if not outcomes:
+            counts["unresolvable"] += 1
             errors.append(f"publication {pub_id!r} has an empty author list")
             continue
-        year = pub.year
-        filed = [by_surname[university_id] for university_id
-                 in dictionary.universities(pub.raw_affiliations)]
-        pub_outcomes = []
         cells: dict[tuple[str, str], int] = {}
         ambiguous = False
-        for position, token in enumerate(pub.authors, start=1):
-            if overrides and (pub_id, position) in overrides:
-                staff_id = overrides[pub_id, position]
-                outcome = (MatchOutcome.unmatched() if staff_id is None
-                           else MatchOutcome.matched(staff_id))
-            else:
-                token_key = surname_key(token.surname)
-                scope = [member for by_key in filed
-                         for member in by_key.get(token_key, ())
-                         if member.year_from <= year <= member.year_to]
-                outcome = match_author(token, scope)
-            pub_outcomes.append(outcome)
+        for outcome in outcomes:
             if outcome.kind == MATCHED:
                 cell = cell_of[outcome.staff_id]
                 cells[cell] = cells.get(cell, 0) + 1
             elif outcome.kind == AMBIGUOUS:
                 ambiguous = True
-                manual_rows.append({
-                    "pub_id": pub_id, "author_position": position,
-                    "token": str(token),
-                    "candidates": ";".join(outcome.candidates),
-                })
-        outcomes[pub_id] = tuple(pub_outcomes)
         if cells:
             matched_cells[pub_id] = shared_cells.setdefault(
                 tuple(cells.items()), cells)
         if ambiguous:
-            categories[pub_id] = CATEGORY_MANUAL
+            counts["manual"] += 1
+            manual_rows += (
+                {"pub_id": pub_id, "author_position": position,
+                 "token": str(token),
+                 "candidates": ";".join(outcome.candidates)}
+                for position, (token, outcome)
+                in enumerate(zip(pub.authors, outcomes), start=1)
+                if outcome.kind == AMBIGUOUS)
         elif cells:
-            categories[pub_id] = CATEGORY_RESOLVED
+            counts["resolved"] += 1
         else:
-            categories[pub_id] = CATEGORY_DISCARDED
+            counts["discarded"] += 1
 
     return DisambiguationResult(
-        outcomes=outcomes,
-        categories=categories,
         manual_review=tuple(manual_rows),
         errors=tuple(errors),
         matched_cells=matched_cells,
+        stats={"total": sum(counts.values()), **counts},
     )

@@ -29,7 +29,11 @@ from uniprod.bibliometrics import MatchedCorpus, compute_output_vector
 from uniprod.cli import main as cli_main
 from uniprod.config import RunConfig
 from uniprod.dea import CRS, NIRS, VRS, DeaProblem, DmuRecord, decompose, scores
-from uniprod.disambiguation import AffiliationDictionary, disambiguate_corpus
+from uniprod.disambiguation import (
+    AffiliationDictionary,
+    decide,
+    disambiguate_corpus,
+)
 from uniprod.errors import DegenerateDmuError, InvariantViolationError
 from uniprod.ingest import ingest, parse_author_field
 from uniprod.lp import solve_lp
@@ -337,6 +341,8 @@ def test_c06_output_construction_matches_bruteforce(gate, tmp_path):
             corpus.publications, corpus.staff, corpus.affiliations
         )
         matched = MatchedCorpus(corpus.publications, resolved.matched_cells)
+        outcomes = {p.pub_id: o for p, o in decide(
+            corpus.publications, corpus.staff, corpus.affiliations)}
         for area_id in corpus.staff.area_ids():
             for university_id in corpus.staff.universities_in_area(area_id):
                 cells += 1
@@ -345,7 +351,7 @@ def test_c06_output_construction_matches_bruteforce(gate, tmp_path):
                     config.years,
                 )
                 pu, pc, ss = cell_outputs_bruteforce(
-                    corpus.publications, resolved.outcomes, corpus.staff,
+                    corpus.publications, outcomes, corpus.staff,
                     corpus.journals, area_id, university_id, config.years,
                 )
                 if (vector.pu, vector.pc, vector.ss) != (pu, pc, ss):
@@ -492,16 +498,23 @@ def test_c07_disambiguation_reproduces_hand_labels(gate):
     result = disambiguate_corpus(publications, staff, dictionary)
 
     outcome_by_token = {
-        (pub_id, position): outcome
-        for pub_id, outcomes in result.outcomes.items()
+        (p.pub_id, position): outcome
+        for p, outcomes in decide(publications, staff, dictionary)
         for position, outcome in enumerate(outcomes, start=1)
     }
+    # Each publication's category, by the package's own rule: the one
+    # category whose count is 1 when it is disambiguated alone.
+    categories = {}
+    for p in publications:
+        stats = disambiguate_corpus([p], staff, dictionary).stats
+        categories[p.pub_id] = [name for name, count in stats.items()
+                                if name != "total" and count == 1]
     failures = []
     expected_tokens = 0
     for pub_id, category, _, _, expected in rows:
-        if result.categories.get(pub_id) != category:
-            failures.append((pub_id, "category",
-                             result.categories.get(pub_id), category))
+        if categories[pub_id] != [category]:
+            failures.append((pub_id, "category", categories[pub_id],
+                             category))
         for position, expectation in enumerate(expected, start=1):
             expected_tokens += 1
             outcome = outcome_by_token.get((pub_id, position))

@@ -7,7 +7,9 @@ The tracer's after-hooks read results and arguments of the functions
 they wrap (``LpSolution.iterations``, the problem, unit and regime of
 ``solve_output_oriented``); the second test runs them on a small study so
 that a renamed field or a moved argument fails here, not only in a
-traced benchmark run.
+traced benchmark run.  It also checks the matching counts against
+``decide`` on the same data, so a matching loop that bypasses the hooked
+``match_author`` binding fails here too.
 
 The benchmark's probe (``perfbench/probe.py``) also reads the fields of
 the analytics results for the frontier-wide workload; the last test
@@ -22,6 +24,8 @@ import numpy as np
 from uniprod import cli, dea
 from uniprod.analysis import rank, sensitivity_drop_input, tertile_summary
 from uniprod.dea import decompose
+from uniprod.disambiguation import decide
+from uniprod.ingest import ingest
 from uniprod.synthetic import write_synthetic_dataset
 
 from .oracles import random_dea_problem
@@ -64,10 +68,16 @@ def test_after_hooks_count_a_study(tmp_path, monkeypatch):
         found = tracer._resolve(module, path)
         if found is not None:
             monkeypatch.setattr(*found)
-    trace = tracer.Trace()
-    trace.install()
     data = write_synthetic_dataset(tmp_path / "data", seed=7, n_areas=2,
                                    n_universities=8)
+    # Counted before the hooks go in; the study runs without overrides,
+    # so every author token is one match_author call.
+    corpus = ingest(data)
+    outcomes = [o for _, per_pub in decide(corpus.publications, corpus.staff,
+                                           corpus.affiliations)
+                for o in per_pub]
+    trace = tracer.Trace()
+    trace.install()
     code = cli.main([str(data), "--out", str(tmp_path / "report"),
                      "--drop-input", "PR", "--compare-partial"])
     assert code == 0
@@ -77,6 +87,10 @@ def test_after_hooks_count_a_study(tmp_path, monkeypatch):
     assert counters["lp.calls"] == len(iterations) == sum(
         counters[f"dea.lp_calls.{regime}"] for regime in dea.REGIMES)
     assert counters["lp.pivots"] == sum(iterations)
+    assert counters["disambiguation.tokens"] == len(outcomes) == sum(
+        len(p.authors) for p in corpus.publications)
+    assert counters["disambiguation.matched"] == sum(
+        o.kind == "matched" for o in outcomes) > 0
 
 
 def test_probe_reads_the_frontier_results():

@@ -19,6 +19,7 @@ from uniprod.config import RunConfig
 from uniprod.disambiguation import (
     MATCHED,
     AffiliationDictionary,
+    decide,
     disambiguate_corpus,
 )
 from uniprod.errors import (
@@ -221,6 +222,8 @@ class TestCorpusInvariants:
             np.random.default_rng(31))
         result = disambiguate_corpus(pubs, registry, dictionary)
         corpus = MatchedCorpus(pubs, result.matched_cells)
+        outcomes = {p.pub_id: o for p, o in decide(pubs, registry,
+                                                   dictionary)}
         years = [2001, 2002, 2003]
         for area in ("A1", "A2"):
             for uni in ("U1", "U2", "U3"):
@@ -229,7 +232,7 @@ class TestCorpusInvariants:
                 pu, pc, ss = vector.pu, vector.pc, vector.ss
                 assert 0.0 <= pc <= pu
                 opu, opc, oss = cell_outputs_bruteforce(
-                    pubs, result.outcomes, registry, journals,
+                    pubs, outcomes, registry, journals,
                     area, uni, years,
                 )
                 assert pu == opu
@@ -253,10 +256,10 @@ class TestCorpusInvariants:
                 )
         result = disambiguate_corpus(pubs, registry, dictionary, overrides)
         matched_staff = {}
-        for pub_id, outcomes in result.outcomes.items():
+        for p, outcomes in decide(pubs, registry, dictionary, overrides):
             for outcome in outcomes:
                 if outcome.kind == MATCHED:
-                    matched_staff.setdefault(pub_id, []).append(
+                    matched_staff.setdefault(p.pub_id, []).append(
                         registry.member(outcome.staff_id))
         for p in pubs:
             members = matched_staff.get(p.pub_id)

@@ -8,6 +8,7 @@ import pytest
 from uniprod import cli
 from uniprod.cli import build_parser, main, parse_years
 from uniprod.config import RunConfig
+from uniprod.disambiguation import MatchOutcome
 from uniprod.synthetic import write_synthetic_dataset
 
 from .fixtures import write_demo_dataset, write_override_file
@@ -295,6 +296,29 @@ class TestCollector:
             finally:
                 gc.enable()
         assert garbage[0] == garbage[1] < 500
+
+    def test_no_match_outcome_outlives_a_run(self, tmp_path, capsys):
+        # Counted both among the collector's objects and among their
+        # referents: the collector may untrack a tuple of strings, but
+        # not a container that holds one.
+        def live_outcomes():
+            gc.collect()
+            tracked = gc.get_objects()
+            referents = {id(r) for r in gc.get_referents(*tracked)
+                         if type(r) is MatchOutcome}
+            return (sum(type(o) is MatchOutcome for o in tracked),
+                    len(referents))
+
+        # Tests that call match_author directly, outside any run, leave
+        # their outcomes interned until a run ends; release them first.
+        MatchOutcome.matched.cache_clear()
+        before = live_outcomes()
+        for seed in (3, 4):
+            root = write_synthetic_dataset(tmp_path / f"corpus-{seed}",
+                                           seed=seed, n_areas=2,
+                                           n_universities=6)
+            assert main([str(root), "--out", str(tmp_path / f"r{seed}")]) == 0
+            assert live_outcomes() == before, seed
 
 
 class TestParserHelp:

@@ -11,6 +11,7 @@ from uniprod.disambiguation import (
     UNMATCHED,
     AffiliationDictionary,
     MatchOutcome,
+    decide,
     disambiguate_corpus,
     match_author,
     normalize_text,
@@ -36,6 +37,22 @@ def pub(pub_id, authors, affiliations, year=2002, doc_type="article"):
         AuthorToken(s, tuple(i)) for s, i in authors
     )
     return Publication(pub_id, year, doc_type, "J1", tokens, affiliations)
+
+
+def outcomes_of(publications, registry, dictionary, overrides=None):
+    """Each publication's outcomes by id, from one ``decide`` call."""
+    return {p.pub_id: outcomes
+            for p, outcomes in decide(publications, registry, dictionary,
+                                      overrides)}
+
+
+def category_of(publication, registry, dictionary):
+    """The one category whose count is 1 when the publication is
+    disambiguated alone."""
+    stats = disambiguate_corpus([publication], registry, dictionary).stats
+    (category,) = [name for name, count in stats.items()
+                   if name != "total" and count == 1]
+    return category
 
 
 DICT = AffiliationDictionary([
@@ -125,16 +142,16 @@ def test_empty_keys_and_missing_initials_never_match(tmp_path):
                 'P092,2002,article,J1,"LOMBARDI,M.A.;LOMBARDI,M.",'
                 '"Univ. of Alpha"\n')
     corpus = ingest(root)
-    res = disambiguate_corpus(corpus.publications, corpus.staff,
-                              corpus.affiliations)
-    unmatched = MatchOutcome.unmatched()
-    assert res.outcomes["P090"] == (unmatched, unmatched)
-    assert res.outcomes["P091"] == (unmatched, unmatched)
-    assert res.outcomes["P092"] == (unmatched, MatchOutcome.matched("S092"))
+    outcomes = outcomes_of(corpus.publications, corpus.staff,
+                           corpus.affiliations)
+    unmatched = MatchOutcome(UNMATCHED)
+    assert outcomes["P090"] == (unmatched, unmatched)
+    assert outcomes["P091"] == (unmatched, unmatched)
+    assert outcomes["P092"] == (unmatched, MatchOutcome.matched("S092"))
     for p in corpus.publications:
         if p.pub_id in ("P090", "P091", "P092"):
             assert [(o.kind, o.staff_id, o.candidates)
-                    for o in res.outcomes[p.pub_id]] == [
+                    for o in outcomes[p.pub_id]] == [
                 match_outcome_bruteforce(token, p, corpus.staff,
                                          corpus.affiliations)
                 for token in p.authors
@@ -238,19 +255,18 @@ REGISTRY = StaffRegistry([
 
 class TestDisambiguateCorpus:
     def test_single_clean_record(self):
-        res = disambiguate_corpus(
-            [pub("P1", [("BIANCHI", "C")], ("UNIV TESTONE",))], REGISTRY, DICT
-        )
+        pubs = [pub("P1", [("BIANCHI", "C")], ("UNIV TESTONE",))]
+        res = disambiguate_corpus(pubs, REGISTRY, DICT)
         assert res.stats["resolved"] == 1
         assert res.stats["manual"] == res.stats["discarded"] == 0
-        assert res.outcomes["P1"][0] == MatchOutcome.matched("S3")
+        assert outcomes_of(pubs, REGISTRY, DICT)["P1"][0] == (
+            MatchOutcome.matched("S3"))
 
     def test_no_staff_match_discarded(self):
-        res = disambiguate_corpus(
-            [pub("P1", [("SMITH", "J")], ("UNIV TESTONE",))], REGISTRY, DICT
-        )
+        p = pub("P1", [("SMITH", "J")], ("UNIV TESTONE",))
+        res = disambiguate_corpus([p], REGISTRY, DICT)
         assert res.stats["discarded"] == 1
-        assert res.categories["P1"] == "discarded"
+        assert category_of(p, REGISTRY, DICT) == "discarded"
 
     def test_empty_author_list_unresolvable(self):
         res = disambiguate_corpus(
@@ -282,13 +298,13 @@ class TestDisambiguateCorpus:
         assert res.stats["discarded"] == res.stats["unresolvable"] == 0
         expected = {
             ("P01", 1): MatchOutcome.matched("S3"),
-            ("P02", 1): MatchOutcome.ambiguous(("S1", "S2")),
+            ("P02", 1): MatchOutcome(AMBIGUOUS, candidates=("S1", "S2")),
             ("P03", 1): MatchOutcome.matched("S4"),
-            ("P03", 2): MatchOutcome.unmatched(),
-            ("P04", 1): MatchOutcome.ambiguous(("S7", "S8")),
+            ("P03", 2): MatchOutcome(UNMATCHED),
+            ("P04", 1): MatchOutcome(AMBIGUOUS, candidates=("S7", "S8")),
             ("P05", 1): MatchOutcome.matched("S5"),
             ("P05", 2): MatchOutcome.matched("S9"),
-            ("P06", 1): MatchOutcome.unmatched(),
+            ("P06", 1): MatchOutcome(UNMATCHED),
             ("P06", 2): MatchOutcome.matched("S10"),
             ("P07", 1): MatchOutcome.matched("S10"),
             ("P08", 1): MatchOutcome.matched("S6"),
@@ -297,7 +313,7 @@ class TestDisambiguateCorpus:
             ("P10", 1): MatchOutcome.matched("S9"),
         }
         got = {(pub_id, position): outcome
-               for pub_id, outcomes in res.outcomes.items()
+               for pub_id, outcomes in outcomes_of(pubs, REGISTRY, DICT).items()
                for position, outcome in enumerate(outcomes, start=1)}
         assert got == expected
         review = {(r["pub_id"], r["author_position"])
@@ -306,42 +322,39 @@ class TestDisambiguateCorpus:
 
     def test_scope_safety(self):
         # Neri is at U1; a publication naming only U2 cannot reach him.
-        res = disambiguate_corpus(
+        outcomes = outcomes_of(
             [pub("P1", [("NERI", "P")], ("UNIV DUESTO",))], REGISTRY, DICT
         )
-        assert res.outcomes["P1"][0].kind == UNMATCHED
+        assert outcomes["P1"][0].kind == UNMATCHED
 
     def test_year_scoping(self):
         reg = StaffRegistry(
             [staff("S1", "Neri", "Paolo", "U1", year_from=1995, year_to=2000)]
         )
-        res = disambiguate_corpus(
+        outcomes = outcomes_of(
             [pub("P1", [("NERI", "P")], ("UNIV TESTONE",), year=2002)], reg, DICT
         )
-        assert res.outcomes["P1"][0].kind == UNMATCHED
+        assert outcomes["P1"][0].kind == UNMATCHED
 
     def test_unknown_affiliation_means_no_scope(self):
-        res = disambiguate_corpus(
-            [pub("P1", [("NERI", "P")], ("SOME FOREIGN INSTITUTE",))],
-            REGISTRY, DICT,
-        )
-        assert res.outcomes["P1"][0].kind == UNMATCHED
-        assert res.categories["P1"] == "discarded"
+        p = pub("P1", [("NERI", "P")], ("SOME FOREIGN INSTITUTE",))
+        assert outcomes_of([p], REGISTRY, DICT)["P1"][0].kind == UNMATCHED
+        assert category_of(p, REGISTRY, DICT) == "discarded"
 
     def test_override_resolves_homonym(self):
         pubs = [pub("P1", [("ROSSI", "M")], ("UNIV TESTONE",))]
-        res = disambiguate_corpus(
-            pubs, REGISTRY, DICT, overrides={("P1", 1): "S2"}
-        )
-        assert res.outcomes["P1"][0] == MatchOutcome.matched("S2")
+        overrides = {("P1", 1): "S2"}
+        res = disambiguate_corpus(pubs, REGISTRY, DICT, overrides)
+        assert outcomes_of(pubs, REGISTRY, DICT, overrides)["P1"][0] == (
+            MatchOutcome.matched("S2"))
         assert res.stats["resolved"] == 1 and res.stats["manual"] == 0
 
     def test_override_to_none_discards(self):
         pubs = [pub("P1", [("ROSSI", "M")], ("UNIV TESTONE",))]
-        res = disambiguate_corpus(
-            pubs, REGISTRY, DICT, overrides={("P1", 1): None}
-        )
-        assert res.outcomes["P1"][0].kind == UNMATCHED
+        overrides = {("P1", 1): None}
+        res = disambiguate_corpus(pubs, REGISTRY, DICT, overrides)
+        assert outcomes_of(pubs, REGISTRY, DICT, overrides)["P1"][0].kind == (
+            UNMATCHED)
         assert res.stats["discarded"] == 1
 
     def test_deterministic(self):
@@ -351,7 +364,8 @@ class TestDisambiguateCorpus:
         ]
         a = disambiguate_corpus(pubs, REGISTRY, DICT)
         b = disambiguate_corpus(pubs, REGISTRY, DICT)
-        assert a.outcomes == b.outcomes
+        assert outcomes_of(pubs, REGISTRY, DICT) == outcomes_of(
+            pubs, REGISTRY, DICT)
         assert a.stats == b.stats
         assert a.manual_review == b.manual_review
 
@@ -366,7 +380,9 @@ class TestDisambiguateCorpus:
         s = res.stats
         assert (s["resolved"] + s["manual"] + s["discarded"]
                 + s["unresolvable"] == s["total"] == 4)
-        assert sorted(res.categories) == ["P1", "P2", "P3", "P4"]
+        categories = Counter(category_of(p, REGISTRY, DICT) for p in pubs)
+        assert categories == {name: count for name, count in s.items()
+                              if name != "total" and count}
 
 
 @pytest.mark.parametrize("seed", [101, 202, 303])
@@ -376,12 +392,11 @@ def test_matching_equals_registry_scan(tmp_path, seed):
     are not active in every year."""
     corpus = ingest(write_synthetic_dataset(
         tmp_path / "data", seed=seed, n_areas=2, n_universities=8))
-    res = disambiguate_corpus(corpus.publications, corpus.staff,
-                              corpus.affiliations)
-    assert list(res.outcomes) == [p.pub_id for p in corpus.publications]
-    for p in corpus.publications:
-        got = [(o.kind, o.staff_id, o.candidates)
-               for o in res.outcomes[p.pub_id]]
+    decided = list(decide(corpus.publications, corpus.staff,
+                          corpus.affiliations))
+    assert [p for p, _ in decided] == list(corpus.publications)
+    for p, outcomes in decided:
+        got = [(o.kind, o.staff_id, o.candidates) for o in outcomes]
         expected = [
             match_outcome_bruteforce(token, p, corpus.staff,
                                      corpus.affiliations)
@@ -400,7 +415,9 @@ def synthetic_corpus(tmp_path):
 def _outcomes(corpus):
     res = disambiguate_corpus(corpus.publications, corpus.staff,
                               corpus.affiliations)
-    return res.outcomes, res.stats, res.manual_review, res.categories
+    return (outcomes_of(corpus.publications, corpus.staff,
+                        corpus.affiliations),
+            res.stats, res.manual_review, res.matched_cells)
 
 
 def _clearing(cached):
@@ -475,19 +492,24 @@ class TestMemoizedMatching:
         assert not calls
 
     def test_equal_outcomes_are_one_object(self, synthetic_corpus):
-        outcomes = [o for per_pub in _outcomes(synthetic_corpus)[0].values()
+        # Within one call; an ambiguous outcome is built as it is found.
+        corpus = synthetic_corpus
+        outcomes = [o for per_pub in outcomes_of(
+                        corpus.publications, corpus.staff,
+                        corpus.affiliations).values()
                     for o in per_pub]
-        assert len({o.kind for o in outcomes}) == 3
-        assert len({id(o) for o in outcomes}) == len(set(outcomes))
+        assert {o.kind for o in outcomes} == {MATCHED, AMBIGUOUS, UNMATCHED}
+        shared = [o for o in outcomes if o.kind != AMBIGUOUS]
+        assert len({id(o) for o in shared}) == len(set(shared))
 
     def test_overridden_outcomes_are_shared_too(self, synthetic_corpus):
         corpus = synthetic_corpus
         pubs = [p for p in corpus.publications if len(p.authors) >= 2][:2]
         overrides = {(p.pub_id, 1): None for p in pubs}
-        res = disambiguate_corpus(corpus.publications, corpus.staff,
-                                  corpus.affiliations, overrides)
-        first, second = (res.outcomes[p.pub_id][0] for p in pubs)
-        assert first == second == MatchOutcome.unmatched()
+        outcomes = outcomes_of(corpus.publications, corpus.staff,
+                               corpus.affiliations, overrides)
+        first, second = (outcomes[p.pub_id][0] for p in pubs)
+        assert first == second == MatchOutcome(UNMATCHED)
         assert first is second
 
 
@@ -500,14 +522,13 @@ def paper_shaped(tmp_path):
     publication declared not on staff."""
     corpus = ingest(write_synthetic_dataset(tmp_path / "data", seed=23,
                                             n_areas=3, n_universities=10))
-    res = disambiguate_corpus(corpus.publications, corpus.staff,
-                              corpus.affiliations)
     overrides = {}
-    for i, p in enumerate(corpus.publications):
+    for i, (p, outcomes) in enumerate(decide(
+            corpus.publications, corpus.staff, corpus.affiliations)):
         if i % 5 == 0 and p.authors:
             overrides[p.pub_id, 1] = None
         if i % 3 == 0:
-            for position, o in enumerate(res.outcomes[p.pub_id], start=1):
+            for position, o in enumerate(outcomes, start=1):
                 if o.kind == AMBIGUOUS:
                     overrides[p.pub_id, position] = o.candidates[0]
     assert any(overrides.values()) and None in overrides.values()
@@ -548,29 +569,3 @@ def test_match_author_called_once_per_token_on_its_scope(paper_shaped,
     for (token, scope), (want_token, want_scope) in zip(calls, expected):
         assert token is want_token
         assert [m.staff_id for m in scope] == [m.staff_id for m in want_scope]
-
-
-def test_outcome_constructors_intern(paper_shaped):
-    corpus, overrides = paper_shaped
-    first = disambiguate_corpus(corpus.publications, corpus.staff,
-                                corpus.affiliations, overrides)
-    second = disambiguate_corpus(corpus.publications, corpus.staff,
-                                 corpus.affiliations, overrides)
-    seen = set()
-    for pub_id, outcomes in first.outcomes.items():
-        for a, b in zip(outcomes, second.outcomes[pub_id], strict=True):
-            assert a is b
-            if a.kind == MATCHED:
-                again = MatchOutcome.matched(a.staff_id)
-            elif a.kind == AMBIGUOUS:
-                again = MatchOutcome.ambiguous(iter(a.candidates))
-            else:
-                again = MatchOutcome.unmatched()
-            assert again is a
-            direct = MatchOutcome(a.kind, a.staff_id, a.candidates)
-            assert direct is not a
-            assert direct == a and hash(direct) == hash(a)
-            seen.add(a.kind)
-    assert seen == {MATCHED, AMBIGUOUS, UNMATCHED}
-    assert MatchOutcome.ambiguous(["S2", "S3"]) is MatchOutcome.ambiguous(
-        ("S2", "S3"))

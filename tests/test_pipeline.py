@@ -20,7 +20,7 @@ from uniprod.bibliometrics import (
 )
 from uniprod.config import RunConfig
 from uniprod.dea import DeaProblem, DmuRecord, decompose
-from uniprod.disambiguation import disambiguate_corpus
+from uniprod.disambiguation import decide, disambiguate_corpus
 from uniprod.errors import (
     InvariantViolationError,
     MissingDataError,
@@ -89,6 +89,8 @@ class TestVectors:
         disamb = disambiguate_corpus(corpus.publications, corpus.staff,
                                      corpus.affiliations)
         matched = MatchedCorpus(corpus.publications, disamb.matched_cells)
+        outcomes = {p.pub_id: o for p, o in decide(
+            corpus.publications, corpus.staff, corpus.affiliations)}
         for (area, uni), expected in EXPECTED_OUTPUTS.items():
             warnings: list[str] = []
             vec = compute_output_vector(matched, corpus.journals, area, uni,
@@ -96,7 +98,7 @@ class TestVectors:
             assert vec.as_tuple() == pytest.approx(
                 expected, abs=1e-12), (area, uni)
             oracle = cell_outputs_bruteforce(
-                corpus.publications, disamb.outcomes, corpus.staff,
+                corpus.publications, outcomes, corpus.staff,
                 corpus.journals, area, uni, config.years)
             assert vec.as_tuple() == pytest.approx(
                 oracle, abs=1e-12)
