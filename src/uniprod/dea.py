@@ -14,9 +14,14 @@ optimum of
 Scores are reciprocals: technical efficiency 1/phi_crs, pure technical
 efficiency 1/phi_vrs, scale efficiency their ratio.  Comparing the
 constant-returns score with the non-increasing-returns score separates
-increasing from decreasing returns for scale-inefficient units; the sign
-of the variable-returns LP's convexity dual settles most of them without
-a non-increasing-returns solve (see ``decompose``).
+increasing from decreasing returns for scale-inefficient units.
+
+``decompose`` solves every CRS LP and reads what it can from them.  A
+CRS-efficient unit is VRS-efficient, so it takes phi_vrs = 1 without a
+VRS LP (Banker, Charnes and Cooper 1984).  A scale-inefficient unit
+whose VRS convexity dual is >= 0 takes phi_nirs = phi_vrs, and one whose
+CRS optimum has sum lambda <= 1 takes phi_nirs = phi_crs (Banker and
+Thrall 1992).  The NIRS LP is solved only where neither rule answers.
 """
 
 from __future__ import annotations
@@ -82,10 +87,15 @@ class DeaProblem:
     The problem is immutable, so it caches what its LPs share: the
     envelopment rows of each regime, built once, and for each solved
     (unit, regime) LP its expansion factor and row duals, so that no LP
-    is solved twice.  The duals answer LPs that need no solve: a dropped
-    input's (``drop_input``) and VRS's convexity row's, which settles
-    the NIRS LP (``decompose``).  Nothing else of a solution is kept: a
-    dense intensity vector per LP would cost n floats each.
+    is solved twice.  Each CRS LP also files the sum of its intensities.
+    These answer LPs that need no solve.  A dropped input's LP keeps the
+    factor where the dual on its row is 0.0 (``drop_input``).  In
+    ``decompose``, a unit whose CRS factor snaps to 1 files phi_vrs = 1
+    and, as its VRS duals, its CRS duals with a zero convexity dual; a
+    scale-inefficient unit takes phi_nirs = phi_vrs where its VRS
+    convexity dual is >= 0.0, and phi_nirs = phi_crs where its CRS
+    intensities sum to at most 1.0.  Nothing else of a solution is kept:
+    a dense intensity vector per LP would cost n floats each.
     """
 
     dmus: tuple[DmuRecord, ...]
@@ -186,14 +196,21 @@ class DeaProblem:
 
     @cached_property
     def _phi_memo(self) -> dict[str, dict[int, float]]:
-        """Regime -> {unit index: solved phi}, filled by ``_phis``."""
+        """Regime -> {unit index: phi}, filled by ``_phis``, and for VRS
+        also by ``decompose``'s CRS-efficiency rule."""
         return {regime: {} for regime in REGIMES}
 
     @cached_property
     def _dual_memo(self) -> dict[str, dict[int, np.ndarray]]:
         """Regime -> {unit index: row duals of its LP}, filled by
-        ``solve_output_oriented``."""
+        ``solve_output_oriented``, and for VRS also by ``decompose``."""
         return {regime: {} for regime in REGIMES}
+
+    @cached_property
+    def _lambda_sum_memo(self) -> dict[int, float]:
+        """Unit index -> sum of the intensities of its CRS LP's optimum,
+        filled by ``solve_output_oriented``."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -243,9 +260,9 @@ def solve_output_oriented(
 ) -> tuple[float, np.ndarray]:
     """Radial expansion factor and intensity vector for one DMU.
 
-    The LP's row duals (inputs, outputs, then the convexity row) are kept
-    in the problem's memo for ``DeaProblem.drop_input`` and
-    ``decompose``.
+    The LP's row duals (inputs, outputs, then the convexity row), and a
+    CRS LP's intensity sum, are kept in the problem's memos for
+    ``DeaProblem.drop_input`` and ``decompose``.
     """
     objective, shared, relations, shared_b = _envelopment_rows(problem, regime)
     X, Y = problem._scaled
@@ -262,7 +279,10 @@ def solve_output_oriented(
             "(degenerate output vector)"
         )
     problem._dual_memo[regime][dmu_index] = sol.duals
-    return float(sol.x[0]), sol.x[1:].copy()
+    lambdas = sol.x[1:].copy()
+    if regime == CRS:
+        problem._lambda_sum_memo[dmu_index] = float(lambdas.sum())
+    return float(sol.x[0]), lambdas
 
 
 def _phis(problem: DeaProblem, regime: str, units=None) -> dict[int, float]:
@@ -311,35 +331,65 @@ def scores(problem: DeaProblem, regime: str) -> dict[str, float]:
 def decompose(problem: DeaProblem) -> list[EfficiencyResult]:
     """Full three-model decomposition for every DMU in the problem.
 
-    NIRS is solved only for scale-inefficient units, and of those only
-    where the VRS LP does not already answer it.  A unit is
+    Every CRS LP is solved; the VRS and NIRS LPs only where the CRS and
+    VRS solutions do not answer them.
+
+    VRS: the VRS region lies inside the CRS region and holds the unit
+    itself, so 1 <= phi_vrs <= phi_crs, and a unit whose CRS factor
+    snaps to 1 takes phi_vrs = 1 (Banker, Charnes and Cooper).  Its CRS
+    duals with a zero dual appended for the convexity row are feasible
+    for the VRS dual with objective 1, so they are filed as its VRS
+    duals, for ``drop_input`` to seed from.  A phi_vrs already solved,
+    by ``scores(problem, VRS)``, stays with its duals.
+
+    NIRS is read only for scale-inefficient units.  A unit is
     scale-inefficient by ``classify_rts``'s own test: its CRS and VRS
     scores differ by more than ``RTS_TOL``.  Any other unit is classed
     constant whatever NIRS reads, and takes phi_nirs = phi_vrs; where
     its CRS and VRS factors agree, the NIRS region, which lies between
-    the two, gives that factor.  The NIRS LP is the VRS LP with
-    sum lambda <= 1 in place of = 1, and its slack column is the VRS
-    convexity row's artificial column.  So the final VRS tableau is a
-    feasible NIRS tableau at the same basis, and where that column's
-    reduced cost, the convexity dual, is >= 0.0 no column improves it:
-    phi_nirs = phi_vrs bit for bit (Banker and Thrall's sign test).
-    NIRS is solved where the dual is negative (increasing returns
-    signalled) or not on record (a phi that ``drop_input`` seeded).
+    the two, gives that factor.  For the scale-inefficient units, two
+    rules (Banker and Thrall), in this order:
+
+    - The NIRS LP is the VRS LP with sum lambda <= 1 in place of = 1,
+      and its slack column is the VRS convexity row's artificial column.
+      So the final VRS tableau is a feasible NIRS tableau at the same
+      basis, and where that column's reduced cost, the convexity dual,
+      is >= 0.0 no column improves it: phi_nirs = phi_vrs bit for bit.
+    - A CRS optimum whose intensities sum to at most 1.0 is feasible for
+      NIRS, whose region lies inside the CRS region: phi_nirs = phi_crs.
+
+    NIRS is solved where neither rule answers: an alternative CRS
+    optimum with sum lambda > 1, or a factor that ``drop_input`` seeded,
+    which has no duals or intensity sum on record.
     """
     phi_crs = _phis(problem, CRS)
-    phi_vrs = _phis(problem, VRS)
+    crs_duals = problem._dual_memo[CRS]
+    vrs_memo = problem._phi_memo[VRS]
     vrs_duals = problem._dual_memo[VRS]
-    unanswered = [
-        k for k in range(problem.n_dmus)
-        if _scale_inefficient(phi_crs[k], phi_vrs[k])
-        and (k not in vrs_duals or vrs_duals[k][-1] < 0.0)
-    ]
+    for k in range(problem.n_dmus):
+        if _snap_phi(phi_crs[k]) == 1.0 and k not in vrs_memo:
+            vrs_memo[k] = 1.0
+            if k in crs_duals:
+                vrs_duals[k] = np.append(crs_duals[k], 0.0)
+    phi_vrs = _phis(problem, VRS)
+    lambda_sums = problem._lambda_sum_memo
+    phi_nirs = {}
+    unanswered = []
+    for k in range(problem.n_dmus):
+        if not _scale_inefficient(phi_crs[k], phi_vrs[k]):
+            continue
+        if k in vrs_duals and vrs_duals[k][-1] >= 0.0:
+            continue
+        if lambda_sums.get(k, np.inf) <= 1.0:
+            phi_nirs[k] = phi_crs[k]
+        else:
+            unanswered.append(k)
     # Only these units' NIRS factors are read, even when an earlier
     # ``scores(problem, NIRS)`` memoized the rest, and an answered unit's
-    # phi_vrs is not filed as its NIRS factor, so the result does not
+    # factor is not filed as its NIRS factor, so the result does not
     # depend on what ran before.
     solved = _phis(problem, NIRS, unanswered)
-    phi_nirs = {k: solved[k] for k in unanswered}
+    phi_nirs.update((k, solved[k]) for k in unanswered)
     results = []
     for k, dmu in enumerate(problem.dmus):
         phi_c = phi_crs[k]
@@ -382,7 +432,7 @@ def decompose(problem: DeaProblem) -> list[EfficiencyResult]:
 def _scale_inefficient(phi_crs: float, phi_vrs: float) -> bool:
     """``classify_rts``'s constant-returns test on the scores that
     ``decompose`` reports before NIRS is read: a unit whose phi_nirs is
-    phi_vrs keeps these scores."""
+    phi_vrs or phi_crs keeps these scores."""
     phi_v = max(_snap_phi(phi_vrs), 1.0)
     te = efficiency_score(max(_snap_phi(phi_crs), phi_v))
     return abs(te - efficiency_score(phi_v)) > RTS_TOL

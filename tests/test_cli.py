@@ -2,9 +2,14 @@
 
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import uniprod
 from uniprod import cli
 from uniprod.cli import build_parser, main, parse_years
 from uniprod.config import RunConfig
@@ -319,6 +324,31 @@ class TestCollector:
                                            n_universities=6)
             assert main([str(root), "--out", str(tmp_path / f"r{seed}")]) == 0
             assert live_outcomes() == before, seed
+
+
+class TestHashSeed:
+    def test_report_does_not_depend_on_the_hash_seed(self, tmp_path):
+        """No table's rows may follow a set's or dict's hash order: the
+        CLI, run as a fresh process under three string-hash seeds, writes
+        byte-identical reports."""
+        root = write_synthetic_dataset(tmp_path / "data", seed=3, n_areas=3,
+                                       n_universities=12)
+        package_root = str(Path(uniprod.__file__).resolve().parent.parent)
+        path = os.pathsep.join(
+            p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+        reports = {}
+        for hashseed in ("0", "1", "12345"):
+            out = tmp_path / f"report-{hashseed}"
+            subprocess.run(
+                [sys.executable, "-m", "uniprod.cli", str(root), "--out",
+                 str(out), "--drop-input", "PR", "--compare-partial"],
+                env=dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=path),
+                check=True, capture_output=True)
+            reports[hashseed] = {
+                p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert len(reports["0"]) > 5
+        assert reports["1"] == reports["0"]
+        assert reports["12345"] == reports["0"]
 
 
 class TestParserHelp:

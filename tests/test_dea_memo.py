@@ -4,15 +4,20 @@ None of that may change a bit of ``decompose`` or ``scores``: they are
 compared for exact equality with a reference that builds each LP's rows
 from scratch as lists and solves them.
 
-``decompose`` solves NIRS only for a scale-inefficient unit whose VRS
-LP's convexity dual is negative or not on record, and takes phi_vrs as
-the NIRS factor of the others.  The reference applies the same
-certificate, read from its own VRS LP.  On the C03-C05 generators and
-the wide problem, ``decompose`` is bit-equal to it, and to the
-decomposition with all three LPs solved for every unit in every field
-but phi_nirs.  There and on every paper-scale area, every phi_nirs is
-within 1e-9 of its NIRS LP's, and every returns-to-scale class is the
-all-LP one.
+``decompose`` reads what it can from the CRS LPs.  A unit whose CRS
+factor snaps to 1 takes phi_vrs = 1 without a VRS LP, and files its CRS
+duals with a zero convexity dual as its VRS duals.  A scale-inefficient
+unit takes phi_vrs as its NIRS factor where its VRS LP's convexity dual
+is >= 0.0, else phi_crs where its CRS LP's intensities sum to at most
+1.0; only where neither rule answers (a factor that ``drop_input``
+seeded, with neither on record) is its NIRS LP solved.  The reference
+applies the same rules, read from its own LPs.  On the C03-C05
+generators and the wide problem, ``decompose`` is bit-equal to it, and
+to the decomposition with all three LPs solved for every unit in every
+field but phi_nirs, except phi_crs, te and se where the NIRS LP's phi
+exceeds the CRS LP's by rounding.  There and on every paper-scale area,
+every phi_nirs is within 1e-9 of its NIRS LP's, and every
+returns-to-scale class is the all-LP one.
 
 ``drop_input`` reuses the full model's factor wherever its LP's dual on
 the dropped row is exactly 0.0.  A reused factor is bit-equal to the
@@ -79,12 +84,28 @@ def reference_phi(problem, dmu_index, regime):
     return float(reference_solution(problem, dmu_index, regime).x[0])
 
 
+def crs_efficient(problem, k):
+    """Whether ``decompose`` files phi_vrs = 1 for unit ``k`` without a
+    VRS LP: its CRS factor snaps to 1."""
+    return dea._snap_phi(reference_phi(problem, k, CRS)) == 1.0
+
+
+def vrs_duals(problem, k):
+    """The VRS duals that ``decompose`` files for unit ``k``: its CRS
+    LP's duals and a zero convexity dual where the unit is CRS-efficient,
+    its VRS LP's duals elsewhere."""
+    if crs_efficient(problem, k):
+        return np.append(reference_solution(problem, k, CRS).duals, 0.0)
+    return reference_solution(problem, k, VRS).duals
+
+
 def binding(problem, label):
-    """Units whose full VRS LP has a nonzero dual on ``label``'s row: the
-    only ones that ``drop_input(label)`` re-solves."""
+    """Units whose VRS duals after ``decompose`` are nonzero on
+    ``label``'s row: the only ones that ``drop_input(label)``
+    re-solves."""
     row = problem.input_labels.index(label)
     return {k for k in range(problem.n_dmus)
-            if reference_solution(problem, k, VRS).duals[row] != 0.0}
+            if vrs_duals(problem, k)[row] != 0.0}
 
 
 #: ``reference_phis`` key of the NIRS factor that ``decompose`` reads
@@ -94,7 +115,8 @@ CERTIFIED = "nirs, certified"
 def reference_phis(problem):
     """phi per regime and unit, each LP solved from scratch, and under
     ``CERTIFIED`` the NIRS factor that ``decompose`` reads: phi_vrs where
-    the VRS LP's convexity dual is >= 0.0, the NIRS LP's phi elsewhere."""
+    the VRS LP's convexity dual is >= 0.0, else phi_crs where the CRS
+    LP's intensities sum to at most 1.0, else the NIRS LP's phi."""
     solutions = {
         regime: [reference_solution(problem, k, regime)
                  for k in range(problem.n_dmus)]
@@ -103,8 +125,10 @@ def reference_phis(problem):
     phis = {regime: [float(sol.x[0]) for sol in sols]
             for regime, sols in solutions.items()}
     phis[CERTIFIED] = [
-        phis[VRS][k] if sol.duals[-1] >= 0.0 else phis[NIRS][k]
-        for k, sol in enumerate(solutions[VRS])
+        phis[VRS][k] if vrs.duals[-1] >= 0.0
+        else phis[CRS][k] if crs.x[1:].sum() <= 1.0
+        else phis[NIRS][k]
+        for k, (crs, vrs) in enumerate(zip(solutions[CRS], solutions[VRS]))
     ]
     return phis
 
@@ -148,16 +172,27 @@ def assert_near_all_lp(problem, results):
     return phis
 
 
-def assert_bit_equal_references(problem, results):
-    """As ``assert_near_all_lp``, and bit-equal to the certified reference
-    and to the all-LP one in every field but phi_nirs."""
-    phis = assert_near_all_lp(problem, results)
-    got = as_tuples(results)
-    assert got == reference_decompose(phis, problem)
-    # phi_nirs, at index 3, is the one field the certificate may move.
+def assert_all_lp_bits(phis, problem, results):
+    """``decompose``'s results are bit-equal to the all-LP decomposition
+    in every field but phi_nirs, except phi_crs, te and se where the NIRS
+    LP's phi lifts phi_crs."""
     all_lp = reference_decompose(phis, problem, NIRS)
-    assert [row[:3] + row[4:] for row in got] == [
-        row[:3] + row[4:] for row in all_lp]
+    for row, ref, phi_c in zip(as_tuples(results), all_lp, phis[CRS]):
+        # Where the NIRS LP's phi exceeds the CRS LP's by rounding, the
+        # all-LP decomposition lifts phi_crs to it, and te and se with
+        # it; ``decompose`` takes phi_nirs = phi_crs there without that
+        # LP.  Fields: id, phi_crs, phi_vrs, phi_nirs, te, pte, se, rts.
+        lifted = ref[1] > max(dea._snap_phi(phi_c), ref[2])
+        fields = (0, 2, 5, 7) if lifted else (0, 1, 2, 4, 5, 6, 7)
+        assert [row[i] for i in fields] == [ref[i] for i in fields], row[0]
+
+
+def assert_bit_equal_references(problem, results):
+    """As ``assert_near_all_lp`` and ``assert_all_lp_bits``, and
+    bit-equal to the certified reference."""
+    phis = assert_near_all_lp(problem, results)
+    assert as_tuples(results) == reference_decompose(phis, problem)
+    assert_all_lp_bits(phis, problem, results)
     return phis
 
 
@@ -214,6 +249,38 @@ def wide_problem(n_units=250, seed=7):
     return DeaProblem(dmus, ("FP", "AP", "RF", "PR"), ("PU", "PC", "SS"))
 
 
+def planted_problem():
+    """Five units on one output.  B and C are CRS-efficient; A and D lie
+    below the small-scale end of the VRS frontier (increasing returns),
+    E beyond its large-scale end (decreasing).  D has ten times the
+    others' PR, so its PR row is slack in every one of its LPs."""
+    return DeaProblem(
+        (
+            DmuRecord("A", (1.0, 10.0), (1.0,)),
+            DmuRecord("B", (2.0, 10.0), (4.0,)),
+            DmuRecord("C", (4.0, 10.0), (6.0,)),
+            DmuRecord("D", (1.5, 100.0), (1.0,)),
+            DmuRecord("E", (5.0, 10.0), (5.0,)),
+        ),
+        ("STAFF", "PR"),
+        ("PU",),
+    )
+
+
+def recording_solves(monkeypatch):
+    """Patch ``solve_output_oriented`` to record each solve as (problem,
+    dmu id, regime); returns the record."""
+    solved = []
+    solve = dea.solve_output_oriented
+
+    def recording(p, k, regime):
+        solved.append((p, p.dmus[k].dmu_id, regime))
+        return solve(p, k, regime)
+
+    monkeypatch.setattr(dea, "solve_output_oriented", recording)
+    return solved
+
+
 def fresh(problem):
     """An equal problem with empty caches."""
     return DeaProblem(problem.dmus, problem.input_labels, problem.output_labels)
@@ -255,19 +322,24 @@ def test_wide_problem_bit_equal_to_per_lp_reference():
     assert result.comparison.mean_delta == want.mean_delta
 
 
-def test_decompose_does_not_depend_on_earlier_calls(monkeypatch):
+@pytest.mark.parametrize("earlier", [VRS, NIRS])
+def test_decompose_does_not_depend_on_earlier_calls(earlier, monkeypatch):
+    """After ``scores(problem, VRS)`` every CRS-efficient unit has a
+    solved phi_vrs in place of the filed 1.0, and after ``scores(problem,
+    NIRS)`` every unit has a NIRS factor: neither moves a bit of the
+    decomposition."""
     solve = dea.solve_output_oriented
 
     def wobbly(p, k, regime):
-        # Sub-tolerance solver noise on every NIRS factor.
+        # Sub-tolerance solver noise on every VRS and NIRS factor.
         phi, lambdas = solve(p, k, regime)
-        return (phi * (1.0 + 1e-13) if regime == NIRS else phi), lambdas
+        return (phi if regime == CRS else phi * (1.0 + 1e-13)), lambdas
 
     monkeypatch.setattr(dea, "solve_output_oriented", wobbly)
-    for problem in c03_problems()[:20]:
+    for problem in c03_problems()[:20] + [planted_problem()]:
         want = as_tuples(decompose(fresh(problem)))
         warm = fresh(problem)
-        scores(warm, NIRS)
+        scores(warm, earlier)
         assert as_tuples(decompose(warm)) == want
 
 
@@ -291,14 +363,24 @@ def test_each_lp_solved_once(problem, monkeypatch):
     n = problem.n_dmus
     per_regime = Counter(regime for (pid, _, regime) in calls
                          if pid == id(problem))
+    vrs_solved = {k for (pid, k, regime) in calls
+                  if pid == id(problem) and regime == VRS}
+    # VRS only where the unit is not CRS-efficient.
+    efficient = {k for k in range(n) if crs_efficient(problem, k)}
+    assert 0 < len(efficient) < n
+    assert vrs_solved == set(range(n)) - efficient
     # NIRS only where the unit is scale-inefficient (``classify_rts``'s
-    # test) and its VRS LP's convexity dual is negative.
-    increasing = sum(
-        1 for k, r in enumerate(results)
+    # test), its VRS LP's convexity dual is negative and its CRS LP's
+    # intensities sum to more than 1.0.
+    signalled = [
+        k for k, r in enumerate(results)
         if abs(r.te - r.pte) > RTS_TOL
-        and reference_solution(problem, k, VRS).duals[-1] < 0.0)
-    assert 0 < increasing < n
-    assert per_regime == Counter({CRS: n, VRS: n, NIRS: increasing})
+        and reference_solution(problem, k, VRS).duals[-1] < 0.0]
+    assert signalled
+    fallback = sum(1 for k in signalled
+                   if reference_solution(problem, k, CRS).x[1:].sum() > 1.0)
+    assert per_regime == Counter({CRS: n, VRS: n - len(efficient),
+                                  NIRS: fallback})
     # The smaller problem solves only the units whose dropped row binds.
     after = [key for key in calls if key[0] != id(problem)]
     assert all(regime == VRS for _, _, regime in after)
@@ -309,13 +391,11 @@ def test_each_lp_solved_once(problem, monkeypatch):
 @pytest.mark.parametrize("seed", [7, 90001])
 def test_certified_nirs_paper_areas(seed, tmp_path, monkeypatch):
     """Every area of the paper-scale corpus, as the pipeline built it:
-    each phi_nirs is within 1e-9 of its NIRS LP's, and every
-    returns-to-scale class is the one from solving all three LPs.  Bits
-    are not compared: a unit whose CRS and VRS scores are within RTS_TOL
-    is classed constant and takes phi_nirs = phi_vrs without a NIRS LP,
-    and where its NIRS LP's phi exceeds the CRS LP's by rounding, the
-    all-LP decomposition lifts phi_crs to it, while ``decompose`` leaves
-    phi_crs as solved (one unit of 262 at seed 7, te 2.7e-15 apart)."""
+    no NIRS LP is solved, each phi_nirs is within 1e-9 of its NIRS LP's,
+    and every other field is bit-equal to the all-LP decomposition's
+    (``assert_all_lp_bits``).  phi_nirs bits are not compared: a unit
+    whose CRS and VRS scores are within RTS_TOL is classed constant and
+    takes phi_nirs = phi_vrs without a NIRS LP."""
     from uniprod import pipeline
     from uniprod.config import RunConfig
     from uniprod.ingest import ingest
@@ -333,27 +413,28 @@ def test_certified_nirs_paper_areas(seed, tmp_path, monkeypatch):
                                        n_universities=60)
     pipeline.run_pipeline(ingest(data_dir), RunConfig())
     assert len(problems) == 9
-    solved = scale_inefficient = 0
+    solved = increasing = 0
     for problem in problems:
         copy = fresh(problem)
         results = decompose(copy)
-        assert_near_all_lp(problem, results)
+        phis = assert_near_all_lp(problem, results)
+        assert_all_lp_bits(phis, problem, results)
         solved += len(copy._phi_memo[NIRS])
-        # No NIRS LP for a unit that ``classify_rts`` classes constant
-        # without reading it.
-        assert all(abs(results[k].te - results[k].pte) > RTS_TOL
-                   for k in copy._phi_memo[NIRS])
-        scale_inefficient += sum(1 for r in results
-                                 if abs(r.te - r.pte) > RTS_TOL)
-    # The certificate answers most NIRS LPs, not all.
-    assert 0 < solved < scale_inefficient / 2
+        for r, phi_n in zip(results, phis[NIRS]):
+            assert abs(r.phi_nirs - phi_n) <= 1e-9, r.dmu_id
+        increasing += sum(1 for r in results if r.rts == RTS_INCREASING)
+    # The VRS convexity dual and the CRS intensity sum answer every NIRS
+    # LP, increasing returns included.
+    assert solved == 0
+    assert increasing > 0
 
 
-def test_increasing_returns_unit_solves_nirs(monkeypatch):
+def test_increasing_returns_unit_takes_crs_factor(monkeypatch):
     """D lies below the steep small-scale segment A-B of the VRS
-    frontier, so its VRS convexity dual is negative: its NIRS LP is
-    solved, and it is classed increasing (phi_nirs = phi_crs = 3).  E,
-    beyond the largest unit C, is answered by its VRS LP and classed
+    frontier, so its VRS convexity dual is negative, but its CRS optimum
+    (0.75 of B) has intensities summing to less than 1: it takes
+    phi_nirs = phi_crs = 3 without a NIRS LP and is classed increasing.
+    E, beyond the largest unit C, is answered by its VRS LP and classed
     decreasing (phi_nirs = phi_vrs = 1.2)."""
     problem = DeaProblem(
         (
@@ -367,23 +448,82 @@ def test_increasing_returns_unit_solves_nirs(monkeypatch):
         ("PU",),
     )
     assert reference_solution(problem, 3, VRS).duals[-1] < 0.0
+    assert reference_solution(problem, 3, CRS).x[1:].sum() <= 1.0
     assert reference_solution(problem, 4, VRS).duals[-1] >= 0.0
-    solved = []
-    solve = dea.solve_output_oriented
-
-    def recording(p, k, regime):
-        if regime == NIRS:
-            solved.append(p.dmus[k].dmu_id)
-        return solve(p, k, regime)
-
-    monkeypatch.setattr(dea, "solve_output_oriented", recording)
+    solved = recording_solves(monkeypatch)
     results = {r.dmu_id: r for r in decompose(problem)}
-    assert "D" in solved and "E" not in solved
+    assert [u for _, u, regime in solved if regime == NIRS] == []
     d, e = results["D"], results["E"]
+    assert d.phi_nirs == d.phi_crs
     assert (d.phi_crs, d.phi_nirs, d.phi_vrs) == pytest.approx((3.0, 3.0, 2.5))
     assert d.rts == RTS_INCREASING
     assert (e.phi_crs, e.phi_nirs, e.phi_vrs) == pytest.approx((2.0, 1.2, 1.2))
     assert e.rts == RTS_DECREASING
+
+
+def test_crs_efficient_unit_files_its_crs_duals(monkeypatch):
+    """B and C are CRS-efficient: ``decompose`` solves no VRS LP for
+    them and files their CRS duals, with a zero convexity dual, as their
+    VRS duals.  C's CRS dual on STAFF is 0.0, so dropping STAFF keeps
+    C's phi_vrs = 1 without a solve; B's is not, so B is re-solved."""
+    problem = planted_problem()
+    solved = recording_solves(monkeypatch)
+    results = decompose(problem)
+    assert [r.dmu_id for r in results if r.phi_crs == 1.0] == ["B", "C"]
+    assert [u for p, u, regime in solved if regime == VRS] == ["A", "D", "E"]
+    crs_duals, vrs_duals = problem._dual_memo[CRS], problem._dual_memo[VRS]
+    for k in (1, 2):
+        assert problem._phi_memo[VRS][k] == 1.0
+        assert vrs_duals[k].tolist() == crs_duals[k].tolist() + [0.0]
+    assert crs_duals[2][0] == 0.0 != crs_duals[1][0]
+
+    del solved[:]
+    result = sensitivity_drop_input(problem, "STAFF")
+    assert [u for p, u, _ in solved if p is problem] == []
+    resolved = [u for p, u, _ in solved]
+    assert "B" in resolved and "C" not in resolved
+    assert result.scores_after["C"] == 1.0
+    _assert_matches_fresh_resolve(problem, "STAFF")
+
+
+@pytest.mark.parametrize("gap", [5e-4, 1e-7])
+def test_nearly_efficient_unit_solves_vrs(gap, monkeypatch):
+    """F sits just below B, the most productive unit, so its CRS factor
+    is 1 + gap, outside the snap tolerance: its VRS LP is solved, and
+    phi_vrs is that factor too, not 1."""
+    problem = DeaProblem(
+        (
+            DmuRecord("A", (1.0,), (1.0,)),
+            DmuRecord("B", (2.0,), (4.0,)),
+            DmuRecord("C", (4.0,), (6.0,)),
+            DmuRecord("F", (2.0,), (4.0 / (1.0 + gap),)),
+        ),
+        ("STAFF",),
+        ("PU",),
+    )
+    solved = recording_solves(monkeypatch)
+    results = decompose(problem)
+    assert [u for _, u, regime in solved if regime == VRS] == ["A", "C", "F"]
+    f = results[3]
+    assert f.phi_vrs == pytest.approx(1.0 + gap, abs=1e-12)
+    assert f.phi_vrs > 1.0 + dea.PHI_SNAP_TOL
+    assert_bit_equal_references(problem, results)
+
+
+def test_seeded_factor_reaches_nirs_fallback(monkeypatch):
+    """``drop_input("PR")`` seeds D's CRS and VRS factors, which come
+    with no duals and no intensity sum, so neither the convexity-dual
+    sign nor the intensity sum answers D's NIRS factor: its NIRS LP is
+    solved, and the decomposition is the all-LP one."""
+    problem = planted_problem()
+    decompose(problem)
+    smaller = problem.drop_input("PR")
+    assert 3 in smaller._phi_memo[CRS] and 3 in smaller._phi_memo[VRS]
+    solved = recording_solves(monkeypatch)
+    results = decompose(smaller)
+    assert (smaller, "D", NIRS) in solved
+    assert results[3].rts == RTS_INCREASING
+    assert_near_all_lp(smaller, results)
 
 
 @pytest.mark.parametrize("problem", [c05_problems()[2], wide_problem(60, seed=3)],
