@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,6 +77,19 @@ class DmuRecord:
         object.__setattr__(self, "outputs", yout)
 
 
+class _Solved(NamedTuple):
+    """What a (unit, regime) LP leaves on its problem once solved: its
+    expansion factor, its row duals (inputs, outputs, then the convexity
+    row) and, for CRS, the sum of its optimum's intensities.  ``duals``
+    is None for a factor that ``drop_input`` seeded, and ``lambda_sum``
+    for any LP but a solved CRS one.  Nothing else of a solution is
+    kept: a dense intensity vector per LP would cost n floats each."""
+
+    phi: float
+    duals: np.ndarray | None
+    lambda_sum: float | None = None
+
+
 @dataclass(frozen=True)
 class DeaProblem:
     """An ordered set of comparable DMUs with labelled dimensions.
@@ -85,17 +99,11 @@ class DeaProblem:
     here (callers exclude and report them beforehand).
 
     The problem is immutable, so it caches what its LPs share: the
-    envelopment rows of each regime, built once, and for each solved
-    (unit, regime) LP its expansion factor and row duals, so that no LP
-    is solved twice.  Each CRS LP also files the sum of its intensities.
-    These answer LPs that need no solve.  A dropped input's LP keeps the
-    factor where the dual on its row is 0.0 (``drop_input``).  In
-    ``decompose``, a unit whose CRS factor snaps to 1 files phi_vrs = 1
-    and, as its VRS duals, its CRS duals with a zero convexity dual; a
-    scale-inefficient unit takes phi_nirs = phi_vrs where its VRS
-    convexity dual is >= 0.0, and phi_nirs = phi_crs where its CRS
-    intensities sum to at most 1.0.  Nothing else of a solution is kept:
-    a dense intensity vector per LP would cost n floats each.
+    envelopment rows of each regime, built once, and one ``_Solved``
+    record per (regime, unit) LP, so that no LP is solved twice.  The
+    records also answer LPs that need no solve: ``drop_input`` seeds the
+    smaller problem's, and ``decompose`` reads its VRS and NIRS factors
+    from the CRS and VRS ones where it can.
     """
 
     dmus: tuple[DmuRecord, ...]
@@ -136,14 +144,8 @@ class DeaProblem:
     def n_dmus(self) -> int:
         return len(self.dmus)
 
-    def input_matrix(self) -> np.ndarray:
-        return np.array([d.inputs for d in self.dmus], dtype=float)
-
-    def output_matrix(self) -> np.ndarray:
-        return np.array([d.outputs for d in self.dmus], dtype=float)
-
     def drop_input(self, label: str) -> "DeaProblem":
-        """The problem without one input column, its memo seeded from
+        """The problem without one input column, its records seeded from
         this one's.
 
         Column scaling is per column, so each smaller LP is this
@@ -165,12 +167,11 @@ class DeaProblem:
         ]
         smaller = DeaProblem(
             dmus, [self.input_labels[i] for i in keep], self.output_labels)
-        for regime, phis in self._phi_memo.items():
-            duals = self._dual_memo[regime]
-            for k, phi in phis.items():
-                y = duals.get(k)
-                if y is not None and y[row] == 0.0:
-                    smaller._phi_memo[regime][k] = phi
+        for regime, records in self._solved.items():
+            seeded = smaller._solved[regime]
+            for k, rec in records.items():
+                if rec.duals is not None and rec.duals[row] == 0.0:
+                    seeded[k] = _Solved(rec.phi, None)
         return smaller
 
     @cached_property
@@ -182,8 +183,8 @@ class DeaProblem:
         magnitudes and the scores stay invariant to the measurement
         units of any single input or output.
         """
-        X = self.input_matrix()
-        Y = self.output_matrix()
+        X = np.array([d.inputs for d in self.dmus], dtype=float)
+        Y = np.array([d.outputs for d in self.dmus], dtype=float)
         x_scale = np.where(X.max(axis=0) > 0.0, X.max(axis=0), 1.0)
         y_scale = np.where(Y.max(axis=0) > 0.0, Y.max(axis=0), 1.0)
         return X / x_scale, Y / y_scale
@@ -195,22 +196,11 @@ class DeaProblem:
         return {}
 
     @cached_property
-    def _phi_memo(self) -> dict[str, dict[int, float]]:
-        """Regime -> {unit index: phi}, filled by ``_phis``, and for VRS
-        also by ``decompose``'s CRS-efficiency rule."""
+    def _solved(self) -> dict[str, dict[int, _Solved]]:
+        """Regime -> {unit index: record}, filed by
+        ``solve_output_oriented``, seeded by ``drop_input``, and for VRS
+        also filed by ``decompose``'s CRS-efficiency rule."""
         return {regime: {} for regime in REGIMES}
-
-    @cached_property
-    def _dual_memo(self) -> dict[str, dict[int, np.ndarray]]:
-        """Regime -> {unit index: row duals of its LP}, filled by
-        ``solve_output_oriented``, and for VRS also by ``decompose``."""
-        return {regime: {} for regime in REGIMES}
-
-    @cached_property
-    def _lambda_sum_memo(self) -> dict[int, float]:
-        """Unit index -> sum of the intensities of its CRS LP's optimum,
-        filled by ``solve_output_oriented``."""
-        return {}
 
 
 @dataclass(frozen=True)
@@ -231,7 +221,7 @@ def _envelopment_rows(problem: DeaProblem, regime: str) -> tuple:
     of the output rows to -y_k and the input right-hand sides to x_k.
 
     ``_phis`` and ``solve_output_oriented`` both pass through here
-    before they touch a memo, so this is where an unknown regime is
+    before they touch a record, so this is where an unknown regime is
     rejected."""
     if regime not in REGIMES:
         raise StructuralError(f"unknown regime {regime!r}")
@@ -258,12 +248,8 @@ def _envelopment_rows(problem: DeaProblem, regime: str) -> tuple:
 def solve_output_oriented(
     problem: DeaProblem, dmu_index: int, regime: str
 ) -> tuple[float, np.ndarray]:
-    """Radial expansion factor and intensity vector for one DMU.
-
-    The LP's row duals (inputs, outputs, then the convexity row), and a
-    CRS LP's intensity sum, are kept in the problem's memos for
-    ``DeaProblem.drop_input`` and ``decompose``.
-    """
+    """Radial expansion factor and intensity vector for one DMU, filed
+    with the LP's row duals as the problem's record of the LP."""
     objective, shared, relations, shared_b = _envelopment_rows(problem, regime)
     X, Y = problem._scaled
     n_in, n_out = X.shape[1], Y.shape[1]
@@ -278,22 +264,23 @@ def solve_output_oriented(
             f"{problem.dmus[dmu_index].dmu_id}: unbounded expansion "
             "(degenerate output vector)"
         )
-    problem._dual_memo[regime][dmu_index] = sol.duals
+    phi = float(sol.x[0])
     lambdas = sol.x[1:].copy()
-    if regime == CRS:
-        problem._lambda_sum_memo[dmu_index] = float(lambdas.sum())
-    return float(sol.x[0]), lambdas
+    problem._solved[regime][dmu_index] = _Solved(
+        phi, sol.duals, float(lambdas.sum()) if regime == CRS else None)
+    return phi, lambdas
 
 
-def _phis(problem: DeaProblem, regime: str, units=None) -> dict[int, float]:
-    """Solved phi per unit index (all units by default), each (unit,
-    regime) LP solved at most once per problem."""
+def _phis(problem: DeaProblem, regime: str, units=None) -> dict[int, _Solved]:
+    """The regime's records, once every unit in ``units`` (all units by
+    default) has one: each (unit, regime) LP is solved at most once per
+    problem."""
     _envelopment_rows(problem, regime)  # rejects an unknown regime
-    memo = problem._phi_memo[regime]
+    solved = problem._solved[regime]
     for k in range(problem.n_dmus) if units is None else units:
-        if k not in memo:
-            memo[k] = solve_output_oriented(problem, k, regime)[0]
-    return memo
+        if k not in solved:
+            solve_output_oriented(problem, k, regime)
+    return solved
 
 
 def efficiency_score(phi: float) -> float:
@@ -321,9 +308,9 @@ def _snap_phi(phi: float) -> float:
 
 def scores(problem: DeaProblem, regime: str) -> dict[str, float]:
     """Efficiency score per dmu id under one regime."""
-    phi = _phis(problem, regime)
+    solved = _phis(problem, regime)
     return {
-        dmu.dmu_id: efficiency_score(_snap_phi(phi[k]))
+        dmu.dmu_id: efficiency_score(_snap_phi(solved[k].phi))
         for k, dmu in enumerate(problem.dmus)
     }
 
@@ -362,38 +349,36 @@ def decompose(problem: DeaProblem) -> list[EfficiencyResult]:
     optimum with sum lambda > 1, or a factor that ``drop_input`` seeded,
     which has no duals or intensity sum on record.
     """
-    phi_crs = _phis(problem, CRS)
-    crs_duals = problem._dual_memo[CRS]
-    vrs_memo = problem._phi_memo[VRS]
-    vrs_duals = problem._dual_memo[VRS]
+    crs = _phis(problem, CRS)
+    filed = problem._solved[VRS]
     for k in range(problem.n_dmus):
-        if _snap_phi(phi_crs[k]) == 1.0 and k not in vrs_memo:
-            vrs_memo[k] = 1.0
-            if k in crs_duals:
-                vrs_duals[k] = np.append(crs_duals[k], 0.0)
-    phi_vrs = _phis(problem, VRS)
-    lambda_sums = problem._lambda_sum_memo
+        if _snap_phi(crs[k].phi) == 1.0 and k not in filed:
+            y = crs[k].duals
+            filed[k] = _Solved(1.0, None if y is None else np.append(y, 0.0))
+    vrs = _phis(problem, VRS)
     phi_nirs = {}
     unanswered = []
     for k in range(problem.n_dmus):
-        if not _scale_inefficient(phi_crs[k], phi_vrs[k]):
+        if not _scale_inefficient(crs[k].phi, vrs[k].phi):
             continue
-        if k in vrs_duals and vrs_duals[k][-1] >= 0.0:
+        y = vrs[k].duals
+        if y is not None and y[-1] >= 0.0:
             continue
-        if lambda_sums.get(k, np.inf) <= 1.0:
-            phi_nirs[k] = phi_crs[k]
+        lambda_sum = crs[k].lambda_sum
+        if lambda_sum is not None and lambda_sum <= 1.0:
+            phi_nirs[k] = crs[k].phi
         else:
             unanswered.append(k)
     # Only these units' NIRS factors are read, even when an earlier
-    # ``scores(problem, NIRS)`` memoized the rest, and an answered unit's
+    # ``scores(problem, NIRS)`` filed the rest, and an answered unit's
     # factor is not filed as its NIRS factor, so the result does not
     # depend on what ran before.
-    solved = _phis(problem, NIRS, unanswered)
-    phi_nirs.update((k, solved[k]) for k in unanswered)
+    nirs = _phis(problem, NIRS, unanswered)
+    phi_nirs.update((k, nirs[k].phi) for k in unanswered)
     results = []
     for k, dmu in enumerate(problem.dmus):
-        phi_c = phi_crs[k]
-        phi_v = phi_vrs[k]
+        phi_c = crs[k].phi
+        phi_v = vrs[k].phi
         phi_n = phi_nirs.get(k, phi_v)
 
         # The feasible regions nest (VRS within NIRS within CRS), so each

@@ -24,18 +24,20 @@ Tableau layout: row i < m holds constraint i, and the last row m holds
 the reduced costs z of the current phase's objective.  The columns are
 the n structural variables, then one slack per ``<=`` row, one surplus
 per ``>=`` row, one artificial per ``>=`` or ``=`` row, and last the
-right-hand side.  Phase 2 drops the ``>=`` rows' artificials and keeps
-the ``=`` rows' ones, barred from entering the basis: ``_simplex``
-prices only the columns below its entering bound.  Each pivot is one
-rank-1 update of the whole tableau, z included, and every column is
-updated on its own, so a kept column changes no bit of the others.
+right-hand side.  Each row starts with a unit column basic: its slack,
+or its artificial.  Both phases work on this one tableau; phase 2 bars
+every artificial from entering the basis, since ``_simplex`` prices only
+the columns below its entering bound.  Each pivot is one rank-1 update
+of the whole tableau, z included, and every column is updated on its
+own, so a column that may not enter changes no bit of the others.
 
-Row duals are read from the final z row, with no further arithmetic on
-the tableau: a ``<=`` row's dual is the reduced cost at its slack column,
-a ``=`` row's the reduced cost at its artificial column (a slack that
-may not leave zero), and a ``>=`` row's is minus the reduced cost at its
-surplus column.  A basic slack or surplus reads exactly 0.0, because each
-pivot computes ``z[col] - z[col] * 1.0``.  No dual is NaN.
+Row i's dual is the final reduced cost at the column it started basic
+in, read with no further arithmetic on the tableau: a ``<=`` row's
+slack, or the artificial of a ``=`` or ``>=`` row, which acts as a slack
+that may not leave zero (a ``>=`` row's artificial column stays minus
+its surplus column).  A slack that is basic at the end reads exactly
+0.0, because each pivot computes ``z[col] - z[col] * 1.0``.  No dual is
+NaN.
 """
 
 from __future__ import annotations
@@ -105,31 +107,19 @@ def _two_phase(c, A, rels, b):
     T[:m, :n] = A
     T[:m, -1] = b
     basis = []
-    # Row i's dual is z[dual_at[i]], negated for a >= row, dual_at
-    # indexing the phase-2 tableau.  Phase 2 keeps the = rows' artificial
-    # columns eq_art, in order, from column art0 on.
-    dual_at = []
-    eq_art = []
     si = ti = ai = 0
     for i, rel in enumerate(rels):
         if rel == LE:
-            T[i, slack0 + si] = 1.0
             basis.append(slack0 + si)
-            dual_at.append(slack0 + si)
             si += 1
-        elif rel == GE:
-            T[i, surplus0 + ti] = -1.0
-            T[i, art0 + ai] = 1.0
-            basis.append(art0 + ai)
-            dual_at.append(surplus0 + ti)
-            ti += 1
-            ai += 1
         else:
-            T[i, art0 + ai] = 1.0
+            if rel == GE:
+                T[i, surplus0 + ti] = -1.0
+                ti += 1
             basis.append(art0 + ai)
-            dual_at.append(art0 + len(eq_art))
-            eq_art.append(art0 + ai)
             ai += 1
+        T[i, basis[i]] = 1.0
+    starting_basis = list(basis)  # row i's dual is z there
 
     iters = 0
 
@@ -155,9 +145,6 @@ def _two_phase(c, A, rels, b):
                         f"row {i} is redundant: the rows lack full rank")
                 _pivot(T, basis, i, int(candidates[0]), buf)
 
-        # Phase 2 keeps the = rows' artificials for their duals only.
-        T = np.concatenate((T[:, :art0], T[:, eq_art], T[:, -1:]), axis=1)
-
     z = T[m]
     z[:] = 0.0
     z[:n] = -c
@@ -171,9 +158,7 @@ def _two_phase(c, A, rels, b):
 
     x = np.zeros(art0)
     x[basis] = T[:m, -1]
-    y = T[m, dual_at]
-    y[[rel == GE for rel in rels]] *= -1.0
-    return OPTIMAL, x[:n], y, iters
+    return OPTIMAL, x[:n], T[m, starting_basis], iters
 
 
 def _simplex(T, basis, iters, n_enter):

@@ -151,7 +151,9 @@ def _frontier_scores(problem, config: RunConfig):
 def _analyze_area(area_id: str, corpus: Corpus, matched: MatchedCorpus,
                   config: RunConfig, warnings: list[str]) -> _AreaRows:
     """Build one area's variables, solve its frontier models and return
-    the area's table rows, or the reason it could not be analyzed."""
+    the area's table rows, or the reason it could not be analyzed: too
+    few units, or an error from any of its LPs, the sensitivity
+    re-solves' included."""
     inputs = {}
     outputs = {}
     for university_id in corpus.staff.universities_in_area(area_id):
@@ -170,12 +172,17 @@ def _analyze_area(area_id: str, corpus: Corpus, matched: MatchedCorpus,
         return _failed_area(area_id, FAILURE_NOT_ANALYZABLE, exc,
                             exc.exclusions)
     try:
-        te, pte, se, rts = _frontier_scores(problem, config)
+        return _area_rows(area_id, problem, excluded, inputs, outputs, config)
     except (DegenerateDmuError, InvariantViolationError) as exc:
         reason = (FAILURE_DEGENERATE if isinstance(exc, DegenerateDmuError)
                   else FAILURE_INVARIANT)
         return _failed_area(area_id, reason, exc, excluded)
 
+
+def _area_rows(area_id, problem, excluded, inputs, outputs,
+               config: RunConfig) -> _AreaRows:
+    """One analyzable area's table rows from its frontier models."""
+    te, pte, se, rts = _frontier_scores(problem, config)
     unit_ids = [d.dmu_id for d in problem.dmus]
     area_ranks = rank(pte if pte else te)
     area = _AreaRows({

@@ -28,7 +28,16 @@ from uniprod.analysis import (
 from uniprod.bibliometrics import MatchedCorpus, compute_output_vector
 from uniprod.cli import main as cli_main
 from uniprod.config import RunConfig
-from uniprod.dea import CRS, NIRS, VRS, DeaProblem, DmuRecord, decompose, scores
+from uniprod.dea import (
+    CRS,
+    NIRS,
+    VRS,
+    DeaProblem,
+    DmuRecord,
+    classify_rts,
+    decompose,
+    scores,
+)
 from uniprod.disambiguation import (
     AffiliationDictionary,
     decide,
@@ -184,8 +193,9 @@ def test_c02_single_dimension_scores_equal_best_ratio(gate):
 def test_c03_decomposition_invariants(gate):
     """On 50 random multi-dimensional problems: 0 < TE <= PTE <= 1,
     SE = TE/PTE within 1e-9, CRS <= NIRS <= VRS score ordering, at least
-    one efficient unit under every returns regime, and CRS-efficient
-    units classified as constant returns."""
+    one efficient unit under every returns regime, CRS-efficient units
+    classified as constant returns, and every unit's returns-to-scale
+    class the one its TE, PTE and NIRS LP score give."""
     rng = np.random.default_rng(47)
     failures = []
     for case in range(50):
@@ -204,8 +214,12 @@ def test_c03_decomposition_invariants(gate):
                 failures.append((case, r.dmu_id, "se", r.se))
             if not (r.te <= s_n + 1e-9 and s_n <= r.pte + 1e-9):
                 failures.append((case, r.dmu_id, "ordering", r.te, s_n, r.pte))
-            if r.rts not in ("constant", "increasing", "decreasing"):
-                failures.append((case, r.dmu_id, "rts", r.rts))
+            try:
+                rts = classify_rts(r.te, s_n, r.pte)
+            except InvariantViolationError:
+                rts = None
+            if r.rts != rts:
+                failures.append((case, r.dmu_id, "rts", r.rts, rts))
             if r.te == 1.0 and r.rts != "constant":
                 failures.append((case, r.dmu_id, "rts-at-frontier", r.rts))
         for label, values in (
@@ -219,7 +233,8 @@ def test_c03_decomposition_invariants(gate):
     gate(
         "C03 efficiency decomposition invariants hold on 50 random "
         "problems (0 < TE <= PTE <= 1, SE = TE/PTE within 1e-9, "
-        "CRS <= NIRS <= VRS, each regime has an efficient unit)",
+        "CRS <= NIRS <= VRS, each regime has an efficient unit, each "
+        "returns-to-scale class agrees with the NIRS LP scores)",
         ok,
         f"{len(failures)} violations" + (f", first: {failures[0]}" if failures else ""),
     )

@@ -13,7 +13,9 @@ import uniprod
 from uniprod import cli
 from uniprod.cli import build_parser, main, parse_years
 from uniprod.config import RunConfig
+from uniprod.dea import DeaProblem
 from uniprod.disambiguation import MatchOutcome
+from uniprod.errors import DegenerateDmuError, InvariantViolationError
 from uniprod.synthetic import write_synthetic_dataset
 
 from .fixtures import write_demo_dataset, write_override_file
@@ -59,6 +61,38 @@ class TestExitCodes:
         assert "skipped" in out
         rows = read_table(tmp_path / "r" / "area_failures.csv")
         assert {r["area_id"] for r in rows} == {"A01", "A02"}
+
+    @pytest.mark.parametrize("error,reason", [
+        (InvariantViolationError, "internal_invariant"),
+        (DegenerateDmuError, "degenerate_data"),
+    ])
+    def test_failed_sensitivity_resolve_fails_only_its_area(
+            self, tmp_path, capsys, monkeypatch, error, reason):
+        """An error from one area's ``--drop-input`` re-solve becomes
+        that area's failure row, as one from its frontier models does,
+        and the other areas are reported."""
+        root = write_synthetic_dataset(tmp_path / "data", seed=3, n_areas=3,
+                                       n_universities=12)
+        drop_input = DeaProblem.drop_input
+        calls = []
+
+        def failing_second_area(problem, label):
+            calls.append(label)
+            if len(calls) == 2:
+                raise error("planted fault")
+            return drop_input(problem, label)
+
+        monkeypatch.setattr(DeaProblem, "drop_input", failing_second_area)
+        out = tmp_path / "r"
+        assert main([str(root), "--drop-input", "PR", "--out", str(out)]) == 2
+        failures = read_table(out / "area_failures.csv")
+        assert [(r["reason"], r["detail"]) for r in failures] == [
+            (reason, "planted fault")]
+        analyzed = {r["area_id"] for r in read_table(out / "scores.csv")}
+        assert len(analyzed) == 2 and failures[0]["area_id"] not in analyzed
+        for table in ("efficiency_by_area", "tertiles", "sensitivity"):
+            assert {r["area_id"] for r in read_table(out / f"{table}.csv")} \
+                == analyzed
 
     def test_missing_files_are_fatal(self, tmp_path, capsys):
         code = main([str(tmp_path / "void"), "--out", str(tmp_path / "r")])

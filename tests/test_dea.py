@@ -61,9 +61,8 @@ class TestEnvelopmentModels:
         with pytest.raises(StructuralError, match="^unknown regime 'bogus'$"):
             solve(problem)
         assert problem._rows_memo == {}
-        for memo in (problem._phi_memo, problem._dual_memo):
-            assert sorted(memo) == sorted((CRS, VRS, NIRS))
-            assert not any(memo.values())
+        assert sorted(problem._solved) == sorted((CRS, VRS, NIRS))
+        assert not any(problem._solved.values())
 
 
 class TestEfficiencyScore:
@@ -125,7 +124,8 @@ class TestDecomposition:
     def test_vrs_peers_reconstruct_projection(self):
         rng = np.random.default_rng(9)
         problem = random_dea_problem(rng, n_dmus=10)
-        X, Y = problem.input_matrix(), problem.output_matrix()
+        X = np.array([d.inputs for d in problem.dmus])
+        Y = np.array([d.outputs for d in problem.dmus])
         for k, dmu in enumerate(problem.dmus):
             phi, lam = solve_output_oriented(problem, k, VRS)
             assert lam.sum() == pytest.approx(1.0, abs=1e-6)

@@ -25,6 +25,7 @@ full model's, a re-solved one to the per-LP reference on the smaller
 problem, and every after-score agrees with a from-scratch re-solve
 within 1e-9."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -49,15 +50,15 @@ from uniprod.dea import (
     is_efficient,
     scores,
 )
-from uniprod.lp import solve_lp
+from uniprod.lp import GE, solve_lp
 
 from .oracles import lp_arrays, random_dea_problem
 
 
 def reference_solution(problem, dmu_index, regime):
     """One LP from scratch: scale, build the rows as lists, solve."""
-    X = problem.input_matrix()
-    Y = problem.output_matrix()
+    X = np.array([d.inputs for d in problem.dmus], dtype=float)
+    Y = np.array([d.outputs for d in problem.dmus], dtype=float)
     x_scale = np.where(X.max(axis=0) > 0.0, X.max(axis=0), 1.0)
     y_scale = np.where(Y.max(axis=0) > 0.0, Y.max(axis=0), 1.0)
     X = X / x_scale
@@ -328,14 +329,19 @@ def test_decompose_does_not_depend_on_earlier_calls(earlier, monkeypatch):
     solved phi_vrs in place of the filed 1.0, and after ``scores(problem,
     NIRS)`` every unit has a NIRS factor: neither moves a bit of the
     decomposition."""
-    solve = dea.solve_output_oriented
+    solve = dea.solve_lp
 
-    def wobbly(p, k, regime):
-        # Sub-tolerance solver noise on every VRS and NIRS factor.
-        phi, lambdas = solve(p, k, regime)
-        return (phi if regime == CRS else phi * (1.0 + 1e-13)), lambdas
+    def wobbly(objective, A, relations, b):
+        # Sub-tolerance solver noise on every VRS and NIRS factor: only
+        # a CRS LP ends on an output's >= row.
+        sol = solve(objective, A, relations, b)
+        if relations[-1] == GE:
+            return sol
+        x = sol.x.copy()
+        x[0] *= 1.0 + 1e-13
+        return dataclasses.replace(sol, x=x)
 
-    monkeypatch.setattr(dea, "solve_output_oriented", wobbly)
+    monkeypatch.setattr(dea, "solve_lp", wobbly)
     for problem in c03_problems()[:20] + [planted_problem()]:
         want = as_tuples(decompose(fresh(problem)))
         warm = fresh(problem)
@@ -419,7 +425,7 @@ def test_certified_nirs_paper_areas(seed, tmp_path, monkeypatch):
         results = decompose(copy)
         phis = assert_near_all_lp(problem, results)
         assert_all_lp_bits(phis, problem, results)
-        solved += len(copy._phi_memo[NIRS])
+        solved += len(copy._solved[NIRS])
         for r, phi_n in zip(results, phis[NIRS]):
             assert abs(r.phi_nirs - phi_n) <= 1e-9, r.dmu_id
         increasing += sum(1 for r in results if r.rts == RTS_INCREASING)
@@ -471,11 +477,11 @@ def test_crs_efficient_unit_files_its_crs_duals(monkeypatch):
     results = decompose(problem)
     assert [r.dmu_id for r in results if r.phi_crs == 1.0] == ["B", "C"]
     assert [u for p, u, regime in solved if regime == VRS] == ["A", "D", "E"]
-    crs_duals, vrs_duals = problem._dual_memo[CRS], problem._dual_memo[VRS]
+    crs, vrs = problem._solved[CRS], problem._solved[VRS]
     for k in (1, 2):
-        assert problem._phi_memo[VRS][k] == 1.0
-        assert vrs_duals[k].tolist() == crs_duals[k].tolist() + [0.0]
-    assert crs_duals[2][0] == 0.0 != crs_duals[1][0]
+        assert vrs[k].phi == 1.0
+        assert vrs[k].duals.tolist() == crs[k].duals.tolist() + [0.0]
+    assert crs[2].duals[0] == 0.0 != crs[1].duals[0]
 
     del solved[:]
     result = sensitivity_drop_input(problem, "STAFF")
@@ -518,7 +524,8 @@ def test_seeded_factor_reaches_nirs_fallback(monkeypatch):
     problem = planted_problem()
     decompose(problem)
     smaller = problem.drop_input("PR")
-    assert 3 in smaller._phi_memo[CRS] and 3 in smaller._phi_memo[VRS]
+    assert smaller._solved[CRS][3].duals is None
+    assert smaller._solved[VRS][3].duals is None
     solved = recording_solves(monkeypatch)
     results = decompose(smaller)
     assert (smaller, "D", NIRS) in solved
