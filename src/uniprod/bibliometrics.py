@@ -10,8 +10,7 @@ the end of the year preceding each output year.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .dea import DeaProblem, DmuRecord
 from .errors import AreaNotAnalyzableError
@@ -32,8 +31,9 @@ EXCLUDED_BELOW_STAFF_THRESHOLD = "below_staff_threshold"
 EXCLUDED_ZERO_OUTPUTS = "zero_outputs"
 
 
-@dataclass(frozen=True)
-class InputVector:
+class InputVector(NamedTuple):
+    """A cell's inputs, fields in ``INPUT_LABELS`` order."""
+
     fp: float
     ap: float
     rf: float
@@ -43,29 +43,23 @@ class InputVector:
     def staff_total(self) -> float:
         return self.fp + self.ap + self.rf
 
-    def as_tuple(self) -> tuple[float, ...]:
-        """The inputs in ``INPUT_LABELS`` order."""
-        return (self.fp, self.ap, self.rf, self.pr)
 
+class OutputVector(NamedTuple):
+    """A cell's outputs, fields in ``OUTPUT_LABELS`` order."""
 
-@dataclass(frozen=True)
-class OutputVector:
     pu: float
     pc: float
     ss: float
 
-    def as_tuple(self) -> tuple[float, ...]:
-        """The outputs in ``OUTPUT_LABELS`` order."""
-        return (self.pu, self.pc, self.ss)
-
 
 class MatchedCorpus:
-    """Publications indexed by the matched-author counts of their cells.
+    """One list of qualifying rows (pub_id, journal_id, year, b, c) per
+    (area, university) cell, in publication input order.
 
     ``matched_cells`` is ``DisambiguationResult.matched_cells``: per
-    publication, the matched-author count b of every (area, university)
-    cell.  Only article and review records ever contribute to outputs;
-    other document types are carried but inert.
+    publication, the matched-author count b of every cell; c is the
+    publication's author count.  Only article and review records ever
+    contribute to outputs; other document types are carried but inert.
     """
 
     def __init__(
@@ -73,30 +67,27 @@ class MatchedCorpus:
         publications: Iterable[Publication],
         matched_cells: Mapping[str, Mapping[tuple[str, str], int]],
     ):
-        # cell -> year -> list of (pub_id, journal_id, b, c)
-        contribs: dict[tuple[str, str], dict[int, list]] = {}
+        rows: dict[tuple[str, str], list] = {}
         for pub in publications:
             cells = matched_cells.get(pub.pub_id)
             if not cells or not pub.counts_as_output:
                 continue
             for cell, b in cells.items():
-                contribs.setdefault(cell, {}).setdefault(pub.year, []).append(
-                    (pub.pub_id, pub.journal_id, b, pub.author_count)
+                rows.setdefault(cell, []).append(
+                    (pub.pub_id, pub.journal_id, pub.year, b, pub.author_count)
                 )
-        self._contribs = contribs
+        self._rows = rows
 
     def cell_rows(
         self, area_id: str, university_id: str, years: Iterable[int]
     ) -> tuple[tuple[str, str, int, int, int], ...]:
-        """Qualifying rows (pub_id, journal_id, year, b, c) for a cell,
-        sorted by publication id."""
-        per_year = self._contribs.get((area_id, university_id), {})
-        rows = []
-        for year in sorted(set(years)):
-            for pub_id, journal_id, b, c in per_year.get(year, ()):
-                rows.append((pub_id, journal_id, year, b, c))
-        rows.sort()
-        return tuple(rows)
+        """The cell's rows whose year lies in ``years``, sorted (by
+        publication id first)."""
+        window = set(years)
+        return tuple(sorted(
+            row for row in self._rows.get((area_id, university_id), ())
+            if row[2] in window
+        ))
 
 
 def compute_output_vector(
@@ -179,12 +170,15 @@ def assemble_problem(
     (area, university, reason code, human explanation).
     Fewer than two surviving universities means the area cannot be
     analyzed comparatively.
+
+    The units are sorted by id here and nowhere else: that order fixes
+    the LP columns, and with them the simplex's pivots.
     """
     exclusions: list[dict] = []
     dmus: list[DmuRecord] = []
     for university_id in sorted(inputs):
         vec_in = inputs[university_id]
-        out_values = outputs[university_id].as_tuple()
+        vec_out = outputs[university_id]
         if vec_in.staff_total < min_staff:
             reason = EXCLUDED_BELOW_STAFF_THRESHOLD
             detail = (f"mean staff {vec_in.staff_total:g} below "
@@ -192,13 +186,11 @@ def assemble_problem(
         elif vec_in.staff_total == 0:
             reason = EXCLUDED_BELOW_STAFF_THRESHOLD
             detail = "no staff in the snapshot years"
-        elif all(v == 0.0 for v in out_values):
+        elif not any(vec_out):
             reason = EXCLUDED_ZERO_OUTPUTS
             detail = "all outputs are zero over the study window"
         else:
-            dmus.append(
-                DmuRecord(university_id, vec_in.as_tuple(), out_values)
-            )
+            dmus.append(DmuRecord(university_id, vec_in, vec_out))
             continue
         exclusions.append({"area_id": area_id, "university_id": university_id,
                            "reason": reason, "detail": detail})

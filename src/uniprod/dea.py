@@ -329,13 +329,13 @@ def decompose(problem: DeaProblem) -> list[EfficiencyResult]:
     duals, for ``drop_input`` to seed from.  A phi_vrs already solved,
     by ``scores(problem, VRS)``, stays with its duals.
 
-    NIRS is read only for scale-inefficient units.  A unit is
-    scale-inefficient by ``classify_rts``'s own test: its CRS and VRS
-    scores differ by more than ``RTS_TOL``.  Any other unit is classed
-    constant whatever NIRS reads, and takes phi_nirs = phi_vrs; where
-    its CRS and VRS factors agree, the NIRS region, which lies between
-    the two, gives that factor.  For the scale-inefficient units, two
-    rules (Banker and Thrall), in this order:
+    NIRS is decided in the loop that builds the results, on the scores
+    it reports.  A unit whose CRS and VRS scores differ by at most
+    ``RTS_TOL`` (``classify_rts``'s constant test) is classed constant
+    whatever NIRS reads and takes phi_nirs = phi_vrs; where its CRS and
+    VRS factors agree, the NIRS region, which lies between the two,
+    gives that factor.  For the other units, two rules (Banker and
+    Thrall), in this order:
 
     - The NIRS LP is the VRS LP with sum lambda <= 1 in place of = 1,
       and its slack column is the VRS convexity row's artificial column.
@@ -345,9 +345,12 @@ def decompose(problem: DeaProblem) -> list[EfficiencyResult]:
     - A CRS optimum whose intensities sum to at most 1.0 is feasible for
       NIRS, whose region lies inside the CRS region: phi_nirs = phi_crs.
 
-    NIRS is solved where neither rule answers: an alternative CRS
-    optimum with sum lambda > 1, or a factor that ``drop_input`` seeded,
-    which has no duals or intensity sum on record.
+    NIRS is solved, after every CRS and VRS LP and in unit order, where
+    neither rule answers: an alternative CRS optimum with sum lambda > 1,
+    or a factor that ``drop_input`` seeded, which has no duals or
+    intensity sum on record.  Only those units' NIRS records are read,
+    and no answered factor is filed as one, so the result does not
+    depend on what ran before.
     """
     crs = _phis(problem, CRS)
     filed = problem._solved[VRS]
@@ -356,35 +359,26 @@ def decompose(problem: DeaProblem) -> list[EfficiencyResult]:
             y = crs[k].duals
             filed[k] = _Solved(1.0, None if y is None else np.append(y, 0.0))
     vrs = _phis(problem, VRS)
-    phi_nirs = {}
-    unanswered = []
-    for k in range(problem.n_dmus):
-        if not _scale_inefficient(crs[k].phi, vrs[k].phi):
-            continue
-        y = vrs[k].duals
-        if y is not None and y[-1] >= 0.0:
-            continue
-        lambda_sum = crs[k].lambda_sum
-        if lambda_sum is not None and lambda_sum <= 1.0:
-            phi_nirs[k] = crs[k].phi
-        else:
-            unanswered.append(k)
-    # Only these units' NIRS factors are read, even when an earlier
-    # ``scores(problem, NIRS)`` filed the rest, and an answered unit's
-    # factor is not filed as its NIRS factor, so the result does not
-    # depend on what ran before.
-    nirs = _phis(problem, NIRS, unanswered)
-    phi_nirs.update((k, nirs[k].phi) for k in unanswered)
     results = []
     for k, dmu in enumerate(problem.dmus):
         phi_c = crs[k].phi
         phi_v = vrs[k].phi
-        phi_n = phi_nirs.get(k, phi_v)
+        phi_v2 = max(_snap_phi(phi_v), 1.0)
+        pte = efficiency_score(phi_v2)
+        y = vrs[k].duals
+        lambda_sum = crs[k].lambda_sum
+        scale_efficient = abs(
+            efficiency_score(max(_snap_phi(phi_c), phi_v2)) - pte) <= RTS_TOL
+        if scale_efficient or (y is not None and y[-1] >= 0.0):
+            phi_n = phi_v
+        elif lambda_sum is not None and lambda_sum <= 1.0:
+            phi_n = phi_c
+        else:
+            phi_n = _phis(problem, NIRS, (k,))[k].phi
 
         # The feasible regions nest (VRS within NIRS within CRS), so each
         # later factor bounds the earlier one from below.  Snap sub-tolerance
         # solver wobble onto that ordering; larger gaps mean a solver bug.
-        phi_v2 = max(_snap_phi(phi_v), 1.0)
         phi_n2 = max(_snap_phi(phi_n), phi_v2)
         phi_c2 = max(_snap_phi(phi_c), phi_n2)
         if (phi_v2 - phi_v > RTS_TOL or phi_n2 - phi_n > RTS_TOL
@@ -396,7 +390,6 @@ def decompose(problem: DeaProblem) -> list[EfficiencyResult]:
 
         te = efficiency_score(phi_c2)
         te_nirs = efficiency_score(phi_n2)
-        pte = efficiency_score(phi_v2)
         se = te / pte
         rts = classify_rts(te, te_nirs, pte)
         results.append(
@@ -412,15 +405,6 @@ def decompose(problem: DeaProblem) -> list[EfficiencyResult]:
             )
         )
     return results
-
-
-def _scale_inefficient(phi_crs: float, phi_vrs: float) -> bool:
-    """``classify_rts``'s constant-returns test on the scores that
-    ``decompose`` reports before NIRS is read: a unit whose phi_nirs is
-    phi_vrs or phi_crs keeps these scores."""
-    phi_v = max(_snap_phi(phi_vrs), 1.0)
-    te = efficiency_score(max(_snap_phi(phi_crs), phi_v))
-    return abs(te - efficiency_score(phi_v)) > RTS_TOL
 
 
 def classify_rts(te_crs: float, te_nirs: float, te_vrs: float) -> str:

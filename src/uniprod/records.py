@@ -134,9 +134,8 @@ class StaffRegistry:
         return tuple(sorted({m.area_id for m in self._members}))
 
     def universities_in_area(self, area_id: str) -> tuple[str, ...]:
-        return tuple(
-            sorted({u for (a, u) in self._by_cell if a == area_id})
-        )
+        """The area's universities in registry order."""
+        return tuple(u for (a, u) in self._by_cell if a == area_id)
 
     def headcount(
         self, area_id: str, university_id: str, rank: str, year: int

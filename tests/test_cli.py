@@ -3,8 +3,10 @@
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -383,6 +385,39 @@ class TestHashSeed:
         assert len(reports["0"]) > 5
         assert reports["1"] == reports["0"]
         assert reports["12345"] == reports["0"]
+
+
+class TestRowOrder:
+    def test_report_does_not_depend_on_the_input_row_order(self, tmp_path):
+        """Shuffling the data rows of all five CSVs changes no report
+        byte, except the order of ``manual_review.csv``'s rows, which
+        follows ``publications.csv``.  This pins the one sort of the DEA
+        units (``assemble_problem``): the registry lists each area's
+        universities in row order."""
+        root = write_synthetic_dataset(tmp_path / "data", seed=11,
+                                       n_areas=3, n_universities=12)
+        shuffled = tmp_path / "shuffled"
+        shuffled.mkdir()
+        rng = random.Random(11)
+        csv_names = sorted(p.name for p in root.glob("*.csv"))
+        assert len(csv_names) == 5
+        for name in csv_names:
+            header, *rows = (root / name).read_text("utf-8").splitlines(True)
+            rng.shuffle(rows)
+            (shuffled / name).write_text(header + "".join(rows), "utf-8")
+        reports = []
+        for data, out in ((root, "report"), (shuffled, "report-shuffled")):
+            assert main([str(data), "--out", str(tmp_path / out),
+                         "--drop-input", "PR", "--compare-partial"]) == 0
+            reports.append({p.name: p.read_bytes()
+                            for p in sorted((tmp_path / out).iterdir())})
+        original, reordered = reports
+        assert len(original) > 5 and original.keys() == reordered.keys()
+        review = "manual_review.csv"
+        assert original[review] != reordered[review]
+        assert (Counter(original.pop(review).splitlines())
+                == Counter(reordered.pop(review).splitlines()))
+        assert reordered == original
 
 
 class TestParserHelp:

@@ -1,11 +1,14 @@
-"""The acceptance gates bite: C01, C03 and C05, each run under a fault
-planted in the package, report FAIL.  Each gate runs with a recording
-``gate`` in place of the fixture, so its verdict is read, not raised.
-An exception from the package is not a FAIL: it fails the test."""
+"""The acceptance gates bite: C01, C03 and C05 to C09, each run under a
+fault planted in the package (or, for C08 and C09, in the helper the
+gate looks up), report FAIL.  Each gate runs with a recording ``gate``
+in place of the fixture, so its verdict is read, not raised.  An
+exception from the package is not a FAIL: it fails the test."""
+
+import dataclasses
 
 import pytest
 
-from uniprod import dea, lp
+from uniprod import bibliometrics, dea, disambiguation, lp
 
 from . import test_acceptance as acceptance
 
@@ -30,14 +33,25 @@ def _vrs_from_crs(monkeypatch):
         problem, dea.CRS if regime == dea.VRS else regime, units))
 
 
-def _no_scale_inefficiency(monkeypatch):
-    """``decompose`` takes every unit for scale-efficient, so it reads
-    phi_nirs = phi_vrs and classes every increasing-returns unit
-    decreasing."""
-    monkeypatch.setattr(dea, "_scale_inefficient", lambda phi_crs, phi_vrs: False)
+def _zero_convexity_duals(monkeypatch):
+    """Every VRS solution (its last row is the convexity equality) has
+    its convexity dual set to 0.0, so ``decompose``'s sign test gives
+    every unit phi_nirs = phi_vrs and classes every increasing-returns
+    unit decreasing."""
+    solve = dea.solve_lp
+
+    def zeroing(objective, A, relations, b):
+        sol = solve(objective, A, relations, b)
+        if relations[-1] != lp.EQ:
+            return sol
+        duals = sol.duals.copy()
+        duals[-1] = 0.0
+        return dataclasses.replace(sol, duals=duals)
+
+    monkeypatch.setattr(dea, "solve_lp", zeroing)
 
 
-@pytest.mark.parametrize("plant", [_vrs_from_crs, _no_scale_inefficiency])
+@pytest.mark.parametrize("plant", [_vrs_from_crs, _zero_convexity_duals])
 def test_c03_fails_on_a_wrong_decomposition(plant, monkeypatch):
     plant(monkeypatch)
     assert verdicts(acceptance.test_c03_decomposition_invariants) == [False]
@@ -57,3 +71,52 @@ def test_c05_fails_when_every_factor_is_seeded(monkeypatch):
 
     monkeypatch.setattr(dea.DeaProblem, "drop_input", seeding_every_factor)
     assert verdicts(acceptance.test_c05_dropping_an_input_never_helps) == [False]
+
+
+def test_c06_fails_when_cells_drop_the_last_year(monkeypatch, tmp_path):
+    """``cell_rows`` leaves out the last year of the output window."""
+    cell_rows = bibliometrics.MatchedCorpus.cell_rows
+
+    def without_last_year(corpus, area_id, university_id, years):
+        return cell_rows(corpus, area_id, university_id, sorted(years)[:-1])
+
+    monkeypatch.setattr(bibliometrics.MatchedCorpus, "cell_rows",
+                        without_last_year)
+    assert verdicts(acceptance.test_c06_output_construction_matches_bruteforce,
+                    tmp_path=tmp_path) == [False]
+
+
+def test_c07_fails_when_matching_reads_one_initial(monkeypatch):
+    """Tokens and staff are compared on their first initial only."""
+    normalized = disambiguation._normalized_initials
+    monkeypatch.setattr(disambiguation, "_normalized_initials",
+                        lambda initials: normalized(initials)[:1])
+    assert verdicts(
+        acceptance.test_c07_disambiguation_reproduces_hand_labels) == [False]
+
+
+def test_c08_fails_when_the_mean_divides_by_n_plus_one(monkeypatch):
+    """Each area's scores are divided by their sum over n + 1."""
+
+    def normalize_scores(pte_by_area):
+        return {
+            (university_id, area_id):
+                cell[university_id] / (sum(cell.values()) / (len(cell) + 1))
+            for area_id, cell in sorted(pte_by_area.items())
+            for university_id in sorted(cell)
+        }
+
+    monkeypatch.setattr(acceptance, "normalize_scores", normalize_scores)
+    assert verdicts(acceptance.test_c08_normalization_and_global_index) == [False]
+
+
+def test_c09_fails_with_dense_ranks(monkeypatch):
+    """Tied values share a rank and the next value's rank follows it
+    (1, 1, 2) instead of skipping by the tie size (1, 1, 3)."""
+
+    def dense_rank(values):
+        levels = sorted(set(values.values()), reverse=True)
+        return {key: levels.index(value) + 1 for key, value in values.items()}
+
+    monkeypatch.setattr(acceptance, "rank", dense_rank)
+    assert verdicts(acceptance.test_c09_ranking_comparison_hand_values) == [False]

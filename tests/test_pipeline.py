@@ -75,7 +75,7 @@ class TestVectors:
         for (area, uni), expected in EXPECTED_INPUTS.items():
             vec = build_input_vector(corpus.staff, corpus.funding, area, uni,
                                      config.years, config.lag)
-            assert vec.as_tuple() == pytest.approx(
+            assert tuple(vec) == pytest.approx(
                 expected, abs=1e-12), (area, uni)
             assert vec.staff_total == EXPECTED_STAFF_TOTALS[(area, uni)]
 
@@ -95,12 +95,12 @@ class TestVectors:
             warnings: list[str] = []
             vec = compute_output_vector(matched, corpus.journals, area, uni,
                                         config.years, warnings)
-            assert vec.as_tuple() == pytest.approx(
+            assert tuple(vec) == pytest.approx(
                 expected, abs=1e-12), (area, uni)
             oracle = cell_outputs_bruteforce(
                 corpus.publications, outcomes, corpus.staff,
                 corpus.journals, area, uni, config.years)
-            assert vec.as_tuple() == pytest.approx(
+            assert tuple(vec) == pytest.approx(
                 oracle, abs=1e-12)
 
     def test_override_gives_full_credit(self, corpus, config):

@@ -159,6 +159,17 @@ class TestStaffRegistry:
         assert reg.area_ids() == ("A1", "A2")
         assert reg.universities_in_area("A1") == ("U1", "U2")
         assert reg.universities_in_area("A2") == ("U1",)
+        # Registry order, not id order: the DEA units are sorted once,
+        # in ``assemble_problem``.
+        reg = StaffRegistry([
+            make_staff("S1", university_id="U3"),
+            make_staff("S2", university_id="U1"),
+            make_staff("S3", university_id="U2", area_id="A2"),
+            make_staff("S4", university_id="U3"),
+            make_staff("S5", university_id="U2"),
+        ])
+        assert reg.university_ids() == ("U1", "U2", "U3")
+        assert reg.universities_in_area("A1") == ("U3", "U1", "U2")
 
     def test_coverage(self):
         reg = self.registry()
