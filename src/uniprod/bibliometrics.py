@@ -15,9 +15,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .dea import DeaProblem, DmuRecord
 from .errors import AreaNotAnalyzableError
 from .records import (
-    RANK_ASSOCIATE,
-    RANK_FELLOW,
-    RANK_FULL,
+    RANKS,
     FundingTable,
     JournalTable,
     Publication,
@@ -32,7 +30,8 @@ EXCLUDED_ZERO_OUTPUTS = "zero_outputs"
 
 
 class InputVector(NamedTuple):
-    """A cell's inputs, fields in ``INPUT_LABELS`` order."""
+    """A cell's inputs, fields in ``INPUT_LABELS`` order: the mean
+    headcounts in ``RANKS`` order, then the mean funding."""
 
     fp: float
     ap: float
@@ -137,22 +136,15 @@ def build_input_vector(
     """
     snapshot_years = [y - lag for y in output_years]
     n = len(snapshot_years)
-    fp = sum(
-        staff.headcount(area_id, university_id, RANK_FULL, s)
-        for s in snapshot_years
-    ) / n
-    ap = sum(
-        staff.headcount(area_id, university_id, RANK_ASSOCIATE, s)
-        for s in snapshot_years
-    ) / n
-    rf = sum(
-        staff.headcount(area_id, university_id, RANK_FELLOW, s)
-        for s in snapshot_years
-    ) / n
+    heads = [
+        sum(staff.headcount(area_id, university_id, rank, s)
+            for s in snapshot_years) / n
+        for rank in RANKS
+    ]
     pr = sum(
         funding.amount(university_id, area_id, s) for s in snapshot_years
     ) / n
-    return InputVector(fp=fp, ap=ap, rf=rf, pr=pr)
+    return InputVector(*heads, pr)
 
 
 def assemble_problem(

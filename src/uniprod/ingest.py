@@ -204,11 +204,12 @@ def _records(path: Path, fields: tuple[str, ...], parse: Callable,
              key: Callable, describe: Callable, diagnostics: list[str],
              keep: Callable | None = None) -> list:
     """``parse(*cells)`` of each row, in file order.  Each StructuralError
-    it raises is a ``file:line:`` diagnostic, and so is a record whose key
-    an earlier record has: ``describe(key)``, naming the line of the
-    first.  A record that ``keep(line, record)`` refuses is dropped
-    before its key is checked.  These diagnostics follow the reader's
-    for the file; an unreadable file keeps no record and adds none."""
+    it or ``keep(line, record)`` raises is a ``file:line:`` diagnostic,
+    and so is a record whose key an earlier record has:
+    ``describe(key)``, naming the line of the first.  A record that
+    ``keep`` refuses is dropped before its key is checked.  These
+    diagnostics follow the reader's for the file; an unreadable file
+    keeps no record and adds none."""
     name = path.name
     first: dict = {}
     kept = []
@@ -217,10 +218,10 @@ def _records(path: Path, fields: tuple[str, ...], parse: Callable,
         for line, row in _read_rows(path, fields, diagnostics):
             try:
                 record = parse(*row)
+                if keep is not None and not keep(line, record):
+                    continue
             except StructuralError as exc:
                 problems.append(f"{name}:{line}: {exc}")
-                continue
-            if keep is not None and not keep(line, record):
                 continue
             k = key(record)
             if k in first:
@@ -376,40 +377,32 @@ def _load_funding(
 def _load_affiliations(
     path: Path, diagnostics: list[str]
 ) -> AffiliationDictionary:
-    rows = []
-    seen: dict[str, tuple[int, str]] = {}
-    problems: list[str] = []
-    name = path.name
-    try:
-        for line, (pattern, university_id) in _read_rows(
-                path, AFFILIATION_FIELDS, diagnostics):
-            university_id = university_id.strip()
-            key = normalize_text(pattern)
-            if not key:
-                problems.append(
-                    f"{name}:{line}: pattern {pattern!r} is empty after "
-                    "normalization"
-                )
-                continue
-            if not university_id:
-                problems.append(f"{name}:{line}: university_id is blank")
-                continue
-            if key in seen:
-                prev_line, prev_uni = seen[key]
-                if prev_uni != university_id:
-                    problems.append(
-                        f"{name}:{line}: pattern {pattern!r} conflicts with "
-                        f"line {prev_line} (maps to both {prev_uni!r} and "
-                        f"{university_id!r})"
-                    )
-                continue
-            seen[key] = (line, university_id)
-            rows.append((pattern, university_id))
-    except _Unreadable:
-        rows = []
-    else:
-        diagnostics.extend(problems)
-    return AffiliationDictionary(rows)
+    """The dictionary of the file's (raw pattern, university id) rows.  A
+    pattern repeated for the same university is dropped silently and one
+    for another is a diagnostic, both before ``_records`` checks keys."""
+    first: dict[str, tuple[int, str]] = {}
+
+    def entry(pattern: str, university_id: str) -> tuple[str, str, str]:
+        key = normalize_text(pattern)
+        if not key:
+            raise StructuralError(
+                f"pattern {pattern!r} is empty after normalization")
+        return pattern, _text(university_id, "university_id"), key
+
+    def unique(line: int, row: tuple[str, str, str]) -> bool:
+        pattern, university_id, key = row
+        first_line, first_id = first.setdefault(key, (line, university_id))
+        if first_id != university_id:
+            raise StructuralError(
+                f"pattern {pattern!r} conflicts with line {first_line} "
+                f"(maps to both {first_id!r} and {university_id!r})"
+            )
+        return first_line == line
+
+    return AffiliationDictionary(row[:2] for row in _records(
+        path, AFFILIATION_FIELDS, entry, lambda r: r[2],
+        lambda k: f"duplicate pattern {k!r}", diagnostics, unique,
+    ))
 
 
 def load_overrides(

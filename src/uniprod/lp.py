@@ -25,11 +25,12 @@ the reduced costs z of the current phase's objective.  The columns are
 the n structural variables, then one slack per ``<=`` row, one surplus
 per ``>=`` row, one artificial per ``>=`` or ``=`` row, and last the
 right-hand side.  Each row starts with a unit column basic: its slack,
-or its artificial.  Both phases work on this one tableau; phase 2 bars
-every artificial from entering the basis, since ``_simplex`` prices only
-the columns below its entering bound.  Each pivot is one rank-1 update
-of the whole tableau, z included, and every column is updated on its
-own, so a column that may not enter changes no bit of the others.
+or its artificial.  ``solve_lp`` runs both phases on this one tableau;
+phase 2 bars every artificial from entering the basis, since
+``_simplex`` prices only the columns below its entering bound.  Each
+pivot is one rank-1 update of the whole tableau, z included, and every
+column is updated on its own, so a column that may not enter changes no
+bit of the others.
 
 Row i's dual is the final reduced cost at the column it started basic
 in, read with no further arithmetic on the tableau: a ``<=`` row's
@@ -88,17 +89,9 @@ def solve_lp(objective, A, relations, b) -> LpSolution:
     Deterministic: Bland's rule picks the lowest-index entering column and
     breaks ratio-test ties by lowest basis variable index.
     """
-    status, x, y, iters = _two_phase(objective, A, relations, b)
-    if status != OPTIMAL:
-        return LpSolution(status, None, None, iters)
-    x = np.maximum(x, 0.0)
-    return LpSolution(OPTIMAL, float(objective @ x), x, iters, y)
-
-
-def _two_phase(c, A, rels, b):
     m, n = A.shape
-    n_slack = rels.count(LE)
-    n_surplus = rels.count(GE)
+    n_slack = relations.count(LE)
+    n_surplus = relations.count(GE)
     n_art = m - n_slack
     slack0, surplus0, art0 = n, n + n_slack, n + n_slack + n_surplus
     total = art0 + n_art
@@ -108,7 +101,7 @@ def _two_phase(c, A, rels, b):
     T[:m, -1] = b
     basis = []
     si = ti = ai = 0
-    for i, rel in enumerate(rels):
+    for i, rel in enumerate(relations):
         if rel == LE:
             basis.append(slack0 + si)
             si += 1
@@ -147,18 +140,20 @@ def _two_phase(c, A, rels, b):
 
     z = T[m]
     z[:] = 0.0
-    z[:n] = -c
-    costs = c.tolist()
+    z[:n] = -objective
+    costs = objective.tolist()
     for i, j in enumerate(basis):
         if j < n and costs[j] != 0.0:
             z += costs[j] * T[i]
     status, iters = _simplex(T, basis, iters, art0)
     if status != OPTIMAL:
-        return status, None, None, iters
+        return LpSolution(status, None, None, iters)
 
     x = np.zeros(art0)
     x[basis] = T[:m, -1]
-    return OPTIMAL, x[:n], T[m, starting_basis], iters
+    x = np.maximum(x[:n], 0.0)
+    return LpSolution(OPTIMAL, float(objective @ x), x, iters,
+                      T[m, starting_basis])
 
 
 def _simplex(T, basis, iters, n_enter):

@@ -17,10 +17,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import UnknownIdError
 
-RANK_FULL = "FP"
-RANK_ASSOCIATE = "AP"
-RANK_FELLOW = "RF"
-RANKS = (RANK_FULL, RANK_ASSOCIATE, RANK_FELLOW)
+#: full professors, associate professors, research fellows
+RANKS = ("FP", "AP", "RF")
 
 DOC_ARTICLE = "article"
 DOC_REVIEW = "review"
@@ -124,9 +122,6 @@ class StaffRegistry:
     def __contains__(self, staff_id: str) -> bool:
         return staff_id in self._by_id
 
-    def in_cell(self, area_id: str, university_id: str) -> tuple[StaffMember, ...]:
-        return self._by_cell.get((area_id, university_id), ())
-
     def university_ids(self) -> tuple[str, ...]:
         return tuple(sorted({u for (_, u) in self._by_cell}))
 
@@ -143,7 +138,7 @@ class StaffRegistry:
         """Members of ``rank`` on staff in the cell at 31 December of ``year``."""
         return sum(
             1
-            for m in self.in_cell(area_id, university_id)
+            for m in self._by_cell.get((area_id, university_id), ())
             if m.rank == rank and m.active_in(year)
         )
 

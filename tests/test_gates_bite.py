@@ -1,14 +1,17 @@
-"""The acceptance gates bite: C01, C03 and C05 to C09, each run under a
-fault planted in the package (or, for C08 and C09, in the helper the
-gate looks up), report FAIL.  Each gate runs with a recording ``gate``
-in place of the fixture, so its verdict is read, not raised.  An
-exception from the package is not a FAIL: it fails the test."""
+"""The acceptance gates bite: C01 to C10, each run under a fault planted
+in the package (or, for C08 and C09, in the helper the gate looks up),
+report FAIL.  Each gate runs with a recording ``gate`` in place of the
+fixture, so its verdict is read, not raised.  An exception from the
+package is not a FAIL: it fails the test."""
 
 import dataclasses
+import functools
+import itertools
 
+import numpy as np
 import pytest
 
-from uniprod import bibliometrics, dea, disambiguation, lp
+from uniprod import bibliometrics, dea, disambiguation, lp, report
 
 from . import test_acceptance as acceptance
 
@@ -24,6 +27,25 @@ def test_c01_fails_with_a_loose_feasibility_tolerance(monkeypatch):
     monkeypatch.setattr(lp, "FEASIBILITY_TOL", 0.5)
     assert verdicts(acceptance.test_c01_simplex_matches_vertex_enumeration,
                     monkeypatch=monkeypatch) == [False]
+
+
+def _shrunk_scores(monkeypatch):
+    """Every score is 1e-8 below the one its expansion factor gives."""
+    score = dea.efficiency_score
+    monkeypatch.setattr(dea, "efficiency_score",
+                        lambda phi: score(phi) * (1.0 - 1e-8))
+
+
+def _loose_phi_snap(monkeypatch):
+    """Expansion factors up to 1.2 snap to 1."""
+    monkeypatch.setattr(dea, "PHI_SNAP_TOL", 0.2)
+
+
+@pytest.mark.parametrize("plant", [_shrunk_scores, _loose_phi_snap])
+def test_c02_fails_on_scores_off_the_best_ratio(plant, monkeypatch):
+    plant(monkeypatch)
+    assert verdicts(
+        acceptance.test_c02_single_dimension_scores_equal_best_ratio) == [False]
 
 
 def _vrs_from_crs(monkeypatch):
@@ -55,6 +77,21 @@ def _zero_convexity_duals(monkeypatch):
 def test_c03_fails_on_a_wrong_decomposition(plant, monkeypatch):
     plant(monkeypatch)
     assert verdicts(acceptance.test_c03_decomposition_invariants) == [False]
+
+
+def test_c04_fails_when_inputs_are_offset(monkeypatch):
+    """The problem's inputs are the raw inputs plus 1.0, an absolute
+    offset that a change of units does not scale."""
+
+    def offset(problem):
+        X = np.array([d.inputs for d in problem.dmus], dtype=float) + 1.0
+        Y = np.array([d.outputs for d in problem.dmus], dtype=float)
+        return X / X.max(axis=0), Y / Y.max(axis=0)
+
+    scaled = functools.cached_property(offset)
+    scaled.__set_name__(dea.DeaProblem, "_scaled")
+    monkeypatch.setattr(dea.DeaProblem, "_scaled", scaled)
+    assert verdicts(acceptance.test_c04_units_invariance) == [False]
 
 
 def test_c05_fails_when_every_factor_is_seeded(monkeypatch):
@@ -120,3 +157,20 @@ def test_c09_fails_with_dense_ranks(monkeypatch):
 
     monkeypatch.setattr(acceptance, "rank", dense_rank)
     assert verdicts(acceptance.test_c09_ranking_comparison_hand_values) == [False]
+
+
+def test_c10_fails_when_a_report_counts_its_writes(monkeypatch, tmp_path):
+    """Each rendering of the ``warnings`` table ends with a row holding
+    how many times it was rendered before."""
+    render_table = report.render_table
+    calls = itertools.count()
+
+    def counting(analysis_report, table):
+        text = render_table(analysis_report, table)
+        if table == "warnings":
+            text += f"{next(calls)}\n"
+        return text
+
+    monkeypatch.setattr(report, "render_table", counting)
+    assert verdicts(acceptance.test_c10_end_to_end_determinism_and_runtime,
+                    tmp_path=tmp_path) == [False]

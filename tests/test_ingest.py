@@ -194,6 +194,28 @@ class TestDiagnostics:
         with pytest.raises(IngestError, match="conflicts"):
             ingest(_config(demo_root))
 
+    def test_every_affiliation_diagnostic_in_order(self, demo_root):
+        """The reader's diagnostics come first, then each rejected row's
+        in line order; a repeat that maps to the same university is
+        accepted silently."""
+        _write(demo_root, "affiliations.csv",
+               "raw_pattern,university_id\n"
+               "Univ. X,U1\n"
+               "...,U2\n"
+               "Univ Y,  \n"
+               "UNIV X,U1\n"
+               "univ x.,U2\n"
+               "Univ Z,U3,extra\n")
+        with pytest.raises(IngestError) as exc:
+            ingest(_config(demo_root))
+        assert exc.value.diagnostics == [
+            "affiliations.csv:7: expected 2 fields, got 3",
+            "affiliations.csv:3: pattern '...' is empty after normalization",
+            "affiliations.csv:4: university_id is blank",
+            "affiliations.csv:6: pattern 'univ x.' conflicts with line 2 "
+            "(maps to both 'U1' and 'U2')",
+        ]
+
     def test_all_problems_reported_at_once(self, demo_root):
         _write(demo_root, "journals.csv",
                "journal_id,year,impact_weight\nJ1,2001,-1\nJ2,bad,1\n")

@@ -420,3 +420,48 @@ class TestCrossAreaInvariants:
             assert theta_tot == pytest.approx(
                 sum(by_area[a] * w for a, w in weights.items())
                 / row["staff_weight_total"], abs=1e-9)
+
+
+class TestRescaleInvariance:
+    """A change of units is not a change of data: multiplying every
+    funding amount, or every impact weight, by one factor moves no
+    efficiency score by more than 1e-9 and no returns-to-scale class.
+    The corpus is ``TestRowOrder``'s (seed 11, 3 areas, 12
+    universities), run with PR dropped and the partial comparison."""
+
+    @staticmethod
+    def _scores(root):
+        config = RunConfig(drop_inputs=("PR",), compare_partial=True)
+        report = run_pipeline(ingest(root), config)
+        return {(row["area_id"], row["university_id"]): row
+                for row in report.tables["scores"]}
+
+    @pytest.mark.parametrize("name, column, factor", [
+        ("funding.csv", "prin_keur", 1000.0),
+        ("journals.csv", "impact_weight", 0.37),
+    ])
+    def test_scores_do_not_depend_on_units(self, tmp_path, name, column,
+                                           factor):
+        root = write_synthetic_dataset(tmp_path / "data", seed=11,
+                                       n_areas=3, n_universities=12)
+        rescaled = tmp_path / "rescaled"
+        rescaled.mkdir()
+        for path in root.glob("*.csv"):
+            (rescaled / path.name).write_bytes(path.read_bytes())
+        with open(root / name, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        with open(rescaled / name, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            for row in rows:
+                row[column] = repr(float(row[column]) * factor)
+                writer.writerow(row)
+
+        original, changed = self._scores(root), self._scores(rescaled)
+        assert len(original) > 12 and changed.keys() == original.keys()
+        for key, row in original.items():
+            for score in ("te", "pte", "se", "theta"):
+                assert changed[key][score] == pytest.approx(row[score],
+                                                            abs=1e-9), key
+            assert changed[key]["rts"] == row["rts"], key
