@@ -274,11 +274,16 @@ def _author_token(piece: str) -> AuthorToken:
 def _author_tokens(
     field: str, known: dict[str | AuthorToken, AuthorToken]
 ) -> tuple[AuthorToken, ...]:
-    """``parse_author_field``, taking each entry's token from ``known``
-    and adding the entries it parses there, keyed by entry and by token
-    value, so equal entries and equal tokens (``ROSSI,M.`` and
-    ``ROSSI,M``) share one object.  A bad entry raises before anything
-    is stored."""
+    """Split a semicolon-joined author list into tokens.
+
+    Each author is SURNAME,INITIALS where the initials part holds the
+    initial letters, optionally dotted ("M.A." and "MA" both mean two
+    initials).  An empty field means an author-less record.  Each
+    entry's token is taken from ``known``, and the entries parsed are
+    added there, keyed by entry and by token value, so equal entries
+    and equal tokens (``ROSSI,M.`` and ``ROSSI,M``) share one object.
+    A bad entry raises before anything is stored.
+    """
     tokens = []
     for piece in field.split(";"):
         piece = piece.strip()
@@ -290,16 +295,6 @@ def _author_tokens(
             token = known[piece] = known.setdefault(token, token)
         tokens.append(token)
     return tuple(tokens)
-
-
-def parse_author_field(field: str) -> tuple[AuthorToken, ...]:
-    """Split a semicolon-joined author list into tokens.
-
-    Each author is SURNAME,INITIALS where the initials part holds the
-    initial letters, optionally dotted ("M.A." and "MA" both mean two
-    initials).  An empty field means an author-less record.
-    """
-    return _author_tokens(field, {})
 
 
 def _journal_weight(journal_id: str, year: str, weight: str):

@@ -300,6 +300,8 @@ def write_synthetic_dataset(
                 ))
 
     def dump(name: str, header: tuple[str, ...], rows) -> None:
+        # A new file, as report._write_new_file writes, not a truncated one.
+        (out_dir / name).unlink(missing_ok=True)
         with open(out_dir / name, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)

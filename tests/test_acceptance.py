@@ -44,7 +44,7 @@ from uniprod.disambiguation import (
     disambiguate_corpus,
 )
 from uniprod.errors import DegenerateDmuError, InvariantViolationError
-from uniprod.ingest import ingest, parse_author_field
+from uniprod.ingest import _author_tokens, ingest
 from uniprod.lp import solve_lp
 from uniprod.records import Publication, StaffMember, StaffRegistry
 from uniprod.synthetic import write_synthetic_dataset
@@ -492,7 +492,7 @@ def _hand_corpus():
         rows.append((f"P{22 + i}", "resolved", authors, affiliations, expected))
     publications = [
         Publication(pub_id, 2002, "article", "J1",
-                    parse_author_field(authors), affiliations)
+                    _author_tokens(authors, {}), affiliations)
         for pub_id, _, authors, affiliations, _ in rows
     ]
     return rows, publications

@@ -1,5 +1,7 @@
 """Every import in the package modules, the scripts and the tests is
-used, and every name the package exports exists.
+used, every name the package exports exists, and the package root
+exports exactly its library API, which holds every name that the
+README and the scripts import from it.
 
 ``__init__.py`` re-exports names it never reads, and ``from __future__``
 imports switch compiler features, so both are left out of the first
@@ -58,3 +60,40 @@ def test_the_check_sees_an_unused_import():
 def test_every_export_resolves_once():
     assert [n for n, c in Counter(uniprod.__all__).items() if c > 1] == []
     assert [n for n in uniprod.__all__ if not hasattr(uniprod, n)] == []
+
+
+ROOT_API = {
+    "AnalysisReport", "AreaNotAnalyzableError", "CRS", "Corpus",
+    "DeaProblem", "DegenerateDmuError", "DmuRecord", "EfficiencyResult",
+    "IngestError", "InvariantViolationError", "MissingDataError", "NIRS",
+    "REGIMES", "RunConfig", "StructuralError", "UniprodError",
+    "UnknownIdError", "VRS", "decompose", "ingest", "load_overrides",
+    "run_pipeline", "scores", "write_report",
+}
+
+
+def root_imports(source: str) -> set[str]:
+    """Names that ``source`` imports with ``from uniprod import ...``."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "uniprod"
+            for alias in node.names}
+
+
+def readme_library_use() -> str:
+    """The Python block under the README's "Library use" heading."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library use\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_root_exports_exactly_the_library_api():
+    assert sorted(uniprod.__all__) == sorted(ROOT_API)
+
+
+def test_documented_and_script_imports_are_root_api():
+    sources = [readme_library_use()] + [
+        p.read_text(encoding="utf-8")
+        for p in sorted((ROOT / "scripts").glob("*.py"))]
+    used = set().union(*map(root_imports, sources))
+    assert "run_pipeline" in used
+    assert sorted(used - ROOT_API) == []

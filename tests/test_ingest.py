@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from uniprod.errors import IngestError, StructuralError
-from uniprod.ingest import ingest, load_overrides, parse_author_field
+from uniprod.ingest import _author_tokens, ingest, load_overrides
 from uniprod.records import Publication
 from uniprod.synthetic import write_synthetic_dataset
 
@@ -245,23 +245,23 @@ class TestFundingWarnings:
 
 class TestAuthorField:
     def test_dotted_and_undotted_initials(self):
-        assert [str(t) for t in parse_author_field("ROSSI,M.A.")] == \
-            [str(t) for t in parse_author_field("ROSSI,MA")]
+        assert [str(t) for t in _author_tokens("ROSSI,M.A.", {})] == \
+            [str(t) for t in _author_tokens("ROSSI,MA", {})]
 
     def test_multiple_authors(self):
-        tokens = parse_author_field("ROSSI,M.;BIANCHI,L.")
+        tokens = _author_tokens("ROSSI,M.;BIANCHI,L.", {})
         assert [t.surname for t in tokens] == ["ROSSI", "BIANCHI"]
 
     def test_empty_field_is_empty_tuple(self):
-        assert parse_author_field("") == ()
-        assert parse_author_field("  ") == ()
+        assert _author_tokens("", {}) == ()
+        assert _author_tokens("  ", {}) == ()
 
     def test_trailing_semicolon_tolerated(self):
-        assert len(parse_author_field("ROSSI,M.;")) == 1
+        assert len(_author_tokens("ROSSI,M.;", {})) == 1
 
     def test_comma_required(self):
         with pytest.raises(StructuralError):
-            parse_author_field("ROSSI")
+            _author_tokens("ROSSI", {})
 
 
 class TestOverrideFile:
@@ -358,7 +358,7 @@ class TestSharedValues:
         assert [p.pub_id for p in corpus.publications] == \
             [r["pub_id"] for r in rows]
         for pub, row in zip(corpus.publications, rows):
-            assert pub.authors == parse_author_field(row["authors"])
+            assert pub.authors == _author_tokens(row["authors"], {})
             assert pub.raw_affiliations == tuple(
                 s.strip() for s in row["raw_affiliations"].split(";")
                 if s.strip())

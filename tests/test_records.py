@@ -1,15 +1,15 @@
 """Record carriers, and the ingest rules that guarantee their contents.
 
 The record types check nothing themselves.  The rejection tests below
-go through ingest: author entries through ``parse_author_field``, every
-other record as one bad row that must yield its ``file:line:``
+go through ingest: author entries through ``ingest._author_tokens``,
+every other record as one bad row that must yield its ``file:line:``
 diagnostic.
 """
 
 import pytest
 
 from uniprod.errors import IngestError, StructuralError, UnknownIdError
-from uniprod.ingest import ingest, parse_author_field
+from uniprod.ingest import _author_tokens, ingest
 from uniprod.records import (
     AuthorToken,
     FundingTable,
@@ -45,23 +45,23 @@ def rejected(tmp_path, file_name, row):
 
 class TestAuthorToken:
     def test_basic(self):
-        [t] = parse_author_field("ROSSI,M.a.")
+        [t] = _author_tokens("ROSSI,M.a.", {})
         assert t.initials == ("M", "A")
         assert str(t) == "ROSSI,M.A."
 
     def test_blank_surname(self):
         with pytest.raises(StructuralError, match="blank surname"):
-            parse_author_field("  ,M.")
+            _author_tokens("  ,M.", {})
 
     def test_no_initials(self):
         with pytest.raises(StructuralError, match="no initials"):
-            parse_author_field("ROSSI,")
+            _author_tokens("ROSSI,", {})
 
     @pytest.mark.parametrize("bad", ["", "MA", "1", "."])
     def test_bad_initial(self, bad):
         # Initials are read letter by letter, so every one is a single
         # upper-case letter whatever surrounds it.
-        [t] = parse_author_field(f"ROSSI,{bad}m")
+        [t] = _author_tokens(f"ROSSI,{bad}m", {})
         assert t.initials[-1] == "M"
         assert all(len(i) == 1 and i.isalpha() and i.isupper()
                    for i in t.initials)

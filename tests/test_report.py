@@ -1,6 +1,7 @@
 """Emission invariants: round-trip fidelity, determinism, formats."""
 
 import json
+import os
 
 import pytest
 
@@ -96,6 +97,23 @@ class TestWriteReport:
         first = write_report(report, tmp_path / "a", "csv")
         second = write_report(report, tmp_path / "b", "csv")
         for p1, p2 in zip(first, second):
+            assert p1.read_bytes() == p2.read_bytes(), p1.name
+
+    @pytest.mark.parametrize("fmt, linked", [("csv", "scores.csv"),
+                                             ("json", "report.json")])
+    def test_rerun_writes_new_files(self, report, tmp_path, fmt, linked):
+        """A re-run into one directory replaces each file: a hard link to
+        an earlier report file keeps that file, and the bytes equal a run
+        into a fresh directory."""
+        out = tmp_path / "out"
+        write_report(report, out, fmt)
+        link = tmp_path / "link"
+        os.link(out / linked, link)
+        again = write_report(report, out, fmt)
+        fresh = write_report(report, tmp_path / "fresh", fmt)
+        assert not os.path.samefile(out / linked, link)
+        assert [p.name for p in again] == [p.name for p in fresh]
+        for p1, p2 in zip(again, fresh):
             assert p1.read_bytes() == p2.read_bytes(), p1.name
 
 

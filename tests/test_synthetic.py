@@ -1,4 +1,6 @@
-"""The synthetic generator's argument checks."""
+"""The synthetic generator's argument checks and its output files."""
+
+import os
 
 import pytest
 
@@ -16,3 +18,20 @@ def test_empty_shape_rejected_before_writing(tmp_path, kwargs, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         write_synthetic_dataset(out_dir, **kwargs)
     assert not out_dir.exists()
+
+
+def test_rerun_writes_new_files(tmp_path):
+    """A re-run into one directory replaces each CSV: a hard link to an
+    earlier file keeps that file, and the bytes equal a run into a fresh
+    directory."""
+    shape = {"seed": 3, "n_areas": 2, "n_universities": 6}
+    out = write_synthetic_dataset(tmp_path / "data", **shape)
+    link = tmp_path / "link"
+    os.link(out / "staff.csv", link)
+    write_synthetic_dataset(out, **shape)
+    fresh = write_synthetic_dataset(tmp_path / "fresh", **shape)
+    assert not os.path.samefile(out / "staff.csv", link)
+    names = sorted(p.name for p in fresh.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
