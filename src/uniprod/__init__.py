@@ -31,7 +31,6 @@ from .errors import (
     MissingDataError,
     StructuralError,
     UniprodError,
-    UnknownIdError,
 )
 from .ingest import Corpus, ingest, load_overrides
 from .pipeline import run_pipeline
@@ -56,7 +55,6 @@ __all__ = [
     "RunConfig",
     "StructuralError",
     "UniprodError",
-    "UnknownIdError",
     "VRS",
     "decompose",
     "ingest",

@@ -14,13 +14,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .dea import DeaProblem, DmuRecord
 from .errors import AreaNotAnalyzableError
-from .records import (
-    RANKS,
-    FundingTable,
-    JournalTable,
-    Publication,
-    StaffRegistry,
-)
+from .records import RANKS, Publication, StaffRegistry
 
 INPUT_LABELS = ("FP", "AP", "RF", "PR")
 OUTPUT_LABELS = ("PU", "PC", "SS")
@@ -91,29 +85,29 @@ class MatchedCorpus:
 
 def compute_output_vector(
     corpus: MatchedCorpus,
-    journals: JournalTable,
+    journals: Mapping[tuple[str, int], float],
     area_id: str,
     university_id: str,
     years: Iterable[int],
-    warnings: list[str] | None = None,
+    warnings: list[str],
 ) -> OutputVector:
     """PU, PC and SS of one cell from a single scan of its rows.
 
-    A publication whose journal has no stored weight for its year adds
-    nothing to SS; each such case appends one message to ``warnings``.
+    ``journals`` maps (journal_id, year) to the impact weight.  A
+    publication whose journal has no weight for its year adds nothing to
+    SS; each such case appends one message to ``warnings``.
     """
     rows = corpus.cell_rows(area_id, university_id, years)
     pc = 0.0
     ss = 0.0
     for pub_id, journal_id, year, b, c in rows:
         pc += b / c
-        weight = journals.weight_for(journal_id, year)
+        weight = journals.get((journal_id, year))
         if weight is None:
-            if warnings is not None:
-                warnings.append(
-                    f"no impact weight for journal {journal_id!r} in {year} "
-                    f"(publication {pub_id!r})"
-                )
+            warnings.append(
+                f"no impact weight for journal {journal_id!r} in {year} "
+                f"(publication {pub_id!r})"
+            )
             continue
         ss += weight
     return OutputVector(pu=float(len(rows)), pc=pc, ss=ss)
@@ -121,7 +115,7 @@ def compute_output_vector(
 
 def build_input_vector(
     staff: StaffRegistry,
-    funding: FundingTable,
+    funding: Mapping[tuple[str, str, int], float],
     area_id: str,
     university_id: str,
     output_years: Sequence[int],
@@ -132,7 +126,9 @@ def build_input_vector(
     For each output year y the snapshot is taken at 31 December of
     y - lag.  Snapshot years outside the registry's covered span read as
     zero headcounts here; ``run_pipeline`` rejects such a configuration
-    once per run, before any cell is built.
+    once per run, before any cell is built.  ``funding`` maps
+    (university_id, area_id, year) to k€; a cell with no grant row in a
+    year reads 0 for that year.
     """
     snapshot_years = [y - lag for y in output_years]
     n = len(snapshot_years)
@@ -142,7 +138,7 @@ def build_input_vector(
         for rank in RANKS
     ]
     pr = sum(
-        funding.amount(university_id, area_id, s) for s in snapshot_years
+        funding.get((university_id, area_id, s), 0.0) for s in snapshot_years
     ) / n
     return InputVector(*heads, pr)
 

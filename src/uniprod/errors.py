@@ -11,10 +11,6 @@ class StructuralError(UniprodError, ValueError):
     """Malformed input: dimension mismatch, non-finite values, bad schema."""
 
 
-class UnknownIdError(UniprodError, KeyError):
-    """A referenced area / university / staff id is not in the registry."""
-
-
 class MissingDataError(UniprodError):
     """A required year or snapshot is absent from the ingested data."""
 

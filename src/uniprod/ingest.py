@@ -31,8 +31,6 @@ from .errors import IngestError, StructuralError
 from .records import (
     AuthorToken,
     DOC_TYPES,
-    FundingTable,
-    JournalTable,
     Publication,
     RANKS,
     StaffMember,
@@ -59,12 +57,18 @@ _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 @dataclass(frozen=True)
 class Corpus:
-    """The validated in-memory form of the five input files."""
+    """The validated in-memory form of the five input files.
+
+    ``journals`` maps (journal_id, year) to the impact weight; a pair
+    with no entry has no weight.  ``funding`` maps (university_id,
+    area_id, year) to the competitive funding in k€; a cell with no grant
+    in a year has no entry.  Rows for unknown universities are dropped.
+    """
 
     staff: StaffRegistry
     publications: tuple[Publication, ...]
-    journals: JournalTable
-    funding: FundingTable
+    journals: dict[tuple[str, int], float]
+    funding: dict[tuple[str, str, int], float]
     affiliations: AffiliationDictionary
     warnings: tuple[str, ...]
 
@@ -298,13 +302,13 @@ def _author_tokens(
 
 
 def _journal_weight(journal_id: str, year: str, weight: str):
-    return (_text(journal_id, "journal_id"), _integer(year, "year"),
+    return ((_text(journal_id, "journal_id"), _integer(year, "year")),
             _amount(weight, "impact_weight"))
 
 
 def _funding_amount(university_id: str, area_id: str, year: str, keur: str):
-    return (_text(university_id, "university_id"), _text(area_id, "area_id"),
-            _integer(year, "year"), _amount(keur, "prin_keur"))
+    return ((_text(university_id, "university_id"), _text(area_id, "area_id"),
+             _integer(year, "year")), _amount(keur, "prin_keur"))
 
 
 def _load_staff(path: Path, diagnostics: list[str]) -> StaffRegistry:
@@ -342,9 +346,11 @@ def _load_publications(
     ))
 
 
-def _load_journals(path: Path, diagnostics: list[str]) -> JournalTable:
-    return JournalTable(_records(
-        path, JOURNAL_FIELDS, _journal_weight, lambda r: r[:2],
+def _load_journals(
+    path: Path, diagnostics: list[str]
+) -> dict[tuple[str, int], float]:
+    return dict(_records(
+        path, JOURNAL_FIELDS, _journal_weight, lambda r: r[0],
         lambda k: f"duplicate weight for journal {k[0]!r} year {k[1]}",
         diagnostics,
     ))
@@ -355,16 +361,17 @@ def _load_funding(
     known_universities: frozenset[str],
     diagnostics: list[str],
     warnings: list[str],
-) -> FundingTable:
-    def known(line: int, row: tuple[str, str, int, float]) -> bool:
-        if row[0] in known_universities:
+) -> dict[tuple[str, str, int], float]:
+    def known(line: int, row: tuple[tuple[str, str, int], float]) -> bool:
+        university_id = row[0][0]
+        if university_id in known_universities:
             return True
         warnings.append(f"{path.name}:{line}: unknown university "
-                        f"{row[0]!r}; row skipped")
+                        f"{university_id!r}; row skipped")
         return False
 
-    return FundingTable(_records(
-        path, FUNDING_FIELDS, _funding_amount, lambda r: r[:3],
+    return dict(_records(
+        path, FUNDING_FIELDS, _funding_amount, lambda r: r[0],
         lambda k: f"duplicate funding row for {k!r}", diagnostics, known,
     ))
 
@@ -428,9 +435,9 @@ def load_overrides(
         staff_id = staff_id.strip() or None
         if staff_id is None:
             return (pub_id, position), None
-        if staff_id not in corpus.staff:
-            raise StructuralError(f"unknown staff id {staff_id!r}")
         member = corpus.staff.member(staff_id)
+        if member is None:
+            raise StructuralError(f"unknown staff id {staff_id!r}")
         named = corpus.affiliations.universities(pub.raw_affiliations)
         if member.university_id not in named:
             raise StructuralError(
@@ -486,9 +493,8 @@ def ingest(data_dir: Path) -> Corpus:
             f"{len(diagnostics)} problem(s) in input files", diagnostics
         )
 
-    unknown_journals = sorted(
-        {p.journal_id for p in publications if p.journal_id not in journals}
-    )
+    unknown_journals = sorted({p.journal_id for p in publications}
+                              - {journal_id for journal_id, _ in journals})
     for journal_id in unknown_journals:
         warnings.append(
             f"journal {journal_id!r} appears in publications but not in "

@@ -1,10 +1,12 @@
-"""Core domain records: staff, publications, journals, funding.
+"""Core domain records: staff and publications.
 
 These are plain immutable carriers.  They check nothing: ``ingest`` is
 the one place that validates outside input, so build them through it
 (or, in tests, from values that already satisfy its rules).  Text
-normalization and matching logic live elsewhere; the registry types
-here only provide exact-key indexing and headcount queries.
+normalization and matching logic live elsewhere; the staff registry
+only provides exact-key indexing and headcount queries.  Journal
+weights and funding amounts need no type of their own: ``ingest``
+keeps each as a plain dict (see ``Corpus``).
 ``Publication`` and ``AuthorToken``, the most numerous records, are
 ``typing.NamedTuple`` types: one cheap object each, equal to a tuple.
 """
@@ -14,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
-
-from .errors import UnknownIdError
 
 #: full professors, associate professors, research fellows
 RANKS = ("FP", "AP", "RF")
@@ -113,14 +113,9 @@ class StaffRegistry:
     def __iter__(self) -> Iterator[StaffMember]:
         return iter(self._members)
 
-    def member(self, staff_id: str) -> StaffMember:
-        try:
-            return self._by_id[staff_id]
-        except KeyError:
-            raise UnknownIdError(f"unknown staff id {staff_id!r}") from None
-
-    def __contains__(self, staff_id: str) -> bool:
-        return staff_id in self._by_id
+    def member(self, staff_id: str) -> StaffMember | None:
+        """The member with ``staff_id``, or None for an unknown id."""
+        return self._by_id.get(staff_id)
 
     def university_ids(self) -> tuple[str, ...]:
         return tuple(sorted({u for (_, u) in self._by_cell}))
@@ -150,41 +145,3 @@ class StaffRegistry:
             min(m.year_from for m in self._members),
             max(m.year_to for m in self._members),
         )
-
-
-class JournalTable:
-    """Per-journal, per-year impact weights.
-
-    Lookups return None for any (journal, year) pair without a stored
-    weight; callers decide whether that is a warning or an error.
-    """
-
-    def __init__(self, rows: Iterable[tuple[str, int, float]]):
-        self._weights = {(j, year): weight for j, year, weight in rows}
-        self._ids = frozenset(j for (j, _) in self._weights)
-
-    def __contains__(self, journal_id: str) -> bool:
-        return journal_id in self._ids
-
-    def __len__(self) -> int:
-        return len(self._weights)
-
-    def weight_for(self, journal_id: str, year: int) -> float | None:
-        return self._weights.get((journal_id, year))
-
-
-class FundingTable:
-    """Competitive funding amounts keyed by (university, area, year), in k€.
-
-    Absent rows read as 0: a cell that received no grant in a year simply
-    has no row, and zero amounts do occur in recorded data.
-    """
-
-    def __init__(self, rows: Iterable[tuple[str, str, int, float]]):
-        self._amounts = {(u, a, year): keur for u, a, year, keur in rows}
-
-    def __len__(self) -> int:
-        return len(self._amounts)
-
-    def amount(self, university_id: str, area_id: str, year: int) -> float:
-        return self._amounts.get((university_id, area_id, year), 0.0)

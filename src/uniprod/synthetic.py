@@ -149,7 +149,7 @@ def write_synthetic_dataset(
             f"n_universities must be in 1-{MAX_UNIVERSITIES}, "
             f"got {n_universities}"
         )
-    years = tuple(sorted(years))
+    years = tuple(sorted(set(years)))
     if not years:
         raise ValueError("years must hold at least one output year")
     if not (math.isfinite(pubs_per_staff_year) and pubs_per_staff_year >= 0):

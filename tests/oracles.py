@@ -180,9 +180,7 @@ def cell_outputs_bruteforce(
             continue
         pu += 1
         pc += b / pub.author_count
-        if journals is not None:
-            weight = journals.weight_for(pub.journal_id, pub.year)
-            ss += weight if weight is not None else 0.0
+        ss += journals.get((pub.journal_id, pub.year), 0.0)
     return pu, pc, ss
 
 

@@ -363,7 +363,7 @@ def test_c06_output_construction_matches_bruteforce(gate, tmp_path):
                 cells += 1
                 vector = compute_output_vector(
                     matched, corpus.journals, area_id, university_id,
-                    config.years,
+                    config.years, [],
                 )
                 pu, pc, ss = cell_outputs_bruteforce(
                     corpus.publications, outcomes, corpus.staff,

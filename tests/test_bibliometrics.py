@@ -30,8 +30,6 @@ from uniprod.ingest import Corpus
 from uniprod.pipeline import run_pipeline
 from uniprod.records import (
     AuthorToken,
-    FundingTable,
-    JournalTable,
     Publication,
     StaffMember,
     StaffRegistry,
@@ -55,10 +53,10 @@ REGISTRY = StaffRegistry([
     staff("S6", "Russo", "Giovanni", "AP", "U2", "A2"),
 ])
 
-JOURNALS = JournalTable([
-    ("J1", 2001, 3.0), ("J1", 2002, 3.0),
-    ("J2", 2002, 1.5), ("J3", 2002, 0.5),
-])
+JOURNALS = {
+    ("J1", 2001): 3.0, ("J1", 2002): 3.0,
+    ("J2", 2002): 1.5, ("J3", 2002): 0.5,
+}
 
 
 def pub(pub_id, year=2002, doc_type="article", journal_id="J1", n_authors=1):
@@ -87,7 +85,7 @@ def corpus_of(pub_specs, assigns):
 
 def outputs(corpus, area_id, university_id, years, warnings=None):
     return compute_output_vector(corpus, JOURNALS, area_id, university_id,
-                                 years, warnings)
+                                 years, [] if warnings is None else warnings)
 
 
 class TestComputePu:
@@ -191,9 +189,8 @@ def random_corpus(rng):
     dictionary = AffiliationDictionary(
         [(p, u) for u, p in pattern_of.items()]
     )
-    journals = JournalTable(
-        [(f"J{j}", y, float(j)) for j in (1, 2) for y in (2001, 2002, 2003)]
-    )
+    journals = {(f"J{j}", y): float(j) for j in (1, 2)
+                for y in (2001, 2002, 2003)}
     pubs = []
     for i in range(30):
         n_auth = int(rng.integers(1, 5))
@@ -228,7 +225,7 @@ class TestCorpusInvariants:
         for area in ("A1", "A2"):
             for uni in ("U1", "U2", "U3"):
                 vector = compute_output_vector(corpus, journals, area, uni,
-                                               years)
+                                               years, [])
                 pu, pc, ss = vector.pu, vector.pc, vector.ss
                 assert 0.0 <= pc <= pu
                 opu, opc, oss = cell_outputs_bruteforce(
@@ -283,10 +280,9 @@ class TestCorpusInvariants:
             [matched("P1", 1, "S1"), matched("P2", 1, "S1"),
              matched("P3", 1, "S2"), matched("P3", 2, "S3")],
         )
-        whole = compute_output_vector(c, JOURNALS, "A1", "U1",
-                                      [2001, 2002, 2003])
-        first = compute_output_vector(c, JOURNALS, "A1", "U1", [2001])
-        rest = compute_output_vector(c, JOURNALS, "A1", "U1", [2002, 2003])
+        whole = outputs(c, "A1", "U1", [2001, 2002, 2003])
+        first = outputs(c, "A1", "U1", [2001])
+        rest = outputs(c, "A1", "U1", [2002, 2003])
         assert whole.pu == first.pu + rest.pu
         assert whole.pc == pytest.approx(first.pc + rest.pc, abs=1e-12)
         assert whole.ss == pytest.approx(first.ss + rest.ss, abs=1e-12)
@@ -308,7 +304,7 @@ class TestBuildInputVector:
 
     def test_mean_headcounts(self):
         reg = self.registry_with_growth()
-        vec = build_input_vector(reg, FundingTable([]), "A1", "U1",
+        vec = build_input_vector(reg, {}, "A1", "U1",
                                  (2001, 2002, 2003), lag=1)
         assert vec.fp == pytest.approx(12.0)
         assert vec.ap == vec.rf == 0.0
@@ -316,13 +312,12 @@ class TestBuildInputVector:
 
     def test_single_year_window(self):
         reg = self.registry_with_growth()
-        vec = build_input_vector(reg, FundingTable([]), "A1", "U1",
-                                 (2002,), lag=1)
+        vec = build_input_vector(reg, {}, "A1", "U1", (2002,), lag=1)
         assert vec.fp == 12.0
 
     def test_funding_mean_with_zero_years(self):
         reg = self.registry_with_growth()
-        funding = FundingTable([("U1", "A1", 2001, 300.0)])
+        funding = {("U1", "A1", 2001): 300.0}
         vec = build_input_vector(reg, funding, "A1", "U1",
                                  (2001, 2002, 2003), lag=1)
         assert vec.pr == pytest.approx(100.0)
@@ -330,8 +325,8 @@ class TestBuildInputVector:
     def test_missing_snapshot_year(self):
         # Coverage is a property of the run, checked once by run_pipeline
         # before any cell is built.
-        corpus = Corpus(self.registry_with_growth(), (), JournalTable([]),
-                        FundingTable([]), AffiliationDictionary([]), ())
+        corpus = Corpus(self.registry_with_growth(), (), {}, {},
+                        AffiliationDictionary([]), ())
         with pytest.raises(MissingDataError) as exc:
             run_pipeline(corpus, RunConfig(years=(2001,), lag=10))
         assert "1991" in str(exc.value)

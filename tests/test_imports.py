@@ -66,9 +66,9 @@ ROOT_API = {
     "AnalysisReport", "AreaNotAnalyzableError", "CRS", "Corpus",
     "DeaProblem", "DegenerateDmuError", "DmuRecord", "EfficiencyResult",
     "IngestError", "InvariantViolationError", "MissingDataError", "NIRS",
-    "REGIMES", "RunConfig", "StructuralError", "UniprodError",
-    "UnknownIdError", "VRS", "decompose", "ingest", "load_overrides",
-    "run_pipeline", "scores", "write_report",
+    "REGIMES", "RunConfig", "StructuralError", "UniprodError", "VRS",
+    "decompose", "ingest", "load_overrides", "run_pipeline", "scores",
+    "write_report",
 }
 
 

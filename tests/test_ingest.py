@@ -34,8 +34,8 @@ class TestHappyPath:
         corpus = ingest(_config(demo_root))
         assert len(corpus.publications) == 30
         assert corpus.staff.headcount("A01", "U2", "AP", 2001) == 3.0
-        assert corpus.journals.weight_for("J1", 2002) == 1.5
-        assert corpus.funding.amount("U1", "A01", 2001) == 120.0
+        assert corpus.journals[("J1", 2002)] == 1.5
+        assert corpus.funding[("U1", "A01", 2001)] == 120.0
         assert corpus.affiliations.lookup("univ of alpha") == "U1"
 
     def test_unknown_journal_becomes_warning(self, demo_root):
@@ -57,7 +57,7 @@ class TestHappyPath:
         path = demo_root / "journals.csv"
         path.write_text(path.read_text() + "\n,,\n\n", encoding="utf-8")
         corpus = ingest(_config(demo_root))
-        assert corpus.journals.weight_for("J2", 2003) == 0.8
+        assert corpus.journals[("J2", 2003)] == 0.8
 
 
 class TestDiagnostics:
@@ -233,7 +233,7 @@ class TestFundingWarnings:
                         encoding="utf-8")
         corpus = ingest(_config(demo_root))
         assert any("'U9'" in w for w in corpus.warnings)
-        assert corpus.funding.amount("U9", "A01", 2001) == 0.0
+        assert ("U9", "A01", 2001) not in corpus.funding
 
     def test_duplicate_funding_row(self, demo_root):
         path = demo_root / "funding.csv"
@@ -431,8 +431,8 @@ def test_same_records_as_a_dictreader_oracle(tmp_path):
     assert list(corpus.staff) == staff
     assert all(type(p) is Publication for p in corpus.publications)
     assert list(corpus.publications) == publications
-    assert vars(corpus.journals)["_weights"] == journals
-    assert vars(corpus.funding)["_amounts"] == funding
+    assert corpus.journals == journals
+    assert corpus.funding == funding
     assert vars(corpus.affiliations)["_mapping"] == affiliations
     assert list(corpus.warnings) == warnings
     assert len(publications) > 100 and warnings

@@ -136,7 +136,7 @@ def test_underscored_or_non_ascii_override_position_is_rejected(tmp_path,
 
 def _loaded(corpus) -> tuple:
     return (tuple(corpus.staff), corpus.publications,
-            vars(corpus.journals), vars(corpus.funding),
+            corpus.journals, corpus.funding,
             vars(corpus.affiliations), corpus.warnings)
 
 

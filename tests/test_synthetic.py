@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from uniprod.ingest import ingest
 from uniprod.synthetic import MAX_UNIVERSITIES, write_synthetic_dataset
 
 
@@ -20,6 +21,13 @@ def test_empty_shape_rejected_before_writing(tmp_path, kwargs, message):
     assert not out_dir.exists()
 
 
+def assert_same_files(got, want):
+    names = sorted(p.name for p in want.iterdir())
+    assert sorted(p.name for p in got.iterdir()) == names
+    for name in names:
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
 def test_rerun_writes_new_files(tmp_path):
     """A re-run into one directory replaces each CSV: a hard link to an
     earlier file keeps that file, and the bytes equal a run into a fresh
@@ -31,7 +39,17 @@ def test_rerun_writes_new_files(tmp_path):
     write_synthetic_dataset(out, **shape)
     fresh = write_synthetic_dataset(tmp_path / "fresh", **shape)
     assert not os.path.samefile(out / "staff.csv", link)
-    names = sorted(p.name for p in fresh.iterdir())
-    assert sorted(p.name for p in out.iterdir()) == names
-    for name in names:
-        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert_same_files(out, fresh)
+
+
+def test_repeated_years_write_each_year_once(tmp_path):
+    """Output years are a set: a repeated or unsorted year writes the
+    same bytes as the sorted distinct years, and the result ingests
+    without a diagnostic (a duplicate journal-year would be one)."""
+    shape = {"seed": 3, "n_areas": 2, "n_universities": 6}
+    out = write_synthetic_dataset(tmp_path / "repeated",
+                                  years=(2002, 2001, 2001), **shape)
+    plain = write_synthetic_dataset(tmp_path / "plain",
+                                    years=(2001, 2002), **shape)
+    assert_same_files(out, plain)
+    assert len(ingest(out).publications) > 0
