@@ -164,6 +164,22 @@ class TestComputeSs:
         assert len(warnings) == 1
         assert "JX" in warnings[0] and "P2" in warnings[0]
 
+    def test_zero_weight_is_a_weight_not_a_missing_one(self):
+        # A journal weighted 0 in a year adds 0 without a warning; the
+        # same journal in a year with no weight row is missing.
+        c = corpus_of(
+            [pub("P1", year=2001, journal_id="J0"),
+             pub("P2", year=2002, journal_id="J0")],
+            [matched("P1", 1, "S1"), matched("P2", 1, "S1")],
+        )
+        journals = {("J0", 2001): 0.0}
+        warnings: list[str] = []
+        got = compute_output_vector(c, journals, "A1", "U1", (2001, 2002),
+                                    warnings)
+        assert got.ss == 0.0 and got.pu == 2
+        assert len(warnings) == 1
+        assert "2002" in warnings[0] and "P2" in warnings[0]
+
 
 def random_corpus(rng):
     """A small corpus over three universities and two areas: staff with
@@ -321,6 +337,19 @@ class TestBuildInputVector:
         vec = build_input_vector(reg, funding, "A1", "U1",
                                  (2001, 2002, 2003), lag=1)
         assert vec.pr == pytest.approx(100.0)
+
+    def test_funding_reads_only_its_own_cell(self):
+        # Rows of another university, another area or a year outside the
+        # window add nothing; a cell with no row at all reads 0.
+        reg = self.registry_with_growth()
+        funding = {("U1", "A1", 2001): 120.0, ("U1", "A1", 2002): 0.0,
+                   ("U2", "A1", 2001): 900.0, ("U1", "A2", 2001): 900.0,
+                   ("U1", "A1", 2005): 900.0}
+        vec = build_input_vector(reg, funding, "A1", "U1", (2002, 2003),
+                                 lag=1)
+        assert vec.pr == pytest.approx(60.0)
+        assert build_input_vector(reg, funding, "A1", "U3", (2002,),
+                                  lag=1).pr == 0.0
 
     def test_missing_snapshot_year(self):
         # Coverage is a property of the run, checked once by run_pipeline
