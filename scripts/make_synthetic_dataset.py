@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import sys
 from pathlib import Path
 
 from uniprod.cli import parse_years
@@ -43,11 +44,15 @@ def main(argv=None) -> int:
         parser.error(f"--pubs-per-staff-year must be finite and >= 0, "
                      f"got {intensity}")
 
-    root = write_synthetic_dataset(
-        args.out_dir, seed=args.seed, n_areas=args.areas,
-        n_universities=args.universities, years=args.years,
-        pubs_per_staff_year=args.pubs_per_staff_year,
-    )
+    try:
+        root = write_synthetic_dataset(
+            args.out_dir, seed=args.seed, n_areas=args.areas,
+            n_universities=args.universities, years=args.years,
+            pubs_per_staff_year=args.pubs_per_staff_year,
+        )
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for name in ("staff", "publications", "journals", "funding",
                  "affiliations"):
         path = root / f"{name}.csv"

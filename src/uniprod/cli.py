@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .config import FORMATS, REGIMES, RunConfig
+from .dea import CRS
 from .errors import UniprodError
 from .ingest import ingest, load_overrides
 from .pipeline import run_pipeline
@@ -129,32 +130,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def summarize(report: AnalysisReport, written, stream) -> None:
+def _cell(value, spec: str = "") -> str:
+    """An overview cell; a model that did not run shows -."""
+    return "-" if value is None else format(value, spec)
+
+
+def summarize(report: AnalysisReport, written) -> None:
     """Print the run's summary: areas, failures, matching counts,
-    warnings and the files written."""
-    print(f"areas analyzed: {len(report.areas_analyzed)}", file=stream)
+    warnings and the files written, then each analyzed area's overview
+    and the top of the global ranking."""
+    print(f"areas analyzed: {len(report.areas_analyzed)}")
     for row in report.tables["area_failures"]:
-        print(
-            f"area {row['area_id']} skipped ({row['reason']}): "
-            f"{row['detail']}",
-            file=stream,
-        )
+        print(f"area {row['area_id']} skipped ({row['reason']}): "
+              f"{row['detail']}")
     print(
         "publications: {total} total, {resolved} resolved, {manual} for "
         "manual review, {discarded} discarded, {unresolvable} unresolvable"
-        .format(**report.tables["disambiguation_stats"][0]),
-        file=stream,
+        .format(**report.tables["disambiguation_stats"][0])
     )
     if report.tables["manual_review"]:
-        print(
-            f"manual review queue: {len(report.tables['manual_review'])} "
-            "author mention(s) (see manual_review table)",
-            file=stream,
-        )
+        print(f"manual review queue: {len(report.tables['manual_review'])} "
+              "author mention(s) (see manual_review table)")
     for row in report.tables["warnings"]:
-        print(f"warning: {row['message']}", file=stream)
+        print(f"warning: {row['message']}")
     for path in written:
-        print(f"wrote {path}", file=stream)
+        print(f"wrote {path}")
+
+    print("\narea overview:")
+    for row in report.tables["efficiency_by_area"]:
+        print(f"  {row['area_id']}: {row['n_universities']:>3} "
+              f"universities, mean TE {_cell(row['te_mean'], '.3f')}, "
+              f"mean PTE {_cell(row['pte_mean'], '.3f')}, "
+              f"{_cell(row['te_efficient'])} TE-efficient")
+    if report.config["regime"] == CRS:
+        # The global index normalizes PTE, which only VRS yields.
+        print("\nno global ranking: it needs --regime vrs or all")
+        return
+    print("\ntop of the global ranking:")
+    for row in report.tables["global_ranking"][:5]:
+        print(f"  #{row['rank']} {row['university_id']} "
+              f"(score {row['theta_tot']:.3f}, {row['areas_active']} areas)")
 
 
 def main(argv=None) -> int:
@@ -185,7 +200,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
     else:
-        summarize(report, written, sys.stdout)
+        summarize(report, written)
         return EXIT_OK if report.fully_successful else EXIT_PARTIAL
     finally:
         if enabled:

@@ -150,8 +150,55 @@ class TestExitCodes:
         code = main([str(data_dir), "--regime", "crs", "--compare-partial",
                      "--out", str(tmp_path / "r")])
         assert code == 1
-        assert "--regime vrs or all" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "--regime vrs or all" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
         assert not (tmp_path / "r").exists()
+
+
+class TestSummaryOverview:
+    """After its "wrote" lines the summary gives each analyzed area's
+    overview, then the top five of the global ranking, which needs the
+    VRS scores that ``--regime crs`` skips."""
+
+    @staticmethod
+    def _run(tmp_path, capsys, *flags):
+        root = write_synthetic_dataset(tmp_path / "data", seed=3, n_areas=2,
+                                       n_universities=8)
+        assert main([str(root), "--out", str(tmp_path / "r"), *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        last_wrote = max(i for i, line in enumerate(lines)
+                         if line.startswith("wrote "))
+        areas = [line for line in lines
+                 if "universities, mean TE" in line]
+        assert len(areas) == 2
+        assert lines.index("area overview:") > last_wrote
+        return lines, areas
+
+    def test_default_regime_prints_overview_and_ranking(self, tmp_path,
+                                                        capsys):
+        lines, areas = self._run(tmp_path, capsys)
+        for line in areas:
+            assert " -" not in line  # every model ran
+        top = lines.index("top of the global ranking:")
+        assert top > lines.index("area overview:")
+        assert len(lines[top + 1:]) == 5
+        assert all(line.startswith("  #") for line in lines[top + 1:])
+
+    def test_vrs_has_no_te_columns(self, tmp_path, capsys):
+        lines, areas = self._run(tmp_path, capsys, "--regime", "vrs")
+        for line in areas:
+            assert line.endswith("mean TE -, mean PTE 1.000, - TE-efficient")
+        assert lines[lines.index("top of the global ranking:") + 1] \
+            .startswith("  #1 ")
+
+    def test_crs_says_the_ranking_needs_vrs(self, tmp_path, capsys):
+        lines, areas = self._run(tmp_path, capsys, "--regime", "crs")
+        assert "top of the global ranking:" not in lines
+        assert lines[-1] == "no global ranking: it needs --regime vrs or all"
+        assert any(line.endswith("mean PTE -, 5 TE-efficient")
+                   for line in areas)
 
 
 class TestFlags:

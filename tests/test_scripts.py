@@ -41,9 +41,17 @@ class TestMakeSyntheticDataset:
         assert "reversed" in err
         assert "Traceback" not in err
 
+    def test_unwritable_output_is_an_error(self, tmp_path, capsys):
+        # An output directory under a regular file cannot be created.
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        main = _script_main("make_synthetic_dataset")
+        assert main([str(blocker / "data"), *SMALL]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
-@pytest.mark.parametrize("script", ["make_synthetic_dataset",
-                                    "run_synthetic_study"])
+
 @pytest.mark.parametrize("flags", [
     ["--universities", "80"],
     ["--universities", "0"],
@@ -51,8 +59,8 @@ class TestMakeSyntheticDataset:
     ["--areas", "0"],
     ["--areas", "-1"],
 ], ids="=".join)
-def test_out_of_range_size_is_usage_error(tmp_path, capsys, script, flags):
-    main = _script_main(script)
+def test_out_of_range_size_is_usage_error(tmp_path, capsys, flags):
+    main = _script_main("make_synthetic_dataset")
     with pytest.raises(SystemExit) as exc:
         main([str(tmp_path / "work"), *SMALL, *flags])
     assert exc.value.code != 0
@@ -85,42 +93,3 @@ def test_early_output_window(tmp_path, capsys, years):
     assert main([str(data), *SMALL, "--years", years]) == 0
     assert cli.main([str(data), "--years", years,
                      "--out", str(tmp_path / "report")]) == 0
-
-
-class TestRunSyntheticStudy:
-    def test_full_study(self, tmp_path, capsys):
-        main = _script_main("run_synthetic_study")
-        assert main([str(tmp_path), *SMALL]) == 0
-        assert (tmp_path / "report" / "global_ranking.csv").is_file()
-        assert "top of the global ranking" in capsys.readouterr().out
-
-    def test_vrs_only_reports_no_te_efficient_count(self, tmp_path, capsys):
-        main = _script_main("run_synthetic_study")
-        assert main([str(tmp_path), *SMALL, "--regime", "vrs"]) == 0
-        out = capsys.readouterr().out
-        areas = [line for line in out.splitlines()
-                 if "universities, mean TE" in line]
-        assert len(areas) == 2
-        for line in areas:
-            assert line.endswith("mean TE -, mean PTE 1.000, - TE-efficient")
-        assert "top of the global ranking:\n  #1 " in out
-
-    def test_crs_only_says_the_ranking_needs_vrs(self, tmp_path, capsys):
-        main = _script_main("run_synthetic_study")
-        assert main([str(tmp_path), *SMALL, "--regime", "crs"]) == 0
-        out = capsys.readouterr().out
-        assert "top of the global ranking" not in out
-        assert out.rstrip().endswith(
-            "no global ranking: it needs --regime vrs or all")
-        assert "mean PTE -, 5 TE-efficient" in out
-
-    def test_fatal_config_is_exit_one(self, tmp_path, capsys):
-        # Sensitivity needs the VRS scores that --regime crs skips.
-        main = _script_main("run_synthetic_study")
-        assert main([str(tmp_path), *SMALL, "--regime", "crs",
-                     "--drop-input", "PR"]) == 1
-        captured = capsys.readouterr()
-        assert "error:" in captured.err
-        assert "Traceback" not in captured.err
-        assert "area overview" not in captured.out
-        assert "global ranking" not in captured.out
