@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -163,9 +164,9 @@ class TestSummaryOverview:
     VRS scores that ``--regime crs`` skips."""
 
     @staticmethod
-    def _run(tmp_path, capsys, *flags):
+    def _run(tmp_path, capsys, *flags, n_universities=8):
         root = write_synthetic_dataset(tmp_path / "data", seed=3, n_areas=2,
-                                       n_universities=8)
+                                       n_universities=n_universities)
         assert main([str(root), "--out", str(tmp_path / "r"), *flags]) == 0
         lines = capsys.readouterr().out.splitlines()
         last_wrote = max(i for i, line in enumerate(lines)
@@ -199,6 +200,76 @@ class TestSummaryOverview:
         assert lines[-1] == "no global ranking: it needs --regime vrs or all"
         assert any(line.endswith("mean PTE -, 5 TE-efficient")
                    for line in areas)
+
+    def test_overview_matches_efficiency_by_area(self, tmp_path, capsys):
+        _, areas = self._run(tmp_path, capsys)
+        rows = read_table(tmp_path / "r" / "efficiency_by_area.csv")
+        assert len(rows) == len(areas)
+        for row, line in zip(rows, areas, strict=True):
+            area_id, rest = line.strip().split(": ", 1)
+            n, te, pte, efficient = re.fullmatch(
+                r"\s*(\d+) universities, mean TE ([\d.]+), "
+                r"mean PTE ([\d.]+), (\d+) TE-efficient", rest).groups()
+            assert area_id == row["area_id"]
+            assert int(n) == row["n_universities"]
+            assert float(te) == pytest.approx(row["te_mean"], abs=5e-4)
+            assert float(pte) == pytest.approx(row["pte_mean"], abs=5e-4)
+            assert int(efficient) == row["te_efficient"]
+
+    def test_ranking_is_the_head_of_global_ranking(self, tmp_path, capsys):
+        lines, _ = self._run(tmp_path, capsys)
+        top = lines[lines.index("top of the global ranking:") + 1:]
+        rows = read_table(tmp_path / "r" / "global_ranking.csv")
+        assert len(rows) > 5
+        assert top == [
+            f"  #{r['rank']} {r['university_id']} (score "
+            f"{r['theta_tot']:.3f}, {r['areas_active']} areas)"
+            for r in rows[:5]
+        ]
+
+    def test_short_ranking_is_listed_whole(self, tmp_path, capsys):
+        lines, _ = self._run(tmp_path, capsys, n_universities=3)
+        top = lines[lines.index("top of the global ranking:") + 1:]
+        rows = read_table(tmp_path / "r" / "global_ranking.csv")
+        assert len(top) == len(rows) == 3
+        assert [line.split()[1] for line in top] \
+            == [r["university_id"] for r in rows]
+
+    def test_fatal_config_prints_no_overview(self, tmp_path, capsys):
+        # Sensitivity needs the VRS scores that --regime crs skips.
+        root = write_synthetic_dataset(tmp_path / "data", seed=3, n_areas=2,
+                                       n_universities=8)
+        assert main([str(root), "--regime", "crs", "--drop-input", "PR",
+                     "--out", str(tmp_path / "r")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_failed_area_has_no_overview_line(self, tmp_path, capsys,
+                                              monkeypatch):
+        root = write_synthetic_dataset(tmp_path / "data", seed=3, n_areas=3,
+                                       n_universities=12)
+        drop_input = DeaProblem.drop_input
+        calls = []
+
+        def failing_second_area(problem, label):
+            calls.append(label)
+            if len(calls) == 2:
+                raise DegenerateDmuError("planted fault")
+            return drop_input(problem, label)
+
+        monkeypatch.setattr(DeaProblem, "drop_input", failing_second_area)
+        out = tmp_path / "r"
+        assert main([str(root), "--drop-input", "PR", "--out", str(out)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        [failed] = [r["area_id"]
+                    for r in read_table(out / "area_failures.csv")]
+        overview = lines[lines.index("area overview:") + 1:
+                         lines.index("top of the global ranking:")]
+        shown = [line.split(":")[0].strip() for line in overview if line]
+        assert len(shown) == 2 and failed not in shown
+        assert "top of the global ranking:" in lines
 
 
 class TestFlags:

@@ -51,7 +51,18 @@ class TestMakeSyntheticDataset:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    def test_output_path_is_a_file_is_an_error(self, tmp_path, capsys):
+        taken = tmp_path / "data"
+        taken.write_text("kept", encoding="utf-8")
+        main = _script_main("make_synthetic_dataset")
+        assert main([str(taken), *SMALL]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert taken.read_text(encoding="utf-8") == "kept"
 
+
+@pytest.mark.parametrize("script", ["make_synthetic_dataset"])
 @pytest.mark.parametrize("flags", [
     ["--universities", "80"],
     ["--universities", "0"],
@@ -59,8 +70,8 @@ class TestMakeSyntheticDataset:
     ["--areas", "0"],
     ["--areas", "-1"],
 ], ids="=".join)
-def test_out_of_range_size_is_usage_error(tmp_path, capsys, flags):
-    main = _script_main("make_synthetic_dataset")
+def test_out_of_range_size_is_usage_error(tmp_path, capsys, script, flags):
+    main = _script_main(script)
     with pytest.raises(SystemExit) as exc:
         main([str(tmp_path / "work"), *SMALL, *flags])
     assert exc.value.code != 0
