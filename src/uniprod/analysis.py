@@ -47,7 +47,6 @@ class TertileSummary:
 @dataclass(frozen=True)
 class SensitivityResult:
     dropped_label: str
-    scores_before: Mapping[str, float]
     scores_after: Mapping[str, float]
     comparison: RankingComparison
 
@@ -74,15 +73,15 @@ def normalize_scores(
 def global_index(
     thetas: Mapping[tuple[str, str], float],
     staff_counts: Mapping[tuple[str, str], float],
-) -> tuple[tuple[dict, ...], tuple[str, ...]]:
+) -> tuple[dict, ...]:
     """Weight each university's normalized scores by cell staff numbers
     and rank the universities by the result.
 
     ``staff_counts`` maps (university, area) to the mean staff total used
-    as weight.  Each university's sums run over its areas in id order.
-    The rows are the ``global_ranking`` table's, sorted by rank, then
-    university id.  Universities whose total weight is zero cannot be
-    aggregated; they are skipped and reported in the notices list.
+    as weight, which is positive: ``assemble_problem`` excludes a cell
+    with no staff.  Each university's sums run over its areas in id
+    order.  The rows are the ``global_ranking`` table's, sorted by rank,
+    then university id.
     """
     per_university: dict[str, list[tuple[str, float, float]]] = {}
     for (university_id, area_id), theta in thetas.items():
@@ -91,16 +90,9 @@ def global_index(
             (area_id, theta, weight)
         )
     rows: list[dict] = []
-    notices: list[str] = []
     for university_id in sorted(per_university):
         detail = sorted(per_university[university_id])
         total_weight = sum(w for (_, _, w) in detail)
-        if total_weight <= 0.0:
-            notices.append(
-                f"university {university_id!r} has zero total staff weight; "
-                "no global index computed"
-            )
-            continue
         rows.append({
             "university_id": university_id,
             "theta_tot": sum(t * w for (_, t, w) in detail) / total_weight,
@@ -112,7 +104,7 @@ def global_index(
     for row in rows:
         row["rank"] = ranks[row["university_id"]]
     rows.sort(key=lambda r: (r["rank"], r["university_id"]))
-    return tuple(rows), tuple(notices)
+    return tuple(rows)
 
 
 def rank(values: Mapping[str, float]) -> dict[str, int]:
@@ -214,7 +206,6 @@ def sensitivity_drop_input(problem: DeaProblem, label: str) -> SensitivityResult
     comparison = replace(comparison, no_longer_efficient=lost)
     return SensitivityResult(
         dropped_label=label,
-        scores_before=dict(sorted(before.items())),
         scores_after=dict(sorted(after.items())),
         comparison=comparison,
     )

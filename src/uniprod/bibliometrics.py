@@ -185,7 +185,6 @@ def assemble_problem(
 
     if len(dmus) < 2:
         raise AreaNotAnalyzableError(
-            area_id,
             f"area {area_id!r} has {len(dmus)} analyzable universities; "
             "at least 2 are required for a comparative frontier",
             tuple(exclusions),

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from pathlib import Path
 
@@ -57,13 +58,6 @@ def parse_years(text: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
-def _years_text(years: tuple[int, ...]) -> str:
-    """``years`` in the form ``parse_years`` reads."""
-    if years == tuple(range(years[0], years[-1] + 1)):
-        return f"{years[0]}-{years[-1]}"
-    return ",".join(str(y) for y in years)
-
-
 def build_parser() -> argparse.ArgumentParser:
     defaults = RunConfig()
     parser = _Parser(
@@ -85,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--years", type=parse_years, default=defaults.years,
         metavar="SPEC",
         help="output window, e.g. 2001-2003 or 2001,2002,2003 "
-             f"(default {_years_text(defaults.years)})",
+             f"(default {defaults.years[0]}-{defaults.years[-1]})",
     )
     parser.add_argument(
         "--lag", type=int, default=defaults.lag, metavar="N",
@@ -195,12 +189,18 @@ def main(argv=None) -> int:
         if args.manual_overrides is not None:
             overrides = load_overrides(args.manual_overrides, corpus)
         report = run_pipeline(corpus, config, overrides)
-        written = write_report(report, args.out, config.report_format)
+        written = write_report(report, args.out)
     except (UniprodError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
     else:
-        summarize(report, written)
+        try:
+            summarize(report, written)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader left early and the report is written.  Python
+            # flushes stdout again at exit, so point it at devnull.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK if report.fully_successful else EXIT_PARTIAL
     finally:
         if enabled:

@@ -29,25 +29,16 @@ AMBIGUOUS = "ambiguous"
 UNMATCHED = "unmatched"
 
 
-def _fold_once(text: str) -> str:
-    decomposed = unicodedata.normalize("NFKD", text)
-    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
-    return stripped.casefold()
-
-
 def normalize_text(text: str) -> str:
     """Case-fold, strip diacritics, drop punctuation, collapse whitespace.
 
-    The fold step is iterated to a fixed point because case-folding can
-    reintroduce decomposable characters; the result is stable under
-    re-application.
+    One fold is stable under re-application: NFKD, the dropping of
+    combining marks and ``casefold`` each map one character at a time,
+    and no code point's fold folds again (a test checks every one).
     """
-    folded = _fold_once(text)
-    while True:
-        again = _fold_once(folded)
-        if again == folded:
-            break
-        folded = again
+    decomposed = unicodedata.normalize("NFKD", text)
+    folded = "".join(ch for ch in decomposed
+                     if not unicodedata.combining(ch)).casefold()
     cleaned = "".join(ch if ch.isalnum() else " " for ch in folded)
     return " ".join(cleaned.split())
 

@@ -22,9 +22,8 @@ class DegenerateDmuError(UniprodError):
 class AreaNotAnalyzableError(UniprodError):
     """Fewer than two DMUs survive the exclusion rules for an area."""
 
-    def __init__(self, area_id: str, message: str, exclusions=()):
+    def __init__(self, message: str, exclusions=()):
         super().__init__(message)
-        self.area_id = area_id
         self.exclusions = list(exclusions)
 
 

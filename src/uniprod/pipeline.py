@@ -261,8 +261,7 @@ def _require_snapshot_years(staff, config: RunConfig) -> None:
         )
 
 
-def _global_rows(analyzed: dict[str, _AreaRows],
-                 warnings: list[str]) -> list[dict]:
+def _global_rows(analyzed: dict[str, _AreaRows]) -> list[dict]:
     """The cross-area step: normalize each area's PTE against its mean,
     fill every score row's theta, and rank universities by the
     staff-weighted global index."""
@@ -276,9 +275,7 @@ def _global_rows(analyzed: dict[str, _AreaRows],
         for area_id, area in analyzed.items()
         for university_id, weight in area.staff_weights.items()
     }
-    rows, notices = global_index(thetas, staff_weights)
-    warnings.extend(notices)
-    return list(rows)
+    return list(global_index(thetas, staff_weights))
 
 
 def run_pipeline(
@@ -307,7 +304,7 @@ def run_pipeline(
     for area in areas.values():
         for name, rows in area.rows.items():
             tables[name] += rows
-    tables["global_ranking"] = _global_rows(analyzed, warnings)
+    tables["global_ranking"] = _global_rows(analyzed)
     tables["disambiguation_stats"] = [disamb.stats]
     tables["manual_review"] = list(disamb.manual_review)
     tables["warnings"] = [{"message": m} for m in sorted(set(warnings))]

@@ -137,10 +137,9 @@ class StaffRegistry:
             if m.rank == rank and m.active_in(year)
         )
 
-    def coverage(self) -> tuple[int, int] | None:
-        """Year span covered by at least one member, or None when empty."""
-        if not self._members:
-            return None
+    def coverage(self) -> tuple[int, int]:
+        """Year span covered by at least one member of a non-empty
+        registry."""
         return (
             min(m.year_from for m in self._members),
             max(m.year_to for m in self._members),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .errors import StructuralError
+from .config import FORMAT_JSON
 
 STR = "str"
 INT = "int"
@@ -117,10 +117,7 @@ def _format_cell(value, kind: str) -> str:
 
 def render_table(report: AnalysisReport, table: str) -> str:
     """One table as CSV text with a header row and LF line endings."""
-    try:
-        columns = TABLE_SPECS[table]
-    except KeyError:
-        raise StructuralError(f"unknown table {table!r}") from None
+    columns = TABLE_SPECS[table]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow([name for name, _ in columns])
@@ -150,16 +147,15 @@ def _write_new_file(target: Path, text: str) -> None:
     target.write_text(text, encoding="utf-8")
 
 
-def write_report(report: AnalysisReport, out_dir: Path, fmt: str) -> list[Path]:
-    """Write the report under ``out_dir`` and list the files created."""
+def write_report(report: AnalysisReport, out_dir: Path) -> list[Path]:
+    """Write the report under ``out_dir``, in the format its config's
+    ``report_format`` names, and list the files created."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if fmt == "json":
+    if report.config["report_format"] == FORMAT_JSON:
         target = out_dir / "report.json"
         _write_new_file(target, render_json(report))
         return [target]
-    if fmt != "csv":
-        raise StructuralError(f"unknown report format {fmt!r}")
     written: list[Path] = []
     for table in report.tables:
         target = out_dir / f"{table}.csv"

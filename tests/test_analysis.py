@@ -9,7 +9,7 @@ from uniprod.analysis import (
     sensitivity_drop_input,
     tertile_summary,
 )
-from uniprod.dea import DeaProblem, DmuRecord
+from uniprod.dea import VRS, DeaProblem, DmuRecord, scores
 
 from .oracles import random_dea_problem
 
@@ -46,21 +46,18 @@ class TestNormalizeScores:
 
 class TestGlobalIndex:
     def test_single_area(self):
-        indices, notices = global_index(
-            {("U1", "A1"): 1.2}, {("U1", "A1"): 30.0}
-        )
-        assert notices == ()
+        indices = global_index({("U1", "A1"): 1.2}, {("U1", "A1"): 30.0})
         assert indices[0]["theta_tot"] == pytest.approx(1.2, abs=1e-12)
 
     def test_weighted_mean(self):
-        indices, _ = global_index(
+        indices = global_index(
             {("U1", "A1"): 1.0, ("U1", "A2"): 0.5},
             {("U1", "A1"): 30.0, ("U1", "A2"): 10.0},
         )
         assert indices[0]["theta_tot"] == pytest.approx(0.875, abs=1e-12)
 
     def test_constant_theta_ignores_weights(self):
-        indices, _ = global_index(
+        indices = global_index(
             {("U1", "A1"): 0.7, ("U1", "A2"): 0.7},
             {("U1", "A1"): 99.0, ("U1", "A2"): 1.0},
         )
@@ -69,21 +66,14 @@ class TestGlobalIndex:
     def test_invariant_under_uniform_weight_scaling(self):
         thetas = {("U1", "A1"): 1.3, ("U1", "A2"): 0.6, ("U1", "A3"): 0.9}
         weights = {("U1", "A1"): 12.0, ("U1", "A2"): 5.0, ("U1", "A3"): 40.0}
-        base, _ = global_index(thetas, weights)
+        base = global_index(thetas, weights)
         for k in (0.5, 3.0, 250.0):
-            scaled, _ = global_index(
+            scaled = global_index(
                 thetas, {key: w * k for key, w in weights.items()}
             )
             assert scaled[0]["theta_tot"] == pytest.approx(
                 base[0]["theta_tot"], abs=1e-12
             )
-
-    def test_zero_total_weight_gives_notice(self):
-        indices, notices = global_index(
-            {("U1", "A1"): 1.0}, {("U1", "A1"): 0.0}
-        )
-        assert indices == ()
-        assert len(notices) == 1 and "U1" in notices[0]
 
 
 class TestRank:
@@ -194,8 +184,9 @@ class TestSensitivityDropInput:
         )
 
     def test_funding_driven_unit_leaves_frontier(self):
-        result = sensitivity_drop_input(self.fixture(), "PR")
-        assert result.scores_before == pytest.approx(
+        problem = self.fixture()
+        result = sensitivity_drop_input(problem, "PR")
+        assert scores(problem, VRS) == pytest.approx(
             {"A": 1.0, "B": 1.0, "C": 1.0, "D": 1.0, "E": 1.0}, abs=1e-9
         )
         assert result.scores_after["E"] == pytest.approx(0.375, abs=1e-9)
@@ -221,10 +212,8 @@ class TestSensitivityDropInput:
             base.output_labels,
         )
         result = sensitivity_drop_input(padded, "CONST")
-        for unit in result.scores_before:
-            assert result.scores_after[unit] == pytest.approx(
-                result.scores_before[unit], abs=1e-9
-            )
+        for unit, before in scores(padded, VRS).items():
+            assert result.scores_after[unit] == pytest.approx(before, abs=1e-9)
         assert result.comparison.changed == 0
         assert result.comparison.no_longer_efficient == 0
 
@@ -234,9 +223,10 @@ class TestSensitivityDropInput:
             problem = random_dea_problem(rng, n_dmus=12)
             label = problem.input_labels[int(rng.integers(len(problem.input_labels)))]
             result = sensitivity_drop_input(problem, label)
-            for unit, s in result.scores_before.items():
+            before = scores(problem, VRS)
+            for unit, s in before.items():
                 assert result.scores_after[unit] <= s + 1e-9
-            eff_before = {u for u, s in result.scores_before.items()
+            eff_before = {u for u, s in before.items()
                           if s >= 1.0 - 1e-6}
             eff_after = {u for u, s in result.scores_after.items()
                          if s >= 1.0 - 1e-6}

@@ -403,7 +403,7 @@ class TestAssembleProblem:
         inputs, outputs = self.vectors([1.0, 2.0, 3.0])
         with pytest.raises(AreaNotAnalyzableError) as exc:
             assemble_problem(inputs, outputs, "A1", min_staff=4.0)
-        assert exc.value.area_id == "A1"
+        assert "area 'A1' has 0 analyzable universities" in str(exc.value)
         assert len(exc.value.exclusions) == 3
 
     def test_zero_output_university_excluded(self):

@@ -30,6 +30,15 @@ def data_dir(tmp_path):
     return write_demo_dataset(tmp_path / "data")
 
 
+def subprocess_env(**extra):
+    """The environment for ``python -m uniprod.cli`` run as a fresh
+    process that imports this package."""
+    package_root = str(Path(uniprod.__file__).resolve().parent.parent)
+    path = os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 class TestParseYears:
     def test_range(self):
         assert parse_years("2001-2003") == (2001, 2002, 2003)
@@ -156,6 +165,26 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not (tmp_path / "r").exists()
+
+    def test_closed_stdout_keeps_the_exit_code(self, tmp_path):
+        """A reader that leaves early, as ``uniprod DATA | head`` does,
+        costs the summary but not the report or the exit code."""
+        root = write_synthetic_dataset(tmp_path / "data", seed=3, n_areas=2,
+                                       n_universities=8)
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to stdout fails with EPIPE
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "uniprod.cli", str(root), "--out",
+                 str(tmp_path / "r"), "--drop-input", "PR"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=subprocess_env(), timeout=120)
+        finally:
+            os.close(write_end)
+        assert run.returncode == 0, run.stderr
+        assert "Traceback" not in run.stderr
+        assert "BrokenPipeError" not in run.stderr
+        assert (tmp_path / "r" / "global_ranking.csv").is_file()
 
 
 class TestSummaryOverview:
@@ -487,16 +516,13 @@ class TestHashSeed:
         byte-identical reports."""
         root = write_synthetic_dataset(tmp_path / "data", seed=3, n_areas=3,
                                        n_universities=12)
-        package_root = str(Path(uniprod.__file__).resolve().parent.parent)
-        path = os.pathsep.join(
-            p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
         reports = {}
         for hashseed in ("0", "1", "12345"):
             out = tmp_path / f"report-{hashseed}"
             subprocess.run(
                 [sys.executable, "-m", "uniprod.cli", str(root), "--out",
                  str(out), "--drop-input", "PR", "--compare-partial"],
-                env=dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=path),
+                env=subprocess_env(PYTHONHASHSEED=hashseed),
                 check=True, capture_output=True)
             reports[hashseed] = {
                 p.name: p.read_bytes() for p in sorted(out.iterdir())}
@@ -549,6 +575,11 @@ class TestParserHelp:
         assert args.report_format == defaults.report_format
         assert tuple(args.drop_inputs) == defaults.drop_inputs
         assert args.compare_partial == defaults.compare_partial
+
+    def test_help_shows_the_default_years(self):
+        text = " ".join(build_parser().format_help().split())
+        shown = re.search(r"output window, .*? \(default (\S+)\)", text)
+        assert parse_years(shown.group(1)) == RunConfig().years
 
     def test_help_mentions_all_flags(self, capsys):
         parser = build_parser()

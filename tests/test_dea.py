@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uniprod import dea
 from uniprod.dea import (
     CRS,
     NIRS,
@@ -116,6 +117,17 @@ class TestDecomposition:
             vals = scores(problem, regime)
             assert max(vals.values()) >= 1.0 - 1e-6
 
+    def test_factors_out_of_order_raise(self):
+        """A VRS factor above the CRS one breaks the nesting of the
+        feasible regions, which only a solver bug can do."""
+        problem = problem_1d([("A", 1.0, 1.0), ("B", 2.0, 1.0)])
+        scores(problem, CRS)
+        phi_crs = problem._solved[CRS][1].phi
+        problem._solved[VRS][1] = dea._Solved(phi_crs + 1.0, None)
+        with pytest.raises(InvariantViolationError,
+                           match="^B: expansion factors out of order"):
+            decompose(problem)
+
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         problem = random_dea_problem(rng, n_dmus=12)
@@ -173,6 +185,27 @@ class TestProblemValidation:
         dmus = [DmuRecord(u, (1.0, 2.0, float(k + 1)), (1.0,) * len(outputs))
                 for k, u in enumerate("AB")]
         with pytest.raises(StructuralError, match=f"^duplicate {name}$"):
+            DeaProblem(dmus, inputs, outputs)
+
+    @pytest.mark.parametrize("inputs, outputs, message", [
+        ((), (1.0,), "A: empty inputs vector"),
+        ((1.0,), (), "A: empty outputs vector"),
+        ((float("nan"),), (1.0,), "A: non-finite inputs"),
+        ((1.0,), (float("inf"),), "A: non-finite outputs"),
+    ], ids=["empty-inputs", "empty-outputs", "nan-input", "inf-output"])
+    def test_rejects_bad_vectors(self, inputs, outputs, message):
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            DmuRecord("A", inputs, outputs)
+
+    @pytest.mark.parametrize("n_dmus, inputs, outputs, message", [
+        (0, ("X",), ("Y",), "a DEA problem needs at least one DMU"),
+        (1, (), ("Y",), "input and output labels must be non-empty"),
+        (1, ("X",), (), "input and output labels must be non-empty"),
+        (1, ("X",), ("Y", "Z"), "A: 1 outputs, expected 2"),
+    ], ids=["no-dmus", "no-inputs", "no-outputs", "output-count"])
+    def test_rejects_bad_shape(self, n_dmus, inputs, outputs, message):
+        dmus = [DmuRecord("A", (1.0,), (1.0,))][:n_dmus]
+        with pytest.raises(StructuralError, match=f"^{message}$"):
             DeaProblem(dmus, inputs, outputs)
 
     def test_rejects_negative_values(self):
@@ -260,6 +293,35 @@ class TestFrontierProperties:
         assert sorted(r.dmu_id for r in results) == sorted(base)
         for r in results:
             r0 = base[r.dmu_id]
+            for name in ("phi_crs", "phi_vrs", "phi_nirs", "te", "pte", "se"):
+                assert getattr(r, name) == pytest.approx(
+                    getattr(r0, name), rel=1e-9, abs=0), (r.dmu_id, name)
+            assert r.rts == r0.rts, r.dmu_id
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 24),
+           duplicate=st.booleans(), data=st.data())
+    def test_duplicate_or_dominated_unit_keeps_scores(self, seed, n,
+                                                      duplicate, data):
+        """A copy of a unit, or a unit that uses more of every input for
+        less of every output, leaves the production set as it was: every
+        other unit's factors and scores agree within a relative 1e-9 and
+        keep their RTS class, and a copy scores as its twin."""
+        problem = random_dea_problem(np.random.default_rng(seed), n_dmus=n)
+        twin = problem.dmus[data.draw(st.integers(0, n - 1))]
+        if duplicate:
+            extra = DmuRecord("NEW", twin.inputs, twin.outputs)
+        else:
+            extra = DmuRecord("NEW", [1.5 * v + 1.0 for v in twin.inputs],
+                              [0.5 * v for v in twin.outputs])
+        dmus = list(problem.dmus)
+        dmus.insert(data.draw(st.integers(0, n)), extra)
+        grown = {r.dmu_id: r for r in decompose(DeaProblem(
+            dmus, problem.input_labels, problem.output_labels))}
+        pairs = [(grown[r.dmu_id], r) for r in decompose(problem)]
+        if duplicate:
+            pairs.append((grown["NEW"], grown[twin.dmu_id]))
+        for r, r0 in pairs:
             for name in ("phi_crs", "phi_vrs", "phi_nirs", "te", "pte", "se"):
                 assert getattr(r, name) == pytest.approx(
                     getattr(r0, name), rel=1e-9, abs=0), (r.dmu_id, name)

@@ -316,7 +316,7 @@ def test_wide_problem_bit_equal_to_per_lp_reference():
         for k, d in enumerate(smaller.dmus)
     }
     result = sensitivity_drop_input(problem, "PR")
-    assert result.scores_before == before
+    assert scores(problem, VRS) == before
     assert result.scores_after == after
     want = compare_rankings(rank(before), rank(after))
     assert result.comparison.deltas == want.deltas
@@ -557,7 +557,7 @@ def _assert_matches_fresh_resolve(problem, label):
     assert result.scores_after.keys() == scratch.keys()
     for unit, score in scratch.items():
         assert abs(result.scores_after[unit] - score) <= 1e-9, unit
-    before = result.scores_before
+    before = scores(problem, VRS)
     assert rank(result.scores_after) == rank(scratch)
     assert result.comparison.deltas == compare_rankings(
         rank(before), rank(scratch)).deltas
@@ -626,7 +626,7 @@ def test_binding_input_is_resolved(monkeypatch):
     monkeypatch.setattr(dea, "solve_output_oriented", recording)
     result = sensitivity_drop_input(problem, "PR")
     assert "E" in solved
-    assert result.scores_before["E"] == 1.0
+    assert scores(problem, VRS)["E"] == 1.0
     assert result.scores_after["E"] == pytest.approx(0.375, abs=1e-9)
     assert result.comparison.no_longer_efficient == 1
 

@@ -1,3 +1,5 @@
+import sys
+import unicodedata
 from collections import Counter
 
 import pytest
@@ -77,6 +79,21 @@ class TestNormalizeText:
     def test_idempotent(self, s):
         once = normalize_text(s)
         assert normalize_text(once) == once
+
+    def test_one_fold_is_stable_for_every_code_point(self):
+        """``normalize_text`` folds once.  NFKD, the dropping of combining
+        marks and ``casefold`` each map one character at a time, so a
+        string's fold is stable when every code point's is.  Unicode's
+        stability policy freezes the fold of characters already encoded;
+        this checks the running interpreter's Unicode data."""
+        def fold(text):
+            decomposed = unicodedata.normalize("NFKD", text)
+            return "".join(ch for ch in decomposed
+                           if not unicodedata.combining(ch)).casefold()
+
+        unstable = [f"U+{cp:04X}" for cp in range(sys.maxunicode + 1)
+                    if fold(once := fold(chr(cp))) != once]
+        assert unstable == []
 
 
 class TestSurnameKey:

@@ -170,7 +170,6 @@ class TestStaffRegistry:
     def test_coverage(self):
         reg = self.registry()
         assert reg.coverage() == (1995, 2010)
-        assert StaffRegistry([]).coverage() is None
 
 
 class TestJournalTable:

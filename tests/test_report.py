@@ -2,11 +2,11 @@
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from uniprod.config import RunConfig
-from uniprod.errors import StructuralError
 from uniprod.ingest import ingest
 from uniprod.pipeline import run_pipeline
 from uniprod.report import TABLE_SPECS, render_json, render_table, write_report
@@ -21,6 +21,11 @@ def report(tmp_path_factory):
     corpus = ingest(root)
     config = RunConfig(compare_partial=True, drop_inputs=("PR",))
     return run_pipeline(corpus, config)
+
+
+def in_format(report, fmt):
+    """``report`` with ``fmt`` as its configured report format."""
+    return replace(report, config={**report.config, "report_format": fmt})
 
 
 class TestCsvRoundTrip:
@@ -57,10 +62,6 @@ class TestCsvRoundTrip:
         text = render_table(report, "area_failures")
         assert text == "area_id,reason,detail\n"
 
-    def test_unknown_table_rejected(self, report):
-        with pytest.raises(StructuralError):
-            render_table(report, "nope")
-
 
 class TestJson:
     def test_json_preserves_exact_values(self, report):
@@ -77,7 +78,8 @@ class TestJson:
 
 class TestWriteReport:
     def test_csv_mode_writes_all_tables(self, report, tmp_path):
-        written = write_report(report, tmp_path / "out", "csv")
+        assert report.config["report_format"] == "csv"
+        written = write_report(report, tmp_path / "out")
         names = sorted(p.name for p in written)
         assert "run_config.json" in names
         for table in TABLE_SPECS:
@@ -86,16 +88,14 @@ class TestWriteReport:
         assert config_doc == dict(report.config)
 
     def test_json_mode_writes_single_file(self, report, tmp_path):
-        written = write_report(report, tmp_path / "out", "json")
+        written = write_report(in_format(report, "json"), tmp_path / "out")
         assert [p.name for p in written] == ["report.json"]
-
-    def test_unknown_format_rejected(self, report, tmp_path):
-        with pytest.raises(StructuralError):
-            write_report(report, tmp_path, "xml")
+        doc = json.loads(written[0].read_text(encoding="utf-8"))
+        assert doc["config"]["report_format"] == "json"
 
     def test_emission_is_byte_stable(self, report, tmp_path):
-        first = write_report(report, tmp_path / "a", "csv")
-        second = write_report(report, tmp_path / "b", "csv")
+        first = write_report(report, tmp_path / "a")
+        second = write_report(report, tmp_path / "b")
         for p1, p2 in zip(first, second):
             assert p1.read_bytes() == p2.read_bytes(), p1.name
 
@@ -105,12 +105,13 @@ class TestWriteReport:
         """A re-run into one directory replaces each file: a hard link to
         an earlier report file keeps that file, and the bytes equal a run
         into a fresh directory."""
+        report = in_format(report, fmt)
         out = tmp_path / "out"
-        write_report(report, out, fmt)
+        write_report(report, out)
         link = tmp_path / "link"
         os.link(out / linked, link)
-        again = write_report(report, out, fmt)
-        fresh = write_report(report, tmp_path / "fresh", fmt)
+        again = write_report(report, out)
+        fresh = write_report(report, tmp_path / "fresh")
         assert not os.path.samefile(out / linked, link)
         assert [p.name for p in again] == [p.name for p in fresh]
         for p1, p2 in zip(again, fresh):

@@ -13,7 +13,14 @@ from uniprod.synthetic import MAX_UNIVERSITIES, write_synthetic_dataset
     ({"n_universities": 0}, "n_universities must be in 1-"),
     ({"n_universities": MAX_UNIVERSITIES + 1}, "n_universities must be in 1-"),
     ({"years": ()}, "years must hold at least one output year"),
-], ids=["no-areas", "no-universities", "too-many-universities", "no-years"])
+    ({"pubs_per_staff_year": float("nan")},
+     "pubs_per_staff_year must be finite and >= 0, got nan"),
+    ({"pubs_per_staff_year": float("inf")},
+     "pubs_per_staff_year must be finite and >= 0, got inf"),
+    ({"pubs_per_staff_year": -1},
+     "pubs_per_staff_year must be finite and >= 0, got -1"),
+], ids=["no-areas", "no-universities", "too-many-universities", "no-years",
+        "nan-rate", "inf-rate", "negative-rate"])
 def test_empty_shape_rejected_before_writing(tmp_path, kwargs, message):
     out_dir = tmp_path / "data"
     with pytest.raises(ValueError, match=f"^{message}"):
