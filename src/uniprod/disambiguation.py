@@ -1,13 +1,13 @@
 """Author-to-staff assignment.
 
 The matching pipeline is deliberately rule-based and transparent:
-affiliation strings are canonicalized through a pattern dictionary,
-which also resolves the universities each publication names.  Within
-those universities, an author token is matched to the staff active in
-its year who share its surname key (the normalized surname without
-spaces; an empty key matches nothing) and whose normalized initials
-start with the token's.  Anything still ambiguous is exported for
-human review rather than auto-resolved.
+affiliation strings are normalized and looked up among the normalized
+patterns, which resolves the universities each publication names.
+Within those universities, an author token is matched to the staff
+active in its year who share its surname key (the normalized surname
+without spaces; an empty key matches nothing) and whose normalized
+initials start with the token's.  Anything still ambiguous is exported
+for human review rather than auto-resolved.
 
 ``decide`` is the one matching loop: it yields each publication with
 its authors' outcomes, and ``disambiguate_corpus`` keeps only what the
@@ -68,40 +68,19 @@ def _normalized_initials(initials: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(_normalized_initial(ch) for ch in initials)
 
 
-class AffiliationDictionary:
-    """Map from raw affiliation patterns to canonical university ids.
+@functools.lru_cache(maxsize=None)
+def _affiliation_key(raw: str) -> str:
+    """A raw affiliation's normalized form, memoized like ``surname_key``:
+    it repeats on every publication of a university."""
+    return normalize_text(raw)
 
-    Patterns are compared after text normalization, so case, diacritics
-    and punctuation never matter.  Ingest rejects blank patterns and
-    university ids and patterns that would point at two universities.
-    Each distinct raw string is normalized once, and each distinct
-    affiliation field resolved once, per dictionary: raw affiliations
-    repeat on every publication of a university.
-    """
 
-    def __init__(self, rows: Iterable[tuple[str, str]]):
-        self._mapping = {
-            normalize_text(raw_pattern): university_id
-            for raw_pattern, university_id in rows
-        }
-        self._memo: dict[str, str | None] = {}
-        self._fields: dict[tuple[str, ...], tuple[str, ...]] = {}
-
-    def __len__(self) -> int:
-        return len(self._mapping)
-
-    def lookup(self, raw: str) -> str | None:
-        if raw not in self._memo:
-            self._memo[raw] = self._mapping.get(normalize_text(raw))
-        return self._memo[raw]
-
-    def universities(self, field: tuple[str, ...]) -> tuple[str, ...]:
-        """The sorted ids of the universities a publication's affiliation
-        field names; raw strings the dictionary does not know name none."""
-        if field not in self._fields:
-            named = {self.lookup(raw) for raw in field} - {None}
-            self._fields[field] = tuple(sorted(named))
-        return self._fields[field]
+def named_universities(field: tuple[str, ...],
+                       affiliations: Mapping[str, str]) -> tuple[str, ...]:
+    """The sorted ids of the universities an affiliation field names: those
+    that ``affiliations`` maps its raw strings' normalized forms to."""
+    return tuple(sorted({affiliations[key] for raw in field
+                         if (key := _affiliation_key(raw)) in affiliations}))
 
 
 class MatchOutcome(NamedTuple):
@@ -169,7 +148,7 @@ def match_author(token: AuthorToken, staff_in_scope) -> MatchOutcome:
 def decide(
     publications: Iterable[Publication],
     staff: StaffRegistry,
-    dictionary: AffiliationDictionary,
+    affiliations: Mapping[str, str],
     overrides: Mapping[tuple[str, int], str | None] | None = None,
 ) -> Iterator[tuple[Publication, tuple[MatchOutcome, ...]]]:
     """Yield each publication with its authors' outcomes, in input order.
@@ -179,8 +158,9 @@ def decide(
     has checked against the corpus) replace rule matching for the named
     positions.  Every other token is decided by one ``match_author``
     call on its scope, built in the order of the publication's
-    universities and of the registry.  Matched outcomes are interned
-    until the call finishes, and then released.
+    universities and of the registry, each distinct affiliation field
+    resolved once.  Matched outcomes are interned until the call
+    finishes, and then released.
     """
     # The one place where candidates are selected by surname: per
     # university, its members by surname key.  A member whose key is
@@ -189,6 +169,8 @@ def decide(
     for member in staff:
         if key := surname_key(member.surname):
             by_surname[member.university_id].setdefault(key, []).append(member)
+    named_by_field = functools.cache(
+        lambda field: named_universities(field, affiliations))
     try:
         for pub in publications:
             if not pub.authors:
@@ -196,7 +178,7 @@ def decide(
                 continue
             year = pub.year
             filed = [by_surname[university_id] for university_id
-                     in dictionary.universities(pub.raw_affiliations)]
+                     in named_by_field(pub.raw_affiliations)]
             outcomes = []
             for position, token in enumerate(pub.authors, start=1):
                 if overrides and (pub.pub_id, position) in overrides:
@@ -217,7 +199,7 @@ def decide(
 def disambiguate_corpus(
     publications: Iterable[Publication],
     staff: StaffRegistry,
-    dictionary: AffiliationDictionary,
+    affiliations: Mapping[str, str],
     overrides: Mapping[tuple[str, int], str | None] | None = None,
 ) -> DisambiguationResult:
     """Classify every publication by its outcomes from ``decide``.
@@ -239,7 +221,7 @@ def disambiguate_corpus(
     # many publications and few distinct maps.
     shared_cells: dict[tuple, dict[tuple[str, str], int]] = {}
 
-    for pub, outcomes in decide(publications, staff, dictionary, overrides):
+    for pub, outcomes in decide(publications, staff, affiliations, overrides):
         pub_id = pub.pub_id
         if not outcomes:
             counts["unresolvable"] += 1

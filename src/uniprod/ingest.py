@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .disambiguation import AffiliationDictionary, normalize_text
+from .disambiguation import named_universities, normalize_text
 from .errors import IngestError, StructuralError
 from .records import (
     AuthorToken,
@@ -63,13 +63,15 @@ class Corpus:
     with no entry has no weight.  ``funding`` maps (university_id,
     area_id, year) to the competitive funding in k€; a cell with no grant
     in a year has no entry.  Rows for unknown universities are dropped.
+    ``affiliations`` maps each normalized affiliation pattern to its
+    university id; ``disambiguation.named_universities`` reads it.
     """
 
     staff: StaffRegistry
     publications: tuple[Publication, ...]
     journals: dict[tuple[str, int], float]
     funding: dict[tuple[str, str, int], float]
-    affiliations: AffiliationDictionary
+    affiliations: dict[str, str]
     warnings: tuple[str, ...]
 
 
@@ -378,10 +380,10 @@ def _load_funding(
 
 def _load_affiliations(
     path: Path, diagnostics: list[str]
-) -> AffiliationDictionary:
-    """The dictionary of the file's (raw pattern, university id) rows.  A
-    pattern repeated for the same university is dropped silently and one
-    for another is a diagnostic, both before ``_records`` checks keys."""
+) -> dict[str, str]:
+    """Each normalized pattern mapped to its university id.  A pattern
+    repeated for the same university is dropped silently and one for
+    another is a diagnostic, both before ``_records`` checks keys."""
     first: dict[str, tuple[int, str]] = {}
 
     def entry(pattern: str, university_id: str) -> tuple[str, str, str]:
@@ -401,10 +403,10 @@ def _load_affiliations(
             )
         return first_line == line
 
-    return AffiliationDictionary(row[:2] for row in _records(
+    return {key: university_id for _, university_id, key in _records(
         path, AFFILIATION_FIELDS, entry, lambda r: r[2],
         lambda k: f"duplicate pattern {k!r}", diagnostics, unique,
-    ))
+    )}
 
 
 def load_overrides(
@@ -438,7 +440,7 @@ def load_overrides(
         member = corpus.staff.member(staff_id)
         if member is None:
             raise StructuralError(f"unknown staff id {staff_id!r}")
-        named = corpus.affiliations.universities(pub.raw_affiliations)
+        named = named_universities(pub.raw_affiliations, corpus.affiliations)
         if member.university_id not in named:
             raise StructuralError(
                 f"staff {staff_id!r} works at university "

@@ -5,8 +5,8 @@ the one place that validates outside input, so build them through it
 (or, in tests, from values that already satisfy its rules).  Text
 normalization and matching logic live elsewhere; the staff registry
 only provides exact-key indexing and headcount queries.  Journal
-weights and funding amounts need no type of their own: ``ingest``
-keeps each as a plain dict (see ``Corpus``).
+weights, funding amounts and affiliation patterns need no type of their
+own: ``ingest`` keeps each as a plain dict (see ``Corpus``).
 ``Publication`` and ``AuthorToken``, the most numerous records, are
 ``typing.NamedTuple`` types: one cheap object each, equal to a tuple.
 """

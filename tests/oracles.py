@@ -199,7 +199,7 @@ def _oracle_initials(letters):
     return tuple(normalize_text(ch)[:1] or ch.casefold() for ch in letters)
 
 
-def match_outcome_bruteforce(token, publication, registry, dictionary):
+def match_outcome_bruteforce(token, publication, registry, affiliations):
     """Match one author token by scanning the whole staff registry.
 
     Every member is tested against every rule from scratch: on staff in
@@ -209,7 +209,9 @@ def match_outcome_bruteforce(token, publication, registry, dictionary):
     token, with the token's initials as a prefix of its own.  Returns
     ``(kind, staff_id, candidates)`` for the survivors in staff-id order.
     """
-    universities = {dictionary.lookup(raw)
+    from uniprod.disambiguation import normalize_text
+
+    universities = {affiliations.get(normalize_text(raw))
                     for raw in publication.raw_affiliations}
     token_variants = _oracle_variants(token.surname)
     token_initials = _oracle_initials(token.initials)

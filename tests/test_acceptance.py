@@ -39,9 +39,9 @@ from uniprod.dea import (
     scores,
 )
 from uniprod.disambiguation import (
-    AffiliationDictionary,
     decide,
     disambiguate_corpus,
+    normalize_text,
 )
 from uniprod.errors import DegenerateDmuError, InvariantViolationError
 from uniprod.ingest import _author_tokens, ingest
@@ -505,11 +505,12 @@ def test_c07_disambiguation_reproduces_hand_labels(gate):
     outcome and every publication category must match the hand labels."""
     rows, publications = _hand_corpus()
     staff = _hand_staff()
-    dictionary = AffiliationDictionary([
-        ("University of Alpha", "U1"),
-        ("Alpha Institute", "U1"),
-        ("University of Beta", "U2"),
-    ])
+    dictionary = {normalize_text(pattern): university_id
+                  for pattern, university_id in [
+                      ("University of Alpha", "U1"),
+                      ("Alpha Institute", "U1"),
+                      ("University of Beta", "U2"),
+                  ]}
     result = disambiguate_corpus(publications, staff, dictionary)
 
     outcome_by_token = {

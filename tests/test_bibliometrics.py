@@ -18,9 +18,9 @@ from uniprod.bibliometrics import (
 from uniprod.config import RunConfig
 from uniprod.disambiguation import (
     MATCHED,
-    AffiliationDictionary,
     decide,
     disambiguate_corpus,
+    normalize_text,
 )
 from uniprod.errors import (
     AreaNotAnalyzableError,
@@ -202,9 +202,7 @@ def random_corpus(rng):
                 ))
     registry = StaffRegistry(pool)
     pattern_of = {"U1": "UNIV ONE", "U2": "UNIV TWO", "U3": "UNIV THREE"}
-    dictionary = AffiliationDictionary(
-        [(p, u) for u, p in pattern_of.items()]
-    )
+    dictionary = {normalize_text(p): u for u, p in pattern_of.items()}
     journals = {(f"J{j}", y): float(j) for j in (1, 2)
                 for y in (2001, 2002, 2003)}
     pubs = []
@@ -354,8 +352,7 @@ class TestBuildInputVector:
     def test_missing_snapshot_year(self):
         # Coverage is a property of the run, checked once by run_pipeline
         # before any cell is built.
-        corpus = Corpus(self.registry_with_growth(), (), {}, {},
-                        AffiliationDictionary([]), ())
+        corpus = Corpus(self.registry_with_growth(), (), {}, {}, {}, ())
         with pytest.raises(MissingDataError) as exc:
             run_pipeline(corpus, RunConfig(years=(2001,), lag=10))
         assert "1991" in str(exc.value)

@@ -48,6 +48,11 @@ class TestValidation:
         with pytest.raises(StructuralError, match="True"):
             RunConfig(lag=True)
 
+    def test_zero_lag_accepted(self):
+        config = RunConfig(lag=0)
+        assert config.lag == 0
+        assert config.snapshot()["lag"] == 0
+
     def test_negative_min_staff(self):
         with pytest.raises(StructuralError):
             RunConfig(min_staff=-0.1)

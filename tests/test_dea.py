@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,6 +226,29 @@ class TestProblemValidation:
         )
         for r in decompose(problem):
             assert 0.0 < r.te <= 1.0
+
+    def test_all_zero_columns_change_nothing(self):
+        # As in an area with no funding rows: the columns add rows 0 <= 0
+        # and 0 >= 0 to every LP, and scaling must leave them at 0.
+        base = random_dea_problem(np.random.default_rng(29), n_dmus=12,
+                                  n_inputs=3, n_outputs=2)
+        padded = DeaProblem(
+            [DmuRecord(d.dmu_id, (*d.inputs, 0.0), (*d.outputs, 0.0))
+             for d in base.dmus],
+            (*base.input_labels, "ZERO_IN"), (*base.output_labels, "ZERO_OUT"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for regime in (CRS, VRS):
+                got, want = scores(padded, regime), scores(base, regime)
+                assert got.keys() == want.keys()
+                for unit, score in want.items():
+                    assert abs(got[unit] - score) <= 1e-9
+            for got, want in zip(decompose(padded), decompose(base),
+                                 strict=True):
+                assert (got.dmu_id, got.rts) == (want.dmu_id, want.rts)
+                for factor in ("te", "pte", "se"):
+                    assert abs(getattr(got, factor)
+                               - getattr(want, factor)) <= 1e-9
 
     def test_drop_input(self):
         rng = np.random.default_rng(13)

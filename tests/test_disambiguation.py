@@ -11,11 +11,11 @@ from uniprod.disambiguation import (
     AMBIGUOUS,
     MATCHED,
     UNMATCHED,
-    AffiliationDictionary,
     MatchOutcome,
     decide,
     disambiguate_corpus,
     match_author,
+    named_universities,
     normalize_text,
     surname_key,
 )
@@ -24,7 +24,7 @@ from uniprod.ingest import ingest
 from uniprod.records import AuthorToken, Publication, StaffMember, StaffRegistry
 from uniprod.synthetic import write_synthetic_dataset
 
-from .fixtures import write_demo_dataset
+from .fixtures import _AFFILIATIONS, write_demo_dataset
 from .oracles import _oracle_variants, match_outcome_bruteforce
 
 
@@ -57,7 +57,13 @@ def category_of(publication, registry, dictionary):
     return category
 
 
-DICT = AffiliationDictionary([
+def pattern_map(rows):
+    """The map ``ingest`` builds from (raw pattern, university id) rows."""
+    return {normalize_text(pattern): university_id
+            for pattern, university_id in rows}
+
+
+DICT = pattern_map([
     ("UNIV TESTONE", "U1"),
     ("Universita degli Studi di Testone", "U1"),
     ("UNIV DUESTO", "U2"),
@@ -175,18 +181,23 @@ def test_empty_keys_and_missing_initials_never_match(tmp_path):
             ]
 
 
-class TestAffiliationDictionary:
+class TestNamedUniversities:
     def test_exact_hit(self):
-        assert DICT.lookup("UNIV TESTONE") == "U1"
+        assert named_universities(("UNIV TESTONE",), DICT) == ("U1",)
 
     def test_messy_spelling_hits(self):
-        assert DICT.lookup("Università degli Studi di 'Testone'") == "U1"
+        assert named_universities(
+            ("Università degli Studi di 'Testone'",), DICT) == ("U1",)
 
-    def test_miss_returns_none(self):
-        assert DICT.lookup("MIT") is None
+    def test_miss_names_none(self):
+        assert named_universities(("MIT",), DICT) == ()
+
+    def test_field_names_sorted_distinct_universities(self):
+        field = ("UNIV DUESTO", "MIT", "univ. testone", "UNIV TESTONE")
+        assert named_universities(field, DICT) == ("U1", "U2")
 
     def test_conflicting_patterns_rejected(self, tmp_path):
-        # The dictionary trusts its rows; ingest is what rejects two
+        # The matching trusts its patterns; ingest is what rejects two
         # patterns that normalize alike but name different universities.
         root = write_demo_dataset(tmp_path / "data")
         (root / "affiliations.csv").write_text(
@@ -196,13 +207,14 @@ class TestAffiliationDictionary:
         with pytest.raises(IngestError, match="conflicts"):
             ingest(root)
 
-    def test_instances_keep_their_own_lookups(self):
-        first = AffiliationDictionary([("UNIV X", "U1")])
-        second = AffiliationDictionary([("univ x.", "U2")])
-        assert first.lookup("Univ. X") == "U1"
-        assert second.lookup("Univ. X") == "U2"
-        assert first.lookup("Univ. X") == "U1"
-        assert AffiliationDictionary([]).lookup("Univ. X") is None
+    def test_maps_keep_their_own_lookups(self):
+        # The memo is of normalized forms only: each map still decides.
+        first = pattern_map([("UNIV X", "U1")])
+        second = pattern_map([("univ x.", "U2")])
+        assert named_universities(("Univ. X",), first) == ("U1",)
+        assert named_universities(("Univ. X",), second) == ("U2",)
+        assert named_universities(("Univ. X",), first) == ("U1",)
+        assert named_universities(("Univ. X",), {}) == ()
 
 
 class TestMatchAuthor:
@@ -445,9 +457,10 @@ def _clearing(cached):
 
 
 class TestMemoizedMatching:
-    """Names are normalized once per process (surnames, initials), per
-    dictionary (affiliations and affiliation fields) and per staff member
-    (initials); none of it may change an outcome."""
+    """Names are normalized once per process (surnames, initials, raw
+    affiliations) and per staff member (initials), and each affiliation
+    field is resolved once per ``decide`` call; none of it may change an
+    outcome."""
 
     def test_same_outcomes_as_with_caches_cleared(self, synthetic_corpus,
                                                   monkeypatch):
@@ -460,20 +473,8 @@ class TestMemoizedMatching:
                             _clearing(disambiguation._normalized_initial))
         monkeypatch.setattr(disambiguation, "_normalized_initials",
                             _clearing(disambiguation._normalized_initials))
-        lookup = AffiliationDictionary.lookup
-        universities = AffiliationDictionary.universities
-
-        def fresh_lookup(self, raw):
-            self._memo.clear()
-            return lookup(self, raw)
-
-        def fresh_universities(self, field):
-            self._fields.clear()
-            return universities(self, field)
-
-        monkeypatch.setattr(AffiliationDictionary, "lookup", fresh_lookup)
-        monkeypatch.setattr(AffiliationDictionary, "universities",
-                            fresh_universities)
+        monkeypatch.setattr(disambiguation, "_affiliation_key",
+                            _clearing(disambiguation._affiliation_key))
         monkeypatch.setattr(StaffMember, "initials",
                             property(StaffMember.__dict__["initials"].func))
         assert _outcomes(synthetic_corpus) == memoized
@@ -484,6 +485,7 @@ class TestMemoizedMatching:
         surname_key.cache_clear()
         disambiguation._normalized_initial.cache_clear()
         disambiguation._normalized_initials.cache_clear()
+        disambiguation._affiliation_key.cache_clear()
         calls = Counter()
         normalize = disambiguation.normalize_text
 
@@ -507,6 +509,32 @@ class TestMemoizedMatching:
         calls.clear()
         _outcomes(corpus)
         assert not calls
+
+    def test_patterns_and_raw_affiliations_are_normalized_once(
+            self, tmp_path, monkeypatch):
+        """Counted through both the ``ingest`` and the ``disambiguation``
+        binding: ingest normalizes each ``affiliations.csv`` pattern once,
+        and the matching each distinct raw affiliation at most once."""
+        calls = Counter()
+
+        def counting(text):
+            calls[text] += 1
+            return normalize_text(text)
+
+        # The package exports the ``ingest`` function under the module's name.
+        monkeypatch.setattr(sys.modules["uniprod.ingest"], "normalize_text",
+                            counting)
+        monkeypatch.setattr(disambiguation, "normalize_text", counting)
+        corpus = ingest(write_demo_dataset(tmp_path / "data"))
+        assert [calls[pattern] for pattern, _ in _AFFILIATIONS] == [
+            1] * len(_AFFILIATIONS)
+
+        disambiguation._affiliation_key.cache_clear()
+        calls.clear()
+        disambiguate_corpus(corpus.publications, corpus.staff,
+                            corpus.affiliations)
+        raws = {raw for p in corpus.publications for raw in p.raw_affiliations}
+        assert max(calls[raw] for raw in raws) == 1
 
     def test_equal_outcomes_are_one_object(self, synthetic_corpus):
         # Within one call; an ambiguous outcome is built as it is found.
@@ -571,7 +599,8 @@ def test_match_author_called_once_per_token_on_its_scope(paper_shaped,
                         corpus.affiliations, overrides)
     expected = []
     for p in corpus.publications:
-        universities = corpus.affiliations.universities(p.raw_affiliations)
+        universities = named_universities(p.raw_affiliations,
+                                          corpus.affiliations)
         for position, token in enumerate(p.authors, start=1):
             if (p.pub_id, position) in overrides:
                 continue

@@ -2,12 +2,13 @@
 
 import csv
 import gc
+import math
 import tracemalloc
 
 import pytest
 
 from uniprod.errors import IngestError, StructuralError
-from uniprod.ingest import _author_tokens, ingest, load_overrides
+from uniprod.ingest import MAX_AMOUNT, _author_tokens, ingest, load_overrides
 from uniprod.records import Publication
 from uniprod.synthetic import write_synthetic_dataset
 
@@ -36,7 +37,7 @@ class TestHappyPath:
         assert corpus.staff.headcount("A01", "U2", "AP", 2001) == 3.0
         assert corpus.journals[("J1", 2002)] == 1.5
         assert corpus.funding[("U1", "A01", 2001)] == 120.0
-        assert corpus.affiliations.lookup("univ of alpha") == "U1"
+        assert corpus.affiliations["univ of alpha"] == "U1"
 
     def test_unknown_journal_becomes_warning(self, demo_root):
         corpus = ingest(_config(demo_root))
@@ -162,6 +163,31 @@ class TestDiagnostics:
         assert exc.value.diagnostics == [
             f"journals.csv:2: impact_weight {rule}, got {value!r}",
             f"funding.csv:2: prin_keur {rule}, got {value!r}",
+        ]
+
+    def test_zero_and_largest_amounts_load(self, demo_root):
+        _write(demo_root, "journals.csv",
+               "journal_id,year,impact_weight\nJ1,2001,0\nJ1,2002,1e12\n")
+        _write(demo_root, "funding.csv", "university_id,area_id,year,"
+               "prin_keur\nU1,A01,2001,0\nU1,A01,2002,1e12\n")
+        corpus = ingest(_config(demo_root))
+        assert corpus.journals == {("J1", 2001): 0.0,
+                                   ("J1", 2002): MAX_AMOUNT}
+        assert corpus.funding == {("U1", "A01", 2001): 0.0,
+                                  ("U1", "A01", 2002): MAX_AMOUNT}
+
+    def test_amount_just_above_the_largest(self, demo_root):
+        value = repr(math.nextafter(MAX_AMOUNT, math.inf))
+        _write(demo_root, "journals.csv",
+               f"journal_id,year,impact_weight\nJ1,2001,{value}\n")
+        _write(demo_root, "funding.csv",
+               f"university_id,area_id,year,prin_keur\nU1,A01,2001,{value}\n")
+        with pytest.raises(IngestError) as exc:
+            ingest(_config(demo_root))
+        assert exc.value.diagnostics == [
+            f"journals.csv:2: impact_weight must be at most 1e+12, "
+            f"got {value!r}",
+            f"funding.csv:2: prin_keur must be at most 1e+12, got {value!r}",
         ]
 
     def test_invalid_utf8_reported_with_line(self, demo_root):
@@ -433,7 +459,7 @@ def test_same_records_as_a_dictreader_oracle(tmp_path):
     assert list(corpus.publications) == publications
     assert corpus.journals == journals
     assert corpus.funding == funding
-    assert vars(corpus.affiliations)["_mapping"] == affiliations
+    assert corpus.affiliations == affiliations
     assert list(corpus.warnings) == warnings
     assert len(publications) > 100 and warnings
 

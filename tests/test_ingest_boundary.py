@@ -137,7 +137,7 @@ def test_underscored_or_non_ascii_override_position_is_rejected(tmp_path,
 def _loaded(corpus) -> tuple:
     return (tuple(corpus.staff), corpus.publications,
             corpus.journals, corpus.funding,
-            vars(corpus.affiliations), corpus.warnings)
+            corpus.affiliations, corpus.warnings)
 
 
 @pytest.mark.parametrize("name", DATA_FILES)

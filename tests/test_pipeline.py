@@ -4,6 +4,7 @@ and the cross-area invariants on synthetic corpora."""
 import csv
 import math
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uniprod import cli, pipeline
+from uniprod.analysis import compare_rankings, rank
 from uniprod.bibliometrics import (
     INPUT_LABELS,
     OUTPUT_LABELS,
@@ -420,6 +422,62 @@ class TestCrossAreaInvariants:
             assert theta_tot == pytest.approx(
                 sum(by_area[a] * w for a, w in weights.items())
                 / row["staff_weight_total"], abs=1e-9)
+
+
+class TestAreaSummaries:
+    """On a synthetic corpus, each area's summary rows agree with what
+    they summarize."""
+
+    @pytest.fixture(scope="class")
+    def study(self, tmp_path_factory):
+        corpus = ingest(write_synthetic_dataset(
+            tmp_path_factory.mktemp("synthetic"), seed=5, n_areas=3,
+            n_universities=10))
+        config = RunConfig(compare_partial=True)
+        return corpus, config, run_pipeline(corpus, config)
+
+    def test_rts_counts_are_the_scores_rts_classes(self, study):
+        _, _, report = study
+        classes = Counter((row["area_id"], row["rts"])
+                          for row in report.tables["scores"])
+        assert len({rts for _, rts in classes}) >= 2
+        rows = report.tables["efficiency_by_area"]
+        assert [row["area_id"] for row in rows] == list(report.areas_analyzed)
+        for row in rows:
+            for kind in ("constant", "increasing", "decreasing"):
+                assert row[f"rts_{kind}"] == classes[row["area_id"], kind]
+
+    def test_partial_comparison_ranks_output_per_staff(self, study):
+        corpus, config, report = study
+        matched = MatchedCorpus(corpus.publications, disambiguate_corpus(
+            corpus.publications, corpus.staff,
+            corpus.affiliations).matched_cells)
+        rows = {row["area_id"]: row
+                for row in report.tables["partial_comparison"]}
+        assert list(rows) == list(report.areas_analyzed)
+        ratio_ranks_differ = False
+        for area_id, row in rows.items():
+            pte = {r["university_id"]: r["pte"]
+                   for r in report.tables["scores"] if r["area_id"] == area_id}
+            pu = {u: compute_output_vector(matched, corpus.journals, area_id,
+                                           u, config.years, []).pu
+                  for u in pte}
+            staff = {u: build_input_vector(corpus.staff, corpus.funding,
+                                           area_id, u, config.years,
+                                           config.lag).staff_total
+                     for u in pte}
+            per_staff = rank({u: pu[u] / staff[u] for u in pte})
+            cmp = compare_rankings(rank(pte), per_staff)
+            assert row == {
+                "area_id": area_id, "n_universities": len(pte),
+                "changed": cmp.changed, "max_delta": cmp.max_delta,
+                "mean_delta": cmp.mean_delta,
+                "median_delta": cmp.median_delta, "cv_delta": cmp.cv_delta,
+                "cv_defined": cmp.cv_defined,
+            }
+            ratio_ranks_differ |= per_staff != rank(
+                {u: pu[u] * staff[u] for u in pte})
+        assert ratio_ranks_differ
 
 
 class TestRescaleInvariance:
