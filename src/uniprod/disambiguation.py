@@ -1,13 +1,13 @@
 """Author-to-staff assignment.
 
-The matching pipeline is deliberately rule-based and transparent:
-affiliation strings are normalized and looked up among the normalized
-patterns, which resolves the universities each publication names.
-Within those universities, an author token is matched to the staff
-active in its year who share its surname key (the normalized surname
-without spaces; an empty key matches nothing) and whose normalized
-initials start with the token's.  Anything still ambiguous is exported
-for human review rather than auto-resolved.
+The matching is deliberately rule-based and transparent, and reads
+staff and names only: ``ingest`` resolved the universities each
+publication names (``Publication.universities``).  Within those, an
+author token is matched to the staff active in its year who share its
+surname key (the normalized surname without spaces; an empty key
+matches nothing) and whose normalized initials start with the token's.
+Anything still ambiguous is exported for human review rather than
+auto-resolved.
 
 ``decide`` is the one matching loop: it yields each publication with
 its authors' outcomes, and ``disambiguate_corpus`` keeps only what the
@@ -66,21 +66,6 @@ def _normalized_initials(initials: tuple[str, ...]) -> tuple[str, ...]:
     """Normalized initial sequence, memoized like ``surname_key``:
     ``match_author`` compares it for every member in every token's scope."""
     return tuple(_normalized_initial(ch) for ch in initials)
-
-
-@functools.lru_cache(maxsize=None)
-def _affiliation_key(raw: str) -> str:
-    """A raw affiliation's normalized form, memoized like ``surname_key``:
-    it repeats on every publication of a university."""
-    return normalize_text(raw)
-
-
-def named_universities(field: tuple[str, ...],
-                       affiliations: Mapping[str, str]) -> tuple[str, ...]:
-    """The sorted ids of the universities an affiliation field names: those
-    that ``affiliations`` maps its raw strings' normalized forms to."""
-    return tuple(sorted({affiliations[key] for raw in field
-                         if (key := _affiliation_key(raw)) in affiliations}))
 
 
 class MatchOutcome(NamedTuple):
@@ -148,7 +133,6 @@ def match_author(token: AuthorToken, staff_in_scope) -> MatchOutcome:
 def decide(
     publications: Iterable[Publication],
     staff: StaffRegistry,
-    affiliations: Mapping[str, str],
     overrides: Mapping[tuple[str, int], str | None] | None = None,
 ) -> Iterator[tuple[Publication, tuple[MatchOutcome, ...]]]:
     """Yield each publication with its authors' outcomes, in input order.
@@ -158,9 +142,8 @@ def decide(
     has checked against the corpus) replace rule matching for the named
     positions.  Every other token is decided by one ``match_author``
     call on its scope, built in the order of the publication's
-    universities and of the registry, each distinct affiliation field
-    resolved once.  Matched outcomes are interned until the call
-    finishes, and then released.
+    universities and of the registry.  Matched outcomes are interned
+    until the call finishes, and then released.
     """
     # The one place where candidates are selected by surname: per
     # university, its members by surname key.  A member whose key is
@@ -169,16 +152,13 @@ def decide(
     for member in staff:
         if key := surname_key(member.surname):
             by_surname[member.university_id].setdefault(key, []).append(member)
-    named_by_field = functools.cache(
-        lambda field: named_universities(field, affiliations))
     try:
         for pub in publications:
             if not pub.authors:
                 yield pub, ()
                 continue
             year = pub.year
-            filed = [by_surname[university_id] for university_id
-                     in named_by_field(pub.raw_affiliations)]
+            filed = [by_surname[u] for u in pub.universities]
             outcomes = []
             for position, token in enumerate(pub.authors, start=1):
                 if overrides and (pub.pub_id, position) in overrides:
@@ -199,7 +179,6 @@ def decide(
 def disambiguate_corpus(
     publications: Iterable[Publication],
     staff: StaffRegistry,
-    affiliations: Mapping[str, str],
     overrides: Mapping[tuple[str, int], str | None] | None = None,
 ) -> DisambiguationResult:
     """Classify every publication by its outcomes from ``decide``.
@@ -221,7 +200,7 @@ def disambiguate_corpus(
     # many publications and few distinct maps.
     shared_cells: dict[tuple, dict[tuple[str, str], int]] = {}
 
-    for pub, outcomes in decide(publications, staff, affiliations, overrides):
+    for pub, outcomes in decide(publications, staff, overrides):
         pub_id = pub.pub_id
         if not outcomes:
             counts["unresolvable"] += 1

@@ -5,14 +5,16 @@ byte-order mark is dropped).  Every check on their contents happens
 here, once: blank ids and names, rank and document-type codes, integer
 years and active ranges, author initials, finite non-negative amounts
 up to ``MAX_AMOUNT``, duplicate keys, bytes that are not UTF-8, NUL
-bytes, and the references of a manual-override file.  Malformed rows
-are collected as ``file:line:`` diagnostics (not raised one at a time)
-so a single run reports every problem; referential gaps that the
-pipeline can survive become warnings instead.  The record types built
-here carry values and check nothing.  Each file's bytes are read once
-and its rows streamed, as positional cell lists, into its loader, which
-keeps no list of rows; a NUL byte is reported and its row skipped on
-every Python version (the csv module of 3.10 rejects the whole file).
+bytes, and the references of a manual-override file.  Each affiliation
+field is resolved here too, to the universities its patterns name.
+Malformed rows are collected as ``file:line:`` diagnostics (not raised
+one at a time) so a single run reports every problem; referential gaps
+that the pipeline can survive become warnings instead.  The record
+types built here carry values and check nothing.  Each file's bytes are
+read once and its rows streamed, as positional cell lists, into its
+loader, which keeps no list of rows; a NUL byte is reported and its row
+skipped on every Python version (the csv module of 3.10 rejects the
+whole file).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .disambiguation import named_universities, normalize_text
+from .disambiguation import normalize_text
 from .errors import IngestError, StructuralError
 from .records import (
     AuthorToken,
@@ -64,7 +66,8 @@ class Corpus:
     area_id, year) to the competitive funding in k€; a cell with no grant
     in a year has no entry.  Rows for unknown universities are dropped.
     ``affiliations`` maps each normalized affiliation pattern to its
-    university id; ``disambiguation.named_universities`` reads it.
+    university id; each publication's ``universities`` were resolved
+    against it here, so the matching does not read it.
     """
 
     staff: StaffRegistry
@@ -207,15 +210,15 @@ def _amount(cell: str, field: str) -> float:
 
 
 def _records(path: Path, fields: tuple[str, ...], parse: Callable,
-             key: Callable, describe: Callable, diagnostics: list[str],
-             keep: Callable | None = None) -> list:
+             key: Callable | None, describe: Callable | None,
+             diagnostics: list[str], keep: Callable | None = None) -> list:
     """``parse(*cells)`` of each row, in file order.  Each StructuralError
     it or ``keep(line, record)`` raises is a ``file:line:`` diagnostic,
-    and so is a record whose key an earlier record has:
-    ``describe(key)``, naming the line of the first.  A record that
-    ``keep`` refuses is dropped before its key is checked.  These
-    diagnostics follow the reader's for the file; an unreadable file
-    keeps no record and adds none."""
+    and so, unless ``key`` is None, is a record whose key an earlier
+    record has: ``describe(key)``, naming the line of the first.  A
+    record that ``keep`` refuses is dropped before its key is checked.
+    These diagnostics follow the reader's for the file; an unreadable
+    file keeps no record and adds none."""
     name = path.name
     first: dict = {}
     kept = []
@@ -229,12 +232,13 @@ def _records(path: Path, fields: tuple[str, ...], parse: Callable,
             except StructuralError as exc:
                 problems.append(f"{name}:{line}: {exc}")
                 continue
-            k = key(record)
-            if k in first:
-                problems.append(f"{name}:{line}: {describe(k)} "
-                                f"(first defined at line {first[k]})")
-                continue
-            first[k] = line
+            if key is not None:
+                k = key(record)
+                if k in first:
+                    problems.append(f"{name}:{line}: {describe(k)} "
+                                    f"(first defined at line {first[k]})")
+                    continue
+                first[k] = line
             kept.append(record)
     except _Unreadable:
         return []
@@ -321,25 +325,33 @@ def _load_staff(path: Path, diagnostics: list[str]) -> StaffRegistry:
 
 
 def _load_publications(
-    path: Path, diagnostics: list[str]
+    path: Path, affiliations: dict[str, str], diagnostics: list[str]
 ) -> tuple[Publication, ...]:
     # Years, document types, journal ids, author entries and affiliation
     # fields repeat across rows: each distinct one is parsed once per
-    # ingest and its value shared (a cell that raises is not cached).
+    # ingest and its value shared (a cell that raises is not cached).  A
+    # field names the universities its normalized non-blank parts map to,
+    # and equal sets of universities share one sorted tuple.
     year_of = functools.cache(lambda cell: _integer(cell, "year"))
     doc_type_of = functools.cache(
         lambda cell: _code(cell, "doc_type", DOC_TYPES))
     journal_id_of = functools.cache(lambda cell: _text(cell, "journal_id"))
     tokens: dict[str | AuthorToken, AuthorToken] = {}
-    affiliations_of = functools.cache(
-        lambda field: tuple(s.strip() for s in field.split(";") if s.strip()))
+    key_of = functools.cache(normalize_text)
+    ids_of = functools.cache(lambda named: tuple(sorted(named)))
+
+    @functools.cache
+    def universities_of(field: str) -> tuple[str, ...]:
+        keys = map(key_of, filter(None, map(str.strip, field.split(";"))))
+        return ids_of(frozenset(affiliations[key] for key in keys
+                                if key in affiliations))
 
     def publication(pub_id, year, doc_type, journal_id, authors,
-                    raw_affiliations) -> Publication:
+                    field) -> Publication:
         return Publication(
             _text(pub_id, "pub_id"), year_of(year), doc_type_of(doc_type),
             journal_id_of(journal_id), _author_tokens(authors, tokens),
-            affiliations_of(raw_affiliations),
+            universities_of(field),
         )
 
     return tuple(_records(
@@ -383,7 +395,7 @@ def _load_affiliations(
 ) -> dict[str, str]:
     """Each normalized pattern mapped to its university id.  A pattern
     repeated for the same university is dropped silently and one for
-    another is a diagnostic, both before ``_records`` checks keys."""
+    another is a diagnostic, so ``_records`` checks no key."""
     first: dict[str, tuple[int, str]] = {}
 
     def entry(pattern: str, university_id: str) -> tuple[str, str, str]:
@@ -404,8 +416,7 @@ def _load_affiliations(
         return first_line == line
 
     return {key: university_id for _, university_id, key in _records(
-        path, AFFILIATION_FIELDS, entry, lambda r: r[2],
-        lambda k: f"duplicate pattern {k!r}", diagnostics, unique,
+        path, AFFILIATION_FIELDS, entry, None, None, diagnostics, unique,
     )}
 
 
@@ -417,8 +428,8 @@ def load_overrides(
     Columns: pub_id, author_position (1-based), staff_id.  A blank
     staff_id records the decision that the author is not on staff.
     Every publication, author position and staff id must exist in the
-    corpus, and a named staff member must work at a university the
-    publication's affiliations name and be active in its year.
+    corpus, and a named staff member must work at one of the
+    publication's universities and be active in its year.
     """
     pubs = {p.pub_id: p for p in corpus.publications}
 
@@ -440,8 +451,7 @@ def load_overrides(
         member = corpus.staff.member(staff_id)
         if member is None:
             raise StructuralError(f"unknown staff id {staff_id!r}")
-        named = named_universities(pub.raw_affiliations, corpus.affiliations)
-        if member.university_id not in named:
+        if member.university_id not in pub.universities:
             raise StructuralError(
                 f"staff {staff_id!r} works at university "
                 f"{member.university_id!r}, which the affiliations of "
@@ -480,7 +490,11 @@ def ingest(data_dir: Path) -> Corpus:
     warnings: list[str] = []
 
     staff = _load_staff(root / "staff.csv", diagnostics)
-    publications = _load_publications(root / "publications.csv", diagnostics)
+    # Publications are resolved against the patterns, which load first.
+    late: list[str] = []  # the patterns' diagnostics, reported last
+    affiliations = _load_affiliations(root / "affiliations.csv", late)
+    publications = _load_publications(root / "publications.csv",
+                                      affiliations, diagnostics)
     journals = _load_journals(root / "journals.csv", diagnostics)
     funding = _load_funding(
         root / "funding.csv",
@@ -488,7 +502,7 @@ def ingest(data_dir: Path) -> Corpus:
         diagnostics,
         warnings,
     )
-    affiliations = _load_affiliations(root / "affiliations.csv", diagnostics)
+    diagnostics += late
 
     if diagnostics:
         raise IngestError(

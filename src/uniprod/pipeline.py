@@ -288,9 +288,7 @@ def run_pipeline(
     if area_ids:
         _require_snapshot_years(corpus.staff, config)
     warnings: list[str] = list(corpus.warnings)
-    disamb = disambiguate_corpus(
-        corpus.publications, corpus.staff, corpus.affiliations, overrides
-    )
+    disamb = disambiguate_corpus(corpus.publications, corpus.staff, overrides)
     warnings.extend(f"disambiguation: {msg}" for msg in disamb.errors)
     matched = MatchedCorpus(corpus.publications, disamb.matched_cells)
 

@@ -54,12 +54,12 @@ class StaffMember:
 
     @cached_property
     def initials(self) -> tuple[str, ...]:
-        """First letter of each given-name part, in order (computed once
-        per member; matching reads it for every token in scope)."""
-        parts: list[str] = []
-        for chunk in self.first_names.replace("-", " ").split():
-            parts.append(chunk[0].upper())
-        return tuple(parts)
+        """First letter of each given-name part, in order, none for a part
+        with no letter (computed once per member; matching reads it for
+        every token in scope)."""
+        parts = self.first_names.replace("-", " ").split()
+        letters = (next(filter(str.isalpha, part), "") for part in parts)
+        return tuple(letter.upper() for letter in letters if letter)
 
     def active_in(self, year: int) -> bool:
         """Whether the member is on staff at 31 December of ``year``."""
@@ -72,7 +72,8 @@ class Publication(NamedTuple):
     ``authors`` is the full ordered author list; its length is the total
     author count c used by fractional counting.  An empty author list is
     representable (it marks a structurally corrupt record that downstream
-    processing must report, not a valid publication).
+    processing must report, not a valid publication).  ``universities``
+    are the sorted ids of those its affiliations name, resolved at ingest.
     """
 
     pub_id: str
@@ -80,7 +81,7 @@ class Publication(NamedTuple):
     doc_type: str
     journal_id: str
     authors: tuple[AuthorToken, ...]
-    raw_affiliations: tuple[str, ...]
+    universities: tuple[str, ...]
 
     @property
     def author_count(self) -> int:

@@ -199,20 +199,36 @@ def _oracle_initials(letters):
     return tuple(normalize_text(ch)[:1] or ch.casefold() for ch in letters)
 
 
-def match_outcome_bruteforce(token, publication, registry, affiliations):
+def _affiliation_field(cell):
+    return tuple(a.strip() for a in cell.split(";") if a.strip())
+
+
+def raw_affiliation_fields(data_dir):
+    """Each publication's raw affiliation strings by id, read from
+    ``publications.csv`` with ``csv.DictReader``."""
+    with open(Path(data_dir) / "publications.csv", newline="",
+              encoding="utf-8-sig") as handle:
+        return {row["pub_id"].strip(): _affiliation_field(
+                    row["raw_affiliations"])
+                for row in csv.DictReader(handle)}
+
+
+def match_outcome_bruteforce(token, publication, raw_affiliations, registry,
+                             affiliations):
     """Match one author token by scanning the whole staff registry.
 
     Every member is tested against every rule from scratch: on staff in
-    the publication year, at a university the publication's affiliations
-    name, sharing a surname variant (spaced or joined) with the token,
-    with the same first normalized initial, and, for a multi-initial
-    token, with the token's initials as a prefix of its own.  Returns
+    the publication year, at a university that ``affiliations`` maps
+    the normalized form of one of the raw affiliation strings to,
+    sharing a surname variant (spaced or joined) with the token, with
+    the same first normalized initial, and, for a multi-initial token,
+    with the token's initials as a prefix of its own.  Returns
     ``(kind, staff_id, candidates)`` for the survivors in staff-id order.
     """
     from uniprod.disambiguation import normalize_text
 
     universities = {affiliations.get(normalize_text(raw))
-                    for raw in publication.raw_affiliations}
+                    for raw in raw_affiliations}
     token_variants = _oracle_variants(token.surname)
     token_initials = _oracle_initials(token.initials)
     survivors = []
@@ -246,7 +262,9 @@ def ingest_oracle(data_dir):
     affiliation mapping, warnings)``: the ``StaffMember`` and
     ``Publication`` lists in file order, ``{(journal, year): weight}``,
     ``{(university, area, year): amount}`` for the universities on
-    staff, ``{normalized pattern: university}`` and the warnings.
+    staff, ``{normalized pattern: university}`` and the warnings.  A
+    publication's universities are those the mapping gives the
+    normalized forms of its raw affiliation strings.
     """
     from uniprod.disambiguation import normalize_text
     from uniprod.records import AuthorToken, Publication, StaffMember
@@ -265,6 +283,8 @@ def ingest_oracle(data_dir):
                     int(r["year_to"]))
         for _, r in rows("staff.csv")
     ]
+    affiliations = {normalize_text(r["raw_pattern"]): r["university_id"]
+                    for _, r in rows("affiliations.csv")}
     publications = []
     for _, r in rows("publications.csv"):
         authors = []
@@ -277,8 +297,9 @@ def ingest_oracle(data_dir):
         publications.append(Publication(
             r["pub_id"], int(r["year"]), r["doc_type"], r["journal_id"],
             tuple(authors),
-            tuple(a.strip() for a in r["raw_affiliations"].split(";")
-                  if a.strip())))
+            tuple(sorted({affiliations[normalize_text(a)]
+                          for a in _affiliation_field(r["raw_affiliations"])
+                          if normalize_text(a) in affiliations}))))
     journals = {(r["journal_id"], int(r["year"])): float(r["impact_weight"])
                 for _, r in rows("journals.csv")}
     universities = {m.university_id for m in staff}
@@ -290,8 +311,6 @@ def ingest_oracle(data_dir):
         else:
             warnings.append(f"funding.csv:{line}: unknown university "
                             f"{r['university_id']!r}; row skipped")
-    affiliations = {normalize_text(r["raw_pattern"]): r["university_id"]
-                    for _, r in rows("affiliations.csv")}
     warnings += [f"journal {j!r} appears in publications but not in the "
                  "journal table"
                  for j in sorted({p.journal_id for p in publications}

@@ -10,6 +10,8 @@ statistics, or a hand-labelled corpus — at an explicit tolerance.
 
 from __future__ import annotations
 
+import csv
+import dataclasses
 import math
 import random
 import time
@@ -38,15 +40,18 @@ from uniprod.dea import (
     decompose,
     scores,
 )
-from uniprod.disambiguation import (
-    decide,
-    disambiguate_corpus,
-    normalize_text,
-)
+from uniprod.disambiguation import decide, disambiguate_corpus
 from uniprod.errors import DegenerateDmuError, InvariantViolationError
-from uniprod.ingest import _author_tokens, ingest
+from uniprod.ingest import (
+    AFFILIATION_FIELDS,
+    FUNDING_FIELDS,
+    JOURNAL_FIELDS,
+    PUBLICATION_FIELDS,
+    STAFF_FIELDS,
+    ingest,
+)
 from uniprod.lp import solve_lp
-from uniprod.records import Publication, StaffMember, StaffRegistry
+from uniprod.records import StaffMember, StaffRegistry
 from uniprod.synthetic import write_synthetic_dataset
 
 from .oracles import (
@@ -352,12 +357,10 @@ def test_c06_output_construction_matches_bruteforce(gate, tmp_path):
         )
         config = RunConfig()
         corpus = ingest(data_dir)
-        resolved = disambiguate_corpus(
-            corpus.publications, corpus.staff, corpus.affiliations
-        )
+        resolved = disambiguate_corpus(corpus.publications, corpus.staff)
         matched = MatchedCorpus(corpus.publications, resolved.matched_cells)
         outcomes = {p.pub_id: o for p, o in decide(
-            corpus.publications, corpus.staff, corpus.affiliations)}
+            corpus.publications, corpus.staff)}
         for area_id in corpus.staff.area_ids():
             for university_id in corpus.staff.universities_in_area(area_id):
                 cells += 1
@@ -485,44 +488,57 @@ _FILLER_TEMPLATES = [
 ]
 
 
-def _hand_corpus():
+def _hand_corpus(root):
+    """The hand-labelled rows, and the corpus that ``ingest`` reads from
+    them once they are written as the five input files under ``root``."""
     rows = list(_HAND_PUBS)
     for i in range(29):
         authors, affiliations, expected = _FILLER_TEMPLATES[i % 7]
         rows.append((f"P{22 + i}", "resolved", authors, affiliations, expected))
-    publications = [
-        Publication(pub_id, 2002, "article", "J1",
-                    _author_tokens(authors, {}), affiliations)
-        for pub_id, _, authors, affiliations, _ in rows
+    files = [
+        ("staff.csv", STAFF_FIELDS,
+         [dataclasses.astuple(member) for member in _hand_staff()]),
+        ("publications.csv", PUBLICATION_FIELDS,
+         [(pub_id, 2002, "article", "J1", authors, ";".join(affiliations))
+          for pub_id, _, authors, affiliations, _ in rows]),
+        ("journals.csv", JOURNAL_FIELDS, [("J1", 2002, 1.0)]),
+        ("funding.csv", FUNDING_FIELDS, []),
+        ("affiliations.csv", AFFILIATION_FIELDS, [
+            ("University of Alpha", "U1"),
+            ("Alpha Institute", "U1"),
+            ("University of Beta", "U2"),
+        ]),
     ]
-    return rows, publications
+    root.mkdir(parents=True)
+    for name, header, table in files:
+        with open(root / name, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(table)
+    return rows, ingest(root)
 
 
-def test_c07_disambiguation_reproduces_hand_labels(gate):
+def test_c07_disambiguation_reproduces_hand_labels(gate, tmp_path):
     """A 50-publication corpus with 10 planted homonym staff members,
     compound and accented surnames, multi-initial names, an inactive
     member, unknown affiliations and 5 non-staff authors: every token
-    outcome and every publication category must match the hand labels."""
-    rows, publications = _hand_corpus()
-    staff = _hand_staff()
-    dictionary = {normalize_text(pattern): university_id
-                  for pattern, university_id in [
-                      ("University of Alpha", "U1"),
-                      ("Alpha Institute", "U1"),
-                      ("University of Beta", "U2"),
-                  ]}
-    result = disambiguate_corpus(publications, staff, dictionary)
+    outcome and every publication category must match the hand labels.
+    The corpus is read from CSV files by ``ingest``, so the gate also
+    covers how affiliations resolve to universities."""
+    rows, corpus = _hand_corpus(tmp_path / "hand")
+    publications, staff = corpus.publications, corpus.staff
+    result = disambiguate_corpus(publications, staff)
 
     outcome_by_token = {
         (p.pub_id, position): outcome
-        for p, outcomes in decide(publications, staff, dictionary)
+        for p, outcomes in decide(publications, staff)
         for position, outcome in enumerate(outcomes, start=1)
     }
     # Each publication's category, by the package's own rule: the one
     # category whose count is 1 when it is disambiguated alone.
     categories = {}
     for p in publications:
-        stats = disambiguate_corpus([p], staff, dictionary).stats
+        stats = disambiguate_corpus([p], staff).stats
         categories[p.pub_id] = [name for name, count in stats.items()
                                 if name != "total" and count == 1]
     failures = []

@@ -73,8 +73,7 @@ def test_after_hooks_count_a_study(tmp_path, monkeypatch):
     # Counted before the hooks go in; the study runs without overrides,
     # so every author token is one match_author call.
     corpus = ingest(data)
-    outcomes = [o for _, per_pub in decide(corpus.publications, corpus.staff,
-                                           corpus.affiliations)
+    outcomes = [o for _, per_pub in decide(corpus.publications, corpus.staff)
                 for o in per_pub]
     trace = tracer.Trace()
     trace.install()

@@ -16,12 +16,7 @@ from uniprod.bibliometrics import (
     compute_output_vector,
 )
 from uniprod.config import RunConfig
-from uniprod.disambiguation import (
-    MATCHED,
-    decide,
-    disambiguate_corpus,
-    normalize_text,
-)
+from uniprod.disambiguation import MATCHED, decide, disambiguate_corpus
 from uniprod.errors import (
     AreaNotAnalyzableError,
     MissingDataError,
@@ -63,7 +58,7 @@ def pub(pub_id, year=2002, doc_type="article", journal_id="J1", n_authors=1):
     tokens = tuple(
         AuthorToken(f"AUTHOR{k}", ("X",)) for k in range(n_authors)
     )
-    return Publication(pub_id, year, doc_type, journal_id, tokens, ("AFF",))
+    return Publication(pub_id, year, doc_type, journal_id, tokens, ())
 
 
 def matched(pub_id, position, staff_id):
@@ -184,8 +179,9 @@ class TestComputeSs:
 def random_corpus(rng):
     """A small corpus over three universities and two areas: staff with
     clashing surnames and initials, and publications whose authors are
-    mostly staff, the rest strangers.  Returns (registry, dictionary,
-    journals, publications)."""
+    mostly staff, the rest strangers; each publication names the
+    universities of its staff authors.  Returns (registry, journals,
+    publications)."""
     surnames = ["Rossi", "Bianchi", "Verdi", "Neri", "Russo", "Gallo"]
     firsts = ["Mario", "Marta", "Anna", "Paolo", "Elena", "Luca"]
     pool = []
@@ -201,8 +197,6 @@ def random_corpus(rng):
                     "FP", uni, area,
                 ))
     registry = StaffRegistry(pool)
-    pattern_of = {"U1": "UNIV ONE", "U2": "UNIV TWO", "U3": "UNIV THREE"}
-    dictionary = {normalize_text(p): u for u, p in pattern_of.items()}
     journals = {(f"J{j}", y): float(j) for j in (1, 2)
                 for y in (2001, 2002, 2003)}
     pubs = []
@@ -213,7 +207,7 @@ def random_corpus(rng):
             if rng.random() < 0.7:
                 m = pool[rng.integers(len(pool))]
                 authors.append(AuthorToken(m.surname.upper(), m.initials))
-                affs.add(pattern_of[m.university_id])
+                affs.add(m.university_id)
             else:
                 authors.append(AuthorToken("SMITH", ("J",)))
         pubs.append(Publication(
@@ -222,19 +216,17 @@ def random_corpus(rng):
             "article" if rng.random() < 0.8 else "other",
             f"J{int(rng.integers(1, 4))}",
             tuple(authors),
-            tuple(sorted(affs)) or ("ELSEWHERE INSTITUTE",),
+            tuple(sorted(affs)),
         ))
-    return registry, dictionary, journals, pubs
+    return registry, journals, pubs
 
 
 class TestCorpusInvariants:
     def test_pc_bounded_by_pu_and_matches_bruteforce(self):
-        registry, dictionary, journals, pubs = random_corpus(
-            np.random.default_rng(31))
-        result = disambiguate_corpus(pubs, registry, dictionary)
+        registry, journals, pubs = random_corpus(np.random.default_rng(31))
+        result = disambiguate_corpus(pubs, registry)
         corpus = MatchedCorpus(pubs, result.matched_cells)
-        outcomes = {p.pub_id: o for p, o in decide(pubs, registry,
-                                                   dictionary)}
+        outcomes = {p.pub_id: o for p, o in decide(pubs, registry)}
         years = [2001, 2002, 2003]
         for area in ("A1", "A2"):
             for uni in ("U1", "U2", "U3"):
@@ -255,7 +247,7 @@ class TestCorpusInvariants:
     def test_matched_cells_count_each_publications_matched_authors(self,
                                                                    seed):
         rng = np.random.default_rng(seed)
-        registry, dictionary, _, pubs = random_corpus(rng)
+        registry, _, pubs = random_corpus(rng)
         staff_ids = [m.staff_id for m in registry]
         overrides = {}
         for p in pubs:
@@ -265,9 +257,9 @@ class TestCorpusInvariants:
                     None if rng.random() < 0.3
                     else staff_ids[rng.integers(len(staff_ids))]
                 )
-        result = disambiguate_corpus(pubs, registry, dictionary, overrides)
+        result = disambiguate_corpus(pubs, registry, overrides)
         matched_staff = {}
-        for p, outcomes in decide(pubs, registry, dictionary, overrides):
+        for p, outcomes in decide(pubs, registry, overrides):
             for outcome in outcomes:
                 if outcome.kind == MATCHED:
                     matched_staff.setdefault(p.pub_id, []).append(

@@ -15,17 +15,19 @@ from uniprod.disambiguation import (
     decide,
     disambiguate_corpus,
     match_author,
-    named_universities,
     normalize_text,
     surname_key,
 )
-from uniprod.errors import IngestError
 from uniprod.ingest import ingest
 from uniprod.records import AuthorToken, Publication, StaffMember, StaffRegistry
 from uniprod.synthetic import write_synthetic_dataset
 
 from .fixtures import _AFFILIATIONS, write_demo_dataset
-from .oracles import _oracle_variants, match_outcome_bruteforce
+from .oracles import (
+    _oracle_variants,
+    match_outcome_bruteforce,
+    raw_affiliation_fields,
+)
 
 
 def staff(staff_id, surname, first_names, university_id,
@@ -35,23 +37,27 @@ def staff(staff_id, surname, first_names, university_id,
 
 
 def pub(pub_id, authors, affiliations, year=2002, doc_type="article"):
+    """A publication whose universities are those ``DICT`` maps its raw
+    affiliation strings' normalized forms to, as ingest resolves them."""
     tokens = tuple(
         AuthorToken(s, tuple(i)) for s, i in authors
     )
-    return Publication(pub_id, year, doc_type, "J1", tokens, affiliations)
+    universities = tuple(sorted({DICT[normalize_text(raw)]
+                                 for raw in affiliations
+                                 if normalize_text(raw) in DICT}))
+    return Publication(pub_id, year, doc_type, "J1", tokens, universities)
 
 
-def outcomes_of(publications, registry, dictionary, overrides=None):
+def outcomes_of(publications, registry, overrides=None):
     """Each publication's outcomes by id, from one ``decide`` call."""
     return {p.pub_id: outcomes
-            for p, outcomes in decide(publications, registry, dictionary,
-                                      overrides)}
+            for p, outcomes in decide(publications, registry, overrides)}
 
 
-def category_of(publication, registry, dictionary):
+def category_of(publication, registry):
     """The one category whose count is 1 when the publication is
     disambiguated alone."""
-    stats = disambiguate_corpus([publication], registry, dictionary).stats
+    stats = disambiguate_corpus([publication], registry).stats
     (category,) = [name for name, count in stats.items()
                    if name != "total" and count == 1]
     return category
@@ -165,8 +171,8 @@ def test_empty_keys_and_missing_initials_never_match(tmp_path):
                 'P092,2002,article,J1,"LOMBARDI,M.A.;LOMBARDI,M.",'
                 '"Univ. of Alpha"\n')
     corpus = ingest(root)
-    outcomes = outcomes_of(corpus.publications, corpus.staff,
-                           corpus.affiliations)
+    fields = raw_affiliation_fields(root)
+    outcomes = outcomes_of(corpus.publications, corpus.staff)
     unmatched = MatchOutcome(UNMATCHED)
     assert outcomes["P090"] == (unmatched, unmatched)
     assert outcomes["P091"] == (unmatched, unmatched)
@@ -175,46 +181,10 @@ def test_empty_keys_and_missing_initials_never_match(tmp_path):
         if p.pub_id in ("P090", "P091", "P092"):
             assert [(o.kind, o.staff_id, o.candidates)
                     for o in outcomes[p.pub_id]] == [
-                match_outcome_bruteforce(token, p, corpus.staff,
-                                         corpus.affiliations)
+                match_outcome_bruteforce(token, p, fields[p.pub_id],
+                                         corpus.staff, corpus.affiliations)
                 for token in p.authors
             ]
-
-
-class TestNamedUniversities:
-    def test_exact_hit(self):
-        assert named_universities(("UNIV TESTONE",), DICT) == ("U1",)
-
-    def test_messy_spelling_hits(self):
-        assert named_universities(
-            ("Università degli Studi di 'Testone'",), DICT) == ("U1",)
-
-    def test_miss_names_none(self):
-        assert named_universities(("MIT",), DICT) == ()
-
-    def test_field_names_sorted_distinct_universities(self):
-        field = ("UNIV DUESTO", "MIT", "univ. testone", "UNIV TESTONE")
-        assert named_universities(field, DICT) == ("U1", "U2")
-
-    def test_conflicting_patterns_rejected(self, tmp_path):
-        # The matching trusts its patterns; ingest is what rejects two
-        # patterns that normalize alike but name different universities.
-        root = write_demo_dataset(tmp_path / "data")
-        (root / "affiliations.csv").write_text(
-            "raw_pattern,university_id\nUNIV X,U1\nuniv x.,U2\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(IngestError, match="conflicts"):
-            ingest(root)
-
-    def test_maps_keep_their_own_lookups(self):
-        # The memo is of normalized forms only: each map still decides.
-        first = pattern_map([("UNIV X", "U1")])
-        second = pattern_map([("univ x.", "U2")])
-        assert named_universities(("Univ. X",), first) == ("U1",)
-        assert named_universities(("Univ. X",), second) == ("U2",)
-        assert named_universities(("Univ. X",), first) == ("U1",)
-        assert named_universities(("Univ. X",), {}) == ()
 
 
 class TestMatchAuthor:
@@ -260,6 +230,13 @@ class TestMatchAuthor:
         )
         assert out.kind == UNMATCHED
 
+    def test_punctuation_in_first_names_gives_no_initial(self):
+        out = match_author(
+            AuthorToken("ROSSI", ("M", "P")),
+            [staff("S1", "Rossi", "Maria (Pia)", "U1")],
+        )
+        assert out == MatchOutcome.matched("S1")
+
     def test_diacritic_and_hyphen_tolerant(self):
         out = match_author(
             AuthorToken("GARCIALOPEZ", "J"),
@@ -285,23 +262,23 @@ REGISTRY = StaffRegistry([
 class TestDisambiguateCorpus:
     def test_single_clean_record(self):
         pubs = [pub("P1", [("BIANCHI", "C")], ("UNIV TESTONE",))]
-        res = disambiguate_corpus(pubs, REGISTRY, DICT)
+        res = disambiguate_corpus(pubs, REGISTRY)
         assert res.stats["resolved"] == 1
         assert res.stats["manual"] == res.stats["discarded"] == 0
-        assert outcomes_of(pubs, REGISTRY, DICT)["P1"][0] == (
+        assert outcomes_of(pubs, REGISTRY)["P1"][0] == (
             MatchOutcome.matched("S3"))
 
     def test_no_staff_match_discarded(self):
         p = pub("P1", [("SMITH", "J")], ("UNIV TESTONE",))
-        res = disambiguate_corpus([p], REGISTRY, DICT)
+        res = disambiguate_corpus([p], REGISTRY)
         assert res.stats["discarded"] == 1
-        assert category_of(p, REGISTRY, DICT) == "discarded"
+        assert category_of(p, REGISTRY) == "discarded"
 
     def test_empty_author_list_unresolvable(self):
         res = disambiguate_corpus(
             [pub("P1", [], ("UNIV TESTONE",)),
              pub("P2", [("NERI", "P")], ("UNIV TESTONE",))],
-            REGISTRY, DICT,
+            REGISTRY,
         )
         assert res.stats["unresolvable"] == 1
         assert res.stats["resolved"] == 1
@@ -321,7 +298,7 @@ class TestDisambiguateCorpus:
             pub("P09", [("BIANCHI", "C"), ("NERI", "P")], ("UNIV TESTONE",)),
             pub("P10", [("ROMANO", "L")], ("UNIV DUESTO",)),
         ]
-        res = disambiguate_corpus(pubs, REGISTRY, DICT)
+        res = disambiguate_corpus(pubs, REGISTRY)
         assert res.stats["manual"] == 2
         assert res.stats["resolved"] == 8
         assert res.stats["discarded"] == res.stats["unresolvable"] == 0
@@ -342,7 +319,7 @@ class TestDisambiguateCorpus:
             ("P10", 1): MatchOutcome.matched("S9"),
         }
         got = {(pub_id, position): outcome
-               for pub_id, outcomes in outcomes_of(pubs, REGISTRY, DICT).items()
+               for pub_id, outcomes in outcomes_of(pubs, REGISTRY).items()
                for position, outcome in enumerate(outcomes, start=1)}
         assert got == expected
         review = {(r["pub_id"], r["author_position"])
@@ -352,7 +329,7 @@ class TestDisambiguateCorpus:
     def test_scope_safety(self):
         # Neri is at U1; a publication naming only U2 cannot reach him.
         outcomes = outcomes_of(
-            [pub("P1", [("NERI", "P")], ("UNIV DUESTO",))], REGISTRY, DICT
+            [pub("P1", [("NERI", "P")], ("UNIV DUESTO",))], REGISTRY
         )
         assert outcomes["P1"][0].kind == UNMATCHED
 
@@ -361,28 +338,28 @@ class TestDisambiguateCorpus:
             [staff("S1", "Neri", "Paolo", "U1", year_from=1995, year_to=2000)]
         )
         outcomes = outcomes_of(
-            [pub("P1", [("NERI", "P")], ("UNIV TESTONE",), year=2002)], reg, DICT
+            [pub("P1", [("NERI", "P")], ("UNIV TESTONE",), year=2002)], reg
         )
         assert outcomes["P1"][0].kind == UNMATCHED
 
     def test_unknown_affiliation_means_no_scope(self):
         p = pub("P1", [("NERI", "P")], ("SOME FOREIGN INSTITUTE",))
-        assert outcomes_of([p], REGISTRY, DICT)["P1"][0].kind == UNMATCHED
-        assert category_of(p, REGISTRY, DICT) == "discarded"
+        assert outcomes_of([p], REGISTRY)["P1"][0].kind == UNMATCHED
+        assert category_of(p, REGISTRY) == "discarded"
 
     def test_override_resolves_homonym(self):
         pubs = [pub("P1", [("ROSSI", "M")], ("UNIV TESTONE",))]
         overrides = {("P1", 1): "S2"}
-        res = disambiguate_corpus(pubs, REGISTRY, DICT, overrides)
-        assert outcomes_of(pubs, REGISTRY, DICT, overrides)["P1"][0] == (
+        res = disambiguate_corpus(pubs, REGISTRY, overrides)
+        assert outcomes_of(pubs, REGISTRY, overrides)["P1"][0] == (
             MatchOutcome.matched("S2"))
         assert res.stats["resolved"] == 1 and res.stats["manual"] == 0
 
     def test_override_to_none_discards(self):
         pubs = [pub("P1", [("ROSSI", "M")], ("UNIV TESTONE",))]
         overrides = {("P1", 1): None}
-        res = disambiguate_corpus(pubs, REGISTRY, DICT, overrides)
-        assert outcomes_of(pubs, REGISTRY, DICT, overrides)["P1"][0].kind == (
+        res = disambiguate_corpus(pubs, REGISTRY, overrides)
+        assert outcomes_of(pubs, REGISTRY, overrides)["P1"][0].kind == (
             UNMATCHED)
         assert res.stats["discarded"] == 1
 
@@ -391,10 +368,10 @@ class TestDisambiguateCorpus:
             pub("P1", [("ROSSI", "M"), ("BIANCHI", "C")], ("UNIV TESTONE",)),
             pub("P2", [("ESPOSITO", "M")], ("UNIV DUESTO",)),
         ]
-        a = disambiguate_corpus(pubs, REGISTRY, DICT)
-        b = disambiguate_corpus(pubs, REGISTRY, DICT)
-        assert outcomes_of(pubs, REGISTRY, DICT) == outcomes_of(
-            pubs, REGISTRY, DICT)
+        a = disambiguate_corpus(pubs, REGISTRY)
+        b = disambiguate_corpus(pubs, REGISTRY)
+        assert outcomes_of(pubs, REGISTRY) == outcomes_of(
+            pubs, REGISTRY)
         assert a.stats == b.stats
         assert a.manual_review == b.manual_review
 
@@ -405,11 +382,11 @@ class TestDisambiguateCorpus:
             pub("P3", [("SMITH", "J")], ("UNIV TESTONE",)),
             pub("P4", [("NERI", "P")], ("UNIV TESTONE",)),
         ]
-        res = disambiguate_corpus(pubs, REGISTRY, DICT)
+        res = disambiguate_corpus(pubs, REGISTRY)
         s = res.stats
         assert (s["resolved"] + s["manual"] + s["discarded"]
                 + s["unresolvable"] == s["total"] == 4)
-        categories = Counter(category_of(p, REGISTRY, DICT) for p in pubs)
+        categories = Counter(category_of(p, REGISTRY) for p in pubs)
         assert categories == {name: count for name, count in s.items()
                               if name != "total" and count}
 
@@ -419,16 +396,17 @@ def test_matching_equals_registry_scan(tmp_path, seed):
     """Every outcome equals a whole-registry scan of the matching rules,
     on corpora with joined and spaced compound surnames and staff who
     are not active in every year."""
-    corpus = ingest(write_synthetic_dataset(
-        tmp_path / "data", seed=seed, n_areas=2, n_universities=8))
-    decided = list(decide(corpus.publications, corpus.staff,
-                          corpus.affiliations))
+    root = write_synthetic_dataset(
+        tmp_path / "data", seed=seed, n_areas=2, n_universities=8)
+    corpus = ingest(root)
+    fields = raw_affiliation_fields(root)
+    decided = list(decide(corpus.publications, corpus.staff))
     assert [p for p, _ in decided] == list(corpus.publications)
     for p, outcomes in decided:
         got = [(o.kind, o.staff_id, o.candidates) for o in outcomes]
         expected = [
-            match_outcome_bruteforce(token, p, corpus.staff,
-                                     corpus.affiliations)
+            match_outcome_bruteforce(token, p, fields[p.pub_id],
+                                     corpus.staff, corpus.affiliations)
             for token in p.authors
         ]
         assert got == expected, p.pub_id
@@ -442,10 +420,8 @@ def synthetic_corpus(tmp_path):
 
 
 def _outcomes(corpus):
-    res = disambiguate_corpus(corpus.publications, corpus.staff,
-                              corpus.affiliations)
-    return (outcomes_of(corpus.publications, corpus.staff,
-                        corpus.affiliations),
+    res = disambiguate_corpus(corpus.publications, corpus.staff)
+    return (outcomes_of(corpus.publications, corpus.staff),
             res.stats, res.manual_review, res.matched_cells)
 
 
@@ -457,10 +433,9 @@ def _clearing(cached):
 
 
 class TestMemoizedMatching:
-    """Names are normalized once per process (surnames, initials, raw
-    affiliations) and per staff member (initials), and each affiliation
-    field is resolved once per ``decide`` call; none of it may change an
-    outcome."""
+    """Names are normalized once per process (surnames, initials) and per
+    staff member (initials), and raw affiliations once per ingest; none
+    of it may change an outcome."""
 
     def test_same_outcomes_as_with_caches_cleared(self, synthetic_corpus,
                                                   monkeypatch):
@@ -473,8 +448,6 @@ class TestMemoizedMatching:
                             _clearing(disambiguation._normalized_initial))
         monkeypatch.setattr(disambiguation, "_normalized_initials",
                             _clearing(disambiguation._normalized_initials))
-        monkeypatch.setattr(disambiguation, "_affiliation_key",
-                            _clearing(disambiguation._affiliation_key))
         monkeypatch.setattr(StaffMember, "initials",
                             property(StaffMember.__dict__["initials"].func))
         assert _outcomes(synthetic_corpus) == memoized
@@ -485,7 +458,6 @@ class TestMemoizedMatching:
         surname_key.cache_clear()
         disambiguation._normalized_initial.cache_clear()
         disambiguation._normalized_initials.cache_clear()
-        disambiguation._affiliation_key.cache_clear()
         calls = Counter()
         normalize = disambiguation.normalize_text
 
@@ -501,7 +473,6 @@ class TestMemoizedMatching:
             | {t.surname for t in tokens}
             | {ch for m in corpus.staff for ch in m.initials}
             | {ch for t in tokens for ch in t.initials}
-            | {raw for p in corpus.publications for raw in p.raw_affiliations}
         )
         assert calls and set(calls) <= distinct
         assert max(calls.values()) == 1
@@ -512,36 +483,44 @@ class TestMemoizedMatching:
 
     def test_patterns_and_raw_affiliations_are_normalized_once(
             self, tmp_path, monkeypatch):
-        """Counted through both the ``ingest`` and the ``disambiguation``
-        binding: ingest normalizes each ``affiliations.csv`` pattern once,
-        and the matching each distinct raw affiliation at most once."""
-        calls = Counter()
+        """Counted through the ``ingest`` and the ``disambiguation``
+        bindings apart: ingest normalizes each ``affiliations.csv``
+        pattern and each distinct raw affiliation string once, and the
+        matching normalizes no raw affiliation string."""
+        in_ingest, in_matching = Counter(), Counter()
 
-        def counting(text):
-            calls[text] += 1
-            return normalize_text(text)
+        def counting(calls):
+            def count(text):
+                calls[text] += 1
+                return normalize_text(text)
+            return count
 
         # The package exports the ``ingest`` function under the module's name.
         monkeypatch.setattr(sys.modules["uniprod.ingest"], "normalize_text",
-                            counting)
-        monkeypatch.setattr(disambiguation, "normalize_text", counting)
-        corpus = ingest(write_demo_dataset(tmp_path / "data"))
-        assert [calls[pattern] for pattern, _ in _AFFILIATIONS] == [
-            1] * len(_AFFILIATIONS)
+                            counting(in_ingest))
+        monkeypatch.setattr(disambiguation, "normalize_text",
+                            counting(in_matching))
+        root = write_demo_dataset(tmp_path / "data")
+        # A spelling no other test reads, so no memo of an earlier
+        # corpus can hide its normalization.
+        with open(root / "publications.csv", "a", encoding="utf-8") as f:
+            f.write('PN1,2002,article,J1,"ROSSI1,M.",'
+                    '" (Univ. of Alpha, counted once) ;;Univ. of Alpha"\n')
+        corpus = ingest(root)
+        raws = {raw for field in raw_affiliation_fields(root).values()
+                for raw in field}
+        assert "(Univ. of Alpha, counted once)" in raws
+        assert in_ingest == (Counter(pattern for pattern, _ in _AFFILIATIONS)
+                             + Counter(raws))
 
-        disambiguation._affiliation_key.cache_clear()
-        calls.clear()
-        disambiguate_corpus(corpus.publications, corpus.staff,
-                            corpus.affiliations)
-        raws = {raw for p in corpus.publications for raw in p.raw_affiliations}
-        assert max(calls[raw] for raw in raws) == 1
+        disambiguate_corpus(corpus.publications, corpus.staff)
+        assert not raws & set(in_matching)
 
     def test_equal_outcomes_are_one_object(self, synthetic_corpus):
         # Within one call; an ambiguous outcome is built as it is found.
         corpus = synthetic_corpus
         outcomes = [o for per_pub in outcomes_of(
-                        corpus.publications, corpus.staff,
-                        corpus.affiliations).values()
+                        corpus.publications, corpus.staff).values()
                     for o in per_pub]
         assert {o.kind for o in outcomes} == {MATCHED, AMBIGUOUS, UNMATCHED}
         shared = [o for o in outcomes if o.kind != AMBIGUOUS]
@@ -551,8 +530,7 @@ class TestMemoizedMatching:
         corpus = synthetic_corpus
         pubs = [p for p in corpus.publications if len(p.authors) >= 2][:2]
         overrides = {(p.pub_id, 1): None for p in pubs}
-        outcomes = outcomes_of(corpus.publications, corpus.staff,
-                               corpus.affiliations, overrides)
+        outcomes = outcomes_of(corpus.publications, corpus.staff, overrides)
         first, second = (outcomes[p.pub_id][0] for p in pubs)
         assert first == second == MatchOutcome(UNMATCHED)
         assert first is second
@@ -569,7 +547,7 @@ def paper_shaped(tmp_path):
                                             n_areas=3, n_universities=10))
     overrides = {}
     for i, (p, outcomes) in enumerate(decide(
-            corpus.publications, corpus.staff, corpus.affiliations)):
+            corpus.publications, corpus.staff)):
         if i % 5 == 0 and p.authors:
             overrides[p.pub_id, 1] = None
         if i % 3 == 0:
@@ -595,12 +573,10 @@ def test_match_author_called_once_per_token_on_its_scope(paper_shaped,
         return match_author(token, scope)
 
     monkeypatch.setattr(disambiguation, "match_author", recording)
-    disambiguate_corpus(corpus.publications, corpus.staff,
-                        corpus.affiliations, overrides)
+    disambiguate_corpus(corpus.publications, corpus.staff, overrides)
     expected = []
     for p in corpus.publications:
-        universities = named_universities(p.raw_affiliations,
-                                          corpus.affiliations)
+        universities = p.universities
         for position, token in enumerate(p.authors, start=1):
             if (p.pub_id, position) in overrides:
                 continue

@@ -123,13 +123,13 @@ def test_c06_fails_when_cells_drop_the_last_year(monkeypatch, tmp_path):
                     tmp_path=tmp_path) == [False]
 
 
-def test_c07_fails_when_matching_reads_one_initial(monkeypatch):
+def test_c07_fails_when_matching_reads_one_initial(monkeypatch, tmp_path):
     """Tokens and staff are compared on their first initial only."""
     normalized = disambiguation._normalized_initials
     monkeypatch.setattr(disambiguation, "_normalized_initials",
                         lambda initials: normalized(initials)[:1])
-    assert verdicts(
-        acceptance.test_c07_disambiguation_reproduces_hand_labels) == [False]
+    assert verdicts(acceptance.test_c07_disambiguation_reproduces_hand_labels,
+                    tmp_path=tmp_path) == [False]
 
 
 def test_c08_fails_when_the_mean_divides_by_n_plus_one(monkeypatch):

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from uniprod.disambiguation import normalize_text
 from uniprod.errors import IngestError, StructuralError
 from uniprod.ingest import MAX_AMOUNT, _author_tokens, ingest, load_overrides
 from uniprod.records import Publication
@@ -52,13 +53,89 @@ class TestHappyPath:
         )
         corpus = ingest(_config(demo_root))
         [pub] = [p for p in corpus.publications if p.pub_id == "PX"]
-        assert pub.raw_affiliations == ("Univ. of Alpha", "ALPHA UNIV")
+        assert pub.universities == ("U1",)
 
     def test_blank_rows_are_skipped(self, demo_root):
         path = demo_root / "journals.csv"
         path.write_text(path.read_text() + "\n,,\n\n", encoding="utf-8")
         corpus = ingest(_config(demo_root))
         assert corpus.journals[("J2", 2003)] == 0.8
+
+
+
+def _name_universities(root, patterns, fields):
+    """Write ``patterns`` as ``affiliations.csv`` and append one
+    publication per affiliation field of ``fields`` (its raw strings)."""
+    with open(root / "affiliations.csv", "w", newline="",
+              encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("raw_pattern", "university_id"))
+        writer.writerows(patterns)
+    with open(root / "publications.csv", "a", newline="",
+              encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(
+            (f"PN{i}", 2002, "article", "J1", "KIM,A.", ";".join(field))
+            for i, field in enumerate(fields))
+
+
+def _named(root):
+    """The ``universities`` of the publications ``_name_universities``
+    appended, in their order."""
+    return [p.universities for p in ingest(root).publications
+            if p.pub_id.startswith("PN")]
+
+
+_PATTERNS = [
+    ("UNIV TESTONE", "U1"),
+    ("Universita degli Studi di Testone", "U1"),
+    ("UNIV DUESTO", "U2"),
+]
+
+
+class TestPublicationUniversities:
+    """Ingest resolves each affiliation field to the sorted distinct ids
+    of the universities that its raw strings' normalized forms map to."""
+
+    def test_exact_hit(self, demo_root):
+        _name_universities(demo_root, _PATTERNS, [("UNIV TESTONE",)])
+        assert _named(demo_root) == [("U1",)]
+
+    def test_messy_spelling_hits(self, demo_root):
+        _name_universities(demo_root, _PATTERNS,
+                           [("Università degli Studi di 'Testone'",)])
+        assert _named(demo_root) == [("U1",)]
+
+    def test_miss_names_none(self, demo_root):
+        _name_universities(demo_root, _PATTERNS, [("MIT",)])
+        assert _named(demo_root) == [()]
+
+    def test_field_names_sorted_distinct_universities(self, demo_root):
+        field = ("UNIV DUESTO", "MIT", "univ. testone", "UNIV TESTONE")
+        _name_universities(demo_root, _PATTERNS, [field])
+        assert _named(demo_root) == [("U1", "U2")]
+
+    def test_conflicting_patterns_rejected(self, demo_root):
+        # Ingest rejects two patterns that normalize alike but name
+        # different universities.
+        (demo_root / "affiliations.csv").write_text(
+            "raw_pattern,university_id\nUNIV X,U1\nuniv x.,U2\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(IngestError, match="conflicts"):
+            ingest(demo_root)
+
+    def test_maps_keep_their_own_lookups(self, tmp_path):
+        # Each data directory's patterns decide its own publications:
+        # no memo outlives one ingest.
+        first, second, empty = (write_demo_dataset(tmp_path / name)
+                                for name in ("first", "second", "empty"))
+        _name_universities(first, [("UNIV X", "U1")], [("Univ. X",)])
+        _name_universities(second, [("univ x.", "U2")], [("Univ. X",)])
+        _name_universities(empty, [], [("Univ. X",)])
+        assert _named(first) == [("U1",)]
+        assert _named(second) == [("U2",)]
+        assert _named(first) == [("U1",)]
+        assert _named(empty) == [()]
 
 
 class TestDiagnostics:
@@ -385,9 +462,10 @@ class TestSharedValues:
             [r["pub_id"] for r in rows]
         for pub, row in zip(corpus.publications, rows):
             assert pub.authors == _author_tokens(row["authors"], {})
-            assert pub.raw_affiliations == tuple(
-                s.strip() for s in row["raw_affiliations"].split(";")
-                if s.strip())
+            assert pub.universities == tuple(sorted(
+                {corpus.affiliations[key]
+                 for s in row["raw_affiliations"].split(";")
+                 if (key := normalize_text(s)) in corpus.affiliations}))
 
     def test_equal_values_are_one_object(self, synthetic_root):
         pubs = ingest(synthetic_root).publications
@@ -404,7 +482,7 @@ class TestSharedValues:
         tokens = [t for p in pubs for t in p.authors]
         assert len(set(tokens)) < len(by_entry)
         assert len({id(t) for t in tokens}) == len(set(tokens))
-        fields = [p.raw_affiliations for p in pubs]
+        fields = [p.universities for p in pubs]
         assert len(set(fields)) < len(fields)
         assert len({id(f) for f in fields}) == len(set(fields))
         for name in ("year", "doc_type", "journal_id"):

@@ -88,11 +88,10 @@ class TestVectors:
         assert vec.pr == 0.0
 
     def test_output_vectors_match_hand_values(self, corpus, config):
-        disamb = disambiguate_corpus(corpus.publications, corpus.staff,
-                                     corpus.affiliations)
+        disamb = disambiguate_corpus(corpus.publications, corpus.staff)
         matched = MatchedCorpus(corpus.publications, disamb.matched_cells)
         outcomes = {p.pub_id: o for p, o in decide(
-            corpus.publications, corpus.staff, corpus.affiliations)}
+            corpus.publications, corpus.staff)}
         for (area, uni), expected in EXPECTED_OUTPUTS.items():
             warnings: list[str] = []
             vec = compute_output_vector(matched, corpus.journals, area, uni,
@@ -107,7 +106,6 @@ class TestVectors:
 
     def test_override_gives_full_credit(self, corpus, config):
         disamb = disambiguate_corpus(corpus.publications, corpus.staff,
-                                     corpus.affiliations,
                                      {("P029", 1): "S027"})
         matched = MatchedCorpus(corpus.publications, disamb.matched_cells)
         vec = compute_output_vector(matched, corpus.journals, "A01", "U2",
@@ -450,8 +448,7 @@ class TestAreaSummaries:
     def test_partial_comparison_ranks_output_per_staff(self, study):
         corpus, config, report = study
         matched = MatchedCorpus(corpus.publications, disambiguate_corpus(
-            corpus.publications, corpus.staff,
-            corpus.affiliations).matched_cells)
+            corpus.publications, corpus.staff).matched_cells)
         rows = {row["area_id"]: row
                 for row in report.tables["partial_comparison"]}
         assert list(rows) == list(report.areas_analyzed)

@@ -70,6 +70,10 @@ class TestStaffMember:
         assert make_staff(first_names="Maria Anna").initials == ("M", "A")
         assert make_staff(first_names="Jean-Luc").initials == ("J", "L")
         assert make_staff(first_names="mario").initials == ("M",)
+        # The first letter of each part: a part with no letter gives none.
+        assert make_staff(first_names="Maria (Pia)").initials == ("M", "P")
+        assert make_staff(first_names=".Maria").initials == ("M",)
+        assert make_staff(first_names="Maria 2 Pia").initials == ("M", "P")
 
     def test_active_in(self):
         m = make_staff(year_from=2000, year_to=2003)
@@ -99,7 +103,7 @@ class TestPublication:
             doc_type="article",
             journal_id="J1",
             authors=(AuthorToken("ROSSI", ("M",)),),
-            raw_affiliations=("UNIV X",),
+            universities=("U1",),
         )
         base.update(kw)
         return Publication(**base)
@@ -108,7 +112,7 @@ class TestPublication:
         p = self.make()
         assert p.author_count == 1
         assert p.counts_as_output
-        assert p.raw_affiliations == ("UNIV X",)
+        assert p.universities == ("U1",)
 
     def test_other_doc_type_not_counted(self):
         assert not self.make(doc_type="other").counts_as_output
