@@ -11,18 +11,23 @@ auto-resolved.
 
 ``decide`` is the one matching loop: it yields each publication with
 its authors' outcomes, and ``disambiguate_corpus`` keeps only what the
-study reads of them, so no outcome outlives the matching.
+study reads of them, so no outcome outlives the matching.  The module
+keeps no state between calls.  Each ``decide`` call builds one
+``Candidate`` per staff member with a surname key, files the candidates
+by (university, year) and then by key, and normalizes each distinct
+surname and initial letter once; all of it goes with the call.  About
+90% of publications name one university (85% of author tokens, on the
+generated benchmark corpora), and their tokens' scopes are the filed
+lists themselves, with no list built.
 """
 
 from __future__ import annotations
 
-import functools
 import unicodedata
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .records import AuthorToken, Publication, StaffRegistry
+from .records import Publication, StaffRegistry
 
 MATCHED = "matched"
 AMBIGUOUS = "ambiguous"
@@ -43,51 +48,57 @@ def normalize_text(text: str) -> str:
     return " ".join(cleaned.split())
 
 
-@functools.lru_cache(maxsize=None)
 def surname_key(surname: str) -> str:
     """The surname's normalized form with its spaces removed, so that a
     compound surname spelled spaced, hyphenated or joined has one key.
-    An empty key (a surname of punctuation only) matches nothing.
-
-    Memoized for the life of the process: a corpus repeats each surname
-    on every staff row and author token.
-    """
+    An empty key (a surname of punctuation only) matches nothing."""
     return normalize_text(surname).replace(" ", "")
 
 
-@functools.lru_cache(maxsize=None)
 def _normalized_initial(letter: str) -> str:
     folded = normalize_text(letter)
     return folded[0] if folded else letter.casefold()
-
-
-@functools.lru_cache(maxsize=None)
-def _normalized_initials(initials: tuple[str, ...]) -> tuple[str, ...]:
-    """Normalized initial sequence, memoized like ``surname_key``:
-    ``match_author`` compares it for every member in every token's scope."""
-    return tuple(_normalized_initial(ch) for ch in initials)
 
 
 class MatchOutcome(NamedTuple):
     """Result of matching one author token: matched to a staff id,
     ambiguous among several candidates, or unmatched.
 
-    ``matched`` interns for one ``decide`` call: it returns one object
-    per staff id until the call finishes, since a corpus repeats few
-    decisions over many tokens.  Every unmatched token shares one
-    module constant; an ambiguous outcome is built as it is found."""
+    Within one ``decide`` call each staff member's matched outcome is
+    one object, built with its ``Candidate``; every unmatched token
+    shares one module constant; an ambiguous outcome, and an override's
+    matched outcome, is built as it is found."""
 
     kind: str
     staff_id: str | None = None
     candidates: tuple[str, ...] = ()
 
-    @staticmethod
-    @functools.lru_cache(maxsize=None)
-    def matched(staff_id: str) -> "MatchOutcome":
-        return MatchOutcome(MATCHED, staff_id=staff_id)
-
 
 _UNMATCHED = MatchOutcome(UNMATCHED)
+
+
+class Candidate(NamedTuple):
+    """One staff member as the matching reads it: the years it is on
+    staff, its normalized initials and its matched outcome."""
+
+    year_from: int
+    year_to: int
+    initials: tuple[str, ...]
+    outcome: MatchOutcome
+
+
+class _Memo(dict):
+    """Each value computed from its key once, on its first lookup."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
 
 
 @dataclass(frozen=True)
@@ -108,25 +119,28 @@ class DisambiguationResult:
     stats: dict
 
 
-def match_author(token: AuthorToken, staff_in_scope) -> MatchOutcome:
-    """Apply the initials rule to one token against its surname scope.
+def match_author(initials: tuple[str, ...],
+                 candidates: Sequence[Candidate]) -> MatchOutcome:
+    """Apply the initials rule to one token's normalized initials.
 
-    ``staff_in_scope`` holds the members ``decide`` selected for the
-    token: active in the publication year, at a university the
-    publication names, and with the token's surname key; surnames are
-    not compared again here.  A member survives when the token's
-    normalized initials are a prefix of its own (for a one-initial token,
-    when the first initials agree); a single survivor is a match, several
-    are ambiguous (in staff-id order), none is unmatched.
+    ``candidates`` are the members ``decide`` selected for the token:
+    active in the publication year, at a university the publication
+    names, and with the token's surname key; surnames and years are not
+    compared again here.  A member survives when the token's initials
+    are a prefix of its own (for a one-initial token, when the first
+    initials agree); a single survivor is a match, several are
+    ambiguous (in staff-id order), none is unmatched.
     """
-    token_initials = _normalized_initials(token.initials)
-    k = len(token_initials)
-    found = [member.staff_id for member in staff_in_scope
-             if _normalized_initials(member.initials)[:k] == token_initials]
+    k = len(initials)
+    found = []
+    for candidate in candidates:
+        if candidate.initials[:k] == initials:
+            found.append(candidate.outcome)
     if len(found) == 1:
-        return MatchOutcome.matched(found[0])
+        return found[0]
     if found:
-        return MatchOutcome(AMBIGUOUS, candidates=tuple(sorted(found)))
+        return MatchOutcome(AMBIGUOUS, candidates=tuple(sorted(
+            outcome.staff_id for outcome in found)))
     return _UNMATCHED
 
 
@@ -141,39 +155,70 @@ def decide(
     author list.  Overrides (from a review file that ``load_overrides``
     has checked against the corpus) replace rule matching for the named
     positions.  Every other token is decided by one ``match_author``
-    call on its scope, built in the order of the publication's
-    universities and of the registry.  Matched outcomes are interned
-    until the call finishes, and then released.
+    call on its scope: the candidates filed under its surname key for
+    each university the publication names, in that order, and in
+    registry order within each.
     """
+    # Memos for this call only: normalize_text runs once per distinct
+    # surname and per distinct initial letter.
+    key_of = _Memo(surname_key)
+    letter_of = _Memo(_normalized_initial)
+    initials_of = _Memo(lambda letters: tuple(letter_of[ch]
+                                              for ch in letters))
     # The one place where candidates are selected by surname: per
-    # university, its members by surname key.  A member whose key is
+    # university, its candidates by surname key.  A member whose key is
     # empty is never filed, so no token can reach it.
-    by_surname: dict[str, dict[str, list]] = defaultdict(dict)
+    by_university: dict[str, dict[str, list[Candidate]]] = {}
     for member in staff:
-        if key := surname_key(member.surname):
-            by_surname[member.university_id].setdefault(key, []).append(member)
-    try:
-        for pub in publications:
-            if not pub.authors:
-                yield pub, ()
+        if key := key_of[member.surname]:
+            by_university.setdefault(member.university_id, {}).setdefault(
+                key, []).append(Candidate(
+                    member.year_from, member.year_to,
+                    initials_of[member.initials],
+                    MatchOutcome(MATCHED, staff_id=member.staff_id)))
+    # Then per (university, year), on first use, the candidates on
+    # staff that year.  A list whose candidates are all on staff is
+    # filed as it is, so most years share their university's lists.
+    index: dict[tuple[str, int], dict[str, list[Candidate]]] = {}
+
+    def filed(university: str, year: int) -> dict[str, list[Candidate]]:
+        by_key = index.get((university, year))
+        if by_key is None:
+            by_key = index[university, year] = {}
+            for key, candidates in by_university.get(university, {}).items():
+                active = [c for c in candidates
+                          if c.year_from <= year <= c.year_to]
+                if active:
+                    by_key[key] = (candidates if len(active) == len(candidates)
+                                   else active)
+        return by_key
+
+    for pub in publications:
+        if not pub.authors:
+            yield pub, ()
+            continue
+        year = pub.year
+        universities = pub.universities
+        # Most publications name one university: a token's scope is then
+        # the filed list itself.
+        if len(universities) == 1:
+            one, joined = filed(universities[0], year), ()
+        else:
+            one, joined = None, [filed(u, year) for u in universities]
+        outcomes = []
+        for position, token in enumerate(pub.authors, start=1):
+            if overrides and (pub.pub_id, position) in overrides:
+                staff_id = overrides[pub.pub_id, position]
+                outcomes.append(_UNMATCHED if staff_id is None
+                                else MatchOutcome(MATCHED, staff_id=staff_id))
                 continue
-            year = pub.year
-            filed = [by_surname[u] for u in pub.universities]
-            outcomes = []
-            for position, token in enumerate(pub.authors, start=1):
-                if overrides and (pub.pub_id, position) in overrides:
-                    staff_id = overrides[pub.pub_id, position]
-                    outcomes.append(_UNMATCHED if staff_id is None
-                                    else MatchOutcome.matched(staff_id))
-                    continue
-                token_key = surname_key(token.surname)
-                scope = [member for by_key in filed
-                         for member in by_key.get(token_key, ())
-                         if member.year_from <= year <= member.year_to]
-                outcomes.append(match_author(token, scope))
-            yield pub, tuple(outcomes)
-    finally:
-        MatchOutcome.matched.cache_clear()
+            key = key_of[token.surname]
+            if one is not None:
+                scope = one.get(key, ())
+            else:
+                scope = [c for by_key in joined for c in by_key.get(key, ())]
+            outcomes.append(match_author(initials_of[token.initials], scope))
+        yield pub, tuple(outcomes)
 
 
 def disambiguate_corpus(

@@ -9,7 +9,9 @@ they wrap (``LpSolution.iterations``, the problem, unit and regime of
 that a renamed field or a moved argument fails here, not only in a
 traced benchmark run.  It also checks the matching counts against
 ``decide`` on the same data, so a matching loop that bypasses the hooked
-``match_author`` binding fails here too.
+``match_author`` binding fails here too, and the scope sizes against a
+scan of the whole registry, so a scope that gains or loses a member
+fails here as well as in the CI pins.
 
 The benchmark's probe (``perfbench/probe.py``) also reads the fields of
 the analytics results for the frontier-wide workload; the last test
@@ -24,7 +26,7 @@ import numpy as np
 from uniprod import cli, dea
 from uniprod.analysis import rank, sensitivity_drop_input, tertile_summary
 from uniprod.dea import decompose
-from uniprod.disambiguation import decide
+from uniprod.disambiguation import decide, surname_key
 from uniprod.ingest import ingest
 from uniprod.synthetic import write_synthetic_dataset
 
@@ -75,6 +77,17 @@ def test_after_hooks_count_a_study(tmp_path, monkeypatch):
     corpus = ingest(data)
     outcomes = [o for _, per_pub in decide(corpus.publications, corpus.staff)
                 for o in per_pub]
+    # Each token's scope by a scan of the whole registry: the members on
+    # staff in the year, at a university the publication names, under
+    # the token's surname key.
+    keys = {m.staff_id: surname_key(m.surname) for m in corpus.staff}
+    scope = sum(
+        1 for p in corpus.publications for token in p.authors
+        for m in corpus.staff
+        if m.active_in(p.year) and m.university_id in p.universities
+        and keys[m.staff_id] == surname_key(token.surname) != "")
+    named = [len(p.universities) for p in corpus.publications]
+    assert named.count(1) > 0 and max(named) > 1
     trace = tracer.Trace()
     trace.install()
     code = cli.main([str(data), "--out", str(tmp_path / "report"),
@@ -88,6 +101,7 @@ def test_after_hooks_count_a_study(tmp_path, monkeypatch):
     assert counters["lp.pivots"] == sum(iterations)
     assert counters["disambiguation.tokens"] == len(outcomes) == sum(
         len(p.authors) for p in corpus.publications)
+    assert counters["disambiguation.scope"] == scope > 0
     assert counters["disambiguation.matched"] == sum(
         o.kind == "matched" for o in outcomes) > 0
 

@@ -497,9 +497,6 @@ class TestCollector:
             return (sum(type(o) is MatchOutcome for o in tracked),
                     len(referents))
 
-        # Tests that call match_author directly, outside any run, leave
-        # their outcomes interned until a run ends; release them first.
-        MatchOutcome.matched.cache_clear()
         before = live_outcomes()
         for seed in (3, 4):
             root = write_synthetic_dataset(tmp_path / f"corpus-{seed}",

@@ -1,3 +1,4 @@
+import gc
 import sys
 import unicodedata
 from collections import Counter
@@ -11,6 +12,7 @@ from uniprod.disambiguation import (
     AMBIGUOUS,
     MATCHED,
     UNMATCHED,
+    Candidate,
     MatchOutcome,
     decide,
     disambiguate_corpus,
@@ -24,6 +26,7 @@ from uniprod.synthetic import write_synthetic_dataset
 
 from .fixtures import _AFFILIATIONS, write_demo_dataset
 from .oracles import (
+    _oracle_initials,
     _oracle_variants,
     match_outcome_bruteforce,
     raw_affiliation_fields,
@@ -46,6 +49,21 @@ def pub(pub_id, authors, affiliations, year=2002, doc_type="article"):
                                  for raw in affiliations
                                  if normalize_text(raw) in DICT}))
     return Publication(pub_id, year, doc_type, "J1", tokens, universities)
+
+
+def candidate(member):
+    """The member as ``decide`` files it, its initials normalized by the
+    oracle's rule."""
+    return Candidate(member.year_from, member.year_to,
+                     _oracle_initials(member.initials),
+                     MatchOutcome(MATCHED, member.staff_id))
+
+
+def match(token, members):
+    """``match_author`` on the token's normalized initials and the
+    members' candidates."""
+    return match_author(_oracle_initials(token.initials),
+                        [candidate(m) for m in members])
 
 
 def outcomes_of(publications, registry, overrides=None):
@@ -176,7 +194,7 @@ def test_empty_keys_and_missing_initials_never_match(tmp_path):
     unmatched = MatchOutcome(UNMATCHED)
     assert outcomes["P090"] == (unmatched, unmatched)
     assert outcomes["P091"] == (unmatched, unmatched)
-    assert outcomes["P092"] == (unmatched, MatchOutcome.matched("S092"))
+    assert outcomes["P092"] == (unmatched, MatchOutcome(MATCHED, "S092"))
     for p in corpus.publications:
         if p.pub_id in ("P090", "P091", "P092"):
             assert [(o.kind, o.staff_id, o.candidates)
@@ -189,14 +207,14 @@ def test_empty_keys_and_missing_initials_never_match(tmp_path):
 
 class TestMatchAuthor:
     def test_unique_candidate(self):
-        out = match_author(
+        out = match(
             AuthorToken("ROSSI", "M"),
             [staff("S1", "Rossi", "Mario", "U1")],
         )
-        assert out == MatchOutcome.matched("S1")
+        assert out == MatchOutcome(MATCHED, "S1")
 
     def test_homonyms_are_ambiguous(self):
-        out = match_author(
+        out = match(
             AuthorToken("ROSSI", "M"),
             [staff("S1", "Rossi", "Mario", "U1"),
              staff("S2", "Rossi", "Marta", "U1")],
@@ -205,44 +223,44 @@ class TestMatchAuthor:
         assert out.candidates == ("S1", "S2")
 
     def test_multi_initial_pruning(self):
-        out = match_author(
+        out = match(
             AuthorToken("ROSSI", ("M", "A")),
             [staff("S1", "Rossi", "Mario", "U1"),
              staff("S2", "Rossi", "Maria Anna", "U1")],
         )
-        assert out == MatchOutcome.matched("S2")
+        assert out == MatchOutcome(MATCHED, "S2")
 
     def test_multi_initial_prefix_of_longer_name(self):
-        out = match_author(
+        out = match(
             AuthorToken("ROSSI", ("M", "A")),
             [staff("S2", "Rossi", "Maria Anna Carla", "U1")],
         )
-        assert out == MatchOutcome.matched("S2")
+        assert out == MatchOutcome(MATCHED, "S2")
 
     def test_no_candidates(self):
-        out = match_author(AuthorToken("SMITH", "J"), [])
+        out = match(AuthorToken("SMITH", "J"), [])
         assert out.kind == UNMATCHED
 
     def test_initial_mismatch(self):
-        out = match_author(
+        out = match(
             AuthorToken("ROSSI", "K"),
             [staff("S1", "Rossi", "Mario", "U1")],
         )
         assert out.kind == UNMATCHED
 
     def test_punctuation_in_first_names_gives_no_initial(self):
-        out = match_author(
+        out = match(
             AuthorToken("ROSSI", ("M", "P")),
             [staff("S1", "Rossi", "Maria (Pia)", "U1")],
         )
-        assert out == MatchOutcome.matched("S1")
+        assert out == MatchOutcome(MATCHED, "S1")
 
     def test_diacritic_and_hyphen_tolerant(self):
-        out = match_author(
+        out = match(
             AuthorToken("GARCIALOPEZ", "J"),
             [staff("S1", "García-López", "José", "U1")],
         )
-        assert out == MatchOutcome.matched("S1")
+        assert out == MatchOutcome(MATCHED, "S1")
 
 
 REGISTRY = StaffRegistry([
@@ -266,7 +284,7 @@ class TestDisambiguateCorpus:
         assert res.stats["resolved"] == 1
         assert res.stats["manual"] == res.stats["discarded"] == 0
         assert outcomes_of(pubs, REGISTRY)["P1"][0] == (
-            MatchOutcome.matched("S3"))
+            MatchOutcome(MATCHED, "S3"))
 
     def test_no_staff_match_discarded(self):
         p = pub("P1", [("SMITH", "J")], ("UNIV TESTONE",))
@@ -303,20 +321,20 @@ class TestDisambiguateCorpus:
         assert res.stats["resolved"] == 8
         assert res.stats["discarded"] == res.stats["unresolvable"] == 0
         expected = {
-            ("P01", 1): MatchOutcome.matched("S3"),
+            ("P01", 1): MatchOutcome(MATCHED, "S3"),
             ("P02", 1): MatchOutcome(AMBIGUOUS, candidates=("S1", "S2")),
-            ("P03", 1): MatchOutcome.matched("S4"),
+            ("P03", 1): MatchOutcome(MATCHED, "S4"),
             ("P03", 2): MatchOutcome(UNMATCHED),
             ("P04", 1): MatchOutcome(AMBIGUOUS, candidates=("S7", "S8")),
-            ("P05", 1): MatchOutcome.matched("S5"),
-            ("P05", 2): MatchOutcome.matched("S9"),
+            ("P05", 1): MatchOutcome(MATCHED, "S5"),
+            ("P05", 2): MatchOutcome(MATCHED, "S9"),
             ("P06", 1): MatchOutcome(UNMATCHED),
-            ("P06", 2): MatchOutcome.matched("S10"),
-            ("P07", 1): MatchOutcome.matched("S10"),
-            ("P08", 1): MatchOutcome.matched("S6"),
-            ("P09", 1): MatchOutcome.matched("S3"),
-            ("P09", 2): MatchOutcome.matched("S5"),
-            ("P10", 1): MatchOutcome.matched("S9"),
+            ("P06", 2): MatchOutcome(MATCHED, "S10"),
+            ("P07", 1): MatchOutcome(MATCHED, "S10"),
+            ("P08", 1): MatchOutcome(MATCHED, "S6"),
+            ("P09", 1): MatchOutcome(MATCHED, "S3"),
+            ("P09", 2): MatchOutcome(MATCHED, "S5"),
+            ("P10", 1): MatchOutcome(MATCHED, "S9"),
         }
         got = {(pub_id, position): outcome
                for pub_id, outcomes in outcomes_of(pubs, REGISTRY).items()
@@ -352,7 +370,7 @@ class TestDisambiguateCorpus:
         overrides = {("P1", 1): "S2"}
         res = disambiguate_corpus(pubs, REGISTRY, overrides)
         assert outcomes_of(pubs, REGISTRY, overrides)["P1"][0] == (
-            MatchOutcome.matched("S2"))
+            MatchOutcome(MATCHED, "S2"))
         assert res.stats["resolved"] == 1 and res.stats["manual"] == 0
 
     def test_override_to_none_discards(self):
@@ -425,29 +443,28 @@ def _outcomes(corpus):
             res.stats, res.manual_review, res.matched_cells)
 
 
-def _clearing(cached):
-    def call(arg):
-        cached.cache_clear()
-        return cached(arg)
-    return call
+class _Forgetful(dict):
+    """A stand-in for ``disambiguation._Memo`` that remembers nothing."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        return self.compute(key)
 
 
 class TestMemoizedMatching:
-    """Names are normalized once per process (surnames, initials) and per
-    staff member (initials), and raw affiliations once per ingest; none
-    of it may change an outcome."""
+    """Names are normalized once per ``decide`` call (surnames, initial
+    letters) and per staff member (initials), and raw affiliations once
+    per ingest; none of it may change an outcome."""
 
     def test_same_outcomes_as_with_caches_cleared(self, synthetic_corpus,
                                                   monkeypatch):
         memoized = _outcomes(synthetic_corpus)
         assert memoized[1]["resolved"] and memoized[1]["manual"]
 
-        monkeypatch.setattr(disambiguation, "surname_key",
-                            _clearing(surname_key))
-        monkeypatch.setattr(disambiguation, "_normalized_initial",
-                            _clearing(disambiguation._normalized_initial))
-        monkeypatch.setattr(disambiguation, "_normalized_initials",
-                            _clearing(disambiguation._normalized_initials))
+        monkeypatch.setattr(disambiguation, "_Memo", _Forgetful)
         monkeypatch.setattr(StaffMember, "initials",
                             property(StaffMember.__dict__["initials"].func))
         assert _outcomes(synthetic_corpus) == memoized
@@ -455,9 +472,6 @@ class TestMemoizedMatching:
     def test_each_distinct_string_is_normalized_once(self, synthetic_corpus,
                                                      monkeypatch):
         corpus = synthetic_corpus
-        surname_key.cache_clear()
-        disambiguation._normalized_initial.cache_clear()
-        disambiguation._normalized_initials.cache_clear()
         calls = Counter()
         normalize = disambiguation.normalize_text
 
@@ -475,11 +489,13 @@ class TestMemoizedMatching:
             | {ch for t in tokens for ch in t.initials}
         )
         assert calls and set(calls) <= distinct
-        assert max(calls.values()) == 1
+        # Two decide calls: disambiguate_corpus's and outcomes_of's.
+        assert set(calls.values()) == {2}
 
+        first = dict(calls)
         calls.clear()
         _outcomes(corpus)
-        assert not calls
+        assert calls == first
 
     def test_patterns_and_raw_affiliations_are_normalized_once(
             self, tmp_path, monkeypatch):
@@ -561,16 +577,16 @@ def paper_shaped(tmp_path):
 def test_match_author_called_once_per_token_on_its_scope(paper_shaped,
                                                          monkeypatch):
     """The benchmark's tracer counts tokens and scope sizes from the
-    ``match_author`` calls: one per token that no override decides, on
-    the staff active in the year, at a university the publication
-    names, under the token's surname key, in the order of the named
-    universities and then of the registry."""
+    ``match_author`` calls: one per token that no override decides, with
+    the token's normalized initials, on the staff active in the year, at
+    a university the publication names, under the token's surname key,
+    in the order of the named universities and then of the registry."""
     corpus, overrides = paper_shaped
     calls = []
 
-    def recording(token, scope):
-        calls.append((token, list(scope)))
-        return match_author(token, scope)
+    def recording(initials, scope):
+        calls.append((initials, list(scope)))
+        return match_author(initials, scope)
 
     monkeypatch.setattr(disambiguation, "match_author", recording)
     disambiguate_corpus(corpus.publications, corpus.staff, overrides)
@@ -581,13 +597,47 @@ def test_match_author_called_once_per_token_on_its_scope(paper_shaped,
             if (p.pub_id, position) in overrides:
                 continue
             key = surname_key(token.surname)
-            expected.append((token, [
-                m for u in universities for m in corpus.staff
+            expected.append((_oracle_initials(token.initials), [
+                candidate(m) for u in universities for m in corpus.staff
                 if m.university_id == u and m.active_in(p.year)
                 and key and surname_key(m.surname) == key
             ]))
     assert len(calls) == len(expected)
     assert sum(len(scope) for _, scope in expected) > len(expected) / 2
-    for (token, scope), (want_token, want_scope) in zip(calls, expected):
-        assert token is want_token
-        assert [m.staff_id for m in scope] == [m.staff_id for m in want_scope]
+    assert sum(len(p.universities) == 1 for p in corpus.publications) > (
+        sum(len(p.universities) > 1 for p in corpus.publications) > 0)
+    assert calls == expected
+
+
+def test_no_outcome_or_memo_outlives_matching(synthetic_corpus):
+    """The matching keeps no state between calls: no cache in the module,
+    and no ``MatchOutcome`` left alive after a ``decide`` call or after
+    ``match_author`` calls made outside one."""
+    def live_outcomes():
+        # Counted both among the collector's objects and among their
+        # referents: the collector may untrack a tuple of strings, but
+        # not a container that holds one.
+        gc.collect()
+        tracked = gc.get_objects()
+        referents = {id(r) for r in gc.get_referents(*tracked)
+                     if type(r) is MatchOutcome}
+        return (sum(type(o) is MatchOutcome for o in tracked),
+                len(referents))
+
+    found = dict(vars(disambiguation))
+    for name, value in vars(disambiguation).items():
+        if isinstance(value, type):
+            found.update((f"{name}.{attr}", getattr(value, attr))
+                         for attr in vars(value))
+    assert [name for name, value in found.items()
+            if hasattr(value, "cache_info")] == []
+
+    corpus = synthetic_corpus
+    before = live_outcomes()
+    decided = sum(len(o) for _, o in decide(corpus.publications, corpus.staff))
+    assert decided and live_outcomes() == before
+    rossi = [staff("S1", "Rossi", "Mario", "U1"),
+             staff("S2", "Rossi", "Maria Anna", "U1")]
+    assert [match(AuthorToken("ROSSI", i), rossi).kind
+            for i in ("M", "MA", "MAC")] == [AMBIGUOUS, MATCHED, UNMATCHED]
+    assert live_outcomes() == before

@@ -125,9 +125,10 @@ def test_c06_fails_when_cells_drop_the_last_year(monkeypatch, tmp_path):
 
 def test_c07_fails_when_matching_reads_one_initial(monkeypatch, tmp_path):
     """Tokens and staff are compared on their first initial only."""
-    normalized = disambiguation._normalized_initials
-    monkeypatch.setattr(disambiguation, "_normalized_initials",
-                        lambda initials: normalized(initials)[:1])
+    match_author = disambiguation.match_author
+    monkeypatch.setattr(disambiguation, "match_author",
+                        lambda initials, candidates:
+                        match_author(initials[:1], candidates))
     assert verdicts(acceptance.test_c07_disambiguation_reproduces_hand_labels,
                     tmp_path=tmp_path) == [False]
 
