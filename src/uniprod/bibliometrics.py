@@ -46,41 +46,33 @@ class OutputVector(NamedTuple):
 
 
 class MatchedCorpus:
-    """One list of qualifying rows (pub_id, journal_id, year, b, c) per
-    (area, university) cell, in publication input order.
+    """Per (area, university) cell, the publications with matched
+    authors in it, as ``(publication, b)`` with b the cell's
+    matched-author count, in publication input order.
 
-    ``matched_cells`` is ``DisambiguationResult.matched_cells``: per
-    publication, the matched-author count b of every cell; c is the
-    publication's author count.  Only article and review records ever
-    contribute to outputs; other document types are carried but inert.
+    ``matched_by_cell`` is ``DisambiguationResult.matched_by_cell``.
+    Only article and review records ever contribute to outputs; other
+    document types are carried but inert.
     """
 
     def __init__(
         self,
-        publications: Iterable[Publication],
-        matched_cells: Mapping[str, Mapping[tuple[str, str], int]],
+        matched_by_cell: Mapping[tuple[str, str],
+                                 Sequence[tuple[Publication, int]]],
     ):
-        rows: dict[tuple[str, str], list] = {}
-        for pub in publications:
-            cells = matched_cells.get(pub.pub_id)
-            if not cells or not pub.counts_as_output:
-                continue
-            for cell, b in cells.items():
-                rows.setdefault(cell, []).append(
-                    (pub.pub_id, pub.journal_id, pub.year, b, pub.author_count)
-                )
-        self._rows = rows
+        self._by_cell = matched_by_cell
 
     def cell_rows(
         self, area_id: str, university_id: str, years: Iterable[int]
-    ) -> tuple[tuple[str, str, int, int, int], ...]:
-        """The cell's rows whose year lies in ``years``, sorted (by
-        publication id first)."""
+    ) -> list[tuple[Publication, int]]:
+        """The cell's counted pairs whose year lies in ``years``, sorted
+        by publication id."""
         window = set(years)
-        return tuple(sorted(
-            row for row in self._rows.get((area_id, university_id), ())
-            if row[2] in window
-        ))
+        return sorted(
+            (pair for pair in self._by_cell.get((area_id, university_id), ())
+             if pair[0].year in window and pair[0].counts_as_output),
+            key=lambda pair: pair[0].pub_id,
+        )
 
 
 def compute_output_vector(
@@ -91,26 +83,27 @@ def compute_output_vector(
     years: Iterable[int],
     warnings: list[str],
 ) -> OutputVector:
-    """PU, PC and SS of one cell from a single scan of its rows.
+    """PU, PC and SS of one cell from a single scan of its pairs; c is
+    each publication's author count.
 
     ``journals`` maps (journal_id, year) to the impact weight.  A
     publication whose journal has no weight for its year adds nothing to
     SS; each such case appends one message to ``warnings``.
     """
-    rows = corpus.cell_rows(area_id, university_id, years)
+    pairs = corpus.cell_rows(area_id, university_id, years)
     pc = 0.0
     ss = 0.0
-    for pub_id, journal_id, year, b, c in rows:
-        pc += b / c
-        weight = journals.get((journal_id, year))
+    for pub, b in pairs:
+        pc += b / pub.author_count
+        weight = journals.get((pub.journal_id, pub.year))
         if weight is None:
             warnings.append(
-                f"no impact weight for journal {journal_id!r} in {year} "
-                f"(publication {pub_id!r})"
+                f"no impact weight for journal {pub.journal_id!r} in "
+                f"{pub.year} (publication {pub.pub_id!r})"
             )
             continue
         ss += weight
-    return OutputVector(pu=float(len(rows)), pc=pc, ss=ss)
+    return OutputVector(pu=float(len(pairs)), pc=pc, ss=ss)
 
 
 def build_input_vector(

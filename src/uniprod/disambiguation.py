@@ -103,19 +103,18 @@ class _Memo(dict):
 
 @dataclass(frozen=True)
 class DisambiguationResult:
-    """What the study reads of the matching: ``matched_cells``, per
-    publication with at least one matched author, the matched-author
-    count b of each (area, university) cell, in author-position order
-    (publications whose maps are equal, in the same order, share one
-    dict, so the maps are read-only); ``manual_review``, the
-    ``manual_review`` table's rows, one per ambiguous author token, in
-    publication order; the errors; and ``stats``, the
-    ``disambiguation_stats`` row of publications per category.  No
-    outcome is kept: ``decide`` gives them."""
+    """What the study reads of the matching: ``matched_by_cell``, per
+    (area, university) cell, each publication with b >= 1 matched
+    authors in the cell as ``(publication, b)``, in publication order,
+    whatever its document type; ``manual_review``, the ``manual_review``
+    table's rows, one per ambiguous author token, in publication order;
+    the errors; and ``stats``, the ``disambiguation_stats`` row of
+    publications per category.  No outcome is kept: ``decide`` gives
+    them."""
 
     manual_review: tuple[dict, ...]
     errors: tuple[str, ...]
-    matched_cells: Mapping[str, Mapping[tuple[str, str], int]]
+    matched_by_cell: Mapping[tuple[str, str], list[tuple[Publication, int]]]
     stats: dict
 
 
@@ -194,9 +193,6 @@ def decide(
         return by_key
 
     for pub in publications:
-        if not pub.authors:
-            yield pub, ()
-            continue
         year = pub.year
         universities = pub.universities
         # Most publications name one university: a token's scope is then
@@ -232,7 +228,8 @@ def disambiguate_corpus(
     A publication with any ambiguous token goes to manual review; one
     with no staff evidence at all is discarded; the rest are resolved.
     Each matched author, override or not, counts toward the (area,
-    university) cell of its staff member.
+    university) cell of its staff member, and the publication is filed
+    under each cell it counts toward.
     """
     cell_of = {member.staff_id: (member.area_id, member.university_id)
                for member in staff}
@@ -240,10 +237,7 @@ def disambiguate_corpus(
                             "unresolvable"), 0)
     manual_rows: list[dict] = []
     errors: list[str] = []
-    matched_cells: dict[str, dict[tuple[str, str], int]] = {}
-    # One dict per distinct cell-count map, in its order: a corpus has
-    # many publications and few distinct maps.
-    shared_cells: dict[tuple, dict[tuple[str, str], int]] = {}
+    matched_by_cell: dict[tuple[str, str], list[tuple[Publication, int]]] = {}
 
     for pub, outcomes in decide(publications, staff, overrides):
         pub_id = pub.pub_id
@@ -259,9 +253,8 @@ def disambiguate_corpus(
                 cells[cell] = cells.get(cell, 0) + 1
             elif outcome.kind == AMBIGUOUS:
                 ambiguous = True
-        if cells:
-            matched_cells[pub_id] = shared_cells.setdefault(
-                tuple(cells.items()), cells)
+        for cell, b in cells.items():
+            matched_by_cell.setdefault(cell, []).append((pub, b))
         if ambiguous:
             counts["manual"] += 1
             manual_rows += (
@@ -279,6 +272,6 @@ def disambiguate_corpus(
     return DisambiguationResult(
         manual_review=tuple(manual_rows),
         errors=tuple(errors),
-        matched_cells=matched_cells,
+        matched_by_cell=matched_by_cell,
         stats={"total": sum(counts.values()), **counts},
     )

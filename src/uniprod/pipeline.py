@@ -290,7 +290,7 @@ def run_pipeline(
     warnings: list[str] = list(corpus.warnings)
     disamb = disambiguate_corpus(corpus.publications, corpus.staff, overrides)
     warnings.extend(f"disambiguation: {msg}" for msg in disamb.errors)
-    matched = MatchedCorpus(corpus.publications, disamb.matched_cells)
+    matched = MatchedCorpus(disamb.matched_by_cell)
 
     areas = {
         area_id: _analyze_area(area_id, corpus, matched, config, warnings)

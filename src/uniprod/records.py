@@ -7,14 +7,13 @@ normalization and matching logic live elsewhere; the staff registry
 only provides exact-key indexing and headcount queries.  Journal
 weights, funding amounts and affiliation patterns need no type of their
 own: ``ingest`` keeps each as a plain dict (see ``Corpus``).
-``Publication`` and ``AuthorToken``, the most numerous records, are
-``typing.NamedTuple`` types: one cheap object each, equal to a tuple.
+``StaffMember``, ``Publication`` and ``AuthorToken`` are
+``typing.NamedTuple`` types: one cheap object each, equal to the tuple
+of its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 #: full professors, associate professors, research fellows
@@ -38,8 +37,7 @@ class AuthorToken(NamedTuple):
         return f"{self.surname},{'.'.join(self.initials)}."
 
 
-@dataclass(frozen=True)
-class StaffMember:
+class StaffMember(NamedTuple):
     """A research staff row: one person, one rank, one university and
     disciplinary area, active over an inclusive year range."""
 
@@ -52,11 +50,10 @@ class StaffMember:
     year_from: int
     year_to: int
 
-    @cached_property
+    @property
     def initials(self) -> tuple[str, ...]:
         """First letter of each given-name part, in order, none for a part
-        with no letter (computed once per member; matching reads it for
-        every token in scope)."""
+        with no letter."""
         parts = self.first_names.replace("-", " ").split()
         letters = (next(filter(str.isalpha, part), "") for part in parts)
         return tuple(letter.upper() for letter in letters if letter)

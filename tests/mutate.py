@@ -1,15 +1,18 @@
-"""Mutation run: which one-operator changes to a module do the tests miss?
+"""Mutation run: which one-place changes to a module do the tests miss?
 
 Usage, from the root of a checkout::
 
     python3 tests/mutate.py src/uniprod/ingest.py src/uniprod/disambiguation.py
-    python3 tests/mutate.py --ops compare,boolop,arith --list src/uniprod/dea.py
+    python3 tests/mutate.py --ops arith,delete --list src/uniprod/dea.py
 
-Each mutant changes one operator of one module: a comparison (``<`` and
+Each mutant makes one change to one module: a comparison (``<`` and
 ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``in`` and ``not in``,
-``is`` and ``is not`` swapped), an ``and``/``or``, or, with ``arith``,
-``+``/``-`` and ``*``/``/``.  The changed expression is spliced back,
-parenthesized, in place of the original, so every other line stays as
+``is`` and ``is not`` swapped), an ``and``/``or``, with ``arith``,
+``+``/``-`` and ``*``/``/``, or, with ``delete``, one statement of a
+function body (nested blocks included, docstrings not) replaced by
+``pass``.  The changed expression is spliced back, parenthesized, in
+place of the original, and a deleted statement's text by ``pass`` (an
+``elif`` branch by ``else: pass``), so every other line stays as
 written.  The whole checkout is copied once to a temporary directory;
 each mutant is written there and the test suite runs on it with ``-x``
 (bytecode writing off, so no stale ``.pyc`` of an earlier mutant is
@@ -43,6 +46,7 @@ SWAPS = {
     "arith": {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div,
               ast.Div: ast.Mult},
 }
+FAMILIES = (*SWAPS, "delete")
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
                                  ".pytest_cache", ".perfbench-*", "*.egg-info")
 #: Seconds before a test run counts as killed: a swapped loop condition
@@ -64,26 +68,59 @@ def _swapped(node: ast.AST, swaps: dict):
         yield ast.BinOp(node.left, swaps[type(node.op)](), node.right)
 
 
+def _deletable(tree: ast.AST):
+    """Each statement inside a function body, once, other than a
+    docstring or a ``pass``."""
+    seen = set()
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            if (node is function or not isinstance(node, ast.stmt)
+                    or id(node) in seen or isinstance(node, ast.Pass)
+                    or (isinstance(node, ast.Expr)
+                        and isinstance(node.value, ast.Constant)
+                        and isinstance(node.value.value, str))):
+                continue
+            seen.add(id(node))
+            yield node
+
+
 def mutants(source: str, families: list[str]):
     """(line, original, mutant, mutated source) for each mutant, in
     source order."""
     swaps = {}
     for family in families:
-        swaps.update(SWAPS[family])
+        swaps.update(SWAPS.get(family, {}))
     data = source.encode("utf-8")
     starts = [0]
     for line in data.splitlines(keepends=True):
         starts.append(starts[-1] + len(line))
+    tree = ast.parse(source)
     found = []
-    for node in ast.walk(ast.parse(source)):
+
+    def splice(node, first, before, after, text):
+        # ast offsets count UTF-8 bytes.
+        begin = starts[first.lineno - 1] + node.col_offset
+        end = starts[node.end_lineno - 1] + node.end_col_offset
+        found.append((node.lineno, begin, before, after,
+                      (data[:begin] + text + data[end:]).decode("utf-8")))
+
+    for node in ast.walk(tree):
         for changed in _swapped(node, swaps):
-            # ast offsets count UTF-8 bytes.
-            begin = starts[node.lineno - 1] + node.col_offset
-            end = starts[node.end_lineno - 1] + node.end_col_offset
-            text = f"({ast.unparse(changed)})".encode("utf-8")
-            found.append((node.lineno, begin, ast.unparse(node),
-                          ast.unparse(changed),
-                          (data[:begin] + text + data[end:]).decode("utf-8")))
+            splice(node, node, ast.unparse(node), ast.unparse(changed),
+                   f"({ast.unparse(changed)})".encode("utf-8"))
+    if "delete" in families:
+        for node in _deletable(tree):
+            # A decorated definition starts at its first decorator.
+            first = min([node, *getattr(node, "decorator_list", ())],
+                        key=lambda n: n.lineno)
+            before = ast.unparse(node).split("\n")[0]
+            after = "pass"
+            if data.startswith(b"elif",
+                               starts[node.lineno - 1] + node.col_offset):
+                before, after = "el" + before, "else: pass"
+            splice(node, first, before, after, after.encode("utf-8"))
     found.sort(key=lambda m: (m[0], m[1]))
     return [(line, before, after, mutated)
             for line, _, before, after, mutated in found]
@@ -109,12 +146,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="module files, relative to the checkout root")
     parser.add_argument("--ops", default="compare,boolop",
                         help="operator families, comma-separated, from "
-                             f"{','.join(SWAPS)} (default compare,boolop)")
+                             f"{','.join(FAMILIES)} (default compare,boolop)")
     parser.add_argument("--list", action="store_true",
                         help="list the mutants without running the tests")
     args = parser.parse_args(argv)
     families = args.ops.split(",")
-    unknown = sorted(set(families) - set(SWAPS))
+    unknown = sorted(set(families) - set(FAMILIES))
     if unknown:
         parser.error(f"unknown operator families: {', '.join(unknown)}")
 

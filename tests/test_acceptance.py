@@ -11,7 +11,6 @@ statistics, or a hand-labelled corpus — at an explicit tolerance.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 import random
 import time
@@ -358,7 +357,7 @@ def test_c06_output_construction_matches_bruteforce(gate, tmp_path):
         config = RunConfig()
         corpus = ingest(data_dir)
         resolved = disambiguate_corpus(corpus.publications, corpus.staff)
-        matched = MatchedCorpus(corpus.publications, resolved.matched_cells)
+        matched = MatchedCorpus(resolved.matched_by_cell)
         outcomes = {p.pub_id: o for p, o in decide(
             corpus.publications, corpus.staff)}
         for area_id in corpus.staff.area_ids():
@@ -497,7 +496,7 @@ def _hand_corpus(root):
         rows.append((f"P{22 + i}", "resolved", authors, affiliations, expected))
     files = [
         ("staff.csv", STAFF_FIELDS,
-         [dataclasses.astuple(member) for member in _hand_staff()]),
+         [tuple(member) for member in _hand_staff()]),
         ("publications.csv", PUBLICATION_FIELDS,
          [(pub_id, 2002, "article", "J1", authors, ";".join(affiliations))
           for pub_id, _, authors, affiliations, _ in rows]),

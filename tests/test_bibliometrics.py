@@ -65,17 +65,22 @@ def matched(pub_id, position, staff_id):
     return pub_id, staff_id
 
 
+def cell_of(registry, staff_id):
+    member = registry.member(staff_id)
+    return member.area_id, member.university_id
+
+
 def corpus_of(pub_specs, assigns):
-    """Fold hand-written (publication, staff) matches into
-    per-publication cell counts, the way ``disambiguate_corpus`` records
-    them."""
-    cells = {}
-    for pub_id, staff_id in assigns:
-        member = REGISTRY.member(staff_id)
-        bucket = cells.setdefault(pub_id, {})
-        key = (member.area_id, member.university_id)
-        bucket[key] = bucket.get(key, 0) + 1
-    return MatchedCorpus(pub_specs, cells)
+    """File each publication, in order, under the cells of its
+    hand-written (publication, staff) matches with the cell's
+    matched-author count, the way ``disambiguate_corpus`` files them."""
+    by_cell = {}
+    for p in pub_specs:
+        cells = Counter(cell_of(REGISTRY, staff_id)
+                        for pub_id, staff_id in assigns if pub_id == p.pub_id)
+        for cell, b in cells.items():
+            by_cell.setdefault(cell, []).append((p, b))
+    return MatchedCorpus(by_cell)
 
 
 def outputs(corpus, area_id, university_id, years, warnings=None):
@@ -225,7 +230,7 @@ class TestCorpusInvariants:
     def test_pc_bounded_by_pu_and_matches_bruteforce(self):
         registry, journals, pubs = random_corpus(np.random.default_rng(31))
         result = disambiguate_corpus(pubs, registry)
-        corpus = MatchedCorpus(pubs, result.matched_cells)
+        corpus = MatchedCorpus(result.matched_by_cell)
         outcomes = {p.pub_id: o for p, o in decide(pubs, registry)}
         years = [2001, 2002, 2003]
         for area in ("A1", "A2"):
@@ -244,8 +249,8 @@ class TestCorpusInvariants:
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_matched_cells_count_each_publications_matched_authors(self,
-                                                                   seed):
+    def test_matched_by_cell_counts_each_publications_matched_authors(
+            self, seed):
         rng = np.random.default_rng(seed)
         registry, _, pubs = random_corpus(rng)
         staff_ids = [m.staff_id for m in registry]
@@ -258,26 +263,23 @@ class TestCorpusInvariants:
                     else staff_ids[rng.integers(len(staff_ids))]
                 )
         result = disambiguate_corpus(pubs, registry, overrides)
-        matched_staff = {}
-        for p, outcomes in decide(pubs, registry, overrides):
-            for outcome in outcomes:
-                if outcome.kind == MATCHED:
-                    matched_staff.setdefault(p.pub_id, []).append(
-                        registry.member(outcome.staff_id))
+        # Per cell, every publication (of any document type) with b >= 1
+        # of its matched authors on the cell's staff, in publication order.
+        decided = list(decide(pubs, registry, overrides))
+        expected = {}
+        for cell in {(m.area_id, m.university_id) for m in registry}:
+            pairs = []
+            for p, outcomes in decided:
+                b = sum(1 for o in outcomes if o.kind == MATCHED
+                        and cell_of(registry, o.staff_id) == cell)
+                if b:
+                    pairs.append((p, b))
+            if pairs:
+                expected[cell] = pairs
+        assert result.matched_by_cell == expected
         for p in pubs:
-            members = matched_staff.get(p.pub_id)
-            if not members:
-                assert p.pub_id not in result.matched_cells
-                continue
-            cells = result.matched_cells[p.pub_id]
-            assert cells == Counter((m.area_id, m.university_id)
-                                    for m in members)
-            assert sum(cells.values()) <= p.author_count
-        assert set(result.matched_cells) <= {p.pub_id for p in pubs}
-        # Equal maps, in the same order, are one shared object.
-        shared = {}
-        for cells in result.matched_cells.values():
-            assert shared.setdefault(tuple(cells.items()), cells) is cells
+            assert sum(b for pairs in expected.values()
+                       for q, b in pairs if q is p) <= p.author_count
 
     def test_additive_over_year_partition(self):
         c = corpus_of(

@@ -440,7 +440,7 @@ def synthetic_corpus(tmp_path):
 def _outcomes(corpus):
     res = disambiguate_corpus(corpus.publications, corpus.staff)
     return (outcomes_of(corpus.publications, corpus.staff),
-            res.stats, res.manual_review, res.matched_cells)
+            res.stats, res.manual_review, res.matched_by_cell)
 
 
 class _Forgetful(dict):
@@ -456,8 +456,8 @@ class _Forgetful(dict):
 
 class TestMemoizedMatching:
     """Names are normalized once per ``decide`` call (surnames, initial
-    letters) and per staff member (initials), and raw affiliations once
-    per ingest; none of it may change an outcome."""
+    letters), and raw affiliations once per ingest; none of it may change
+    an outcome."""
 
     def test_same_outcomes_as_with_caches_cleared(self, synthetic_corpus,
                                                   monkeypatch):
@@ -465,8 +465,6 @@ class TestMemoizedMatching:
         assert memoized[1]["resolved"] and memoized[1]["manual"]
 
         monkeypatch.setattr(disambiguation, "_Memo", _Forgetful)
-        monkeypatch.setattr(StaffMember, "initials",
-                            property(StaffMember.__dict__["initials"].func))
         assert _outcomes(synthetic_corpus) == memoized
 
     def test_each_distinct_string_is_normalized_once(self, synthetic_corpus,

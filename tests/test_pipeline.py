@@ -89,7 +89,7 @@ class TestVectors:
 
     def test_output_vectors_match_hand_values(self, corpus, config):
         disamb = disambiguate_corpus(corpus.publications, corpus.staff)
-        matched = MatchedCorpus(corpus.publications, disamb.matched_cells)
+        matched = MatchedCorpus(disamb.matched_by_cell)
         outcomes = {p.pub_id: o for p, o in decide(
             corpus.publications, corpus.staff)}
         for (area, uni), expected in EXPECTED_OUTPUTS.items():
@@ -107,7 +107,7 @@ class TestVectors:
     def test_override_gives_full_credit(self, corpus, config):
         disamb = disambiguate_corpus(corpus.publications, corpus.staff,
                                      {("P029", 1): "S027"})
-        matched = MatchedCorpus(corpus.publications, disamb.matched_cells)
+        matched = MatchedCorpus(disamb.matched_by_cell)
         vec = compute_output_vector(matched, corpus.journals, "A01", "U2",
                                     config.years, [])
         assert vec.pc == pytest.approx(EXPECTED_PC_A01_U2_WITH_OVERRIDE)
@@ -447,8 +447,8 @@ class TestAreaSummaries:
 
     def test_partial_comparison_ranks_output_per_staff(self, study):
         corpus, config, report = study
-        matched = MatchedCorpus(corpus.publications, disambiguate_corpus(
-            corpus.publications, corpus.staff).matched_cells)
+        matched = MatchedCorpus(disambiguate_corpus(
+            corpus.publications, corpus.staff).matched_by_cell)
         rows = {row["area_id"]: row
                 for row in report.tables["partial_comparison"]}
         assert list(rows) == list(report.areas_analyzed)
