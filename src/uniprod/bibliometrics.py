@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .dea import DeaProblem, DmuRecord
 from .errors import AreaNotAnalyzableError
-from .records import RANKS, Publication, StaffRegistry
+from .records import COUNTED_DOC_TYPES, Publication, StaffRegistry
 
 INPUT_LABELS = ("FP", "AP", "RF", "PR")
 OUTPUT_LABELS = ("PU", "PC", "SS")
@@ -65,14 +65,13 @@ class MatchedCorpus:
     def cell_rows(
         self, area_id: str, university_id: str, years: Iterable[int]
     ) -> list[tuple[Publication, int]]:
-        """The cell's counted pairs whose year lies in ``years``, sorted
-        by publication id."""
+        """The cell's counted pairs whose year lies in ``years``, in pair
+        order, which is publication id order (ids are unique)."""
         window = set(years)
-        return sorted(
-            (pair for pair in self._by_cell.get((area_id, university_id), ())
-             if pair[0].year in window and pair[0].counts_as_output),
-            key=lambda pair: pair[0].pub_id,
-        )
+        return sorted([
+            pair for pair in self._by_cell.get((area_id, university_id), ())
+            if pair[0].year in window and pair[0].doc_type in COUNTED_DOC_TYPES
+        ])
 
 
 def compute_output_vector(
@@ -125,11 +124,8 @@ def build_input_vector(
     """
     snapshot_years = [y - lag for y in output_years]
     n = len(snapshot_years)
-    heads = [
-        sum(staff.headcount(area_id, university_id, rank, s)
-            for s in snapshot_years) / n
-        for rank in RANKS
-    ]
+    heads = [count / n for count in
+             staff.headcounts(area_id, university_id, snapshot_years)]
     pr = sum(
         funding.get((university_id, area_id, s), 0.0) for s in snapshot_years
     ) / n

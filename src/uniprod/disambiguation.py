@@ -24,6 +24,7 @@ lists themselves, with no list built.
 from __future__ import annotations
 
 import unicodedata
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -175,32 +176,30 @@ def decide(
                     member.year_from, member.year_to,
                     initials_of[member.initials],
                     MatchOutcome(MATCHED, staff_id=member.staff_id)))
-    # Then per (university, year), on first use, the candidates on
+    # Then per (university, year), on first lookup, the candidates on
     # staff that year.  A list whose candidates are all on staff is
     # filed as it is, so most years share their university's lists.
-    index: dict[tuple[str, int], dict[str, list[Candidate]]] = {}
-
-    def filed(university: str, year: int) -> dict[str, list[Candidate]]:
-        by_key = index.get((university, year))
-        if by_key is None:
-            by_key = index[university, year] = {}
-            for key, candidates in by_university.get(university, {}).items():
-                active = [c for c in candidates
-                          if c.year_from <= year <= c.year_to]
-                if active:
-                    by_key[key] = (candidates if len(active) == len(candidates)
-                                   else active)
+    def filed(slot: tuple[str, int]) -> dict[str, list[Candidate]]:
+        university, year = slot
+        by_key = {}
+        for key, candidates in by_university.get(university, {}).items():
+            active = [c for c in candidates
+                      if c.year_from <= year <= c.year_to]
+            if active:
+                by_key[key] = (candidates if len(active) == len(candidates)
+                               else active)
         return by_key
 
+    index = _Memo(filed)
     for pub in publications:
         year = pub.year
         universities = pub.universities
         # Most publications name one university: a token's scope is then
         # the filed list itself.
         if len(universities) == 1:
-            one, joined = filed(universities[0], year), ()
+            one, joined = index[universities[0], year], ()
         else:
-            one, joined = None, [filed(u, year) for u in universities]
+            one, joined = None, [index[u, year] for u in universities]
         outcomes = []
         for position, token in enumerate(pub.authors, start=1):
             if overrides and (pub.pub_id, position) in overrides:
@@ -237,7 +236,7 @@ def disambiguate_corpus(
                             "unresolvable"), 0)
     manual_rows: list[dict] = []
     errors: list[str] = []
-    matched_by_cell: dict[tuple[str, str], list[tuple[Publication, int]]] = {}
+    matched_by_cell = defaultdict(list)
 
     for pub, outcomes in decide(publications, staff, overrides):
         pub_id = pub.pub_id
@@ -248,13 +247,15 @@ def disambiguate_corpus(
         cells: dict[tuple[str, str], int] = {}
         ambiguous = False
         for outcome in outcomes:
+            if outcome is _UNMATCHED:
+                continue
             if outcome.kind == MATCHED:
                 cell = cell_of[outcome.staff_id]
                 cells[cell] = cells.get(cell, 0) + 1
             elif outcome.kind == AMBIGUOUS:
                 ambiguous = True
         for cell, b in cells.items():
-            matched_by_cell.setdefault(cell, []).append((pub, b))
+            matched_by_cell[cell].append((pub, b))
         if ambiguous:
             counts["manual"] += 1
             manual_rows += (
@@ -272,6 +273,6 @@ def disambiguate_corpus(
     return DisambiguationResult(
         manual_review=tuple(manual_rows),
         errors=tuple(errors),
-        matched_by_cell=matched_by_cell,
+        matched_by_cell=dict(matched_by_cell),
         stats={"total": sum(counts.values()), **counts},
     )

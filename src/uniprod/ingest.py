@@ -14,7 +14,8 @@ types built here carry values and check nothing.  Each file's bytes are
 read once and its rows streamed, as positional cell lists, into its
 loader, which keeps no list of rows; a NUL byte is reported and its row
 skipped on every Python version (the csv module of 3.10 rejects the
-whole file).
+whole file).  Records are keyed by their first field.  The staff and
+publication loaders parse each distinct value of a repeated column once.
 """
 
 from __future__ import annotations
@@ -210,13 +211,13 @@ def _amount(cell: str, field: str) -> float:
 
 
 def _records(path: Path, fields: tuple[str, ...], parse: Callable,
-             key: Callable | None, describe: Callable | None,
-             diagnostics: list[str], keep: Callable | None = None) -> list:
+             describe: Callable, diagnostics: list[str],
+             keep: Callable | None = None) -> list:
     """``parse(*cells)`` of each row, in file order.  Each StructuralError
     it or ``keep(line, record)`` raises is a ``file:line:`` diagnostic,
-    and so, unless ``key`` is None, is a record whose key an earlier
-    record has: ``describe(key)``, naming the line of the first.  A
-    record that ``keep`` refuses is dropped before its key is checked.
+    and so is a record whose key, its first field, an earlier record
+    has: ``describe(key)``, naming the line of the first.  A record that
+    ``keep`` refuses is dropped before its key is checked.
     These diagnostics follow the reader's for the file; an unreadable
     file keeps no record and adds none."""
     name = path.name
@@ -232,37 +233,17 @@ def _records(path: Path, fields: tuple[str, ...], parse: Callable,
             except StructuralError as exc:
                 problems.append(f"{name}:{line}: {exc}")
                 continue
-            if key is not None:
-                k = key(record)
-                if k in first:
-                    problems.append(f"{name}:{line}: {describe(k)} "
-                                    f"(first defined at line {first[k]})")
-                    continue
-                first[k] = line
+            key = record[0]
+            if key in first:
+                problems.append(f"{name}:{line}: {describe(key)} "
+                                f"(first defined at line {first[key]})")
+                continue
+            first[key] = line
             kept.append(record)
     except _Unreadable:
         return []
     diagnostics.extend(problems)
     return kept
-
-
-def _staff_member(staff_id, surname, first_names, rank, university_id,
-                  area_id, year_from, year_to) -> StaffMember:
-    member = StaffMember(
-        staff_id=_text(staff_id, "staff_id"),
-        surname=_text(surname, "surname"),
-        first_names=_text(first_names, "first_names"),
-        rank=_code(rank, "rank", RANKS),
-        university_id=_text(university_id, "university_id"),
-        area_id=_text(area_id, "area_id"),
-        year_from=_integer(year_from, "year_from"),
-        year_to=_integer(year_to, "year_to"),
-    )
-    if member.year_from > member.year_to:
-        raise StructuralError(
-            f"empty active range {member.year_from}..{member.year_to}"
-        )
-    return member
 
 
 def _author_token(piece: str) -> AuthorToken:
@@ -275,7 +256,7 @@ def _author_token(piece: str) -> AuthorToken:
     surname = surname.strip()
     if not surname:
         raise StructuralError(f"author entry {piece!r} has a blank surname")
-    initials = tuple(ch.upper() for ch in initials_part if ch.isalpha())
+    initials = tuple(map(str.upper, filter(str.isalpha, initials_part)))
     if not initials:
         raise StructuralError(f"author entry {piece!r} carries no initials")
     return AuthorToken(surname, initials)
@@ -318,8 +299,28 @@ def _funding_amount(university_id: str, area_id: str, year: str, keur: str):
 
 
 def _load_staff(path: Path, diagnostics: list[str]) -> StaffRegistry:
+    rank_of = functools.cache(lambda cell: _code(cell, "rank", RANKS))
+    university_id_of = functools.cache(
+        lambda cell: _text(cell, "university_id"))
+    area_id_of = functools.cache(lambda cell: _text(cell, "area_id"))
+    year_from_of = functools.cache(lambda cell: _integer(cell, "year_from"))
+    year_to_of = functools.cache(lambda cell: _integer(cell, "year_to"))
+
+    def staff_member(staff_id, surname, first_names, rank, university_id,
+                     area_id, year_from, year_to) -> StaffMember:
+        member = StaffMember(
+            _text(staff_id, "staff_id"), _text(surname, "surname"),
+            _text(first_names, "first_names"), rank_of(rank),
+            university_id_of(university_id), area_id_of(area_id),
+            year_from_of(year_from), year_to_of(year_to))
+        if member.year_from > member.year_to:
+            raise StructuralError(
+                f"empty active range {member.year_from}..{member.year_to}"
+            )
+        return member
+
     return StaffRegistry(_records(
-        path, STAFF_FIELDS, _staff_member, lambda m: m.staff_id,
+        path, STAFF_FIELDS, staff_member,
         lambda k: f"duplicate staff id {k!r}", diagnostics,
     ))
 
@@ -330,21 +331,22 @@ def _load_publications(
     # Years, document types, journal ids, author entries and affiliation
     # fields repeat across rows: each distinct one is parsed once per
     # ingest and its value shared (a cell that raises is not cached).  A
-    # field names the universities its normalized non-blank parts map to,
-    # and equal sets of universities share one sorted tuple.
+    # field names the universities its normalized non-blank parts map to;
+    # each distinct part is normalized and looked up once, and equal sets
+    # of universities share one sorted tuple.
     year_of = functools.cache(lambda cell: _integer(cell, "year"))
     doc_type_of = functools.cache(
         lambda cell: _code(cell, "doc_type", DOC_TYPES))
     journal_id_of = functools.cache(lambda cell: _text(cell, "journal_id"))
     tokens: dict[str | AuthorToken, AuthorToken] = {}
-    key_of = functools.cache(normalize_text)
+    university_of = functools.cache(
+        lambda part: affiliations.get(normalize_text(part)))
     ids_of = functools.cache(lambda named: tuple(sorted(named)))
 
     @functools.cache
     def universities_of(field: str) -> tuple[str, ...]:
-        keys = map(key_of, filter(None, map(str.strip, field.split(";"))))
-        return ids_of(frozenset(affiliations[key] for key in keys
-                                if key in affiliations))
+        parts = filter(None, map(str.strip, field.split(";")))
+        return ids_of(frozenset(map(university_of, parts)) - {None})
 
     def publication(pub_id, year, doc_type, journal_id, authors,
                     field) -> Publication:
@@ -355,7 +357,7 @@ def _load_publications(
         )
 
     return tuple(_records(
-        path, PUBLICATION_FIELDS, publication, lambda p: p.pub_id,
+        path, PUBLICATION_FIELDS, publication,
         lambda k: f"duplicate publication id {k!r}", diagnostics,
     ))
 
@@ -364,7 +366,7 @@ def _load_journals(
     path: Path, diagnostics: list[str]
 ) -> dict[tuple[str, int], float]:
     return dict(_records(
-        path, JOURNAL_FIELDS, _journal_weight, lambda r: r[0],
+        path, JOURNAL_FIELDS, _journal_weight,
         lambda k: f"duplicate weight for journal {k[0]!r} year {k[1]}",
         diagnostics,
     ))
@@ -385,7 +387,7 @@ def _load_funding(
         return False
 
     return dict(_records(
-        path, FUNDING_FIELDS, _funding_amount, lambda r: r[0],
+        path, FUNDING_FIELDS, _funding_amount,
         lambda k: f"duplicate funding row for {k!r}", diagnostics, known,
     ))
 
@@ -395,7 +397,7 @@ def _load_affiliations(
 ) -> dict[str, str]:
     """Each normalized pattern mapped to its university id.  A pattern
     repeated for the same university is dropped silently and one for
-    another is a diagnostic, so ``_records`` checks no key."""
+    another is a diagnostic, so no key reaches ``_records`` twice."""
     first: dict[str, tuple[int, str]] = {}
 
     def entry(pattern: str, university_id: str) -> tuple[str, str, str]:
@@ -403,10 +405,10 @@ def _load_affiliations(
         if not key:
             raise StructuralError(
                 f"pattern {pattern!r} is empty after normalization")
-        return pattern, _text(university_id, "university_id"), key
+        return key, _text(university_id, "university_id"), pattern
 
     def unique(line: int, row: tuple[str, str, str]) -> bool:
-        pattern, university_id, key = row
+        key, university_id, pattern = row
         first_line, first_id = first.setdefault(key, (line, university_id))
         if first_id != university_id:
             raise StructuralError(
@@ -415,8 +417,9 @@ def _load_affiliations(
             )
         return first_line == line
 
-    return {key: university_id for _, university_id, key in _records(
-        path, AFFILIATION_FIELDS, entry, None, None, diagnostics, unique,
+    return {key: university_id for key, university_id, _ in _records(
+        path, AFFILIATION_FIELDS, entry, lambda k: f"duplicate pattern {k!r}",
+        diagnostics, unique,
     )}
 
 
@@ -467,7 +470,7 @@ def load_overrides(
     path = Path(path)
     diagnostics: list[str] = []
     overrides = dict(_records(
-        path, OVERRIDE_FIELDS, override, lambda r: r[0],
+        path, OVERRIDE_FIELDS, override,
         lambda k: f"duplicate override for {k!r}", diagnostics,
     ))
     if diagnostics:

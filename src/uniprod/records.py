@@ -4,7 +4,7 @@ These are plain immutable carriers.  They check nothing: ``ingest`` is
 the one place that validates outside input, so build them through it
 (or, in tests, from values that already satisfy its rules).  Text
 normalization and matching logic live elsewhere; the staff registry
-only provides exact-key indexing and headcount queries.  Journal
+only provides exact-key indexing and per-cell headcounts.  Journal
 weights, funding amounts and affiliation patterns need no type of their
 own: ``ingest`` keeps each as a plain dict (see ``Corpus``).
 ``StaffMember``, ``Publication`` and ``AuthorToken`` are
@@ -14,7 +14,7 @@ of its fields.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 #: full professors, associate professors, research fellows
 RANKS = ("FP", "AP", "RF")
@@ -84,10 +84,6 @@ class Publication(NamedTuple):
     def author_count(self) -> int:
         return len(self.authors)
 
-    @property
-    def counts_as_output(self) -> bool:
-        return self.doc_type in COUNTED_DOC_TYPES
-
 
 class StaffRegistry:
     """Immutable collection of staff rows with exact-key indexes.
@@ -125,15 +121,16 @@ class StaffRegistry:
         """The area's universities in registry order."""
         return tuple(u for (a, u) in self._by_cell if a == area_id)
 
-    def headcount(
-        self, area_id: str, university_id: str, rank: str, year: int
-    ) -> int:
-        """Members of ``rank`` on staff in the cell at 31 December of ``year``."""
-        return sum(
-            1
-            for m in self._by_cell.get((area_id, university_id), ())
-            if m.rank == rank and m.active_in(year)
-        )
+    def headcounts(self, area_id: str, university_id: str,
+                   years: Sequence[int]) -> tuple[int, ...]:
+        """Per rank, in ``RANKS`` order, the cell's members on staff at
+        31 December of each of ``years``, summed over the years."""
+        counts = dict.fromkeys(RANKS, 0)
+        for m in self._by_cell.get((area_id, university_id), ()):
+            for year in years:
+                if m.year_from <= year <= m.year_to:
+                    counts[m.rank] += 1
+        return tuple(counts.values())
 
     def coverage(self) -> tuple[int, int]:
         """Year span covered by at least one member of a non-empty

@@ -4,16 +4,20 @@
 the CSV file stem and the JSON key.  CSV mode writes one file per table
 plus the config snapshot; JSON mode writes a single document.
 Efficiency-score columns use fixed six decimal places; other numeric
-columns use 12 significant digits; JSON carries full float precision.
+columns use 12 significant digits; JSON, written cell by cell with the
+bytes of ``json.dumps(indent=2)``, carries full float precision.
 Emission is byte-stable for a fixed report.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping
 
@@ -128,14 +132,38 @@ def render_table(report: AnalysisReport, table: str) -> str:
     return buffer.getvalue()
 
 
+#: How json.dumps writes a cell of exactly one of these types; another
+#: scalar, or a non-finite float (ValueError), goes to json.dumps itself.
+_dumps = functools.partial(json.dumps, allow_nan=False)
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            float: lambda v: float.__repr__(v) if math.isfinite(v)
+            else _dumps(v),
+            bool: _CONSTANTS.__getitem__, type(None): _CONSTANTS.__getitem__}
+
+
+def _row(row: Mapping[str, object]) -> str:
+    """A non-empty table row, three levels deep, in its own key order."""
+    return "{\n        " + ",\n        ".join([
+        encode_basestring_ascii(name) + ": "
+        + _SCALARS.get(type(value), _dumps)(value)
+        for name, value in row.items()]) + "\n      }"
+
+
 def render_json(report: AnalysisReport) -> str:
-    """The whole report as one JSON document at full float precision."""
-    body = {
-        "config": dict(report.config),
-        "areas_analyzed": list(report.areas_analyzed),
-        "tables": dict(report.tables),
-    }
-    return json.dumps(body, indent=2, allow_nan=False) + "\n"
+    """The whole report as one JSON document at full float precision:
+    the bytes of ``json.dumps(body, indent=2, allow_nan=False)`` and a
+    newline, with each table row written here, cell by cell."""
+    tables = ",\n    ".join(
+        encode_basestring_ascii(name) + ": " + (
+            "[\n      " + ",\n      ".join(map(_row, rows)) + "\n    ]"
+            if rows else "[]")
+        for name, rows in report.tables.items())
+    # json.dumps writes the rest, up to the "{}" of an empty "tables".
+    head = json.dumps({"config": dict(report.config),
+                       "areas_analyzed": list(report.areas_analyzed),
+                       "tables": {}}, indent=2, allow_nan=False)[:-4]
+    return head + ("{\n    " + tables + "\n  }" if tables else "{}") + "\n}\n"
 
 
 def _write_new_file(target: Path, text: str) -> None:

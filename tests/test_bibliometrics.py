@@ -229,23 +229,31 @@ def random_corpus(rng):
 class TestCorpusInvariants:
     def test_pc_bounded_by_pu_and_matches_bruteforce(self):
         registry, journals, pubs = random_corpus(np.random.default_rng(31))
-        result = disambiguate_corpus(pubs, registry)
-        corpus = MatchedCorpus(result.matched_by_cell)
-        outcomes = {p.pub_id: o for p, o in decide(pubs, registry)}
-        years = [2001, 2002, 2003]
-        for area in ("A1", "A2"):
-            for uni in ("U1", "U2", "U3"):
-                vector = compute_output_vector(corpus, journals, area, uni,
-                                               years, [])
-                pu, pc, ss = vector.pu, vector.pc, vector.ss
-                assert 0.0 <= pc <= pu
-                opu, opc, oss = cell_outputs_bruteforce(
-                    pubs, outcomes, registry, journals,
-                    area, uni, years,
-                )
-                assert pu == opu
-                assert pc == opc
-                assert ss == pytest.approx(oss, abs=1e-12)
+        # Reversed, each cell's pairs are filed out of publication id
+        # order, and cell_rows must still scan them in id order: the PC
+        # and SS sums are compared bit for bit with the oracle's, which
+        # sorts by id.
+        for pubs in (pubs, pubs[::-1]):
+            result = disambiguate_corpus(pubs, registry)
+            corpus = MatchedCorpus(result.matched_by_cell)
+            outcomes = {p.pub_id: o for p, o in decide(pubs, registry)}
+            years = [2001, 2002, 2003]
+            for area in ("A1", "A2"):
+                for uni in ("U1", "U2", "U3"):
+                    vector = compute_output_vector(corpus, journals, area,
+                                                   uni, years, [])
+                    ids = [p.pub_id for p, _ in corpus.cell_rows(area, uni,
+                                                                 years)]
+                    assert ids == sorted(ids)
+                    pu, pc, ss = vector.pu, vector.pc, vector.ss
+                    assert 0.0 <= pc <= pu
+                    opu, opc, oss = cell_outputs_bruteforce(
+                        pubs, outcomes, registry, journals,
+                        area, uni, years,
+                    )
+                    assert pu == opu
+                    assert pc == opc
+                    assert ss == pytest.approx(oss, abs=1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)

@@ -35,7 +35,7 @@ class TestHappyPath:
     def test_demo_dataset_loads(self, demo_root):
         corpus = ingest(_config(demo_root))
         assert len(corpus.publications) == 30
-        assert corpus.staff.headcount("A01", "U2", "AP", 2001) == 3.0
+        assert corpus.staff.headcounts("A01", "U2", [2001])[1] == 3
         assert corpus.journals[("J1", 2002)] == 1.5
         assert corpus.funding[("U1", "A01", 2001)] == 120.0
         assert corpus.affiliations["univ of alpha"] == "U1"
@@ -215,14 +215,16 @@ class TestDiagnostics:
             ingest(_config(demo_root))
 
     def test_duplicate_publication_id_lists_both_lines(self, demo_root):
+        # Each later copy names the first line, not the copy before it.
         path = demo_root / "publications.csv"
         text = path.read_text()
-        path.write_text(text + text.splitlines()[1] + "\n", encoding="utf-8")
+        path.write_text(text + 2 * (text.splitlines()[1] + "\n"),
+                        encoding="utf-8")
         with pytest.raises(IngestError) as exc:
             ingest(_config(demo_root))
         assert exc.value.diagnostics == [
-            "publications.csv:32: duplicate publication id 'P001' "
-            "(first defined at line 2)"
+            f"publications.csv:{line}: duplicate publication id 'P001' "
+            "(first defined at line 2)" for line in (32, 33)
         ]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400",
@@ -373,13 +375,15 @@ class TestOverrideFile:
         return ingest(_config(demo_root))
 
     def test_round_trip(self, tmp_path, corpus):
+        # A path may be a string; cells are read stripped, as in the
+        # input files.
         path = tmp_path / "fixes.csv"
         path.write_text(
             "pub_id,author_position,staff_id\n"
-            "P001,1,S001\nP001,2,\nP029,1,S027\n",
+            "P001,1,S001\nP001,2,\n P029 , 1 , S027 \n",
             encoding="utf-8",
         )
-        assert load_overrides(path, corpus) == {
+        assert load_overrides(str(path), corpus) == {
             ("P001", 1): "S001", ("P001", 2): None, ("P029", 1): "S027",
         }
 

@@ -35,7 +35,7 @@ from uniprod.pipeline import (
     descriptive_stats,
     run_pipeline,
 )
-from uniprod.records import RANKS, StaffRegistry
+from uniprod.records import StaffRegistry
 from uniprod.synthetic import write_synthetic_dataset
 
 from .fixtures import (
@@ -401,10 +401,9 @@ class TestCrossAreaInvariants:
             assert sum(cell) / len(cell) == pytest.approx(1.0, abs=1e-9)
 
         def staff_weight(university_id, area_id):
-            return sum(
-                corpus.staff.headcount(area_id, university_id, r, y - config.lag)
-                for r in RANKS for y in config.years
-            ) / len(config.years)
+            return sum(corpus.staff.headcounts(
+                area_id, university_id, [y - config.lag for y in config.years]
+            )) / len(config.years)
 
         for row in report.tables["global_ranking"]:
             by_area = thetas[row["university_id"]]
@@ -420,6 +419,85 @@ class TestCrossAreaInvariants:
             assert theta_tot == pytest.approx(
                 sum(by_area[a] * w for a, w in weights.items())
                 / row["staff_weight_total"], abs=1e-9)
+
+
+#: Per renamed file, the columns that hold a university id and an area id.
+_ID_COLUMNS = {"staff.csv": (4, 5), "funding.csv": (0, 1),
+               "affiliations.csv": (1, None)}
+
+
+class TestIdRename:
+    """Renaming the university and area ids consistently, in a way that
+    keeps their order, changes no table once the names are mapped back.
+    The renamed copy also lists the rows of the files it renames in a
+    drawn order, so that only the ids' order can set an area's unit
+    order: without ``assemble_problem``'s sort, the units would follow
+    the staff rows, and the scores would be listed, and their LPs
+    solved, in another order."""
+
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 10_000),
+           names=st.lists(st.text("09AZaz-.\u00e0", min_size=1, max_size=5),
+                          min_size=11, max_size=11, unique=True),
+           rng=st.randoms(use_true_random=False))
+    def test_tables_agree_once_names_are_mapped_back(self, seed, names, rng):
+        config = RunConfig(compare_partial=True, drop_inputs=("PR", "FP"))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = write_synthetic_dataset(Path(tmp) / "data", seed=seed,
+                                           n_areas=3, n_universities=8)
+            files = {}
+            for name in _ID_COLUMNS:
+                with open(root / name, newline="", encoding="utf-8") as fh:
+                    files[name] = list(csv.reader(fh))
+            universities = sorted({
+                row[_ID_COLUMNS[name][0]]
+                for name, rows in files.items() for row in rows[1:]})
+            areas = sorted({
+                row[_ID_COLUMNS[name][1]] for name, rows in files.items()
+                if _ID_COLUMNS[name][1] is not None for row in rows[1:]})
+            assert len(universities) <= 8 and len(areas) == 3
+            # One drawn name list, cut in two and prefixed apart, so that
+            # no university is named like an area.
+            renamed = {
+                **dict(zip(universities, sorted(
+                    "U" + n for n in names[:len(universities)]))),
+                **dict(zip(areas, sorted("A" + n for n in names[8:]))),
+            }
+            for name, (u, a) in _ID_COLUMNS.items():
+                header, *rows = files[name]
+                for row in rows:
+                    row[u] = renamed[row[u]]
+                    if a is not None:
+                        row[a] = renamed[row[a]]
+                rng.shuffle(rows)
+                with open(root.parent / name, "w", newline="",
+                          encoding="utf-8") as fh:
+                    csv.writer(fh, lineterminator="\n").writerows(
+                        [header, *rows])
+            for name in ("publications.csv", "journals.csv"):
+                (root.parent / name).write_bytes((root / name).read_bytes())
+            original = run_pipeline(ingest(root), config)
+            report = run_pipeline(ingest(root.parent), config)
+
+        back = {new: old for old, new in renamed.items()}
+        quoted = {repr(new): repr(old) for new, old in back.items()}
+
+        def mapped_back(value):
+            if not isinstance(value, str):
+                return value
+            if value in back:
+                return back[value]
+            for new, old in quoted.items():
+                value = value.replace(new, old)
+            return value
+
+        assert report.areas_analyzed == tuple(
+            renamed[a] for a in original.areas_analyzed)
+        assert {
+            table: tuple({k: mapped_back(v) for k, v in row.items()}
+                         for row in rows)
+            for table, rows in report.tables.items()
+        } == original.tables
 
 
 class TestAreaSummaries:

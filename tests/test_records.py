@@ -8,10 +8,12 @@ diagnostic.
 
 import pytest
 
+from uniprod.bibliometrics import MatchedCorpus
 from uniprod.errors import IngestError, StructuralError
 from uniprod.ingest import _author_tokens, ingest
 from uniprod.records import (
     AuthorToken,
+    DOC_TYPES,
     Publication,
     StaffMember,
     StaffRegistry,
@@ -43,9 +45,10 @@ def rejected(tmp_path, file_name, row):
 
 class TestAuthorToken:
     def test_basic(self):
-        [t] = _author_tokens("ROSSI,M.a.", {})
-        assert t.initials == ("M", "A")
-        assert str(t) == "ROSSI,M.A."
+        for entry in ("ROSSI,M.a.", "ROSSI ,M.a."):
+            [t] = _author_tokens(entry, {})
+            assert t == AuthorToken("ROSSI", ("M", "A"))
+            assert str(t) == "ROSSI,M.A."
 
     def test_blank_surname(self):
         with pytest.raises(StructuralError, match="blank surname"):
@@ -111,11 +114,15 @@ class TestPublication:
     def test_basic(self):
         p = self.make()
         assert p.author_count == 1
-        assert p.counts_as_output
         assert p.universities == ("U1",)
 
     def test_other_doc_type_not_counted(self):
-        assert not self.make(doc_type="other").counts_as_output
+        # Only articles and reviews enter a cell's outputs.
+        pairs = [(self.make(pub_id=f"P{k}", doc_type=doc_type), 1)
+                 for k, doc_type in enumerate(DOC_TYPES)]
+        rows = MatchedCorpus({("A1", "U1"): pairs}).cell_rows(
+            "A1", "U1", [2002])
+        assert [pub.doc_type for pub, _ in rows] == ["article", "review"]
 
     def test_empty_author_list_is_representable(self):
         assert self.make(authors=()).author_count == 0
@@ -144,14 +151,19 @@ class TestStaffRegistry:
         assert reg.member("S2").first_names == "Marta"
         assert reg.member("S99") is None
 
-    def test_headcount(self):
+    def test_headcounts(self):
+        # Per rank (FP, AP, RF), members on staff at the end of each
+        # year, both ends of an active range included, summed over the
+        # years.
         reg = self.registry()
-        assert reg.headcount("A1", "U1", "FP", 2002) == 1
-        assert reg.headcount("A1", "U1", "AP", 2002) == 1
-        assert reg.headcount("A1", "U1", "AP", 2000) == 0
-        assert reg.headcount("A2", "U1", "RF", 1999) == 1
-        assert reg.headcount("A2", "U1", "RF", 2002) == 0
-        assert reg.headcount("A9", "U9", "FP", 2002) == 0
+        assert reg.headcounts("A1", "U1", [2002]) == (1, 1, 0)
+        assert reg.headcounts("A1", "U1", [2000]) == (1, 0, 0)
+        assert reg.headcounts("A1", "U1", [2001, 2004, 2005]) == (3, 2, 0)
+        assert reg.headcounts("A2", "U1", [1995, 2000, 2001]) == (0, 0, 2)
+        assert reg.headcounts("A1", "U2", [1999, 2000, 2009, 2010]) \
+            == (2, 0, 0)
+        assert reg.headcounts("A9", "U9", [2002]) == (0, 0, 0)
+        assert reg.headcounts("A1", "U1", []) == (0, 0, 0)
 
     def test_id_listings(self):
         reg = self.registry()

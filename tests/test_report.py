@@ -1,9 +1,12 @@
 """Emission invariants: round-trip fidelity, determinism, formats."""
 
+import http
 import json
+import math
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from uniprod.config import RunConfig
@@ -58,6 +61,15 @@ class TestCsvRoundTrip:
             whole, _, frac = te_cell.partition(".")
             assert len(frac) == 6, line
 
+    def test_int_columns_print_every_digit(self, report):
+        # Twelve significant digits, the NUM rule, would print 1e+12.
+        rows = ({"total": 10**12 + 1, "resolved": 10**12, "manual": 0,
+                 "discarded": 1, "unresolvable": 0},)
+        report = replace(report, tables={**report.tables,
+                                         "disambiguation_stats": rows})
+        text = render_table(report, "disambiguation_stats")
+        assert text.splitlines()[1] == "1000000000001,1000000000000,0,1,0"
+
     def test_header_only_when_no_rows(self, report):
         text = render_table(report, "area_failures")
         assert text == "area_id,reason,detail\n"
@@ -74,6 +86,46 @@ class TestJson:
 
     def test_json_is_deterministic(self, report):
         assert render_json(report) == render_json(report)
+
+    # Rows that json.dumps escapes or formats in its own way: non-ASCII
+    # text, quotes, backslashes, control characters, a string that looks
+    # like the break between two rows, signed zeros, exponents, a big
+    # int, booleans, None, and scalars of other types: NumPy's float64,
+    # a float subclass, and an IntEnum.
+    EDGE_ROWS = (
+        {"text": "Universit\u00e0 \u4e2d \U0001F600 \"q\" \\ \t\n\x00",
+         "joint": '"},\n      {"', "zero": 0.0, "negative_zero": -0.0,
+         "small": 1e-07, "large": 1e16, "big_int": 2**70},
+        {"yes": True, "no": False, "nothing": None, "int": -3,
+         "numpy": np.float64(0.1), "flag": http.HTTPStatus.OK, "": ""},
+    )
+
+    @pytest.mark.parametrize("case", ["demo", "empty-tables", "no-tables",
+                                      "edge-rows"])
+    def test_json_has_the_bytes_of_json_dumps(self, report, case):
+        if case == "empty-tables":
+            report = replace(report, areas_analyzed=(),
+                             tables={name: () for name in report.tables})
+        elif case == "no-tables":
+            report = replace(report, tables={})
+        elif case == "edge-rows":
+            report = replace(report, tables={**report.tables,
+                                             "warnings": self.EDGE_ROWS})
+        body = {
+            "config": dict(report.config),
+            "areas_analyzed": list(report.areas_analyzed),
+            "tables": dict(report.tables),
+        }
+        assert render_json(report) == (
+            json.dumps(body, indent=2, allow_nan=False) + "\n")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       np.float64("nan")])
+    def test_json_refuses_non_finite_numbers(self, report, value):
+        rows = ({"message": "m", "value": value},)
+        with pytest.raises(ValueError):
+            render_json(replace(report, tables={**report.tables,
+                                                "warnings": rows}))
 
 
 class TestWriteReport:
